@@ -33,6 +33,14 @@ def _default_budget() -> int:
     return int(env) if env else DEFAULT_BUDGET
 
 
+def _workers(text: str) -> int:
+    """--workers value: at least 1, clamped to the CPU count (each worker is a process)."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return min(n, os.cpu_count() or 1)
+
+
 def _parse_family(text: str) -> tuple[str, list[int]]:
     kind, _, rest = text.partition(":")
     if kind not in ("mono", "l3l", "span") or not rest:
@@ -278,7 +286,7 @@ def _add_common(sp, with_family=True):
         sp.add_argument("--method", default="predict", choices=("predict", "brute", "both"))
     sp.add_argument("--budget", type=int, default=_default_budget(),
                     help="max symbol evaluations for brute work")
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=_workers, default=1)
     sp.add_argument("--format", default="json", choices=("json", "csv", "text"))
     sp.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -310,7 +318,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=cmd_curves)
     sp = sub.add_parser("verify", help="run the full acceptance grid")
     sp.add_argument("--budget", type=int, default=_default_budget())
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=_workers, default=1)
     sp.add_argument("--json", default=None, help="write the report to a file")
     sp.set_defaults(fn=cmd_verify)
     return ap

@@ -15,8 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from .gf import FieldCtx, FieldError
-from .klapper import (HypothesisError, MonomialClassification, classify_monomial,
-                      eps_ell, l3l_poly, l3l_pair_profile)
+from .klapper import (HypothesisError, MonomialClassification, _batched_nullity,
+                      _pair_matrices, classify_monomial, eps_ell, l3l_poly, l3l_pair_profile)
 from .linpoly import LinearizedPoly, lin_eval_table
 from .quadform import QuadForm, QuadFormProfile, beta_class_counts, \
     exp_sum_class_value, profile as qf_profile
@@ -264,55 +264,6 @@ class WitnessReport:
     expected_betas: int | None = None
     observed_betas: int | None = None
     solution_count: int | None = None
-
-
-def _batched_nullity(mats: np.ndarray, p: int) -> np.ndarray:
-    """Nullity of each matrix in a (B, n, n) stack over F_p by row elimination."""
-    a = mats.astype(np.int16, copy=True)
-    B, nr, _ = a.shape
-    row = np.zeros(B, dtype=np.int64)
-    rank = np.zeros(B, dtype=np.int16)
-    inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int16)
-    idx = np.arange(B)
-    for col in range(nr):
-        sub = a[:, :, col]
-        rowmask = np.arange(nr)[None, :] >= row[:, None]
-        nz = (sub % p != 0) & rowmask
-        has = nz.any(axis=1)
-        piv = np.argmax(nz, axis=1)
-        bsel = idx[has]
-        if len(bsel):
-            pr, rr = piv[has], row[has]
-            tmp = a[bsel, pr, :].copy()
-            a[bsel, pr, :] = a[bsel, rr, :]
-            a[bsel, rr, :] = tmp
-            pv = a[bsel, rr, col] % p
-            a[bsel, rr, :] = (a[bsel, rr, :] * inv[pv][:, None]) % p
-            colv = (a[bsel, :, col] % p).copy()
-            colv[np.arange(len(bsel)), rr] = 0
-            a[bsel] = (a[bsel] - colv[:, :, None] * a[bsel, rr, :][:, None, :]) % p
-            row[has] += 1
-            rank[has] += 1
-    return (nr - rank).astype(np.int16)
-
-
-def _pair_matrices(ctx: FieldCtx, ell: int):
-    """Per-gamma matrices of y -> g y^{p^l} + (g y)^{p^{m-l}} for l and 3l."""
-    p, m = ctx.p, ctx.n
-    gs = np.arange(ctx.order, dtype=np.int64)
-
-    def build(lpow: int) -> np.ndarray:
-        out = np.empty((ctx.order, m, m), dtype=np.int8)
-        fl = ctx.frob_table(lpow)
-        fml = ctx.frob_table(m - lpow)
-        for j in range(m):
-            tj = int(ctx.pvec[j])
-            col = ctx.v_add(ctx.v_mul(gs, np.full(ctx.order, int(fl[tj]), dtype=np.int64)),
-                            fml[ctx.v_mul(gs, np.full(ctx.order, tj, dtype=np.int64))])
-            out[:, :, j] = ctx._digmat[col]
-        return out
-
-    return build(3 * ell), build(ell)
 
 
 def l3l_optimal_witness(ctx: FieldCtx, ell: int,

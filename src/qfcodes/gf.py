@@ -38,6 +38,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def int_log(n: int, base: int) -> int | None:
+    """The k with base**k == n, in exact integer arithmetic; None if there is none."""
+    k = 0
+    while n > 1 and n % base == 0:
+        n //= base
+        k += 1
+    return k if n == 1 else None
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division (fields are capped well below 2^32)."""
     out: dict[int, int] = {}

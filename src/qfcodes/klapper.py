@@ -277,114 +277,111 @@ def _kernel_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
     return basis
 
 
-def _pair_counts_for_ys(ctx: FieldCtx, ell: int, ys: np.ndarray) -> np.ndarray:
-    """For each y in ys, bump every (g1,g2) pair whose radical contains y.
+def _batched_nullity(mats: np.ndarray, p: int) -> np.ndarray:
+    """Nullity of each matrix in a (B, n, n) stack over F_p by row elimination."""
+    a = mats.astype(np.int16, copy=True)
+    B, nr, _ = a.shape
+    row = np.zeros(B, dtype=np.int64)
+    rank = np.zeros(B, dtype=np.int16)
+    inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int16)
+    idx = np.arange(B)
+    for col in range(nr):
+        sub = a[:, :, col]
+        rowmask = np.arange(nr)[None, :] >= row[:, None]
+        nz = (sub % p != 0) & rowmask
+        has = nz.any(axis=1)
+        piv = np.argmax(nz, axis=1)
+        bsel = idx[has]
+        if len(bsel):
+            pr, rr = piv[has], row[has]
+            tmp = a[bsel, pr, :].copy()
+            a[bsel, pr, :] = a[bsel, rr, :]
+            a[bsel, rr, :] = tmp
+            pv = a[bsel, rr, col] % p
+            a[bsel, rr, :] = (a[bsel, rr, :] * inv[pv][:, None]) % p
+            colv = (a[bsel, :, col] % p).copy()
+            colv[np.arange(len(bsel)), rr] = 0
+            a[bsel] = (a[bsel] - colv[:, :, None] * a[bsel, rr, :][:, None, :]) % p
+            row[has] += 1
+            rank[has] += 1
+    return (nr - rank).astype(np.int16)
 
-    The radical condition E_{g1,g2}(y) = 0 with
-    E(y) = g1 y^{p^{3l}} + (g1 y)^{p^{m-3l}} + g2 y^{p^l} + (g2 y)^{p^{m-l}}
-    is F_p-linear in (g1, g2), so the qualifying pairs form a subspace per y;
-    enumerating those subspaces tallies |radical|-1 for all p^{2m} pairs at once.
-    """
+
+def _pair_matrices(ctx: FieldCtx, ell: int):
+    """Per-gamma matrices of y -> g y^{p^l} + (g y)^{p^{m-l}} for l and 3l."""
     p, m = ctx.p, ctx.n
-    counts = np.zeros(p ** (2 * m), dtype=np.int16)
-    pair_pows = p ** np.arange(2 * m, dtype=np.int64)
-    ys = np.asarray(ys, dtype=np.int64)
-    # columns of the m x 2m condition matrix, vectorized over all y at once
-    a = ctx.frob_table(3 * ell)[ys]
-    b = ctx.frob_table(ell)[ys]
-    f3 = ctx.frob_table(m - 3 * ell)
-    f1 = ctx.frob_table(m - ell)
-    cols = np.empty((len(ys), m, 2 * m), dtype=np.int8)
-    for j in range(m):
-        tj = np.full(len(ys), int(ctx.pvec[j]), dtype=np.int64)
-        cols[:, :, j] = ctx._digmat[ctx.v_add(ctx.v_mul(tj, a), f3[ctx.v_mul(tj, ys)])]
-        cols[:, :, m + j] = ctx._digmat[ctx.v_add(ctx.v_mul(tj, b), f1[ctx.v_mul(tj, ys)])]
-    # one matmul per y enumerates its whole qualifying subspace: rows of the
-    # cached coefficient matrix are all p^k coefficient vectors.  float32 GEMM
-    # is exact here (entries stay far below 2^24) and much faster than int.
-    coeff_cache: dict[int, np.ndarray] = {}
+    gs = np.arange(ctx.order, dtype=np.int64)
 
-    def coeff_matrix(k: int) -> np.ndarray:
-        mat = coeff_cache.get(k)
-        if mat is None:
-            if p ** k > 20_000_000:
-                raise HypothesisError(f"kernel dimension {k} out of expected range")
-            idx = np.arange(p ** k, dtype=np.int64)[:, None]
-            mat = ((idx // p ** np.arange(k, dtype=np.int64)) % p).astype(np.float32)
-            coeff_cache[k] = mat
-        return mat
+    def build(lpow: int) -> np.ndarray:
+        out = np.empty((ctx.order, m, m), dtype=np.int8)
+        fl = ctx.frob_table(lpow)
+        fml = ctx.frob_table(m - lpow)
+        for j in range(m):
+            tj = int(ctx.pvec[j])
+            col = ctx.v_add(ctx.v_mul(gs, np.full(ctx.order, int(fl[tj]), dtype=np.int64)),
+                            fml[ctx.v_mul(gs, np.full(ctx.order, tj, dtype=np.int64))])
+            out[:, :, j] = ctx._digmat[col]
+        return out
 
-    pending: list[np.ndarray] = []
-    pending_len = 0
-
-    def flush():
-        nonlocal pending, pending_len
-        if not pending:
-            return
-        codes = np.concatenate(pending)
-        np.add(counts, np.bincount(codes, minlength=counts.size),
-               out=counts, casting="unsafe")
-        pending = []
-        pending_len = 0
-
-    for i in range(len(ys)):
-        basis = _kernel_mod_p(cols[i].tolist(), p)
-        k = len(basis)
-        bmat = np.array(basis, dtype=np.float32).reshape(k, 2 * m)
-        arr = (coeff_matrix(k) @ bmat).astype(np.int16)
-        arr %= p
-        pending.append(arr.astype(np.int64) @ pair_pows)
-        pending_len += arr.shape[0]
-        if pending_len >= 3_000_000:
-            flush()
-    flush()
-    return counts
+    return build(3 * ell), build(ell)
 
 
-def _sweep_worker(args):
-    p, n, ell, lo, hi = args
-    from .gf import get_field
-    ctx = get_field(p, n)
-    ys = ctx.exp[:ctx.mult_order][lo:hi]
-    return _pair_counts_for_ys(ctx, ell, ys)
+# largest p^{2m} for which return_counts may allocate the per-pair array
+PAIR_COUNTS_LIMIT = 1 << 26
 
 
 def tally_l3l_ranks(ctx: FieldCtx, ell: int, workers: int = 1,
                     return_counts: bool = False):
-    """Exhaustive rank tally over all (g1, g2) in F_{p^m}^2 via radical membership.
+    """Exhaustive rank tally over all (g1, g2) in F_{p^m}^2 by orbit representatives.
+
+    The substitution x -> cx carries Q_{g1,g2} to Q_{g1 c^{p^{3l}+1}, g2 c^{p^l+1}},
+    so rank is constant on orbits.  With d = gcd(p^m-1, p^l+1) the rows
+    g2 = alpha^r, r < d, meet every orbit with g2 != 0, and each stands for
+    (p^m-1)/d rows: c^{p^l+1} = 1 forces c^{p^{3l}+1} = 1 because p^l+1
+    divides p^{3l}+1, so the induced permutation of g1 is well defined.  The
+    radical nullity of every g1 on those d rows and on g2 = 0 comes from one
+    batched elimination per row.
 
     Returns {rank: multiplicity} covering all p^{2m} pairs (the zero pair
     lands at rank 0).  With return_counts=True also returns the per-pair
-    |radical|-1 array indexed by g1_idx + g2_idx * p^m.
+    |radical|-1 array (int32) indexed by g1_idx + g2_idx * p^m; that array is
+    refused above PAIR_COUNTS_LIMIT pairs.  The sweep runs in this process:
+    ``workers`` is checked but no pool is started.
     """
     p, m = ctx.p, ctx.n
     if p == 2:
         raise HypothesisError("the two-monomial family sweep targets odd p")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if return_counts and ctx.order ** 2 > PAIR_COUNTS_LIMIT:
+        raise HypothesisError(f"{ctx.order ** 2} per-pair counts exceed the limit "
+                              f"{PAIR_COUNTS_LIMIT}")
     N = ctx.mult_order
-    # E_{g1,g2}(c y) = c E_{g1,g2}(y) for c in F_p^*, so one projective
-    # representative per scalar class suffices, weighted by p-1.
-    n_reps = N // (p - 1)
-    if workers > 1:
-        from multiprocessing import get_context
-        bounds = np.linspace(0, n_reps, workers + 1, dtype=int)
-        jobs = [(p, ctx.n, ell, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
-        with get_context("fork").Pool(len(jobs)) as pool:
-            parts = pool.map(_sweep_worker, jobs)
-        counts = parts[0]
-        for part in parts[1:]:
-            counts += part
-    else:
-        counts = _pair_counts_for_ys(ctx, ell, ctx.exp[:n_reps])
-    counts *= p - 1
-    values, mult = np.unique(counts, return_counts=True)
-    tally: dict[int, int] = {}
-    for v, c in zip(values.tolist(), mult.tolist()):
-        size = v + 1  # |radical| = p^{m - rank}
-        nullity = round(np.log(size) / np.log(p))
-        if p ** nullity != size:
-            raise HypothesisError(f"radical size {size} is not a power of {p}")
-        tally[m - nullity] = tally.get(m - nullity, 0) + c
-    if return_counts:
-        return tally, counts
-    return tally
+    d = gcd(N, p ** ell + 1)
+    a_mats, b_mats = _pair_matrices(ctx, ell)
+    reps = [0] + [int(g) for g in ctx.exp[:d]]
+    nullity = np.stack([_batched_nullity((a_mats + b_mats[g2]) % p, p) for g2 in reps])
+    hist = np.zeros(m + 1, dtype=np.int64)
+    for weight, row in zip([1] + [N // d] * d, nullity):
+        hist += weight * np.bincount(row, minlength=m + 1)
+    tally = {m - k: c for k, c in enumerate(hist.tolist()) if c}
+    if not return_counts:
+        return tally
+    # row g2 = alpha^j is row r = j mod d with g1 shifted in log by
+    # t (p^{3l}+1), where t (p^l+1)/d = (j-r)/d (mod (p^m-1)/d)
+    rep_counts = p ** nullity.astype(np.int32) - 1
+    counts = np.empty((ctx.order, ctx.order), dtype=np.int32)  # [g2, g1]
+    counts[0] = rep_counts[0]
+    inv = pow((p ** ell + 1) // d, -1, N // d)
+    lift = (p ** (3 * ell) + 1) % N
+    logs = ctx.log[1:]
+    chunk = max(1, (1 << 20) // ctx.order)
+    for lo in range(0, N, chunk):
+        js = np.arange(lo, min(lo + chunk, N), dtype=np.int64)
+        rs = js % d
+        shifts = ((js - rs) // d * inv % (N // d)) * lift % N
+        rows = rep_counts[1 + rs]
+        counts[ctx.exp[js], 0] = rows[:, 0]
+        counts[ctx.exp[js], 1:] = np.take_along_axis(
+            rows, ctx.exp[(logs[None, :] - shifts[:, None]) % N], axis=1)
+    return tally, counts.reshape(-1)

@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .gf import FieldCtx, FieldError
+from .gf import FieldCtx, FieldError, int_log
 from .klapper import (HypothesisError, RankDistribution, eps_ell,
                       rank_distribution_l3l, rank_distribution_monomial)
 from .linpoly import FamilySpec, LinearizedPoly
@@ -61,8 +61,8 @@ class Spectrum:
 
     def dim(self) -> int:
         total = self.total()
-        k = round(np.log(total) / np.log(self.q))
-        if self.q ** k != total:
+        k = int_log(total, self.q)
+        if k is None:
             raise ValueError(f"frequency sum {total} is not a power of {self.q}")
         return k
 
@@ -155,8 +155,8 @@ def predict_general(q: int, m: int, dist: RankDistribution, variant: str) -> Spe
 
     spec = Spectrum(n=n, q=q, weights=weights)
     size = dist.total() + 1
-    ms = round(np.log(size) / np.log(q))
-    if q ** ms != size or ms % m != 0:
+    ms = int_log(size, q)
+    if ms is None or ms % m != 0:
         raise HypothesisError("family size is not q^{ms}")
     expected_dim = {"base": ms, "0": ms + 1, "1": ms + m, "2": ms + m + 1}[variant]
     if spec.dim() != expected_dim:

@@ -210,7 +210,7 @@ def criterion_6(budget: int, workers: int) -> CriterionResult:
         ctx = get_field(p, m)
         fs = klapper.l3l_constants(p, m, ell)
         details: dict = {"closed_form": list(fs)}
-        sweep_work = (ctx.order ** 2) * 3  # rough membership-enumeration scale
+        sweep_work = (ctx.order ** 2) * 3  # rough scale of the per-pair check
         mode = "full"
         if sweep_work > budget:
             mode = "sampled"

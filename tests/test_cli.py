@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qfcodes import cli, spectra, verify
 
 
@@ -144,3 +146,18 @@ def test_verify_budget_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(cli.verify, "run_all",
                         lambda budget, workers, log: (fake, verify.report_json(fake)))
     assert cli.main(["verify"]) == 3
+
+
+def test_workers_validated_and_clamped(monkeypatch):
+    # parsing only: no pool is started
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    parser = cli.build_parser()
+    field = ["--p", "2", "--m", "4", "--family", "mono:1"]
+    for argv in (["spectrum", *field], ["cwe", *field], ["verify"]):
+        assert parser.parse_args(argv).workers == 1
+        assert parser.parse_args(argv + ["--workers", "2"]).workers == 2
+        assert parser.parse_args(argv + ["--workers", "100000"]).workers == 3
+        for bad in ("0", "-4"):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv + ["--workers", bad])
+            assert exc.value.code == cli.EXIT_USAGE

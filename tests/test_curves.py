@@ -133,7 +133,7 @@ def test_batched_nullity_matches_scalar():
     rng = np.random.default_rng(23)
     for p in (3, 5):
         mats = rng.integers(0, p, size=(200, 6, 6)).astype(np.int8)
-        out = curves._batched_nullity(mats, p)
+        out = klapper._batched_nullity(mats, p)
         for i in range(0, 200, 17):
             basis = klapper._kernel_mod_p(mats[i].tolist(), p)
             assert int(out[i]) == len(basis)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,43 @@ def test_pair_sweep_workers_match():
     ctx = gf.get_field(3, 4)
     assert klapper.tally_l3l_ranks(ctx, 1, workers=1) == \
         klapper.tally_l3l_ranks(ctx, 1, workers=2)
+
+
+@pytest.mark.parametrize("p,m", [(3, 4), (5, 4)])
+def test_orbit_tally_matches_direct_nullity(p, m):
+    # every pair's radical nullity by direct elimination, against the tally
+    # taken on orbit representatives and the per-pair array rebuilt from them
+    ctx = gf.get_field(p, m)
+    a_mats, b_mats = klapper._pair_matrices(ctx, 1)
+    mats = (a_mats[None, :] + b_mats[:, None]) % p  # [g2, g1]
+    nullity = klapper._batched_nullity(mats.reshape(-1, m, m), p)
+    ranks, mult = np.unique(m - nullity.astype(np.int64), return_counts=True)
+    tally, counts = klapper.tally_l3l_ranks(ctx, 1, return_counts=True)
+    assert tally == dict(zip(ranks.tolist(), mult.tolist()))
+    assert counts.dtype == np.int32
+    assert np.array_equal(counts, p ** nullity.astype(np.int32) - 1)
+
+
+def test_tally_reaches_beyond_the_old_sweep():
+    # 3^20 pairs; checks the closed-form multiplicities at (3,10,1)
+    fs = klapper.l3l_constants(3, 10, 1)
+    tally = klapper.tally_l3l_ranks(gf.get_field(3, 10), 1)
+    assert tally == {10 - 2 * j: fs[j] for j in range(4)} | {0: 1}
+
+
+def test_tally_guards():
+    ctx = gf.get_field(3, 4)
+    with pytest.raises(ValueError):
+        klapper.tally_l3l_ranks(ctx, 1, workers=0)
+    ctx = gf.get_field(3, 10)
+    tracemalloc.start()
+    try:
+        with pytest.raises(HypothesisError):
+            klapper.tally_l3l_ranks(ctx, 1, return_counts=True)  # 3^20 pairs
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_fast_profile_matches_general():

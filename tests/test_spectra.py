@@ -270,6 +270,13 @@ def test_spectrum_dim_rejects_non_powers():
         s.dim()
 
 
+def test_spectrum_dim_exact_for_huge_totals():
+    assert Spectrum(n=1200, q=2, weights={0: 2 ** 1100}).dim() == 1100
+    assert Spectrum(n=1200, q=3, weights={0: 1, 5: 3 ** 700 - 1}).dim() == 700
+    with pytest.raises(ValueError):
+        Spectrum(n=1200, q=2, weights={0: 2 ** 1100 + 1}).dim()
+
+
 def test_l3l_cwe_composition_spotcheck():
     # sampled pair-family codewords over F_{3^8} have the balanced composition
     # (a_i, b_i, b_i) predicted for their rank class
