@@ -405,18 +405,6 @@ def get_field(p: int, n: int) -> FieldCtx:
     return make_field(p, n)
 
 
-def subfield_embed(ctx: FieldCtx, d: int) -> Subfield:
-    """Description of F_{p^d} inside F_{p^n}: membership, canonical indexing, generator."""
-    return ctx.subfield(d)
-
-
-def rel_trace(ctx: FieldCtx, x: int, sub_deg: int) -> int:
-    """tr_{p^n/p^d}(x) = sum of x^{p^{d i}}, lands in the subfield of size p^d."""
-    if ctx.n % sub_deg != 0:
-        raise FieldError(f"trace degree {sub_deg} does not divide {ctx.n}")
-    return ctx.trace(x, sub_deg)
-
-
 def power_residue_test(ctx: FieldCtx, gamma: int, e: int) -> bool:
     """True iff gamma is an e-th power in F_{p^n}^*, via gamma^{(p^n-1)/gcd(p^n-1, e)} = 1."""
     if gamma == 0:

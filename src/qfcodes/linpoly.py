@@ -33,13 +33,6 @@ class FamilySpec:
     def n(self) -> int:
         return self.s * self.m
 
-    def validate_for_tables(self):
-        """Hypothesis gate of the spectrum formulas: 1 <= l_1 < .. < l_s < m/2."""
-        if any(l < 1 for l in self.exponents):
-            raise FieldError("family exponents must be >= 1")
-        if any(2 * l >= self.m for l in self.exponents):
-            raise FieldError("family exponents must satisfy l < m/2")
-
 
 @dataclass(frozen=True)
 class LinearizedPoly:

@@ -16,20 +16,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+import os
 import warnings
 
 import numpy as np
 
-from .gf import FieldCtx, FieldError, int_log
+from .gf import FieldCtx, FieldError, get_field, int_log
 from .klapper import (HypothesisError, RankDistribution, eps_ell,
                       rank_distribution_l3l, rank_distribution_monomial)
-from .linpoly import FamilySpec, LinearizedPoly
+from .linpoly import FamilySpec, LinearizedPoly, elements_zech_order
 from .quadform import beta_class_counts, exp_sum_class_value
 
 VARIANTS = ("base", "0", "1", "2")
 DEFAULT_BUDGET = 1 << 32
-
-_HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
 
 
 class BudgetError(RuntimeError):
@@ -296,93 +295,52 @@ def build_codeword(ctx: FieldCtx, spec: CodeSpec, R: LinearizedPoly,
     return syms
 
 
-def _row_hashes(mat: np.ndarray, coord_mults: np.ndarray) -> np.ndarray:
-    """64-bit word fingerprints (wraparound polynomial hash over coordinates)."""
-    return (mat.astype(np.uint64) + np.uint64(1)) @ coord_mults
-
-
 def brute_spectrum(ctx: FieldCtx, spec: CodeSpec, budget: int = DEFAULT_BUDGET,
                    collect_compositions: bool = False,
                    workers: int = 1) -> BruteResult:
     """Exact spectrum by enumerating every word index; reports injectivity.
 
-    Work is counted in symbol evaluations and refused above `budget`.
+    Work is counted in symbol evaluations and refused above `budget`.  The map
+    index -> word is F_q-linear, so every word is hit A_0 times (A_0 = the
+    indices giving the zero word) and the image holds expected/A_0 words.
+    `workers` (at least 1, clamped to the CPU count) forks a pool for the
+    beta variants.
     """
     fam = spec.family
-    q, m, s = fam.q, fam.m, fam.s
     if ctx.p != fam.p or ctx.n != fam.n:
         raise FieldError("field does not match family")
-    xs = _coordinates(ctx, spec)
-    n = len(xs)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    workers = min(workers, os.cpu_count() or 1)
+    n = len(_coordinates(ctx, spec))
     n_forms = ctx.order ** len(fam.exponents)
     n_words = n_forms
     if spec.variant in ("1", "2"):
         n_words *= ctx.order
     if spec.variant in ("0", "2"):
-        n_words *= q
+        n_words *= fam.q
     if n_words * n > budget:
         raise BudgetError(f"{n_words} words x {n} symbols exceeds budget {budget}")
 
-    sy = ctx.symbols(s)
-    with_beta = spec.variant in ("1", "2")
-    with_b = spec.variant in ("0", "2")
-    if workers > 1 and with_beta:
-        return _brute_parallel(ctx, spec, budget, collect_compositions, workers)
-
-    power_tables = [ctx.power_table(q ** l + 1)[xs] for l in fam.exponents]
-    beta_syms = None
-    if with_beta:
-        betas = np.arange(ctx.order, dtype=np.int64)
-        beta_syms = sy.trace_sym[ctx.v_mul(betas[:, None], xs[None, :])]
-
-    coord_mults = _HASH_MULT ** np.arange(1, n + 1, dtype=np.uint64)
-    weight_counts: dict[int, int] = {}
+    if workers > 1 and spec.variant in ("1", "2"):
+        from multiprocessing import get_context
+        bounds = np.linspace(0, n_forms, workers + 1, dtype=int)
+        jobs = [(ctx.p, ctx.n, spec, collect_compositions, int(lo), int(hi))
+                for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
+        with get_context("fork").Pool(len(jobs)) as pool:
+            parts = pool.map(_brute_worker, jobs)
+    else:
+        parts = [_brute_chunk(ctx, spec, collect_compositions, 0, n_forms)]
+    weight_hist = sum(wh for wh, _ in parts)
     comp_counts: dict[tuple[int, ...], int] = {}
-    hashes: list[np.ndarray] = []
-    order_zech = np.concatenate([[0], ctx.exp[: ctx.mult_order]]).astype(np.int64)
+    for _, cc in parts:
+        for key, c in cc.items():
+            comp_counts[key] = comp_counts.get(key, 0) + c
 
-    def tally_matrix(sym_mat: np.ndarray):
-        rows = sym_mat.shape[0]
-        comp = np.bincount(
-            (np.arange(rows, dtype=np.int64)[:, None] * q + sym_mat).ravel(),
-            minlength=rows * q).reshape(rows, q)
-        for b in range(q) if with_b else (0,):
-            zeros = comp[:, int(sy.neg[b])] if b else comp[:, 0]
-            for w, c in zip(*np.unique(n - zeros, return_counts=True)):
-                weight_counts[int(w)] = weight_counts.get(int(w), 0) + int(c)
-            shifted = sy.add[sym_mat, np.int16(b)] if b else sym_mat
-            hashes.append(_row_hashes(shifted, coord_mults))
-        if collect_compositions:
-            for row in comp:
-                key = tuple(int(v) for v in row)
-                comp_counts[key] = comp_counts.get(key, 0) + 1
-
-    def coeff_tuples():
-        if len(fam.exponents) == 1:
-            for c in order_zech:
-                yield (int(c),)
-        else:
-            def rec(prefix):
-                if len(prefix) == len(fam.exponents):
-                    yield prefix
-                    return
-                for c in order_zech:
-                    yield from rec(prefix + (int(c),))
-            yield from rec(())
-
-    for coeffs in coeff_tuples():
-        base = np.zeros(n, dtype=np.int16)
-        for c, pt in zip(coeffs, power_tables):
-            if c:
-                base = sy.add[base, sy.trace_sym[ctx.v_mul(np.full(n, c, dtype=np.int64), pt)]]
-        if with_beta:
-            tally_matrix(sy.add[base[None, :], beta_syms])
-        else:
-            tally_matrix(base[None, :])
-
-    all_hashes = np.concatenate(hashes)
-    distinct = int(len(np.unique(all_hashes)))
-    spectrum = Spectrum(n=n, q=q, weights=weight_counts)
+    weights = {int(w): int(c) for w, c in enumerate(weight_hist) if c}
+    spectrum = Spectrum(n=n, q=fam.q, weights=weights)
+    distinct, rest = divmod(n_words, weights[0])
+    assert rest == 0, "a linear map hits every word of its image equally often"
     params = CodeParams(n=n, k=spectrum.dim(), d=spectrum.min_distance())
     return BruteResult(params=params, spectrum=spectrum, expected_words=n_words,
                        distinct_words=distinct,
@@ -390,82 +348,53 @@ def brute_spectrum(ctx: FieldCtx, spec: CodeSpec, budget: int = DEFAULT_BUDGET,
 
 
 def _brute_worker(args):
-    (p, nfield, fam, variant, shortened, budget, collect, lo, hi) = args
-    from .gf import get_field
-    ctx = get_field(p, nfield)
-    return _brute_chunk(ctx, CodeSpec(fam, variant, shortened), budget, collect, lo, hi)
+    p, nfield, spec, collect, lo, hi = args
+    return _brute_chunk(get_field(p, nfield), spec, collect, lo, hi)
 
 
-def _brute_chunk(ctx, spec, budget, collect, lo, hi):
-    """Brute tally restricted to a contiguous range of coefficient indices."""
+def _brute_chunk(ctx: FieldCtx, spec: CodeSpec, collect: bool, lo: int, hi: int):
+    """Weight histogram (and compositions) over coefficient indices [lo, hi).
+
+    Index ci names the coefficient tuple whose i-th entry is element number
+    (ci // order^i) % order in Zech order; each index covers every beta and
+    b of the variant.  Returns (counts by weight 0..n, {composition: count}).
+    """
     fam = spec.family
-    q, s = fam.q, fam.s
+    q = fam.q
     xs = _coordinates(ctx, spec)
     n = len(xs)
-    sy = ctx.symbols(s)
-    order_zech = np.concatenate([[0], ctx.exp[: ctx.mult_order]]).astype(np.int64)
+    sy = ctx.symbols(fam.s)
+    order_zech = elements_zech_order(ctx)
     power_tables = [ctx.power_table(q ** l + 1)[xs] for l in fam.exponents]
-    betas = np.arange(ctx.order, dtype=np.int64)
-    beta_syms = sy.trace_sym[ctx.v_mul(betas[:, None], xs[None, :])]
-    coord_mults = _HASH_MULT ** np.arange(1, n + 1, dtype=np.uint64)
-    with_b = spec.variant == "2"
-    weight_counts: dict[int, int] = {}
+    if spec.variant in ("1", "2"):
+        betas = np.arange(ctx.order, dtype=np.int64)
+        beta_syms = sy.trace_sym[ctx.v_mul(betas[:, None], xs[None, :])]
+    else:
+        beta_syms = np.zeros((1, n), dtype=np.int16)
+    # word + b over all b has the weights n - #{word = z} over all symbols z
+    with_b = spec.variant in ("0", "2")
+    counted = range(q) if collect or with_b else range(1)
+    weight_hist = np.zeros(n + 1, dtype=np.int64)
     comp_counts: dict[tuple[int, ...], int] = {}
-    hashes: list[np.ndarray] = []
     for ci in range(lo, hi):
-        coeffs = []
-        rest = ci
-        for _ in fam.exponents:
-            coeffs.append(int(order_zech[rest % ctx.order]))
-            rest //= ctx.order
         base = np.zeros(n, dtype=np.int16)
-        for c, pt in zip(coeffs, power_tables):
+        rest = ci
+        for pt in power_tables:
+            rest, digit = divmod(rest, ctx.order)
+            c = int(order_zech[digit])
             if c:
                 base = sy.add[base, sy.trace_sym[ctx.v_mul(np.full(n, c, dtype=np.int64), pt)]]
-        sym_mat = sy.add[base[None, :], beta_syms]
-        rows = sym_mat.shape[0]
-        comp = np.bincount(
-            (np.arange(rows, dtype=np.int64)[:, None] * q + sym_mat).ravel(),
-            minlength=rows * q).reshape(rows, q)
-        for b in range(q) if with_b else (0,):
-            zeros = comp[:, int(sy.neg[b])] if b else comp[:, 0]
-            for w, c in zip(*np.unique(n - zeros, return_counts=True)):
-                weight_counts[int(w)] = weight_counts.get(int(w), 0) + int(c)
-            shifted = sy.add[sym_mat, np.int16(b)] if b else sym_mat
-            hashes.append(_row_hashes(shifted, coord_mults))
+        # the word base + beta_syms[row] takes symbol z where beta_syms[row] = z - base
+        neg_base = sy.neg[base]
+        comp = np.stack([np.count_nonzero(beta_syms == sy.add[z, neg_base], axis=1)
+                         for z in counted], axis=1)
+        zeros = comp if with_b else comp[:, :1]
+        weight_hist += np.bincount((n - zeros).ravel(), minlength=n + 1)
         if collect:
             for row in comp:
                 key = tuple(int(v) for v in row)
                 comp_counts[key] = comp_counts.get(key, 0) + 1
-    return weight_counts, comp_counts, np.concatenate(hashes) if hashes else np.empty(0, np.uint64)
-
-
-def _brute_parallel(ctx, spec, budget, collect, workers):
-    from multiprocessing import get_context
-    fam = spec.family
-    n_forms = ctx.order ** len(fam.exponents)
-    bounds = np.linspace(0, n_forms, workers + 1, dtype=int)
-    jobs = [(ctx.p, ctx.n, fam, spec.variant, spec.shortened, budget, collect,
-             int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
-    with get_context("fork").Pool(len(jobs)) as pool:
-        parts = pool.map(_brute_worker, jobs)
-    weight_counts: dict[int, int] = {}
-    comp_counts: dict[tuple[int, ...], int] = {}
-    hash_parts = []
-    for wc, cc, hs in parts:
-        for w, c in wc.items():
-            weight_counts[w] = weight_counts.get(w, 0) + c
-        for k, c in cc.items():
-            comp_counts[k] = comp_counts.get(k, 0) + c
-        hash_parts.append(hs)
-    xs = _coordinates(ctx, spec)
-    q = fam.q
-    n_words = n_forms * ctx.order * (q if spec.variant == "2" else 1)
-    spectrum = Spectrum(n=len(xs), q=q, weights=weight_counts)
-    params = CodeParams(n=len(xs), k=spectrum.dim(), d=spectrum.min_distance())
-    return BruteResult(params=params, spectrum=spectrum, expected_words=n_words,
-                       distinct_words=int(len(np.unique(np.concatenate(hash_parts)))),
-                       compositions=comp_counts if collect else None)
+    return weight_hist, comp_counts
 
 
 # -- complete weight enumerator --------------------------------------------------
@@ -519,24 +448,21 @@ def cwe(ctx: FieldCtx, spec: CodeSpec, dist: RankDistribution,
         D = q ** gcd(fam.m, fam.exponents[0]) + 1
     terms = cwe_predicted(q, fam.m, dist, D)
     n = (q ** fam.m - 1) // D
-    balanced: bool | None = None
-    match: bool | None = None
-    work = (ctx.order ** len(fam.exponents)) * n
-    if work <= budget:
+    try:
         res = brute_spectrum(ctx, spec, budget=budget, collect_compositions=True)
-        balanced = True
-        observed: dict[tuple[int, int], int] = {}
-        for comp, cnt in res.compositions.items():
-            if len(set(comp[1:])) > 1:
-                raise HypothesisError(f"composition {comp} is not balanced")
-            key = (comp[0], comp[1])
-            observed[key] = observed.get(key, 0) + cnt
-        predicted = {}
-        for t in terms:
-            predicted[(t.z0_exp, t.zrest_exp)] = predicted.get((t.z0_exp, t.zrest_exp), 0) + t.coeff
-        match = observed == predicted
-    return CweResult(n=n, q=q, terms=tuple(terms), balanced_verified=balanced,
-                     brute_match=match)
+    except BudgetError:
+        return CweResult(n=n, q=q, terms=tuple(terms), balanced_verified=None)
+    observed: dict[tuple[int, int], int] = {}
+    for comp, cnt in res.compositions.items():
+        if len(set(comp[1:])) > 1:
+            raise HypothesisError(f"composition {comp} is not balanced")
+        key = (comp[0], comp[1])
+        observed[key] = observed.get(key, 0) + cnt
+    predicted = {}
+    for t in terms:
+        predicted[(t.z0_exp, t.zrest_exp)] = predicted.get((t.z0_exp, t.zrest_exp), 0) + t.coeff
+    return CweResult(n=n, q=q, terms=tuple(terms), balanced_verified=True,
+                     brute_match=observed == predicted)
 
 
 # -- divisibility and dimension checks -------------------------------------------

@@ -84,6 +84,15 @@ def test_mismatch_exit_2(capsys, monkeypatch):
     assert code == 2
 
 
+def test_spectrum_brute_non_injective_span(capsys):
+    code, out, _ = run(["spectrum", "--p", "2", "--s", "1", "--m", "4", "--family", "span:1,3",
+                        "--variant", "base", "--method", "brute"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["distinct_words"] == 16
+    assert payload["expected_words"] == 256
+
+
 def test_cwe_command(capsys):
     code, out, _ = run(["cwe", "--p", "2", "--m", "4", "--family", "mono:1",
                         "--method", "both"], capsys)

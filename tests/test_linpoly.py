@@ -79,9 +79,6 @@ def test_validation():
         FamilySpec(2, 1, 4, (1, 1))
     with pytest.raises(Exception):
         FamilySpec(2, 1, 4, (2, 1))
-    fam = FamilySpec(2, 1, 4, (2,))
-    with pytest.raises(Exception):
-        fam.validate_for_tables()  # l < m/2 fails
     with pytest.raises(Exception):
         LinearizedPoly((1,), (1, 2), 1)
     R = LinearizedPoly((1,), (0,), 1)

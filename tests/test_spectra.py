@@ -1,9 +1,11 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from qfcodes import gf, klapper, spectra
 from qfcodes.klapper import HypothesisError
-from qfcodes.linpoly import FamilySpec, LinearizedPoly
+from qfcodes.linpoly import FamilySpec, LinearizedPoly, enumerate_family
 from qfcodes.spectra import (BudgetError, CodeSpec, Spectrum, brute_spectrum,
                              build_codeword, cwe, dimension_oracle,
                              divisibility_report, predict_general,
@@ -88,6 +90,73 @@ def test_workers_match_single_process():
     b = brute_spectrum(ctx, CodeSpec(fam, "2"), workers=2)
     assert a.spectrum.weights == b.spectrum.weights
     assert a.distinct_words == b.distinct_words
+
+
+
+class _InProcessPool:
+    """Stands in for the fork pool: records the size it was asked for, maps in this process."""
+
+    def __init__(self, sizes, processes):
+        sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return [fn(job) for job in jobs]
+
+
+def test_brute_workers_validated_and_clamped(monkeypatch):
+    sizes = []
+
+    class StubContext:
+        def Pool(self, processes):
+            return _InProcessPool(sizes, processes)
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: StubContext())
+    monkeypatch.setattr(spectra.os, "cpu_count", lambda: 3)
+    ctx = gf.get_field(2, 6)
+    spec = CodeSpec(fam_of(2, 1, 6, 1), "2")
+    for bad in (0, -4):
+        with pytest.raises(ValueError):
+            brute_spectrum(ctx, spec, workers=bad)
+    serial = brute_spectrum(ctx, spec, workers=1)
+    base = brute_spectrum(ctx, CodeSpec(fam_of(2, 1, 6, 1), "base"), workers=100000)
+    assert sizes == []  # one worker, or a variant without beta: no pool
+    assert base.injective
+    for requested, started in ((2, 2), (100000, 3)):
+        res = brute_spectrum(ctx, spec, workers=requested)
+        assert sizes[-1] == started
+        assert res.spectrum.weights == serial.spectrum.weights
+        assert res.distinct_words == serial.distinct_words
+
+
+@pytest.mark.parametrize("p,m,exponents,variant,expected,distinct", [
+    (2, 4, (1, 3), "base", 256, 16),
+    (3, 4, (1, 2), "1", 531441, 59049),
+])
+def test_brute_non_injective(p, m, exponents, variant, expected, distinct):
+    res = brute_spectrum(gf.get_field(p, m), CodeSpec(FamilySpec(p, 1, m, exponents), variant))
+    assert res.injective is False
+    assert res.expected_words == expected
+    assert res.distinct_words == distinct
+    assert res.spectrum.weights[0] == expected // distinct
+
+
+@pytest.mark.parametrize("exponents,variant", [((1, 3), "base"), ((1, 3), "2"), ((1,), "2")])
+def test_distinct_words_equal_a_direct_count(exponents, variant):
+    # oracle: build every word and count the distinct ones
+    ctx = gf.get_field(2, 4)
+    fam = FamilySpec(2, 1, 4, exponents)
+    spec = CodeSpec(fam, variant)
+    betas = range(16) if variant in ("1", "2") else (0,)
+    bs = range(2) if variant in ("0", "2") else (0,)
+    words = {build_codeword(ctx, spec, R, beta, b).tobytes()
+             for R in enumerate_family(ctx, fam) for beta in betas for b in bs}
+    assert brute_spectrum(ctx, spec).distinct_words == len(words)
 
 
 # -- codewords --------------------------------------------------------------------
@@ -226,6 +295,15 @@ def test_cwe_f81_closed_form_exponents():
     terms = {(t.coeff, t.z0_exp, t.zrest_exp) for t in res.terms}
     assert (20, int(a0), int(a1)) in terms
     assert (60, int(ap0), int(ap1)) in terms
+
+
+def test_cwe_over_budget_skips_the_brute_check():
+    ctx = gf.get_field(2, 4)
+    dist = klapper.rank_distribution_monomial(2, 4, 1)
+    res = cwe(ctx, CodeSpec(fam_of(2, 1, 4, 1), "base", shortened=True), dist, budget=1)
+    assert res.balanced_verified is None and res.brute_match is None
+    assert [(t.coeff, t.z0_exp, t.zrest_exp) for t in res.terms] == \
+        [(1, 5, 0), (10, 3, 2), (5, 1, 4)]
 
 
 def test_cwe_unbalanced_impossible_on_grid():
