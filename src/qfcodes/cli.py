@@ -41,6 +41,14 @@ def _workers(text: str) -> int:
     return min(n, os.cpu_count() or 1)
 
 
+def _pair_budget(text: str) -> int:
+    """--pair-budget value: at least 0."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _parse_family(text: str) -> tuple[str, list[int]]:
     kind, _, rest = text.partition(":")
     if kind not in ("mono", "l3l", "span") or not rest:
@@ -311,7 +319,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--scan", action="store_true", help="sweep all gamma classes")
     sp.add_argument("--witness", action="store_true",
                     help="search the two-monomial family for an optimal curve")
-    sp.add_argument("--pair-budget", type=int, default=None)
+    sp.add_argument("--pair-budget", type=_pair_budget, default=None)
     sp.add_argument("--budget", type=int, default=_default_budget())
     sp.add_argument("--format", default="json", choices=("json", "csv", "text"))
     sp.add_argument("--out", default=None)

@@ -5,6 +5,11 @@ over x lie p-to-1 over {x : tr_{p^m/p}(xR(x) + beta x) = 0}, plus one point
 at infinity.  Optimality (Hasse-Weil endpoint) is decided both by comparing
 against the genus bound and by the weight class of the attached codeword;
 disagreement between the two routes raises.
+
+Sweeps over all beta (scan_monomial, the witness search) read their point
+counts from quadform.value_histograms, one exhaustive histogram per form.
+count_points_by_solutions stays an independent (x, y) enumeration that
+never goes through that kernel.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from .klapper import (HypothesisError, MonomialClassification, _batched_nullity,
                       _pair_matrices, classify_monomial, eps_ell, l3l_poly, l3l_pair_profile)
 from .linpoly import LinearizedPoly, lin_eval_table
 from .quadform import QuadForm, QuadFormProfile, beta_class_counts, \
-    exp_sum_class_value, profile as qf_profile
+    _frequencies, exp_sum_class_value, profile as qf_profile, value_histograms
 
 STATUSES = ("maximal", "minimal", "interior")
 
@@ -87,7 +92,7 @@ def count_points_by_solutions(spec: CurveSpec) -> int:
     """Independent oracle: enumerate (x, y) solutions of y^p - y = xR(x) + beta x."""
     ctx = spec.ctx
     ys = np.arange(ctx.order, dtype=np.int64)
-    lhs = ctx.v_add(ctx.frob_table(1)[ys], np.array([ctx.neg(int(y)) for y in ys]))
+    lhs = ctx.v_add(ctx.frob_table(1)[ys], ctx.v_neg(ys))
     hist = np.bincount(lhs, minlength=ctx.order)
     xs = np.arange(ctx.order, dtype=np.int64)
     rhs = ctx.v_mul(xs, lin_eval_table(ctx, spec.R))
@@ -196,46 +201,54 @@ class ScanReport:
         return out
 
 
+# histogram cells (gammas x p^m x p) one scan_monomial batch may hold
+SCAN_CELLS = 1 << 20
+
+
 def scan_monomial(ctx: FieldCtx, ell: int, gammas: list[int] | None = None) -> ScanReport:
     """Sweep beta for each gamma-class of y^p - y = gamma x^{p^l+1} + beta x.
 
-    Asserts the exact point-count multiset predicted by the form's profile;
-    any mismatch raises with the offending gamma.
+    Every gamma gets its own exhaustive histogram over all beta, in batches
+    of value_histograms calls.  Asserts the exact point-count multiset
+    predicted by the form's profile; any mismatch raises with the offending
+    gamma.
     """
     p, m = ctx.p, ctx.n
     if m % 2 != 0:
         raise HypothesisError("only even extension degrees are in scope")
-    N = ctx.mult_order
-    xs = ctx.exp[:N]
-    sy = ctx.symbols(1)
-    betas = np.arange(ctx.order, dtype=np.int64)
-    beta_syms = sy.trace_sym[ctx.v_mul(betas[:, None], xs[None, :])]
-    pt = ctx.power_table(p ** ell + 1)[xs]
     if gammas is None:
-        gammas = [int(g) for g in ctx.exp[:N]]
+        gammas = [int(g) for g in ctx.exp[: ctx.mult_order]]
+    sy = ctx.symbols(1)
+    pt = ctx.power_table(p ** ell + 1)
     scans = []
-    for gamma in gammas:
-        cls = classify_monomial(ctx, 1, m, gamma, ell)
-        base = sy.trace_sym[ctx.v_mul(np.full(N, gamma, dtype=np.int64), pt)]
-        z = np.count_nonzero(sy.add[base[None, :], beta_syms] == 0, axis=1)
-        points = 1 + p * (1 + z)
-        tally: dict[int, int] = {}
-        for v, c in zip(*np.unique(points, return_counts=True)):
-            tally[int(v)] = int(c)
-        expected = expected_point_multiset(p, m, cls.rank, cls.type)
-        if tally != expected:
-            raise CurveCountError(
-                f"gamma={gamma} (branch {cls.branch}): observed {sorted(tally.items())}, "
-                f"expected {sorted(expected.items())}")
-        n_max = n_min = 0
-        if 2 * ell == m - cls.rank:  # v = (m-r)/2: endpoints are reachable
-            spec0 = CurveSpec(ctx, LinearizedPoly((ell,), (gamma,), 1), 0)
-            lo, hi = hasse_weil(spec0)
-            n_max = tally.get(hi, 0)
-            n_min = tally.get(lo, 0)
-        scans.append(GammaScan(gamma=gamma, classification=cls, point_tally=tally,
-                               n_maximal=n_max, n_minimal=n_min))
+    batch = max(1, SCAN_CELLS // (ctx.order * p))
+    for lo in range(0, len(gammas), batch):
+        chunk = gammas[lo: lo + batch]
+        forms = sy.trace_sym[ctx.v_mul(np.array(chunk, dtype=np.int64)[:, None], pt[None, :])]
+        # points = 1 + p #{x : tr(gamma x^{p^l+1} + beta x) = 0}, one row per gamma
+        for gamma, points in zip(chunk, 1 + p * value_histograms(ctx, 1, forms)[:, :, 0]):
+            scans.append(_scan_gamma(ctx, ell, gamma, points))
     return ScanReport(ell=ell, scans=scans)
+
+
+def _scan_gamma(ctx: FieldCtx, ell: int, gamma: int, points: np.ndarray) -> GammaScan:
+    """Check one gamma's point counts over all beta against its profile's multiset."""
+    p, m = ctx.p, ctx.n
+    cls = classify_monomial(ctx, 1, m, gamma, ell)
+    tally = _frequencies(points)
+    expected = expected_point_multiset(p, m, cls.rank, cls.type)
+    if tally != expected:
+        raise CurveCountError(
+            f"gamma={gamma} (branch {cls.branch}): observed {sorted(tally.items())}, "
+            f"expected {sorted(expected.items())}")
+    n_max = n_min = 0
+    if 2 * ell == m - cls.rank:  # v = (m-r)/2: endpoints are reachable
+        spec0 = CurveSpec(ctx, LinearizedPoly((ell,), (gamma,), 1), 0)
+        lo, hi = hasse_weil(spec0)
+        n_max = tally.get(hi, 0)
+        n_min = tally.get(lo, 0)
+    return GammaScan(gamma=gamma, classification=cls, point_tally=tally,
+                     n_maximal=n_max, n_minimal=n_min)
 
 
 def optimal_beta_counts(p: int, m: int, ell: int) -> tuple[int, int]:
@@ -285,6 +298,8 @@ def l3l_optimal_witness(ctx: FieldCtx, ell: int,
     status_target = "maximal" if eps_form == 1 else "minimal"
     if pair_budget is None:
         pair_budget = ctx.order ** 2
+    if pair_budget < 0:
+        raise ValueError(f"pair_budget must be >= 0, got {pair_budget}")
     a_mats, b_mats = _pair_matrices(ctx, ell)
     checked = 0
     hit = None
@@ -310,14 +325,8 @@ def l3l_optimal_witness(ctx: FieldCtx, ell: int,
         raise CurveCountError(f"profile {prof} disagrees with the predicted class")
     R = l3l_poly(ctx, ell, g1, g2)
     # sweep beta for the extreme class
-    sy = ctx.symbols(1)
-    xs = ctx.exp[: ctx.mult_order]
-    base = sy.trace_sym[ctx.v_mul(xs, lin_eval_table(ctx, R)[xs])]
-    betas = np.arange(ctx.order, dtype=np.int64)
-    z = np.count_nonzero(
-        sy.add[base[None, :], sy.trace_sym[ctx.v_mul(betas[:, None], xs[None, :])]] == 0,
-        axis=1)
-    points = 1 + p * (1 + z)
+    form = QuadForm(ctx, 1, m, R).sym_table()
+    points = 1 + p * value_histograms(ctx, 1, form[None, :])[0, :, 0]
     lo, hi = hasse_weil(CurveSpec(ctx, R, 0))
     target_points = hi if status_target == "maximal" else lo
     hits = np.nonzero(points == target_points)[0]

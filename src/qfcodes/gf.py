@@ -15,7 +15,7 @@ immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 import numpy as np
@@ -290,6 +290,13 @@ class FieldCtx:
         d -= self.p * (d >= self.p)
         return (d @ self.pvec.astype(np.int64)).astype(np.int64)
 
+    def v_neg(self, a: np.ndarray) -> np.ndarray:
+        if self.p == 2:
+            return np.array(a, dtype=np.int64)
+        d = -self._digmat[a].astype(np.int16)
+        d += self.p * (d < 0)
+        return d @ self.pvec
+
     def v_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         out = self.exp[self.log[a] + self.log[b]]
         zero = (a == 0) | (b == 0)
@@ -359,7 +366,8 @@ class SymbolSystem:
 
     Symbols are 0..q-1 in ascending element-index order (so symbol 0 is the
     zero element).  trace_sym[e] is the symbol of tr_{p^n/p^d}(e); add/neg are
-    symbol-level tables used by the codeword engines.
+    symbol-level tables used by the codeword engines.  The product table and
+    the trace coordinates are built on first use only.
     """
 
     def __init__(self, ctx: FieldCtx, d: int):
@@ -382,7 +390,37 @@ class SymbolSystem:
         self.trace_sym = self.index_of[acc].astype(np.int16)
         grid = ctx.v_add(self.elements[:, None], self.elements[None, :])
         self.add = self.index_of[grid].astype(np.int16)
-        self.neg = self.index_of[np.array([ctx.neg(int(e)) for e in self.elements])].astype(np.int16)
+        self.neg = self.index_of[ctx.v_neg(self.elements)].astype(np.int16)
+
+    @cached_property
+    def mul(self) -> np.ndarray:
+        """Symbol product table."""
+        grid = self.ctx.v_mul(self.elements[:, None], self.elements[None, :])
+        return self.index_of[grid].astype(np.int16)
+
+    @cached_property
+    def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
+        """(x_index, beta_index): F_q-coordinates of every element as base-q integers.
+
+        With k = n/d, x_index[x] has digits c_i(x) = tr(alpha^i x), i < k, and
+        beta_index[beta] has the digits b_i of beta = sum_i b_i alpha^i, the
+        first digit most significant in both.  Both maps are bijections onto
+        [0, q^k), and tr(beta x) = sum_i b_i c_i(x).
+        """
+        ctx, q, k = self.ctx, self.q, self.ctx.n // self.d
+        all_e = np.arange(ctx.order, dtype=np.int64)
+        x_index = np.zeros(ctx.order, dtype=np.int64)
+        beta_of = np.zeros(ctx.order, dtype=np.int64)
+        for i in range(k):
+            a_i = np.full(ctx.order, ctx.alpha_pow(i), dtype=np.int64)
+            x_index = x_index * q + self.trace_sym[ctx.v_mul(a_i, all_e)]
+            digit = (all_e // q ** (k - 1 - i)) % q
+            beta_of = ctx.v_add(beta_of, ctx.v_mul(a_i, self.elements[digit]))
+        beta_index = np.full(ctx.order, -1, dtype=np.int64)
+        beta_index[beta_of] = all_e
+        if (beta_index < 0).any() or len(np.unique(x_index)) != ctx.order:
+            raise FieldError("alpha^0..alpha^{k-1} is not a basis over the subfield")
+        return x_index, beta_index
 
     def sym(self, e: int) -> int:
         s = int(self.index_of[e])

@@ -5,6 +5,12 @@ with E = R + R^adj, so the radical is computed from the Gram matrix of B in
 the F_q-basis {1, alpha, .., alpha^{m-1}}.  In characteristic 2 the radical
 additionally requires Q(y) = 0 inside ker B.  Exponential sums are integers
 (S_{Q,b}(beta) = q N_{Q,beta}(-b) - q^m); no complex arithmetic appears.
+
+Every sweep over all beta goes through value_histograms: an exact
+additive-character transform in the group ring Z[F_q] that returns
+N_{Q,beta}(c) for all beta and c at once, at m q^{m+2} integer additions per
+form instead of the q^{2m} of a (beta, x) grid.  spectra's brute enumeration
+keeps the direct grid as the oracle the transform is checked against.
 """
 
 from __future__ import annotations
@@ -255,34 +261,66 @@ def exp_sum(Q: QuadForm, b: int, beta: int) -> int:
     return Q.q * count_N(Q, beta, ctx.neg(b)) - ctx.order
 
 
-def _sym_matrix(Q: QuadForm, betas: np.ndarray) -> np.ndarray:
-    """Symbols of Q(x) + tr(beta x) on the (beta, x) grid."""
-    ctx = Q.ctx
-    sy = ctx.symbols(Q.s)
-    xs = np.arange(ctx.order, dtype=np.int64)
-    prod = ctx.v_mul(betas[:, None], xs[None, :])
-    return sy.add[Q.sym_table()[None, :], sy.trace_sym[prod]]
+# largest q^m * q cells one symbol table may spread over in value_histograms
+HISTOGRAM_CELLS = 1 << 26
+
+
+def value_histograms(ctx: FieldCtx, s: int, f: np.ndarray) -> np.ndarray:
+    """H[b, beta, c] = #{x in F_{q^m} : f[b, x] + tr_{q^m/q}(beta x) = c}, for every beta and c.
+
+    f is a (B, q^m) stack of F_q symbol tables indexed by field element; any
+    tables work, not just quadratic ones.  With the coordinates
+    c_i(x) = tr(alpha^i x) and beta = sum_i b_i alpha^i, the histograms
+    A[c(x), f(x)] += 1 become H by one additive-character stage per
+    coordinate in the group ring Z[F_q] (MacWilliams-Sloane ch. 5):
+    A'[.., t, .., c] = sum_y A[.., y, .., c - y t].  That is m q^{m+2}
+    exact integer additions per table instead of q^{2m}, in O(B q^{m+1})
+    memory; callers bound B.  Returns int64 counts of shape (B, q^m, q).
+    """
+    q, k = ctx.p ** s, ctx.n // s
+    cells = ctx.order * q
+    if cells > HISTOGRAM_CELLS:
+        raise ValueError(f"{cells} histogram cells per table exceed {HISTOGRAM_CELLS}")
+    sy = ctx.symbols(s)
+    x_index, beta_index = sy.coordinates
+    B = f.shape[0]
+    flat = np.arange(B, dtype=np.int64)[:, None] * cells + x_index * q + f
+    a = np.bincount(flat.ravel(), minlength=B * cells).astype(np.int32)
+    # shift[y, t, c] = c - y t
+    shift = sy.add[np.arange(q)[None, None, :], sy.neg[sy.mul][:, :, None]]
+    for _ in range(k):
+        # transform the leading coordinate and rotate it to the back
+        a = a.reshape(B, q, -1, q)
+        out = np.zeros((B, a.shape[2], q, q), dtype=np.int32)
+        for y in range(q):
+            out += np.take(a[:, y], shift[y], axis=-1)
+        a = out
+    return a.reshape(B, ctx.order, q)[:, beta_index, :].astype(np.int64)
+
+
+def _beta_histogram(Q: QuadForm) -> np.ndarray:
+    """H[beta, c] = N_{Q,beta}(c) for every beta and every symbol c."""
+    return value_histograms(Q.ctx, Q.s, Q.sym_table()[None, :])[0]
+
+
+def _frequencies(values: np.ndarray) -> dict[int, int]:
+    return {int(v): int(c) for v, c in zip(*np.unique(values, return_counts=True))}
+
+
+def _sum_frequencies(Q: QuadForm, hist: np.ndarray, b_sym: int) -> dict[int, int]:
+    """S_{Q,b}(beta) = q N_{Q,beta}(-b) - q^m, tallied over beta."""
+    target = int(Q.ctx.symbols(Q.s).neg[b_sym])
+    return _frequencies(Q.q * hist[:, target] - Q.ctx.order)
 
 
 def n_distribution(Q: QuadForm, xi_sym: int) -> dict[int, int]:
     """Value -> frequency of N_{Q,beta}(xi) over all beta, for one xi symbol."""
-    ctx = Q.ctx
-    out: dict[int, int] = {}
-    betas = np.arange(ctx.order, dtype=np.int64)
-    for lo in range(0, ctx.order, 2048):
-        chunk = betas[lo: lo + 2048]
-        counts = np.count_nonzero(_sym_matrix(Q, chunk) == xi_sym, axis=1)
-        for c in counts:
-            out[int(c)] = out.get(int(c), 0) + 1
-    return out
+    return _frequencies(_beta_histogram(Q)[:, xi_sym])
 
 
 def exp_sum_distribution(Q: QuadForm, b_sym: int) -> dict[int, int]:
     """Value -> frequency of S_{Q,b}(beta) over all beta, for one fixed b."""
-    ctx = Q.ctx
-    q = Q.q
-    target = int(ctx.symbols(Q.s).neg[b_sym])
-    return {q * c - ctx.order: cnt for c, cnt in n_distribution(Q, target).items()}
+    return _sum_frequencies(Q, _beta_histogram(Q), b_sym)
 
 
 # -- closed-form beta-sweep distributions --------------------------------------
@@ -383,15 +421,16 @@ class SumDistributionReport:
 
 
 def verify_sum_distribution(Q: QuadForm) -> SumDistributionReport:
-    """Sweep all beta for b = 0 and each b != 0 and compare with the closed forms."""
+    """Tally all beta for b = 0 and each b != 0 from one histogram; compare with the closed forms."""
     r = rank(Q)
     if r % 2 != 0:
         raise RankError("the sum-distribution check needs even rank")
     eps = 1 if r == 0 else type_of(Q, r)
     q, m = Q.q, Q.m
+    hist = _beta_histogram(Q)
     mismatches = []
     for b_sym in range(q):
-        observed = exp_sum_distribution(Q, b_sym)
+        observed = _sum_frequencies(Q, hist, b_sym)
         expected = expected_sum_distribution(q, m, r, eps, b_zero=(b_sym == 0))
         if observed != expected:
             mismatches.append(f"b_sym={b_sym}: observed {sorted(observed.items())}, "

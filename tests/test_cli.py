@@ -170,3 +170,15 @@ def test_workers_validated_and_clamped(monkeypatch):
             with pytest.raises(SystemExit) as exc:
                 parser.parse_args(argv + ["--workers", bad])
             assert exc.value.code == cli.EXIT_USAGE
+
+
+def test_curves_negative_pair_budget_exit_1(capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("a rejected budget must not start the search")
+
+    monkeypatch.setattr(cli.curves, "l3l_optimal_witness", no_search)
+    argv = ["curves", "--p", "3", "--m", "8", "--ell", "1", "--witness"]
+    for bad in ("-5", "-1"):
+        code, out, err = run(argv + ["--pair-budget", bad], capsys)
+        assert code == cli.EXIT_USAGE and out == "" and "pair-budget" in err
+    assert cli.build_parser().parse_args(argv + ["--pair-budget", "0"]).pair_budget == 0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,59 @@ def test_witness_full_search():
     assert rep.report.hw_lo == 2188
     assert rep.observed_betas == rep.expected_betas == 1
     assert rep.report.genus == 27
+
+
+def test_witness_beyond_the_old_sweep():
+    # the q^m x q^m beta sweep would need a 59049 x 59048 matrix here
+    rep = curves.l3l_optimal_witness(gf.get_field(3, 10), 1)
+    assert rep.found
+    assert rep.solution_count == rep.report.points
+    assert rep.report.points in (rep.report.hw_lo, rep.report.hw_hi)
+    assert rep.observed_betas == rep.expected_betas
+
+
+def test_witness_traced_peak():
+    ctx = gf.get_field(3, 8)
+    ctx.symbols(1)
+    tracemalloc.start()
+    try:
+        rep = curves.l3l_optimal_witness(ctx, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.found
+    assert peak < 64 * 2 ** 20
+
+
+def test_witness_rejects_negative_budget():
+    with pytest.raises(ValueError):
+        curves.l3l_optimal_witness(gf.get_field(3, 8), 1, pair_budget=-5)
+
+
+def test_scan_mismatch_names_gamma(monkeypatch):
+    ctx = gf.get_field(3, 4)
+    gamma = ctx.alpha_pow(7)
+    monkeypatch.setattr(curves, "expected_point_multiset", lambda p, m, r, eps: {0: ctx.order})
+    with pytest.raises(curves.CurveCountError, match=f"gamma={gamma} "):
+        curves.scan_monomial(ctx, 1, gammas=[gamma])
+
+
+def test_scan_checks_every_gamma(monkeypatch):
+    # a disagreement on the last gamma of the last batch still raises
+    ctx = gf.get_field(3, 6)
+    gammas = [int(g) for g in ctx.exp[: ctx.mult_order]]
+    real = curves.expected_point_multiset
+    seen = []
+
+    def spy(p, m, r, eps):
+        seen.append((r, eps))
+        return real(p, m, r, eps) if len(seen) < len(gammas) else {}
+
+    monkeypatch.setattr(curves, "SCAN_CELLS", 3 ** 7 * 100)  # several batches
+    monkeypatch.setattr(curves, "expected_point_multiset", spy)
+    with pytest.raises(curves.CurveCountError, match=f"gamma={gammas[-1]} "):
+        curves.scan_monomial(ctx, 1, gammas=gammas)
+    assert len(seen) == len(gammas)
 
 
 def test_witness_rejects_bad_parameters():

@@ -146,3 +146,11 @@ def test_symbol_system():
             assert sy.elem(int(sy.add[i, j])) == F.add(sy.elem(i), sy.elem(j))
     # traces land in the subfield
     assert np.all(sy.index_of[sy.trace_elem] >= 0)
+
+
+@pytest.mark.parametrize("p,n", [(3, 4), (2, 4)])
+def test_v_neg_matches_scalar_neg(p, n):
+    F = gf.get_field(p, n)
+    xs = np.arange(F.order, dtype=np.int64)
+    assert F.v_neg(xs).tolist() == [F.neg(int(x)) for x in xs]
+    assert not F.v_add(xs, F.v_neg(xs)).any()

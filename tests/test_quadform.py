@@ -1,7 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qfcodes import gf, quadform
+from qfcodes import gf, quadform, spectra
+from qfcodes.linpoly import FamilySpec
+from qfcodes.spectra import CodeSpec
+from qfcodes.verify import GRID
 from qfcodes.linpoly import LinearizedPoly
 from qfcodes.quadform import QuadForm, RankError
 
@@ -141,3 +147,70 @@ def test_exp_sum_identity_random():
         b = int(sy.elements[b_sym])
         s = quadform.exp_sum(Q, b, beta)
         assert s == 3 * quadform.count_N(Q, beta, ctx.neg(b)) - 81
+
+
+def direct_histograms(ctx, s, f):
+    """H[b, beta, c] by walking every beta and counting f + tr(beta x) = c."""
+    sy = ctx.symbols(s)
+    xs = np.arange(ctx.order, dtype=np.int64)
+    out = np.zeros((f.shape[0], ctx.order, sy.q), dtype=np.int64)
+    for beta in range(ctx.order):
+        tr_b = sy.trace_sym[ctx.v_mul(np.full(ctx.order, beta, dtype=np.int64), xs)]
+        for b, row in enumerate(f):
+            for x in range(ctx.order):
+                out[b, beta, sy.add[row[x], tr_b[x]]] += 1
+    return out
+
+
+@pytest.mark.parametrize("p,s,m", sorted({(p, s, m) for p, s, m, _ in GRID}))
+def test_value_histograms_match_direct_count(p, s, m):
+    ctx = gf.get_field(p, s * m)
+    q = p ** s
+    rng = np.random.default_rng(p * 1000 + s * 100 + m)
+    f = rng.integers(0, q, size=(2, ctx.order)).astype(np.int16)
+    if ctx.order > 64:
+        # the direct count is a Python loop: check a sample of beta rows exactly
+        betas = np.sort(rng.choice(ctx.order, 48, replace=False))
+        H = quadform.value_histograms(ctx, s, f)
+        sy = ctx.symbols(s)
+        xs = np.arange(ctx.order, dtype=np.int64)
+        for beta in betas:
+            tr_b = sy.trace_sym[ctx.v_mul(np.full(ctx.order, beta, dtype=np.int64), xs)]
+            for b in range(2):
+                want = np.bincount(sy.add[f[b], tr_b], minlength=q)
+                assert np.array_equal(H[b, beta], want)
+        assert (H.sum(axis=2) == ctx.order).all()
+    else:
+        assert np.array_equal(quadform.value_histograms(ctx, s, f), direct_histograms(ctx, s, f))
+
+
+@pytest.mark.parametrize("p,s,m", [(3, 1, 4), (2, 2, 4), (2, 1, 6)])
+def test_value_histograms_match_brute_oracle(p, s, m):
+    # the brute chunk enumerates every (gamma, beta) word of variant 1 directly;
+    # its symbol compositions are the kernel's histograms less the x = 0 entry
+    ctx = gf.get_field(p, s * m)
+    q = p ** s
+    _, comps = spectra._brute_chunk(ctx, CodeSpec(FamilySpec(p, s, m, (1,)), "1"), True,
+                                    0, ctx.order)
+    gammas = np.arange(ctx.order, dtype=np.int64)
+    f = ctx.symbols(s).trace_sym[ctx.v_mul(gammas[:, None], ctx.power_table(q + 1)[None, :])]
+    H = quadform.value_histograms(ctx, s, f)
+    H[:, :, 0] -= 1
+    assert Counter(map(tuple, H.reshape(-1, q).tolist())) == comps
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), s=st.integers(1, 2), m=st.integers(1, 4),
+       rows=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_value_histograms_property(p, s, m, rows, seed):
+    if p ** (s * m) > 256:
+        m = 1
+    ctx = gf.get_field(p, s * m)
+    f = np.random.default_rng(seed).integers(0, p ** s, size=(rows, ctx.order)).astype(np.int16)
+    assert np.array_equal(quadform.value_histograms(ctx, s, f), direct_histograms(ctx, s, f))
+
+
+def test_value_histograms_rejects_oversized_tables():
+    ctx = gf.get_field(2, 16)
+    with pytest.raises(ValueError):
+        quadform.value_histograms(ctx, 16, np.zeros((1, ctx.order), dtype=np.int16))
