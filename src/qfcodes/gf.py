@@ -7,9 +7,16 @@ polynomial of degree n in ascending order of its digit encoding
 (constant term least significant), and alpha is the first element of full
 multiplicative order in the same ascending element order.
 
-Scalar arithmetic works on ints; the v_* methods operate on numpy arrays of
-element indices and back every bulk sweep in the package.  FieldCtx is
-immutable after construction and safe to share across workers.
+Scalar arithmetic works on ints and is table-driven: mul/inv/pow read the
+exp/log tables, and for odd p add/neg read them too, through a Zech table
+Z[k] = log(1 + alpha^k) built on the first scalar add (Lidl-Niederreiter,
+Finite Fields, ch. 2), so a + b = alpha^{log a + Z[log b - log a]} and
+-a = alpha^{log a + N/2}; for p = 2 add is XOR.  The scalar ops index the
+tables through memoryviews, which give Python ints without a numpy scalar.
+The v_* methods operate on numpy arrays of element indices through the
+digit tables and back every bulk sweep in the package.  FieldCtx is
+immutable after construction apart from its lazy tables, and is shared
+with fork workers, never pickled (a memoryview cannot be).
 """
 
 from __future__ import annotations
@@ -134,6 +141,14 @@ def _is_irreducible(f, p, n):
     return True
 
 
+def _int_dtype(bound: int):
+    """The smallest signed numpy integer type that holds -bound..bound."""
+    for dt in (np.int8, np.int16, np.int32):
+        if bound <= np.iinfo(dt).max:
+            return dt
+    return np.int64
+
+
 def _digits_of(value: int, p: int, n: int) -> list[int]:
     out = []
     for _ in range(n):
@@ -177,10 +192,14 @@ class FieldCtx:
         self.mult_order = order - 1
         self.modulus = self._find_modulus()
         self.pvec = np.array([p ** i for i in range(n)], dtype=np.int64)
-        self._digmat = ((np.arange(order, dtype=np.int64)[:, None] // self.pvec) % p).astype(np.int8)
+        # digits lie in [0, p) and a digit sum in [0, 2p - 2]
+        self._digmat = ((np.arange(order, dtype=np.int64)[:, None] // self.pvec) % p
+                        ).astype(_int_dtype(p - 1))
+        self._sum_dtype = _int_dtype(2 * p - 2)
         self.alpha = self._find_alpha()
         self._build_tables()
         self._frob_tables: dict[int, np.ndarray] = {}
+        self._log_power_tables: dict[int, np.ndarray] = {}
         self._symbols: dict[int, SymbolSystem] = {}
         self._subfields: dict[int, Subfield] = {}
 
@@ -238,20 +257,34 @@ class FieldCtx:
         exp[N:] = exp[:N]
         self.exp = exp
         self.log = log
+        self._exp = memoryview(exp)
+        self._log = memoryview(log)
 
     # -- scalar arithmetic ---------------------------------------------------
+
+    @cached_property
+    def _zech(self) -> memoryview:
+        """Z[k] = log(1 + alpha^k) for k < N; -1 at k = N/2, where 1 + alpha^k = 0."""
+        N = self.mult_order
+        return memoryview(self.log[self.v_add(np.ones(N, dtype=np.int64), self.exp[:N])])
 
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        d = (self._digmat[a].astype(np.int64) + self._digmat[b]) % self.p
-        return int(d @ self.pvec)
+        if a == 0:
+            return int(b)
+        if b == 0:
+            return int(a)
+        la = self._log[a]
+        z = self._zech[(self._log[b] - la) % self.mult_order]
+        return self._exp[la + z] if z >= 0 else 0
 
     def neg(self, a: int) -> int:
         if self.p == 2:
             return a
-        d = (-self._digmat[a].astype(np.int64)) % self.p
-        return int(d @ self.pvec)
+        if a == 0:
+            return 0
+        return self._exp[self._log[a] + self.mult_order // 2]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -259,24 +292,24 @@ class FieldCtx:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return int(self.exp[self.log[a] + self.log[b]])
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
-        return int(self.exp[(self.mult_order - self.log[a]) % self.mult_order])
+        return self._exp[(self.mult_order - self._log[a]) % self.mult_order]
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             return 1 if e == 0 else 0
-        return int(self.exp[(int(self.log[a]) * e) % self.mult_order])
+        return self._exp[(self._log[a] * e) % self.mult_order]
 
     def frob(self, a: int, j: int) -> int:
         """a^{p^j}."""
         return self.pow(a, self.p ** (j % self.n))
 
     def alpha_pow(self, k: int) -> int:
-        return int(self.exp[k % self.mult_order])
+        return self._exp[k % self.mult_order]
 
     def element_digits(self, a: int) -> list[int]:
         return [int(c) for c in self._digmat[a]]
@@ -286,14 +319,14 @@ class FieldCtx:
     def v_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.p == 2:
             return a ^ b
-        d = self._digmat[a].astype(np.int16) + self._digmat[b]
+        d = self._digmat[a].astype(self._sum_dtype) + self._digmat[b]
         d -= self.p * (d >= self.p)
         return (d @ self.pvec.astype(np.int64)).astype(np.int64)
 
     def v_neg(self, a: np.ndarray) -> np.ndarray:
         if self.p == 2:
             return np.array(a, dtype=np.int64)
-        d = -self._digmat[a].astype(np.int16)
+        d = -self._digmat[a].astype(self._sum_dtype)
         d += self.p * (d < 0)
         return d @ self.pvec
 
@@ -323,6 +356,16 @@ class FieldCtx:
         if N > 0:
             ks = np.arange(N, dtype=np.int64)
             tab[self.exp[:N]] = self.exp[(ks * (e % N)) % N]
+        return tab
+
+    def log_power_table(self, e: int) -> np.ndarray:
+        """Table k -> log((alpha^k)^e) = k e mod N over k < N, built once per e mod N."""
+        N = self.mult_order
+        e %= N
+        tab = self._log_power_tables.get(e)
+        if tab is None:
+            tab = np.arange(N, dtype=np.int64) * e % N
+            self._log_power_tables[e] = tab
         return tab
 
     # -- subfields, traces, symbols -------------------------------------------
@@ -366,8 +409,9 @@ class SymbolSystem:
 
     Symbols are 0..q-1 in ascending element-index order (so symbol 0 is the
     zero element).  trace_sym[e] is the symbol of tr_{p^n/p^d}(e); add/neg are
-    symbol-level tables used by the codeword engines.  The product table and
-    the trace coordinates are built on first use only.
+    symbol-level tables used by the codeword engines.  The product table, the
+    traces of the powers of alpha and the trace coordinates are built on first
+    use only.
     """
 
     def __init__(self, ctx: FieldCtx, d: int):
@@ -397,6 +441,11 @@ class SymbolSystem:
         """Symbol product table."""
         grid = self.ctx.v_mul(self.elements[:, None], self.elements[None, :])
         return self.index_of[grid].astype(np.int16)
+
+    @cached_property
+    def trace_pow(self) -> np.ndarray:
+        """Symbol of tr(alpha^k) for k < 2N, so a sum of two logs needs no reduction."""
+        return self.trace_sym[self.ctx.exp]
 
     @cached_property
     def coordinates(self) -> tuple[np.ndarray, np.ndarray]:

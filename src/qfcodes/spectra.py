@@ -21,7 +21,7 @@ import warnings
 
 import numpy as np
 
-from .gf import FieldCtx, FieldError, get_field, int_log
+from .gf import FieldCtx, FieldError, SymbolSystem, get_field, int_log
 from .klapper import (HypothesisError, RankDistribution, eps_ell,
                       rank_distribution_l3l, rank_distribution_monomial)
 from .linpoly import FamilySpec, LinearizedPoly, elements_zech_order
@@ -260,17 +260,28 @@ class BruteResult:
         return self.distinct_words == self.expected_words
 
 
-def _coordinates(ctx: FieldCtx, spec: CodeSpec) -> np.ndarray:
+def _length(ctx: FieldCtx, spec: CodeSpec) -> int:
+    """Code length: q^m - 1, or (q^m - 1)/D for the shortened codes."""
     N = ctx.mult_order
-    xs = ctx.exp[:N].copy()
     if spec.shortened:
         q = spec.family.q
         delta = gcd(spec.family.m, spec.family.exponents[0])
         D = q ** delta + 1
         if N % D != 0:
             raise HypothesisError("shortened length is not integral")
-        xs = xs[: N // D]
-    return xs
+        return N // D
+    return N
+
+
+def _term_symbols(ctx: FieldCtx, sy: SymbolSystem, c: int, e: int, n: int) -> np.ndarray:
+    """Symbols of tr(c x^e) at the coordinates x = alpha^k, k < n.
+
+    With c = alpha^j the term is alpha^{j + (k e mod N)}: one gather from the
+    traces of the powers of alpha, no power table and no product.
+    """
+    if c == 0:
+        return np.zeros(n, dtype=np.int16)
+    return sy.trace_pow[ctx.log_power_table(e)[:n] + ctx.log[c]]
 
 
 def build_codeword(ctx: FieldCtx, spec: CodeSpec, R: LinearizedPoly,
@@ -282,16 +293,15 @@ def build_codeword(ctx: FieldCtx, spec: CodeSpec, R: LinearizedPoly,
     if b_sym != 0 and spec.variant not in ("0", "2"):
         raise ValueError(f"variant {spec.variant} has no constant term")
     sy = ctx.symbols(fam.s)
-    xs = _coordinates(ctx, spec)
-    syms = np.zeros(len(xs), dtype=np.int16)
+    n = _length(ctx, spec)
+    syms = np.zeros(n, dtype=np.int16)
     for l, c in zip(R.q_exponents, R.coeffs):
         if c:
-            pt = ctx.power_table(fam.q ** l + 1)[xs]
-            syms = sy.add[syms, sy.trace_sym[ctx.v_mul(np.full(len(xs), c, dtype=np.int64), pt)]]
+            syms = sy.add[syms, _term_symbols(ctx, sy, c, fam.q ** l + 1, n)]
     if beta:
-        syms = sy.add[syms, sy.trace_sym[ctx.v_mul(np.full(len(xs), beta, dtype=np.int64), xs)]]
+        syms = sy.add[syms, _term_symbols(ctx, sy, beta, 1, n)]
     if b_sym:
-        syms = sy.add[syms, np.full(len(xs), b_sym, dtype=np.int16)]
+        syms = sy.add[syms, np.int16(b_sym)]
     return syms
 
 
@@ -312,7 +322,7 @@ def brute_spectrum(ctx: FieldCtx, spec: CodeSpec, budget: int = DEFAULT_BUDGET,
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1)
-    n = len(_coordinates(ctx, spec))
+    n = _length(ctx, spec)
     n_forms = ctx.order ** len(fam.exponents)
     n_words = n_forms
     if spec.variant in ("1", "2"):
@@ -361,14 +371,12 @@ def _brute_chunk(ctx: FieldCtx, spec: CodeSpec, collect: bool, lo: int, hi: int)
     """
     fam = spec.family
     q = fam.q
-    xs = _coordinates(ctx, spec)
-    n = len(xs)
+    n = _length(ctx, spec)
     sy = ctx.symbols(fam.s)
     order_zech = elements_zech_order(ctx)
-    power_tables = [ctx.power_table(q ** l + 1)[xs] for l in fam.exponents]
     if spec.variant in ("1", "2"):
         betas = np.arange(ctx.order, dtype=np.int64)
-        beta_syms = sy.trace_sym[ctx.v_mul(betas[:, None], xs[None, :])]
+        beta_syms = sy.trace_sym[ctx.v_mul(betas[:, None], ctx.exp[None, :n])]
     else:
         beta_syms = np.zeros((1, n), dtype=np.int16)
     # word + b over all b has the weights n - #{word = z} over all symbols z
@@ -379,11 +387,11 @@ def _brute_chunk(ctx: FieldCtx, spec: CodeSpec, collect: bool, lo: int, hi: int)
     for ci in range(lo, hi):
         base = np.zeros(n, dtype=np.int16)
         rest = ci
-        for pt in power_tables:
+        for l in fam.exponents:
             rest, digit = divmod(rest, ctx.order)
             c = int(order_zech[digit])
             if c:
-                base = sy.add[base, sy.trace_sym[ctx.v_mul(np.full(n, c, dtype=np.int64), pt)]]
+                base = sy.add[base, _term_symbols(ctx, sy, c, q ** l + 1, n)]
         # the word base + beta_syms[row] takes symbol z where beta_syms[row] = z - base
         neg_base = sy.neg[base]
         comp = np.stack([np.count_nonzero(beta_syms == sy.add[z, neg_base], axis=1)

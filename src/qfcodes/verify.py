@@ -261,24 +261,20 @@ def criterion_6(budget: int, workers: int) -> CriterionResult:
             max(40, min(2100, budget // (5 * ctx.order)))
         rng = np.random.default_rng(SAMPLE_SEED)
         sy = ctx.symbols(1)
-        xs = ctx.exp[: ctx.mult_order]
-        pt3 = ctx.power_table(p ** (3 * ell) + 1)[xs]
-        pt1 = ctx.power_table(p ** ell + 1)[xs]
+        base_spec = CodeSpec(FamilySpec(p, 1, m, (ell, 3 * ell)), "base")
         n_samples = 0
         samples_ok = True
         for _ in range(n_pairs):
             g1, g2 = int(rng.integers(0, ctx.order)), int(rng.integers(1, ctx.order))
             prof = klapper.l3l_pair_profile_fast(ctx, ell, g1, g2)
             r, eps = prof.rank, prof.type
-            base = sy.add[sy.trace_sym[ctx.v_mul(np.full(len(xs), g1, dtype=np.int64), pt3)],
-                          sy.trace_sym[ctx.v_mul(np.full(len(xs), g2, dtype=np.int64), pt1)]]
+            base = spectra.build_codeword(ctx, base_spec, klapper.l3l_poly(ctx, ell, g1, g2))
             draws = [(0, 0)] + [(int(rng.integers(0, ctx.order)), int(rng.integers(0, p)))
                                 for _ in range(4)]
             for beta, b in draws:
                 syms = base
                 if beta:
-                    syms = sy.add[syms, sy.trace_sym[ctx.v_mul(
-                        np.full(len(xs), beta, dtype=np.int64), xs)]]
+                    syms = sy.add[syms, spectra._term_symbols(ctx, sy, beta, 1, ctx.mult_order)]
                 if b:
                     syms = sy.add[syms, np.int16(b)]
                 w = int(np.count_nonzero(syms != 0))

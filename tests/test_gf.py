@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qfcodes import gf
 
@@ -62,6 +63,23 @@ def test_field_axioms_exhaustive_or_sampled(p, n):
 
 
 def test_scalar_matches_vector_ops():
+    # scalar add/sub/neg (Zech table, XOR for p = 2) against the digit route,
+    # on every element pair
+    for p, n in ((3, 4), (5, 4), (2, 6)):
+        F = gf.get_field(p, n)
+        xs = np.arange(F.order, dtype=np.int64)
+        a, b = np.repeat(xs, F.order), np.tile(xs, F.order)
+        pairs = list(zip(a.tolist(), b.tolist()))
+        negs = F.v_neg(xs)
+        assert [F.neg(x) for x in xs.tolist()] == negs.tolist()
+        assert [F.add(x, y) for x, y in pairs] == F.v_add(a, b).tolist()
+        assert [F.sub(x, y) for x, y in pairs] == F.v_add(a, negs[b]).tolist()
+        assert all(F.add(x, F.neg(x)) == 0 for x in xs.tolist())
+        if p > 2:
+            # 1 + alpha^{N/2} = 0 is the table's only empty slot
+            N = F.mult_order
+            assert [k for k in range(N) if F._zech[k] < 0] == [N // 2]
+            assert F.add(1, F.alpha_pow(N // 2)) == 0
     F = gf.get_field(3, 4)
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -148,9 +166,59 @@ def test_symbol_system():
     assert np.all(sy.index_of[sy.trace_elem] >= 0)
 
 
-@pytest.mark.parametrize("p,n", [(3, 4), (2, 4)])
+@pytest.mark.parametrize("p,n", [(3, 4), (2, 4), (5, 4), (2, 6), (79, 2), (131, 2),
+                                 (16411, 1)])
 def test_v_neg_matches_scalar_neg(p, n):
     F = gf.get_field(p, n)
     xs = np.arange(F.order, dtype=np.int64)
     assert F.v_neg(xs).tolist() == [F.neg(int(x)) for x in xs]
     assert not F.v_add(xs, F.v_neg(xs)).any()
+
+
+@pytest.mark.parametrize("p,n", [(3, 8), (79, 2)])
+def test_scalar_add_sub_on_random_pairs(p, n):
+    F = gf.get_field(p, n)
+    rng = np.random.default_rng(p)
+    a = rng.integers(0, F.order, 10 ** 5)
+    b = rng.integers(0, F.order, 10 ** 5)
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert [F.add(x, y) for x, y in pairs] == F.v_add(a, b).tolist()
+    assert [F.sub(x, y) for x, y in pairs] == F.v_add(a, F.v_neg(b)).tolist()
+
+
+def _digit_add(F, x, y):
+    # integer digit arithmetic: add base-p digits modulo p
+    return sum((x // F.p ** i % F.p + y // F.p ** i % F.p) % F.p * F.p ** i for i in range(F.n))
+
+
+def _digit_neg(F, x):
+    return sum((-(x // F.p ** i)) % F.p * F.p ** i for i in range(F.n))
+
+
+@pytest.mark.parametrize("p,n", [(131, 2), (16411, 1)])
+def test_digits_past_int8(p, n):
+    # digits of p >= 128 overflow int8, and digit sums of p > 16384 overflow int16
+    F = gf.get_field(p, n)
+    rng = np.random.default_rng(11)
+    a = np.concatenate([[F.order - 1, p - 1, 1], rng.integers(0, F.order, 3000)])
+    b = np.concatenate([[F.order - 1, 1, p - 1], rng.integers(0, F.order, 3000)])
+    expect_add = [_digit_add(F, x, y) for x, y in zip(a.tolist(), b.tolist())]
+    expect_neg = [_digit_neg(F, x) for x in a.tolist()]
+    assert F.v_add(a, b).tolist() == expect_add
+    assert [F.add(x, y) for x, y in zip(a.tolist(), b.tolist())] == expect_add
+    assert F.v_neg(a).tolist() == expect_neg
+    assert [F.neg(x) for x in a.tolist()] == expect_neg
+    assert F.element_digits(F.order - 1) == [p - 1] * n
+
+
+@settings(max_examples=40, deadline=None)
+@given(pn=st.sampled_from([(3, 1), (3, 2), (3, 5), (5, 1), (5, 3), (7, 2), (11, 2),
+                           (13, 1), (13, 2), (17, 2), (23, 1)]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_zech_add_property(pn, seed):
+    F = gf.get_field(*pn)
+    a, b = (int(v) for v in np.random.default_rng(seed).integers(0, F.order, 2))
+    assert F.add(a, b) == int(F.v_add(np.array([a]), np.array([b]))[0])
+    assert F.neg(a) == int(F.v_neg(np.array([a]))[0])
+    assert F.sub(F.add(a, b), b) == a
+    assert F.add(a, F.neg(a)) == 0

@@ -1,4 +1,5 @@
 import multiprocessing
+from math import gcd
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from qfcodes.spectra import (BudgetError, CodeSpec, Spectrum, brute_spectrum,
                              divisibility_report, predict_general,
                              predict_l3l, predict_monomial,
                              predict_monomial_long, weight_from_profile)
+from qfcodes.verify import GRID
 
 GRID_SMALL = [(2, 1, 4, 1), (2, 1, 6, 1), (3, 1, 4, 1)]
 
@@ -173,6 +175,54 @@ def test_build_codeword_basics():
                            LinearizedPoly((1,), (1,), 1))
     assert len(short) == 5
     assert int((short != 0).sum()) in (2, 4)
+
+
+def _codeword_by_power_tables(ctx, spec, R, beta, b):
+    # reference: the power-table + v_mul assembly, every term added, zeros included
+    fam = spec.family
+    sy = ctx.symbols(fam.s)
+    n = ctx.mult_order
+    if spec.shortened:
+        n //= fam.q ** gcd(fam.m, fam.exponents[0]) + 1
+    xs = ctx.exp[:n]
+    syms = np.zeros(n, dtype=np.int16)
+    for l, c in zip(R.q_exponents, R.coeffs):
+        pt = ctx.power_table(fam.q ** l + 1)[xs]
+        syms = sy.add[syms, sy.trace_sym[ctx.v_mul(np.full(n, c, dtype=np.int64), pt)]]
+    syms = sy.add[syms, sy.trace_sym[ctx.v_mul(np.full(n, beta, dtype=np.int64), xs)]]
+    return sy.add[syms, np.full(n, b, dtype=np.int16)]
+
+
+@pytest.mark.parametrize("p,s,m,ell", GRID)
+def test_build_codeword_matches_power_tables(p, s, m, ell):
+    ctx = gf.get_field(p, s * m)
+    fam = fam_of(p, s, m, ell)
+    specs = [CodeSpec(fam, v, shortened=True) for v in ("base", "0")]
+    specs += [CodeSpec(fam, v) for v in spectra.VARIANTS]
+    rng = np.random.default_rng(p * 100 + m)
+    for spec in specs:
+        for trial in range(6):
+            c = 0 if trial == 0 else int(rng.integers(1, ctx.order))
+            beta = int(rng.integers(trial > 1, ctx.order)) if spec.variant in ("1", "2") else 0
+            b = int(rng.integers(0, fam.q)) if spec.variant in ("0", "2") else 0
+            R = LinearizedPoly((ell,), (c,), s)
+            assert np.array_equal(build_codeword(ctx, spec, R, beta, b),
+                                  _codeword_by_power_tables(ctx, spec, R, beta, b))
+
+
+def test_l3l_codeword_matches_power_tables():
+    ctx = gf.get_field(3, 8)
+    spec = CodeSpec(FamilySpec(3, 1, 8, (1, 3)), "2")
+    rng = np.random.default_rng(38)
+    for trial in range(24):
+        g1, g2, beta = (int(v) for v in rng.integers(1, ctx.order, 3))
+        g1 = 0 if trial % 4 == 1 else g1
+        g2 = 0 if trial % 4 == 2 else g2
+        beta = 0 if trial % 3 == 0 else beta
+        R = klapper.l3l_poly(ctx, 1, g1, g2)
+        b = int(rng.integers(0, 3))
+        assert np.array_equal(build_codeword(ctx, spec, R, beta, b),
+                              _codeword_by_power_tables(ctx, spec, R, beta, b))
 
 
 def test_shortened_word_concatenates_to_full():
@@ -363,16 +413,12 @@ def test_l3l_cwe_composition_spotcheck():
     dist = klapper.rank_distribution_l3l(3, 8, 1)
     terms = {t.coeff: (t.z0_exp, t.zrest_exp) for t in cwe_predicted(3, 8, dist)}
     by_rank = {r: terms[c] for r, _, c in dist.counts}
-    xs = ctx.exp[:6560]
-    sy = ctx.symbols(1)
-    pt3 = ctx.power_table(3 ** 3 + 1)[xs]
-    pt1 = ctx.power_table(3 + 1)[xs]
+    spec = CodeSpec(FamilySpec(3, 1, 8, (1, 3)), "base")
     rng = np.random.default_rng(31)
     for _ in range(12):
         g1, g2 = int(rng.integers(1, 6561)), int(rng.integers(0, 6561))
         prof = klapper.l3l_pair_profile_fast(ctx, 1, g1, g2)
-        syms = sy.add[sy.trace_sym[ctx.v_mul(np.full(6560, g1, dtype=np.int64), pt3)],
-                      sy.trace_sym[ctx.v_mul(np.full(6560, g2, dtype=np.int64), pt1)]]
+        syms = build_codeword(ctx, spec, klapper.l3l_poly(ctx, 1, g1, g2))
         comp = np.bincount(syms, minlength=3)
         a, b = by_rank[prof.rank]
         assert tuple(comp) == (a, b, b)
