@@ -20,8 +20,9 @@ from fractions import Fraction
 import numpy as np
 
 from .gf import FieldCtx, FieldError
-from .klapper import (HypothesisError, MonomialClassification, _batched_nullity,
-                      _pair_matrices, classify_monomial, eps_ell, l3l_poly, l3l_pair_profile)
+from .klapper import (HypothesisError, MonomialClassification, _pair_grams, classify_monomial,
+                      eps_ell, l3l_poly, l3l_pair_profile)
+from .linalg import reduce_symmetric
 from .linpoly import LinearizedPoly, lin_eval_table
 from .quadform import QuadForm, QuadFormProfile, beta_class_counts, \
     _frequencies, exp_sum_class_value, profile as qf_profile, value_histograms
@@ -300,15 +301,14 @@ def l3l_optimal_witness(ctx: FieldCtx, ell: int,
         pair_budget = ctx.order ** 2
     if pair_budget < 0:
         raise ValueError(f"pair_budget must be >= 0, got {pair_budget}")
-    a_mats, b_mats = _pair_matrices(ctx, ell)
+    grams3, grams1 = _pair_grams(ctx, ell)
     checked = 0
     hit = None
     for g1 in [0] + [int(v) for v in ctx.exp[: ctx.mult_order]]:
         if checked >= pair_budget:
             break
         take = min(ctx.order, pair_budget - checked)
-        nullities = _batched_nullity(
-            (a_mats[g1][None, :, :] + b_mats[:take]) % p, p)
+        nullities = m - reduce_symmetric(grams3[g1] + grams1[:take], p).rank
         checked += take
         for g2 in np.nonzero(nullities == 6 * ell)[0]:
             hit = (g1, int(g2))

@@ -16,7 +16,8 @@ from math import gcd
 
 import numpy as np
 
-from .gf import FieldCtx, FieldError, is_prime
+from .gf import FieldCtx, FieldError, _int_dtype, is_prime
+from .linalg import reduce_symmetric
 from .linpoly import LinearizedPoly
 from .quadform import QuadForm, QuadFormProfile, profile as qf_profile
 
@@ -183,144 +184,57 @@ def l3l_pair_profile(ctx: FieldCtx, ell: int, g1: int, g2: int) -> QuadFormProfi
     return qf_profile(QuadForm(ctx, 1, ctx.n, l3l_poly(ctx, ell, g1, g2)))
 
 
-def _sym_diag_mod_p(G: list[list[int]], p: int) -> tuple[int, int]:
-    """(rank, product of diagonal pivots) of a symmetric matrix over F_p, p odd."""
-    A = [row[:] for row in G]
-    m = len(A)
-    rank, det = 0, 1
-    for k in range(m):
-        piv = next((i for i in range(k, m) if A[i][i] % p), None)
-        if piv is None:
-            pair = next(((i, j) for i in range(k, m) for j in range(i + 1, m)
-                         if A[i][j] % p), None)
-            if pair is None:
-                break
-            i, j = pair
-            for c in range(m):
-                A[i][c] = (A[i][c] + A[j][c]) % p
-            for r in range(m):
-                A[r][i] = (A[r][i] + A[r][j]) % p
-            piv = i
-        if piv != k:
-            A[k], A[piv] = A[piv], A[k]
-            for r in range(m):
-                A[r][k], A[r][piv] = A[r][piv], A[r][k]
-        pv = A[k][k] % p
-        det = (det * pv) % p
-        rank += 1
-        inv = pow(pv, -1, p)
-        for i in range(k + 1, m):
-            if A[i][k] % p:
-                f = (A[i][k] * inv) % p
-                for c in range(m):
-                    A[i][c] = (A[i][c] - f * A[k][c]) % p
-                for r in range(m):
-                    A[r][i] = (A[r][i] - f * A[r][k]) % p
-    return rank, det
+def _gram_exponents(ctx: FieldCtx, L: int) -> np.ndarray:
+    """e[i, j] = i + j p^L mod p^m - 1, so tr(g alpha^{e[i, j]}) is a term of the pair Gram."""
+    N, ij = ctx.mult_order, np.arange(ctx.n)
+    return (ij[:, None] + ij[None, :] * pow(ctx.p, L, N)) % N
 
 
 def l3l_pair_profile_fast(ctx: FieldCtx, ell: int, g1: int, g2: int) -> QuadFormProfile:
-    """Profile via plain mod-p arithmetic on the trace Gram matrix (s = 1 only).
+    """Profile from one congruence reduction of the F_p Gram matrix (s = 1 only).
 
+    With E(y) = g y^{p^L} + (g y)^{p^{-L}} summed over (g1, 3l) and (g2, l),
+    tr(alpha^i E(alpha^j)) = tr(g alpha^{i + j p^L}) + tr(g alpha^{j + i p^L}),
+    so each term is one gather of the trace symbols of the powers of alpha.
     A sweep accelerator; tested to agree with the general quadform route.
     """
     p, m = ctx.p, ctx.n
     if p == 2:
         raise HypothesisError("fast profile targets odd characteristic")
-    ts = ctx.symbols(1).trace_sym
-    cols = []
-    for j in range(m):
-        t = int(ctx.pvec[j])
-        e = ctx.add(
-            ctx.add(ctx.mul(g1, ctx.frob(t, 3 * ell)), ctx.frob(ctx.mul(g1, t), m - 3 * ell)),
-            ctx.add(ctx.mul(g2, ctx.frob(t, ell)), ctx.frob(ctx.mul(g2, t), m - ell)))
-        cols.append(e)
-    G = [[int(ts[ctx.mul(int(ctx.pvec[i]), cols[j])]) for j in range(m)] for i in range(m)]
-    rank, det = _sym_diag_mod_p(G, p)
+    tp = ctx.symbols(1).trace_pow
+    S = np.zeros((m, m), dtype=np.int64)
+    for g, L in ((g1, 3 * ell), (g2, ell)):
+        if g:
+            S += tp[ctx.log[g] + _gram_exponents(ctx, L)]
+    red = reduce_symmetric((S + S.T)[None], p)
+    rank = int(red.rank[0])
     if rank == 0:
         return QuadFormProfile(rank=0, type=None)
     if rank % 2 != 0:
         raise HypothesisError(f"odd bilinear rank {rank} in the pair family")
-    u = ((-1) ** (rank // 2) * det) % p
-    eps = 1 if pow(u, (p - 1) // 2, p) == 1 else -1
-    return QuadFormProfile(rank=rank, type=eps)
+    return QuadFormProfile(rank=rank, type=red.eta())
 
 
-def _kernel_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
-    """Kernel basis of a matrix over the prime field F_p."""
-    mat = [r[:] for r in rows]
-    nrows, ncols = len(mat), len(mat[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if mat[i][c] % p), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = pow(mat[r][c], -1, p)
-        mat[r] = [(v * inv) % p for v in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c] % p:
-                f = mat[i][c]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        vec = [0] * ncols
-        vec[fc] = 1
-        for rr, pc in enumerate(pivots):
-            vec[pc] = (-mat[rr][fc]) % p
-        basis.append(vec)
-    return basis
+def _pair_grams(ctx: FieldCtx, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-gamma F_p Gram stacks of y -> g y^{p^L} + (g y)^{p^{-L}} for L = 3l and l.
 
+    G[g][i, j] = tr(alpha^i E_g(alpha^j)) is symmetric and linear in g, so the
+    Gram of a pair (g1, g2) is G3[g1] + G1[g2] (mod p); row g is indexed by the
+    element g.  Column (i, j) over g = alpha^k, k < N, is the contiguous slice
+    tr(alpha^{k + e[i, j]}) of the trace symbols.  Entries lie in [0, p), in a
+    dtype that holds the sum of two.
+    """
+    p, m, N = ctx.p, ctx.n, ctx.mult_order
+    tp = ctx.symbols(1).trace_pow.astype(_int_dtype(2 * p))
 
-def _batched_nullity(mats: np.ndarray, p: int) -> np.ndarray:
-    """Nullity of each matrix in a (B, n, n) stack over F_p by row elimination."""
-    a = mats.astype(np.int16, copy=True)
-    B, nr, _ = a.shape
-    row = np.zeros(B, dtype=np.int64)
-    rank = np.zeros(B, dtype=np.int16)
-    inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int16)
-    idx = np.arange(B)
-    for col in range(nr):
-        sub = a[:, :, col]
-        rowmask = np.arange(nr)[None, :] >= row[:, None]
-        nz = (sub % p != 0) & rowmask
-        has = nz.any(axis=1)
-        piv = np.argmax(nz, axis=1)
-        bsel = idx[has]
-        if len(bsel):
-            pr, rr = piv[has], row[has]
-            tmp = a[bsel, pr, :].copy()
-            a[bsel, pr, :] = a[bsel, rr, :]
-            a[bsel, rr, :] = tmp
-            pv = a[bsel, rr, col] % p
-            a[bsel, rr, :] = (a[bsel, rr, :] * inv[pv][:, None]) % p
-            colv = (a[bsel, :, col] % p).copy()
-            colv[np.arange(len(bsel)), rr] = 0
-            a[bsel] = (a[bsel] - colv[:, :, None] * a[bsel, rr, :][:, None, :]) % p
-            row[has] += 1
-            rank[has] += 1
-    return (nr - rank).astype(np.int16)
-
-
-def _pair_matrices(ctx: FieldCtx, ell: int):
-    """Per-gamma matrices of y -> g y^{p^l} + (g y)^{p^{m-l}} for l and 3l."""
-    p, m = ctx.p, ctx.n
-    gs = np.arange(ctx.order, dtype=np.int64)
-
-    def build(lpow: int) -> np.ndarray:
-        out = np.empty((ctx.order, m, m), dtype=np.int8)
-        fl = ctx.frob_table(lpow)
-        fml = ctx.frob_table(m - lpow)
-        for j in range(m):
-            tj = int(ctx.pvec[j])
-            col = ctx.v_add(ctx.v_mul(gs, np.full(ctx.order, int(fl[tj]), dtype=np.int64)),
-                            fml[ctx.v_mul(gs, np.full(ctx.order, tj, dtype=np.int64))])
-            out[:, :, j] = ctx._digmat[col]
+    def build(L: int) -> np.ndarray:
+        e = _gram_exponents(ctx, L)
+        S = np.empty((N, m, m), dtype=tp.dtype)
+        for i in range(m):
+            for j in range(m):
+                S[:, i, j] = tp[e[i, j]: e[i, j] + N]
+        out = np.zeros((ctx.order, m, m), dtype=tp.dtype)
+        out[ctx.exp[:N]] = (S + S.transpose(0, 2, 1)) % p
         return out
 
     return build(3 * ell), build(ell)
@@ -340,7 +254,7 @@ def tally_l3l_ranks(ctx: FieldCtx, ell: int, workers: int = 1,
     (p^m-1)/d rows: c^{p^l+1} = 1 forces c^{p^{3l}+1} = 1 because p^l+1
     divides p^{3l}+1, so the induced permutation of g1 is well defined.  The
     radical nullity of every g1 on those d rows and on g2 = 0 comes from one
-    batched elimination per row.
+    batched congruence reduction of the pair Gram stack per row.
 
     Returns {rank: multiplicity} covering all p^{2m} pairs (the zero pair
     lands at rank 0).  With return_counts=True also returns the per-pair
@@ -358,9 +272,9 @@ def tally_l3l_ranks(ctx: FieldCtx, ell: int, workers: int = 1,
                               f"{PAIR_COUNTS_LIMIT}")
     N = ctx.mult_order
     d = gcd(N, p ** ell + 1)
-    a_mats, b_mats = _pair_matrices(ctx, ell)
+    grams3, grams1 = _pair_grams(ctx, ell)
     reps = [0] + [int(g) for g in ctx.exp[:d]]
-    nullity = np.stack([_batched_nullity((a_mats + b_mats[g2]) % p, p) for g2 in reps])
+    nullity = np.stack([m - reduce_symmetric(grams3 + grams1[g2], p).rank for g2 in reps])
     hist = np.zeros(m + 1, dtype=np.int64)
     for weight, row in zip([1] + [N // d] * d, nullity):
         hist += weight * np.bincount(row, minlength=m + 1)

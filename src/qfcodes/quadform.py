@@ -1,9 +1,13 @@
 """Quadratic trace forms Q_R(x) = tr_{q^m/q}(x R(x)): rank, type, counts, sums.
 
-The bilinear form B(x,y) = Q(x+y) - Q(x) - Q(y) equals tr_{q^m/q}(x E(y))
-with E = R + R^adj, so the radical is computed from the Gram matrix of B in
-the F_q-basis {1, alpha, .., alpha^{m-1}}.  In characteristic 2 the radical
-additionally requires Q(y) = 0 inside ker B.  Exponential sums are integers
+Rank and type come from one congruence reduction (linalg.reduce_symmetric)
+of the Gram matrix over F_p of tr_{q/p} B, where B(x,y) = Q(x+y) - Q(x) - Q(y)
+and tr_{q/p} B(x, y) = tr_{q^m/p}(x R(y) + y R(x)).  Three exact facts move
+the work from F_q to F_p: tr_{q/p} B has s times the F_q rank of B; for odd p
+the type is eta_p((-1)^{r_p/2} disc), because Q and tr_{q/p} Q have the same
+Gauss sum; and for p = 2, where the radical also needs Q(y) = 0 inside ker B
+and Q is additive there, the radical is ker B or a hyperplane of it according
+as Q vanishes on a kernel basis or not.  Exponential sums are integers
 (S_{Q,b}(beta) = q N_{Q,beta}(-b) - q^m); no complex arithmetic appears.
 
 Every sweep over all beta goes through value_histograms: an exact
@@ -21,9 +25,12 @@ from fractions import Fraction
 import numpy as np
 
 from .gf import FieldCtx, FieldError
+from .linalg import Reduction, reduce_symmetric
 from .linpoly import LinearizedPoly, lin_eval, lin_eval_table
 
 BETA_CLASSES = ("null", "major", "minor")
+# largest field on which type_of counts zeros (and cross-checks the discriminant)
+COUNT_LIMIT = 1 << 16
 
 
 class RankError(ValueError):
@@ -48,16 +55,12 @@ class QuadForm:
         self.q = ctx.p ** s
         self.R = R
         self._syms: np.ndarray | None = None
-        self._gram: list[list[int]] | None = None
+        self._reduction: Reduction | None = None
 
     def value_sym(self, x: int) -> int:
         """Q(x) as a canonical F_q symbol."""
         ctx = self.ctx
         return int(ctx.symbols(self.s).trace_sym[ctx.mul(x, lin_eval(ctx, self.R, x))])
-
-    def value_elem(self, x: int) -> int:
-        ctx = self.ctx
-        return ctx.trace(ctx.mul(x, lin_eval(ctx, self.R, x)), self.s)
 
     def sym_table(self) -> np.ndarray:
         """Q over every field element, as symbols (cached)."""
@@ -67,91 +70,29 @@ class QuadForm:
             self._syms = ctx.symbols(self.s).trace_sym[ctx.v_mul(xs, lin_eval_table(ctx, self.R))]
         return self._syms
 
-    def gram(self) -> list[list[int]]:
-        """Gram matrix of B(x,y) = Q(x+y)-Q(x)-Q(y) over F_q (entries: field indices)."""
-        if self._gram is None:
-            ctx = self.ctx
-            bas = [ctx.alpha_pow(i) for i in range(self.m)]
-            qv = [self.value_elem(b) for b in bas]
-            G = [[0] * self.m for _ in range(self.m)]
-            for i in range(self.m):
-                for j in range(i, self.m):
-                    v = self.value_elem(ctx.add(bas[i], bas[j]))
-                    v = ctx.sub(ctx.sub(v, qv[i]), qv[j])
-                    G[i][j] = G[j][i] = v
-            self._gram = G
-        return self._gram
+    def gram(self) -> np.ndarray:
+        """Gram matrix over F_p of tr_{q/p} B in the digit basis p^0, .., p^{n-1}."""
+        ctx = self.ctx
+        r = np.array([lin_eval(ctx, self.R, int(b)) for b in ctx.pvec], dtype=np.int64)
+        t = ctx.symbols(1).trace_sym[ctx.v_mul(ctx.pvec[:, None], r[None, :])].astype(np.int64)
+        return (t + t.T) % ctx.p
 
-
-# -- dense linear algebra over F_q (entries are field element indices) -------
-
-def _kernel_basis_fq(ctx: FieldCtx, rows: list[list[int]]) -> list[list[int]]:
-    """Kernel of a matrix over F_q by RREF; vectors as lists of field indices."""
-    mat = [row[:] for row in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = ctx.inv(mat[r][c])
-        mat[r] = [ctx.mul(inv, v) for v in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [ctx.sub(a, ctx.mul(f, b)) for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for rr, pc in enumerate(pivots):
-            vec[pc] = ctx.neg(mat[rr][fc])
-        basis.append(vec)
-    return basis
-
-
-def radical(Q: QuadForm) -> list[int]:
-    """F_q-basis of V = {y : Q(y)=0 and Q(x+y)=Q(x) for all x}, as field elements."""
-    ctx = Q.ctx
-    bas = [ctx.alpha_pow(i) for i in range(Q.m)]
-    kern = _kernel_basis_fq(ctx, Q.gram())
-
-    def combine(vec: list[int]) -> int:
-        acc = 0
-        for c, b in zip(vec, bas):
-            acc = ctx.add(acc, ctx.mul(c, b))
-        return acc
-
-    w_basis = [combine(v) for v in kern]
-    if ctx.p != 2:
-        return w_basis
-    # char 2: keep the subspace of ker B where Q vanishes.  Q is additive on
-    # ker B and Q(c y) = c^2 Q(y), so with mu_i = c_i^2 the condition
-    # Q(sum c_i w_i) = 0 becomes the linear system sum mu_i Q(w_i) = 0.
-    qvals = [Q.value_elem(w) for w in w_basis]
-    if all(v == 0 for v in qvals):
-        return w_basis
-    mu_kernel = _kernel_basis_fq(ctx, [qvals])
-    half = Q.q // 2  # sqrt in F_q (char 2): u -> u^{q/2}
-    out = []
-    for mu in mu_kernel:
-        y = 0
-        for mu_i, w in zip(mu, w_basis):
-            y = ctx.add(y, ctx.mul(ctx.pow(mu_i, half), w))
-        out.append(y)
-    return out
+    def reduction(self) -> Reduction:
+        """The congruence reduction of gram() (cached), with the kernel that p = 2 needs."""
+        if self._reduction is None:
+            p = self.ctx.p
+            self._reduction = reduce_symmetric(self.gram()[None], p, kernel=p == 2)
+        return self._reduction
 
 
 def rank(Q: QuadForm) -> int:
-    return Q.m - len(radical(Q))
+    r_p = int(Q.reduction().rank[0])
+    if Q.ctx.p != 2:
+        return r_p // Q.s
+    # char 2: Q is additive on ker B and Q(c y) = c^2 Q(y), so the radical
+    # {y in ker B : Q(y) = 0} is ker B or an F_q-hyperplane of it
+    kernel = Q.ctx.pvec @ Q.reduction().kernel()
+    return Q.m - (Q.ctx.n - r_p) // Q.s + any(Q.value_sym(int(y)) for y in kernel)
 
 
 def _count_zeros(Q: QuadForm) -> int:
@@ -172,60 +113,23 @@ def type_by_count(Q: QuadForm, r: int) -> int:
 
 
 def type_by_discriminant(Q: QuadForm, r: int) -> int:
-    """Odd characteristic: eps = eta((-1)^{r/2} * det of the nondegenerate block)."""
-    ctx = Q.ctx
-    if ctx.p == 2:
+    """Odd characteristic: eps = eta_p((-1)^{r_p/2} disc) of tr_{q/p} B, with r_p = s r."""
+    if Q.ctx.p == 2:
         raise RankError("discriminant route needs odd characteristic")
-    m = Q.m
-    A = [row[:] for row in Q.gram()]
-    det = 1
-    got = 0
-    for k in range(m):
-        piv = next((i for i in range(k, m) if A[i][i] != 0), None)
-        if piv is None:
-            pair = next(((i, j) for i in range(k, m) for j in range(i + 1, m) if A[i][j] != 0), None)
-            if pair is None:
-                break
-            i, j = pair
-            for c in range(m):
-                A[i][c] = ctx.add(A[i][c], A[j][c])
-            for rr in range(m):
-                A[rr][i] = ctx.add(A[rr][i], A[rr][j])
-            piv = i
-        if piv != k:
-            A[k], A[piv] = A[piv], A[k]
-            for rr in range(m):
-                A[rr][k], A[rr][piv] = A[rr][piv], A[rr][k]
-        pv = A[k][k]
-        det = ctx.mul(det, pv)
-        got += 1
-        inv = ctx.inv(pv)
-        for i in range(k + 1, m):
-            if A[i][k] != 0:
-                f = ctx.mul(A[i][k], inv)
-                for c in range(m):
-                    A[i][c] = ctx.sub(A[i][c], ctx.mul(f, A[k][c]))
-                for rr in range(m):
-                    A[rr][i] = ctx.sub(A[rr][i], ctx.mul(f, A[rr][k]))
-    if got != r:
-        raise RankError(f"bilinear rank {got} disagrees with quadratic rank {r}")
-    sign = 1 if (r // 2) % 2 == 0 else ctx.neg(1)
-    u = ctx.mul(sign, det)
-    eta = ctx.pow(u, (Q.q - 1) // 2)
-    if eta == 1:
-        return 1
-    if eta == ctx.neg(1):
-        return -1
-    raise RankError("quadratic character did not evaluate to +-1")
+    red = Q.reduction()
+    r_p = int(red.rank[0])
+    if r_p != Q.s * r:
+        raise RankError(f"bilinear rank {r_p} over F_p disagrees with quadratic rank {r}")
+    return red.eta()
 
 
-def type_of(Q: QuadForm, r: int, count_limit: int = 1 << 16) -> int:
+def type_of(Q: QuadForm, r: int) -> int:
     """Type of an even-rank form; counting route, cross-checked by discriminant."""
     if r % 2 != 0:
         raise RankError(f"type is defined for even rank only, got {r}")
     if r == 0:
         raise RankError("rank 0: the zero form carries no type flag")
-    if Q.ctx.order <= count_limit:
+    if Q.ctx.order <= COUNT_LIMIT:
         eps = type_by_count(Q, r)
         if Q.ctx.p != 2:
             alt = type_by_discriminant(Q, r)
@@ -243,23 +147,6 @@ def profile(Q: QuadForm) -> QuadFormProfile:
 
 
 # -- solution counts and exponential sums -------------------------------------
-
-def count_N(Q: QuadForm, beta: int, xi: int) -> int:
-    """#{x : Q(x) + tr(beta x) = xi}; xi given as an F_q element of the field."""
-    ctx = Q.ctx
-    sy = ctx.symbols(Q.s)
-    xi_sym = sy.sym(xi)
-    xs = np.arange(ctx.order, dtype=np.int64)
-    tr_b = sy.trace_sym[ctx.v_mul(np.full(ctx.order, beta, dtype=np.int64), xs)]
-    vals = sy.add[Q.sym_table(), tr_b]
-    return int(np.count_nonzero(vals == xi_sym))
-
-
-def exp_sum(Q: QuadForm, b: int, beta: int) -> int:
-    """S_{Q,b}(beta) = q N_{Q,beta}(-b) - q^m, always an integer."""
-    ctx = Q.ctx
-    return Q.q * count_N(Q, beta, ctx.neg(b)) - ctx.order
-
 
 # largest q^m * q cells one symbol table may spread over in value_histograms
 HISTOGRAM_CELLS = 1 << 26
@@ -316,11 +203,6 @@ def _sum_frequencies(Q: QuadForm, hist: np.ndarray, b_sym: int) -> dict[int, int
 def n_distribution(Q: QuadForm, xi_sym: int) -> dict[int, int]:
     """Value -> frequency of N_{Q,beta}(xi) over all beta, for one xi symbol."""
     return _frequencies(_beta_histogram(Q)[:, xi_sym])
-
-
-def exp_sum_distribution(Q: QuadForm, b_sym: int) -> dict[int, int]:
-    """Value -> frequency of S_{Q,b}(beta) over all beta, for one fixed b."""
-    return _sum_frequencies(Q, _beta_histogram(Q), b_sym)
 
 
 # -- closed-form beta-sweep distributions --------------------------------------

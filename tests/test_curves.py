@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from qfcodes import curves, gf, klapper
 from qfcodes.curves import CurveSpec
 from qfcodes.klapper import HypothesisError
+from qfcodes.linalg import reduce_symmetric
 from qfcodes.linpoly import LinearizedPoly
 
 
@@ -187,11 +189,15 @@ def test_witness_rejects_bad_parameters():
 def test_batched_nullity_matches_scalar():
     rng = np.random.default_rng(23)
     for p in (3, 5):
-        mats = rng.integers(0, p, size=(200, 6, 6)).astype(np.int8)
-        out = klapper._batched_nullity(mats, p)
+        mats = rng.integers(0, p, size=(200, 6, 6))
+        mats = (mats + mats.transpose(0, 2, 1)) % p
+        out = 6 - reduce_symmetric(mats, p).rank
+        vecs = np.array(list(itertools.product(range(p), repeat=6))).T
         for i in range(0, 200, 17):
-            basis = klapper._kernel_mod_p(mats[i].tolist(), p)
-            assert int(out[i]) == len(basis)
+            basis = reduce_symmetric(mats[i:i + 1], p, kernel=True).kernel()
+            assert int(out[i]) == basis.shape[1]
+            # the kernel has p^nullity vectors, counted exhaustively
+            assert p ** int(out[i]) == int(((mats[i] @ vecs) % p == 0).all(axis=0).sum())
 
 
 def test_curve_spec_validation():

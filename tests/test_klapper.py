@@ -5,6 +5,7 @@ import pytest
 
 from qfcodes import gf, klapper, quadform
 from qfcodes.klapper import HypothesisError
+from qfcodes.linalg import reduce_symmetric
 from qfcodes.linpoly import LinearizedPoly
 from qfcodes.quadform import QuadForm
 
@@ -30,13 +31,25 @@ def test_classify_errors():
         klapper.classify_monomial(F8, 1, 3, 1, 1)  # m_l odd
 
 
-@pytest.mark.parametrize("p,s,m,ell", [(2, 1, 4, 1), (3, 1, 4, 1), (2, 1, 6, 1)])
-def test_classify_agrees_with_profile(p, s, m, ell):
-    ctx = gf.get_field(p, s * m)
-    for g in ctx.exp[: ctx.mult_order]:
+def _classify_agrees_with_profile(ctx, s, m, ell, gammas):
+    for g in gammas:
         cls = klapper.classify_monomial(ctx, s, m, int(g), ell)
         prof = quadform.profile(QuadForm(ctx, s, m, LinearizedPoly((ell,), (int(g),), s)))
         assert (cls.rank, cls.type) == (prof.rank, prof.type)
+
+
+@pytest.mark.parametrize("p,s,m,ell", [(2, 1, 4, 1), (3, 1, 4, 1), (2, 1, 6, 1),
+                                       (3, 2, 2, 1), (5, 2, 2, 1), (3, 3, 2, 1)])
+def test_classify_agrees_with_profile(p, s, m, ell):
+    ctx = gf.get_field(p, s * m)
+    _classify_agrees_with_profile(ctx, s, m, ell, ctx.exp[: ctx.mult_order])
+
+
+def test_classify_agrees_with_profile_odd_p_sampled():
+    # odd p with s > 1 past the exhaustive sizes: 800 gamma of F_{9^4}
+    ctx = gf.get_field(3, 8)
+    gammas = ctx.exp[np.random.default_rng(31).choice(ctx.mult_order, 800, replace=False)]
+    _classify_agrees_with_profile(ctx, 2, 4, 1, gammas)
 
 
 def test_m_counts():
@@ -117,13 +130,13 @@ def test_pair_sweep_workers_match():
 
 @pytest.mark.parametrize("p,m", [(3, 4), (5, 4)])
 def test_orbit_tally_matches_direct_nullity(p, m):
-    # every pair's radical nullity by direct elimination, against the tally
+    # every pair's radical nullity by direct reduction, against the tally
     # taken on orbit representatives and the per-pair array rebuilt from them
     ctx = gf.get_field(p, m)
-    a_mats, b_mats = klapper._pair_matrices(ctx, 1)
-    mats = (a_mats[None, :] + b_mats[:, None]) % p  # [g2, g1]
-    nullity = klapper._batched_nullity(mats.reshape(-1, m, m), p)
-    ranks, mult = np.unique(m - nullity.astype(np.int64), return_counts=True)
+    grams3, grams1 = klapper._pair_grams(ctx, 1)
+    mats = grams3[None, :] + grams1[:, None]  # [g2, g1]
+    nullity = m - reduce_symmetric(mats.reshape(-1, m, m), p).rank
+    ranks, mult = np.unique(m - nullity, return_counts=True)
     tally, counts = klapper.tally_l3l_ranks(ctx, 1, return_counts=True)
     assert tally == dict(zip(ranks.tolist(), mult.tolist()))
     assert counts.dtype == np.int32
@@ -135,6 +148,12 @@ def test_tally_reaches_beyond_the_old_sweep():
     fs = klapper.l3l_constants(3, 10, 1)
     tally = klapper.tally_l3l_ranks(gf.get_field(3, 10), 1)
     assert tally == {10 - 2 * j: fs[j] for j in range(4)} | {0: 1}
+
+
+@pytest.mark.parametrize("p", [3, 67, 131, 191])
+def test_tally_m2_closed_form(p):
+    # at m = 2, l = 1: Q(x) = tr(c) N(x) with c = g1 + g2, so rank 0 iff tr(c) = 0
+    assert klapper.tally_l3l_ranks(gf.get_field(p, 2), 1) == {0: p ** 3, 2: p ** 4 - p ** 3}
 
 
 def test_tally_guards():

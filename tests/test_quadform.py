@@ -19,18 +19,18 @@ def form(p, s, m, exps, coeffs):
 def test_zero_form():
     Q = form(2, 1, 4, (1,), (0,))
     assert quadform.rank(Q) == 0
-    assert len(quadform.radical(Q)) == 4  # the radical is the whole field
+    assert Q.reduction().kernel().shape[1] == 4  # ker B is the whole field
 
 
 def test_f16_cubic_form():
     # Q(x) = tr_{16/2}(x^3): rank 2, type -1
     Q = form(2, 1, 4, (1,), (1,))
-    V = quadform.radical(Q)
+    ctx = Q.ctx
+    V = [int(y) for y in ctx.pvec @ Q.reduction().kernel()]
     assert len(V) == 2
     assert quadform.rank(Q) == 2
     assert quadform.type_of(Q, 2) == -1
-    # radical really is invariant: Q(v)=0 and Q(x+v)=Q(x)
-    ctx = Q.ctx
+    # ker B is the radical here, and really invariant: Q(v)=0 and Q(x+v)=Q(x)
     span = set()
     for c1 in range(2):
         for c2 in range(2):
@@ -56,25 +56,23 @@ def test_f16_noncube_form():
 
 def test_count_and_sum_values():
     Q = form(2, 1, 4, (1,), (1,))
-    assert quadform.count_N(Q, 0, 0) == 4  # 2^3 - 1*1*2^2
-    assert quadform.exp_sum(Q, 0, 0) == -8
+    H = quadform._beta_histogram(Q)
+    assert H[0, 0] == 4  # 2^3 - 1*1*2^2
+    assert 2 * H[0, 0] - 16 == -8  # S = q N - q^m
     # sum over xi of N equals q^m
-    ctx = Q.ctx
-    sy = ctx.symbols(1)
-    total = sum(quadform.count_N(Q, 5, int(sy.elements[t])) for t in range(2))
-    assert total == 16
+    assert H[5].sum() == 16
 
 
 def test_exp_sum_distribution_example():
     Q = form(2, 1, 4, (1,), (1,))
-    dist = quadform.exp_sum_distribution(Q, 0)
+    dist = quadform._sum_frequencies(Q, quadform._beta_histogram(Q), 0)
     assert dist == {0: 12, -8: 1, 8: 3}
 
 
 def test_full_rank_no_zero_sum():
     ctx = gf.get_field(2, 4)
     Q = form(2, 1, 4, (1,), (ctx.alpha,))
-    dist = quadform.exp_sum_distribution(Q, 0)
+    dist = quadform._sum_frequencies(Q, quadform._beta_histogram(Q), 0)
     assert 0 not in dist  # q^m - q^r = 0 at full rank
 
 
@@ -140,13 +138,18 @@ def test_exp_sum_identity_random():
     ctx = gf.get_field(3, 4)
     Q = form(3, 1, 4, (1,), (ctx.alpha,))
     sy = ctx.symbols(1)
+    H = quadform._beta_histogram(Q)
+    xs = np.arange(81, dtype=np.int64)
     rng = np.random.default_rng(2)
     for _ in range(10):
         beta = int(rng.integers(0, 81))
         b_sym = int(rng.integers(0, 3))
-        b = int(sy.elements[b_sym])
-        s = quadform.exp_sum(Q, b, beta)
-        assert s == 3 * quadform.count_N(Q, beta, ctx.neg(b)) - 81
+        # N_{Q,beta}(-b) by a direct count over x
+        tr_b = sy.trace_sym[ctx.v_mul(np.full(81, beta, dtype=np.int64), xs)]
+        n = int(np.count_nonzero(sy.add[Q.sym_table(), tr_b] == sy.neg[b_sym]))
+        assert H[beta, sy.neg[b_sym]] == n
+        s = 3 * n - 81
+        assert s in quadform._sum_frequencies(Q, H, b_sym)
 
 
 def direct_histograms(ctx, s, f):
