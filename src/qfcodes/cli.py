@@ -34,7 +34,7 @@ def _default_budget() -> int:
 
 
 def _workers(text: str) -> int:
-    """--workers value: at least 1, clamped to the CPU count (each worker is a process)."""
+    """--workers value: at least 1, clamped to the CPU count; no command starts a process."""
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")

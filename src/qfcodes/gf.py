@@ -15,8 +15,8 @@ Finite Fields, ch. 2), so a + b = alpha^{log a + Z[log b - log a]} and
 tables through memoryviews, which give Python ints without a numpy scalar.
 The v_* methods operate on numpy arrays of element indices through the
 digit tables and back every bulk sweep in the package.  FieldCtx is
-immutable after construction apart from its lazy tables, and is shared
-with fork workers, never pickled (a memoryview cannot be).
+immutable after construction apart from its lazy tables; it cannot be
+pickled (a memoryview cannot be), and nothing in the package needs to.
 """
 
 from __future__ import annotations

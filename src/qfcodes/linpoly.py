@@ -71,14 +71,19 @@ def lin_eval(ctx: FieldCtx, R: LinearizedPoly, x: int) -> int:
 
 
 def lin_eval_table(ctx: FieldCtx, R: LinearizedPoly) -> np.ndarray:
-    """R over every field element at once."""
-    s = R.base_q_degree
-    acc = np.zeros(ctx.order, dtype=np.int64)
+    """R over every field element at once.
+
+    A term c x^{p^{sl}} at x = alpha^k is alpha^{log c + k p^{sl}}: one gather
+    over k, written to the elements alpha^k, with 0 -> 0.
+    """
+    s, N = R.base_q_degree, ctx.mult_order
+    acc = None
     for l, c in zip(R.q_exponents, R.coeffs):
         if c:
-            term = ctx.v_mul(np.full(ctx.order, c, dtype=np.int64), ctx.frob_table(s * l))
-            acc = ctx.v_add(acc, term)
-    return acc
+            term = np.zeros(ctx.order, dtype=np.int64)
+            term[ctx.exp[:N]] = ctx.exp[ctx.log[c] + ctx.log_power_table(ctx.p ** (s * l))]
+            acc = term if acc is None else ctx.v_add(acc, term)
+    return np.zeros(ctx.order, dtype=np.int64) if acc is None else acc
 
 
 def elements_zech_order(ctx: FieldCtx) -> np.ndarray:

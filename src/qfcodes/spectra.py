@@ -16,12 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-import os
 import warnings
 
 import numpy as np
 
-from .gf import FieldCtx, FieldError, SymbolSystem, get_field, int_log
+from .gf import FieldCtx, FieldError, SymbolSystem, int_log
 from .klapper import (HypothesisError, RankDistribution, eps_ell,
                       rank_distribution_l3l, rank_distribution_monomial)
 from .linpoly import FamilySpec, LinearizedPoly, elements_zech_order
@@ -273,15 +272,40 @@ def _length(ctx: FieldCtx, spec: CodeSpec) -> int:
     return N
 
 
-def _term_symbols(ctx: FieldCtx, sy: SymbolSystem, c: int, e: int, n: int) -> np.ndarray:
-    """Symbols of tr(c x^e) at the coordinates x = alpha^k, k < n.
+# A block of forms and an x-tile of the indicator matrices hold at most this
+# many cells per array (at least one form and one x per step).
+_BLOCK_CELLS = 1 << 18
+# Every partial sum of the indicator products is an integer at most n, which
+# float32 holds exactly while n < 2^24.
+_F32_EXACT = 1 << 24
+
+
+def _term_symbols(ctx: FieldCtx, sy: SymbolSystem, coeffs: np.ndarray, e: int,
+                  xs: slice) -> np.ndarray:
+    """Symbols of tr(c x^e) at the coordinates x = alpha^k, k in xs, one row per c.
 
     With c = alpha^j the term is alpha^{j + (k e mod N)}: one gather from the
-    traces of the powers of alpha, no power table and no product.
+    traces of the powers of alpha, no power table and no product; c = 0 gives
+    a zero row.
     """
-    if c == 0:
-        return np.zeros(n, dtype=np.int16)
-    return sy.trace_pow[ctx.log_power_table(e)[:n] + ctx.log[c]]
+    logs = ctx.log[coeffs]
+    out = sy.trace_pow[ctx.log_power_table(e)[xs] + logs[:, None]]
+    out[logs < 0] = 0
+    return out
+
+
+def _sum_symbols(sy: SymbolSystem, a: np.ndarray, b) -> np.ndarray:
+    """a + b over F_q symbols, through the flat addition table."""
+    return sy.add.ravel()[a.astype(np.intp) * sy.q + b]
+
+
+def _form_symbols(ctx: FieldCtx, sy: SymbolSystem, coeffs: np.ndarray,
+                  exps: tuple[int, ...], xs: slice) -> np.ndarray:
+    """Symbols of sum_i tr(c_i x^{e_i}) at x = alpha^k, k in xs, one row per row of coeffs."""
+    words = _term_symbols(ctx, sy, coeffs[:, 0], exps[0], xs)
+    for i in range(1, len(exps)):
+        words = _sum_symbols(sy, words, _term_symbols(ctx, sy, coeffs[:, i], exps[i], xs))
+    return words
 
 
 def build_codeword(ctx: FieldCtx, spec: CodeSpec, R: LinearizedPoly,
@@ -294,14 +318,16 @@ def build_codeword(ctx: FieldCtx, spec: CodeSpec, R: LinearizedPoly,
         raise ValueError(f"variant {spec.variant} has no constant term")
     sy = ctx.symbols(fam.s)
     n = _length(ctx, spec)
-    syms = np.zeros(n, dtype=np.int16)
-    for l, c in zip(R.q_exponents, R.coeffs):
-        if c:
-            syms = sy.add[syms, _term_symbols(ctx, sy, c, fam.q ** l + 1, n)]
+    terms = [(c, fam.q ** l + 1) for l, c in zip(R.q_exponents, R.coeffs) if c]
     if beta:
-        syms = sy.add[syms, _term_symbols(ctx, sy, beta, 1, n)]
+        terms.append((beta, 1))
+    if terms:
+        coeffs, exps = zip(*terms)
+        syms = _form_symbols(ctx, sy, np.array([coeffs]), exps, slice(0, n))[0]
+    else:
+        syms = np.zeros(n, dtype=np.int16)
     if b_sym:
-        syms = sy.add[syms, np.int16(b_sym)]
+        syms = _sum_symbols(sy, syms, b_sym)
     return syms
 
 
@@ -313,15 +339,14 @@ def brute_spectrum(ctx: FieldCtx, spec: CodeSpec, budget: int = DEFAULT_BUDGET,
     Work is counted in symbol evaluations and refused above `budget`.  The map
     index -> word is F_q-linear, so every word is hit A_0 times (A_0 = the
     indices giving the zero word) and the image holds expected/A_0 words.
-    `workers` (at least 1, clamped to the CPU count) forks a pool for the
-    beta variants.
+    The enumeration runs in this process, a block of forms at a time;
+    `workers` is validated (at least 1) and starts no process.
     """
     fam = spec.family
     if ctx.p != fam.p or ctx.n != fam.n:
         raise FieldError("field does not match family")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    workers = min(workers, os.cpu_count() or 1)
     n = _length(ctx, spec)
     n_forms = ctx.order ** len(fam.exponents)
     n_words = n_forms
@@ -332,21 +357,7 @@ def brute_spectrum(ctx: FieldCtx, spec: CodeSpec, budget: int = DEFAULT_BUDGET,
     if n_words * n > budget:
         raise BudgetError(f"{n_words} words x {n} symbols exceeds budget {budget}")
 
-    if workers > 1 and spec.variant in ("1", "2"):
-        from multiprocessing import get_context
-        bounds = np.linspace(0, n_forms, workers + 1, dtype=int)
-        jobs = [(ctx.p, ctx.n, spec, collect_compositions, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
-        with get_context("fork").Pool(len(jobs)) as pool:
-            parts = pool.map(_brute_worker, jobs)
-    else:
-        parts = [_brute_chunk(ctx, spec, collect_compositions, 0, n_forms)]
-    weight_hist = sum(wh for wh, _ in parts)
-    comp_counts: dict[tuple[int, ...], int] = {}
-    for _, cc in parts:
-        for key, c in cc.items():
-            comp_counts[key] = comp_counts.get(key, 0) + c
-
+    weight_hist, comp_counts = _brute_chunk(ctx, spec, collect_compositions, 0, n_forms)
     weights = {int(w): int(c) for w, c in enumerate(weight_hist) if c}
     spectrum = Spectrum(n=n, q=fam.q, weights=weights)
     distinct, rest = divmod(n_words, weights[0])
@@ -357,52 +368,78 @@ def brute_spectrum(ctx: FieldCtx, spec: CodeSpec, budget: int = DEFAULT_BUDGET,
                        compositions=comp_counts if collect_compositions else None)
 
 
-def _brute_worker(args):
-    p, nfield, spec, collect, lo, hi = args
-    return _brute_chunk(get_field(p, nfield), spec, collect, lo, hi)
-
-
 def _brute_chunk(ctx: FieldCtx, spec: CodeSpec, collect: bool, lo: int, hi: int):
     """Weight histogram (and compositions) over coefficient indices [lo, hi).
 
     Index ci names the coefficient tuple whose i-th entry is element number
     (ci // order^i) % order in Zech order; each index covers every beta and
-    b of the variant.  Returns (counts by weight 0..n, {composition: count}).
+    b of the variant.  A block of indices is enumerated at once: its base
+    words take one gather per term, and their symbol compositions one
+    bincount, or over every beta one indicator product per x-tile
+    (`_beta_compositions`).  Returns (counts by weight 0..n, {composition: count}).
     """
     fam = spec.family
     q = fam.q
     n = _length(ctx, spec)
     sy = ctx.symbols(fam.s)
-    order_zech = elements_zech_order(ctx)
-    if spec.variant in ("1", "2"):
-        betas = np.arange(ctx.order, dtype=np.int64)
-        beta_syms = sy.trace_sym[ctx.v_mul(betas[:, None], ctx.exp[None, :n])]
-    else:
-        beta_syms = np.zeros((1, n), dtype=np.int16)
+    zech = elements_zech_order(ctx)
+    exps = tuple(q ** l + 1 for l in fam.exponents)
+    with_beta = spec.variant in ("1", "2")
     # word + b over all b has the weights n - #{word = z} over all symbols z
     with_b = spec.variant in ("0", "2")
-    counted = range(q) if collect or with_b else range(1)
+    n_z = q if collect or with_b else 1
+    words_per_form = ctx.order if with_beta else 1
+    block = max(1, min(_BLOCK_CELLS // n, _BLOCK_CELLS // (words_per_form * n_z)))
+    places = ctx.order ** np.arange(len(exps), dtype=np.int64)
     weight_hist = np.zeros(n + 1, dtype=np.int64)
     comp_counts: dict[tuple[int, ...], int] = {}
-    for ci in range(lo, hi):
-        base = np.zeros(n, dtype=np.int16)
-        rest = ci
-        for l in fam.exponents:
-            rest, digit = divmod(rest, ctx.order)
-            c = int(order_zech[digit])
-            if c:
-                base = sy.add[base, _term_symbols(ctx, sy, c, q ** l + 1, n)]
-        # the word base + beta_syms[row] takes symbol z where beta_syms[row] = z - base
-        neg_base = sy.neg[base]
-        comp = np.stack([np.count_nonzero(beta_syms == sy.add[z, neg_base], axis=1)
-                         for z in counted], axis=1)
+    for start in range(lo, hi, block):
+        ci = np.arange(start, min(start + block, hi), dtype=np.int64)
+        base = _form_symbols(ctx, sy, zech[ci[:, None] // places % ctx.order], exps,
+                             slice(0, n))
+        if with_beta:
+            comp = _beta_compositions(ctx, sy, base, n_z)
+        else:
+            cells = (np.arange(len(ci))[:, None] * q + base).ravel()
+            comp = np.bincount(cells, minlength=len(ci) * q).reshape(-1, q)
         zeros = comp if with_b else comp[:, :1]
         weight_hist += np.bincount((n - zeros).ravel(), minlength=n + 1)
         if collect:
-            for row in comp:
-                key = tuple(int(v) for v in row)
-                comp_counts[key] = comp_counts.get(key, 0) + 1
+            keys, counts = np.unique(comp, axis=0, return_counts=True)
+            for key, c in zip(map(tuple, keys.tolist()), counts.tolist()):
+                comp_counts[key] = comp_counts.get(key, 0) + c
     return weight_hist, comp_counts
+
+
+def _beta_compositions(ctx: FieldCtx, sy: SymbolSystem, base: np.ndarray,
+                       n_z: int) -> np.ndarray:
+    """comp[(beta, f), z] = #{k : tr(beta alpha^k) + base[f, k] = z} for every beta, z < n_z.
+
+    One exact product of indicator matrices per x-tile, built in the loop:
+    comp[beta, (f, z)] = sum_{k, t} [tr(beta alpha^k) = t] [t + base[f, k] = z].
+    """
+    n_forms, n = base.shape
+    q, order = sy.q, ctx.order
+    if n >= _F32_EXACT:
+        raise OverflowError(f"length {n} is past exact float32 counting ({_F32_EXACT})")
+    tile = max(1, min(n, _BLOCK_CELLS // (order * q), _BLOCK_CELLS // (q * n_forms * n_z)))
+    betas = np.arange(order, dtype=np.int64)
+    z = np.arange(n_z, dtype=np.int16)
+    cols = np.arange(n_forms)[:, None, None] * n_z + z
+    neg_base = sy.neg[base]
+    acc = np.zeros((order, n_forms * n_z), dtype=np.float32)
+    for x0 in range(0, n, tile):
+        xs = slice(x0, min(x0 + tile, n))
+        w = xs.stop - x0
+        x_rows = np.arange(w) * q
+        u = np.zeros(order * w * q, dtype=np.float32)
+        u[(betas * (w * q))[:, None] + x_rows + _term_symbols(ctx, sy, betas, 1, xs)] = 1
+        # the t with t + base = z is z - base
+        t = _sum_symbols(sy, neg_base[:, xs, None], z)
+        v = np.zeros(w * q * n_forms * n_z, dtype=np.float32)
+        v[(x_rows[:, None] + t) * (n_forms * n_z) + cols] = 1
+        acc += u.reshape(order, w * q) @ v.reshape(w * q, n_forms * n_z)
+    return acc.astype(np.int64).reshape(order * n_forms, n_z)
 
 
 # -- complete weight enumerator --------------------------------------------------

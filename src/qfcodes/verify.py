@@ -274,9 +274,10 @@ def criterion_6(budget: int, workers: int) -> CriterionResult:
             for beta, b in draws:
                 syms = base
                 if beta:
-                    syms = sy.add[syms, spectra._term_symbols(ctx, sy, beta, 1, ctx.mult_order)]
+                    syms = spectra._sum_symbols(sy, syms, spectra._term_symbols(
+                        ctx, sy, np.array([beta]), 1, slice(0, ctx.mult_order))[0])
                 if b:
-                    syms = sy.add[syms, np.int16(b)]
+                    syms = spectra._sum_symbols(sy, syms, b)
                 w = int(np.count_nonzero(syms != 0))
                 allowed = {spectra.weight_from_profile(p, m, r, eps, b == 0, cls)
                            for cls in quadform.BETA_CLASSES}

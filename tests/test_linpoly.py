@@ -27,6 +27,20 @@ def test_eval_table_matches_scalar():
         assert int(tab[x]) == lin_eval(F, R, x)
 
 
+@pytest.mark.parametrize("p,s,m", [(2, 1, 6), (3, 1, 4), (2, 2, 4)])
+def test_eval_table_matches_scalar_everywhere(p, s, m):
+    F = gf.get_field(p, s * m)
+    rng = np.random.default_rng(p * 100 + s * 10 + m)
+    cases = [((0,), (1,)), ((1,), (0,)), ((0, 1, 3), (F.alpha, 0, F.alpha_pow(9)))]
+    cases += [((0, 1, m - 1), tuple(int(c) for c in rng.integers(0, F.order, 3)))
+              for _ in range(3)]
+    for exps, coeffs in cases:
+        R = LinearizedPoly(exps, coeffs, s)
+        tab = lin_eval_table(F, R)
+        assert tab.dtype == np.int64 and tab.shape == (F.order,)
+        assert tab.tolist() == [lin_eval(F, R, x) for x in range(F.order)]
+
+
 @pytest.mark.parametrize("p,s,m,exps", [(2, 1, 4, (1,)), (3, 1, 4, (1,)), (2, 2, 4, (1,))])
 def test_fq_linearity(p, s, m, exps):
     F = gf.get_field(p, s * m)

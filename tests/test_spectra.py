@@ -1,10 +1,13 @@
 import multiprocessing
+import tracemalloc
+from collections import Counter
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
 import pytest
 
-from qfcodes import gf, klapper, spectra
+from qfcodes import gf, klapper, quadform, spectra
 from qfcodes.klapper import HypothesisError
 from qfcodes.linpoly import FamilySpec, LinearizedPoly, enumerate_family
 from qfcodes.spectra import (BudgetError, CodeSpec, Spectrum, brute_spectrum,
@@ -87,53 +90,124 @@ def test_brute_equals_predict_nonprime_q():
 
 def test_workers_match_single_process():
     ctx = gf.get_field(2, 6)
-    fam = fam_of(2, 1, 6, 1)
-    a = brute_spectrum(ctx, CodeSpec(fam, "2"), workers=1)
-    b = brute_spectrum(ctx, CodeSpec(fam, "2"), workers=2)
-    assert a.spectrum.weights == b.spectrum.weights
-    assert a.distinct_words == b.distinct_words
+    spec = CodeSpec(fam_of(2, 1, 6, 1), "2")
+    a = brute_spectrum(ctx, spec, collect_compositions=True, workers=1)
+    b = brute_spectrum(ctx, spec, collect_compositions=True, workers=2)
+    assert a == b
 
 
+def test_brute_workers_validated_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("brute_spectrum started a process pool")
 
-class _InProcessPool:
-    """Stands in for the fork pool: records the size it was asked for, maps in this process."""
-
-    def __init__(self, sizes, processes):
-        sizes.append(processes)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs):
-        return [fn(job) for job in jobs]
-
-
-def test_brute_workers_validated_and_clamped(monkeypatch):
-    sizes = []
-
-    class StubContext:
-        def Pool(self, processes):
-            return _InProcessPool(sizes, processes)
-
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: StubContext())
-    monkeypatch.setattr(spectra.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
     ctx = gf.get_field(2, 6)
     spec = CodeSpec(fam_of(2, 1, 6, 1), "2")
     for bad in (0, -4):
         with pytest.raises(ValueError):
             brute_spectrum(ctx, spec, workers=bad)
     serial = brute_spectrum(ctx, spec, workers=1)
-    base = brute_spectrum(ctx, CodeSpec(fam_of(2, 1, 6, 1), "base"), workers=100000)
-    assert sizes == []  # one worker, or a variant without beta: no pool
-    assert base.injective
-    for requested, started in ((2, 2), (100000, 3)):
-        res = brute_spectrum(ctx, spec, workers=requested)
-        assert sizes[-1] == started
-        assert res.spectrum.weights == serial.spectrum.weights
-        assert res.distinct_words == serial.distinct_words
+    for workers in (2, 3, 100000):
+        assert brute_spectrum(ctx, spec, workers=workers) == serial
+    assert brute_spectrum(ctx, CodeSpec(fam_of(2, 1, 6, 1), "base"), workers=100000).injective
+
+
+# -- the block kernel ------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _per_word_tally(p, s, m, exponents, with_beta, shortened):
+    """Weight histograms (b = 0, every b) and b = 0 compositions, one word at a time.
+
+    build_codeword gives the word of every (R, beta); the constant b is added
+    through the symbol table, as build_codeword adds it.
+    """
+    ctx, q = gf.get_field(p, s * m), p ** s
+    spec = CodeSpec(FamilySpec(p, s, m, exponents), "2" if with_beta else "0",
+                    shortened=shortened)
+    add = ctx.symbols(s).add
+    n = len(build_codeword(ctx, spec, next(enumerate_family(ctx, spec.family))))
+    hist_b0, hist_all, comps = np.zeros(n + 1, np.int64), np.zeros(n + 1, np.int64), Counter()
+    for R in enumerate_family(ctx, spec.family):
+        for beta in range(ctx.order) if with_beta else (0,):
+            word = build_codeword(ctx, spec, R, beta)
+            comps[tuple(np.bincount(word, minlength=q).tolist())] += 1
+            hist_b0[np.count_nonzero(word)] += 1
+            np.add.at(hist_all, np.count_nonzero(add[:, word], axis=1), 1)
+    return hist_b0, hist_all, comps
+
+
+KERNEL_FIELDS = [(2, 1, 4, (1,)), (3, 1, 4, (1,)), (2, 2, 4, (1,))]
+KERNEL_CASES = ([(*f, v, False) for f in KERNEL_FIELDS for v in spectra.VARIANTS]
+                + [(*f, v, True) for f in KERNEL_FIELDS for v in ("base", "0")]
+                + [(2, 1, 4, (1, 3), v, False) for v in spectra.VARIANTS])
+
+
+@pytest.mark.parametrize("p,s,m,exponents,variant,shortened", KERNEL_CASES)
+def test_block_kernel_matches_per_word_reference(monkeypatch, p, s, m, exponents, variant,
+                                                 shortened):
+    ctx = gf.get_field(p, s * m)
+    spec = CodeSpec(FamilySpec(p, s, m, exponents), variant, shortened=shortened)
+    # on the full-length codes, caps this small give blocks of 7 or 7q forms and
+    # x-tiles of 7 coordinates, which divide neither the form count nor n; the
+    # split point falls mid-block
+    monkeypatch.setattr(spectra, "_BLOCK_CELLS", 7 * ctx.order * p ** s)
+    n_forms = ctx.order ** len(exponents)
+    mid = n_forms // 2 + 1
+    parts = [spectra._brute_chunk(ctx, spec, True, lo, hi)
+             for lo, hi in ((0, mid), (mid, n_forms))]
+    hist_b0, hist_all, want_comps = _per_word_tally(p, s, m, exponents,
+                                                    variant in ("1", "2"), shortened)
+    want_hist = hist_all if variant in ("0", "2") else hist_b0
+    assert np.array_equal(parts[0][0] + parts[1][0], want_hist)
+    assert Counter(parts[0][1]) + Counter(parts[1][1]) == want_comps
+    hist, comps = spectra._brute_chunk(ctx, spec, False, 0, n_forms)
+    assert np.array_equal(hist, want_hist) and comps == {}
+
+
+def test_block_kernel_keeps_the_non_injective_span_count(monkeypatch):
+    # span:1,3 at (2,1,4) counts coefficient indices, not codewords: k = 8, A_0 = 16
+    monkeypatch.setattr(spectra, "_BLOCK_CELLS", 7 * 16 * 2)
+    res = brute_spectrum(gf.get_field(2, 4), CodeSpec(FamilySpec(2, 1, 4, (1, 3)), "base"))
+    assert res.params.k == 8
+    assert res.spectrum.weights[0] == 16
+    assert res.distinct_words == 16
+
+
+def test_brute_working_set_is_capped_at_large_q():
+    # (31,1,2) variant 1 fits the default budget: 961^2 words of length 960
+    ctx = gf.get_field(31, 2)
+    fam = fam_of(31, 1, 2, 1)
+    spec = CodeSpec(fam, "1")
+    build_codeword(ctx, spec, LinearizedPoly((1,), (1,), 1), beta=1)  # the field's lazy tables
+    tracemalloc.start()
+    try:
+        res = brute_spectrum(ctx, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    # the beta-sweep kernel route: word (gamma, beta) has weight n - (H[gamma, beta, 0] - 1).
+    # x -> cx permutes the coordinates and maps (gamma, beta) to (gamma c^32, beta c), so
+    # gamma = 0 and one gamma per coset of the 30 32nd powers, alpha^0..alpha^31, suffice
+    n = ctx.mult_order
+    gammas = np.array([0] + [ctx.alpha_pow(j) for j in range(32)], dtype=np.int64)
+    tables = ctx.symbols(1).trace_sym[ctx.v_mul(gammas[:, None], ctx.power_table(32))]
+    H = quadform.value_histograms(ctx, 1, tables)
+    orbit = np.array([1] + [30] * 32)[:, None]
+    want = np.bincount((n - (H[:, :, 0] - 1)).ravel(),
+                       weights=np.broadcast_to(orbit, H.shape[:2]).ravel(), minlength=n + 1)
+    assert res.spectrum.weights == {w: int(c) for w, c in enumerate(want) if c}
+
+
+def test_float_exactness_guard_raises(monkeypatch):
+    monkeypatch.setattr(spectra, "_F32_EXACT", 15)
+    ctx = gf.get_field(2, 4)
+    for variant in ("1", "2"):
+        with pytest.raises(OverflowError):
+            brute_spectrum(ctx, CodeSpec(fam_of(2, 1, 4, 1), variant))
+    monkeypatch.setattr(spectra, "_F32_EXACT", 16)
+    res = brute_spectrum(ctx, CodeSpec(fam_of(2, 1, 4, 1), "1"))
+    assert res.spectrum.weights == predict_monomial_long(2, 4, 1, "1").spectrum.weights
 
 
 @pytest.mark.parametrize("p,m,exponents,variant,expected,distinct", [
