@@ -34,11 +34,11 @@ def _default_budget() -> int:
 
 
 def _workers(text: str) -> int:
-    """--workers value: at least 1, clamped to the CPU count; no command starts a process."""
+    """--workers value: at least 1; no command starts a process for any value."""
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return min(n, os.cpu_count() or 1)
+    return n
 
 
 def _pair_budget(text: str) -> int:

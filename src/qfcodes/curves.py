@@ -6,10 +6,12 @@ at infinity.  Optimality (Hasse-Weil endpoint) is decided both by comparing
 against the genus bound and by the weight class of the attached codeword;
 disagreement between the two routes raises.
 
+Every trace-form table here (the single-curve trace count, the per-gamma
+scan forms) comes from quadform.form_table, one log-domain gather per term.
 Sweeps over all beta (scan_monomial, the witness search) read their point
 counts from quadform.value_histograms, one exhaustive histogram per form.
-count_points_by_solutions stays an independent (x, y) enumeration that
-never goes through that kernel.
+count_points_by_solutions stays an independent (x, y) enumeration through
+lin_eval_table and the digit tables, and never goes through either.
 """
 
 from __future__ import annotations
@@ -20,14 +22,13 @@ from fractions import Fraction
 import numpy as np
 
 from .gf import FieldCtx, FieldError
-from .klapper import (HypothesisError, MonomialClassification, _pair_grams, classify_monomial,
-                      eps_ell, l3l_poly, l3l_pair_profile)
+from .klapper import (HypothesisError, MonomialClassification, classify_monomial, eps_ell,
+                      l3l_poly, l3l_pair_profile, pair_grams)
 from .linalg import reduce_symmetric
 from .linpoly import LinearizedPoly, lin_eval_table
-from .quadform import QuadForm, QuadFormProfile, beta_class_counts, \
-    _frequencies, exp_sum_class_value, profile as qf_profile, value_histograms
-
-STATUSES = ("maximal", "minimal", "interior")
+from .quadform import (QuadForm, QuadFormProfile, beta_class_counts, exp_sum_class_value,
+                       form_table, form_terms, frequencies, profile as qf_profile,
+                       value_histograms)
 
 
 class CurveCountError(RuntimeError):
@@ -68,13 +69,8 @@ class CurveReport:
 
 def _trace_zero_count(spec: CurveSpec) -> int:
     """#{x in F_{p^m} : tr(x R(x) + beta x) = 0}, including x = 0."""
-    ctx = spec.ctx
-    sy = ctx.symbols(1)
-    xs = np.arange(ctx.order, dtype=np.int64)
-    vals = ctx.v_mul(xs, lin_eval_table(ctx, spec.R))
-    if spec.beta:
-        vals = ctx.v_add(vals, ctx.v_mul(np.full(ctx.order, spec.beta, dtype=np.int64), xs))
-    return int(np.count_nonzero(sy.trace_sym[vals] == 0))
+    coeffs, exps = form_terms(spec.R, spec.p, spec.beta)
+    return int(np.count_nonzero(form_table(spec.ctx, 1, [coeffs], exps) == 0))
 
 
 def count_points(spec: CurveSpec) -> int:
@@ -219,13 +215,11 @@ def scan_monomial(ctx: FieldCtx, ell: int, gammas: list[int] | None = None) -> S
         raise HypothesisError("only even extension degrees are in scope")
     if gammas is None:
         gammas = [int(g) for g in ctx.exp[: ctx.mult_order]]
-    sy = ctx.symbols(1)
-    pt = ctx.power_table(p ** ell + 1)
     scans = []
     batch = max(1, SCAN_CELLS // (ctx.order * p))
     for lo in range(0, len(gammas), batch):
         chunk = gammas[lo: lo + batch]
-        forms = sy.trace_sym[ctx.v_mul(np.array(chunk, dtype=np.int64)[:, None], pt[None, :])]
+        forms = form_table(ctx, 1, np.array(chunk)[:, None], (p ** ell + 1,))
         # points = 1 + p #{x : tr(gamma x^{p^l+1} + beta x) = 0}, one row per gamma
         for gamma, points in zip(chunk, 1 + p * value_histograms(ctx, 1, forms)[:, :, 0]):
             scans.append(_scan_gamma(ctx, ell, gamma, points))
@@ -236,7 +230,7 @@ def _scan_gamma(ctx: FieldCtx, ell: int, gamma: int, points: np.ndarray) -> Gamm
     """Check one gamma's point counts over all beta against its profile's multiset."""
     p, m = ctx.p, ctx.n
     cls = classify_monomial(ctx, 1, m, gamma, ell)
-    tally = _frequencies(points)
+    tally = frequencies(points)
     expected = expected_point_multiset(p, m, cls.rank, cls.type)
     if tally != expected:
         raise CurveCountError(
@@ -301,7 +295,7 @@ def l3l_optimal_witness(ctx: FieldCtx, ell: int,
         pair_budget = ctx.order ** 2
     if pair_budget < 0:
         raise ValueError(f"pair_budget must be >= 0, got {pair_budget}")
-    grams3, grams1 = _pair_grams(ctx, ell)
+    grams3, grams1 = pair_grams(ctx, ell)
     checked = 0
     hit = None
     for g1 in [0] + [int(v) for v in ctx.exp[: ctx.mult_order]]:

@@ -141,7 +141,7 @@ def _is_irreducible(f, p, n):
     return True
 
 
-def _int_dtype(bound: int):
+def int_dtype(bound: int):
     """The smallest signed numpy integer type that holds -bound..bound."""
     for dt in (np.int8, np.int16, np.int32):
         if bound <= np.iinfo(dt).max:
@@ -194,8 +194,8 @@ class FieldCtx:
         self.pvec = np.array([p ** i for i in range(n)], dtype=np.int64)
         # digits lie in [0, p) and a digit sum in [0, 2p - 2]
         self._digmat = ((np.arange(order, dtype=np.int64)[:, None] // self.pvec) % p
-                        ).astype(_int_dtype(p - 1))
-        self._sum_dtype = _int_dtype(2 * p - 2)
+                        ).astype(int_dtype(p - 1))
+        self._sum_dtype = int_dtype(2 * p - 2)
         self.alpha = self._find_alpha()
         self._build_tables()
         self._frob_tables: dict[int, np.ndarray] = {}
@@ -409,9 +409,9 @@ class SymbolSystem:
 
     Symbols are 0..q-1 in ascending element-index order (so symbol 0 is the
     zero element).  trace_sym[e] is the symbol of tr_{p^n/p^d}(e); add/neg are
-    symbol-level tables used by the codeword engines.  The product table, the
-    traces of the powers of alpha and the trace coordinates are built on first
-    use only.
+    symbol-level tables used by the codeword engines, and plus adds arrays of
+    symbols through the flat add table.  The product table, the traces of the
+    powers of alpha and the trace coordinates are built on first use only.
     """
 
     def __init__(self, ctx: FieldCtx, d: int):
@@ -435,6 +435,10 @@ class SymbolSystem:
         grid = ctx.v_add(self.elements[:, None], self.elements[None, :])
         self.add = self.index_of[grid].astype(np.int16)
         self.neg = self.index_of[ctx.v_neg(self.elements)].astype(np.int16)
+
+    def plus(self, a: np.ndarray, b) -> np.ndarray:
+        """a + b over F_q symbols, through the flat addition table (b may be a scalar)."""
+        return self.add.ravel()[a.astype(np.intp) * self.q + b]
 
     @cached_property
     def mul(self) -> np.ndarray:
@@ -470,12 +474,6 @@ class SymbolSystem:
         if (beta_index < 0).any() or len(np.unique(x_index)) != ctx.order:
             raise FieldError("alpha^0..alpha^{k-1} is not a basis over the subfield")
         return x_index, beta_index
-
-    def sym(self, e: int) -> int:
-        s = int(self.index_of[e])
-        if s < 0:
-            raise FieldError("element outside subfield")
-        return s
 
     def elem(self, s: int) -> int:
         return int(self.elements[s])

@@ -4,8 +4,9 @@ Classification branches on exponentiation tests only: gamma^{(q^m-1)/L} with
 L = q^{(m,l)}+1 equals 1 exactly on the t = 0 (mod L) power class and -1 on
 the t = L/2 class, so no discrete logarithm is ever computed.  The module
 also carries the rank-multiplicity constants for the one- and two-monomial
-families, and an exhaustive rank tally over all (gamma_1, gamma_2) pairs
-used to verify the two-monomial constants.
+families, and an exhaustive (rank, type) tally over all (gamma_1, gamma_2)
+pairs, taken on x -> cx orbit representatives, that verifies the
+two-monomial distribution in full, types included.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from math import gcd
 
 import numpy as np
 
-from .gf import FieldCtx, FieldError, _int_dtype, is_prime
+from .gf import FieldCtx, FieldError, int_dtype, is_prime
 from .linalg import reduce_symmetric
 from .linpoly import LinearizedPoly
-from .quadform import QuadForm, QuadFormProfile, profile as qf_profile
+from .quadform import QuadForm, QuadFormProfile, gram_exponents, profile as qf_profile
 
 
 class HypothesisError(ValueError):
@@ -108,9 +109,6 @@ class RankDistribution:
     def total(self) -> int:
         return sum(c for _, _, c in self.counts)
 
-    def ranks(self) -> list[int]:
-        return sorted({r for r, _, _ in self.counts}, reverse=True)
-
     def as_dict(self) -> dict[tuple[int, int], int]:
         return {(r, e): c for r, e, c in self.counts}
 
@@ -184,29 +182,15 @@ def l3l_pair_profile(ctx: FieldCtx, ell: int, g1: int, g2: int) -> QuadFormProfi
     return qf_profile(QuadForm(ctx, 1, ctx.n, l3l_poly(ctx, ell, g1, g2)))
 
 
-def _gram_exponents(ctx: FieldCtx, L: int) -> np.ndarray:
-    """e[i, j] = i + j p^L mod p^m - 1, so tr(g alpha^{e[i, j]}) is a term of the pair Gram."""
-    N, ij = ctx.mult_order, np.arange(ctx.n)
-    return (ij[:, None] + ij[None, :] * pow(ctx.p, L, N)) % N
-
-
 def l3l_pair_profile_fast(ctx: FieldCtx, ell: int, g1: int, g2: int) -> QuadFormProfile:
-    """Profile from one congruence reduction of the F_p Gram matrix (s = 1 only).
+    """Profile from the congruence reduction of the F_p Gram matrix alone (s = 1 only).
 
-    With E(y) = g y^{p^L} + (g y)^{p^{-L}} summed over (g1, 3l) and (g2, l),
-    tr(alpha^i E(alpha^j)) = tr(g alpha^{i + j p^L}) + tr(g alpha^{j + i p^L}),
-    so each term is one gather of the trace symbols of the powers of alpha.
-    A sweep accelerator; tested to agree with the general quadform route.
+    The type is the discriminant route's eta, with no zero count; a sweep
+    accelerator, tested to agree with the general quadform route.
     """
-    p, m = ctx.p, ctx.n
-    if p == 2:
+    if ctx.p == 2:
         raise HypothesisError("fast profile targets odd characteristic")
-    tp = ctx.symbols(1).trace_pow
-    S = np.zeros((m, m), dtype=np.int64)
-    for g, L in ((g1, 3 * ell), (g2, ell)):
-        if g:
-            S += tp[ctx.log[g] + _gram_exponents(ctx, L)]
-    red = reduce_symmetric((S + S.T)[None], p)
+    red = QuadForm(ctx, 1, ctx.n, l3l_poly(ctx, ell, g1, g2)).reduction()
     rank = int(red.rank[0])
     if rank == 0:
         return QuadFormProfile(rank=0, type=None)
@@ -215,20 +199,21 @@ def l3l_pair_profile_fast(ctx: FieldCtx, ell: int, g1: int, g2: int) -> QuadForm
     return QuadFormProfile(rank=rank, type=red.eta())
 
 
-def _pair_grams(ctx: FieldCtx, ell: int) -> tuple[np.ndarray, np.ndarray]:
+def pair_grams(ctx: FieldCtx, ell: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-gamma F_p Gram stacks of y -> g y^{p^L} + (g y)^{p^{-L}} for L = 3l and l.
 
-    G[g][i, j] = tr(alpha^i E_g(alpha^j)) is symmetric and linear in g, so the
-    Gram of a pair (g1, g2) is G3[g1] + G1[g2] (mod p); row g is indexed by the
-    element g.  Column (i, j) over g = alpha^k, k < N, is the contiguous slice
-    tr(alpha^{k + e[i, j]}) of the trace symbols.  Entries lie in [0, p), in a
-    dtype that holds the sum of two.
+    G[g][i, j] = tr(t^i E_g(t^j)) in the digit basis t^i = p^i is symmetric and
+    linear in g, so the Gram of a pair (g1, g2) is G3[g1] + G1[g2] (mod p), the
+    Gram of QuadForm.gram(); row g is indexed by the element g.  Column (i, j)
+    over g = alpha^k, k < N, is the contiguous slice tr(alpha^{k + e[i, j]}) of
+    the trace symbols, e = gram_exponents(ctx, L).  Entries lie in [0, p), in
+    a dtype that holds the sum of two.
     """
     p, m, N = ctx.p, ctx.n, ctx.mult_order
-    tp = ctx.symbols(1).trace_pow.astype(_int_dtype(2 * p))
+    tp = ctx.symbols(1).trace_pow.astype(int_dtype(2 * p))
 
     def build(L: int) -> np.ndarray:
-        e = _gram_exponents(ctx, L)
+        e = gram_exponents(ctx, L)
         S = np.empty((N, m, m), dtype=tp.dtype)
         for i in range(m):
             for j in range(m):
@@ -240,62 +225,45 @@ def _pair_grams(ctx: FieldCtx, ell: int) -> tuple[np.ndarray, np.ndarray]:
     return build(3 * ell), build(ell)
 
 
-# largest p^{2m} for which return_counts may allocate the per-pair array
-PAIR_COUNTS_LIMIT = 1 << 26
+def tally_l3l_profiles(ctx: FieldCtx, ell: int) -> dict[tuple[int, int | None], int]:
+    """Exhaustive (rank, type) tally over all (g1, g2) in F_{p^m}^2 by orbit representatives.
 
+    The substitution x -> cx carries Q_{g1,g2} to Q_{g1 c^{p^{3l}+1}, g2 c^{p^l+1}};
+    it is an invertible change of variables, so rank and type are constant on
+    orbits.  With d = gcd(p^m-1, p^l+1) the rows g2 = alpha^r, r < d, meet
+    every orbit with g2 != 0, and each stands for (p^m-1)/d rows:
+    c^{p^l+1} = 1 forces c^{p^{3l}+1} = 1 because p^l+1 divides p^{3l}+1, so
+    the induced permutation of g1 is well defined.  Every g1 on those d rows
+    and on g2 = 0 gets its rank and type from one batched congruence
+    reduction of the pair Gram stack per row.
 
-def tally_l3l_ranks(ctx: FieldCtx, ell: int, workers: int = 1,
-                    return_counts: bool = False):
-    """Exhaustive rank tally over all (g1, g2) in F_{p^m}^2 by orbit representatives.
-
-    The substitution x -> cx carries Q_{g1,g2} to Q_{g1 c^{p^{3l}+1}, g2 c^{p^l+1}},
-    so rank is constant on orbits.  With d = gcd(p^m-1, p^l+1) the rows
-    g2 = alpha^r, r < d, meet every orbit with g2 != 0, and each stands for
-    (p^m-1)/d rows: c^{p^l+1} = 1 forces c^{p^{3l}+1} = 1 because p^l+1
-    divides p^{3l}+1, so the induced permutation of g1 is well defined.  The
-    radical nullity of every g1 on those d rows and on g2 = 0 comes from one
-    batched congruence reduction of the pair Gram stack per row.
-
-    Returns {rank: multiplicity} covering all p^{2m} pairs (the zero pair
-    lands at rank 0).  With return_counts=True also returns the per-pair
-    |radical|-1 array (int32) indexed by g1_idx + g2_idx * p^m; that array is
-    refused above PAIR_COUNTS_LIMIT pairs.  The sweep runs in this process:
-    ``workers`` is checked but no pool is started.
+    Returns {(rank, type): multiplicity} covering all p^{2m} pairs, ranks
+    descending; the zero pair (and any other rank-0 pair) has type None.
     """
     p, m = ctx.p, ctx.n
     if p == 2:
         raise HypothesisError("the two-monomial family sweep targets odd p")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if return_counts and ctx.order ** 2 > PAIR_COUNTS_LIMIT:
-        raise HypothesisError(f"{ctx.order ** 2} per-pair counts exceed the limit "
-                              f"{PAIR_COUNTS_LIMIT}")
     N = ctx.mult_order
     d = gcd(N, p ** ell + 1)
-    grams3, grams1 = _pair_grams(ctx, ell)
-    reps = [0] + [int(g) for g in ctx.exp[:d]]
-    nullity = np.stack([m - reduce_symmetric(grams3 + grams1[g2], p).rank for g2 in reps])
-    hist = np.zeros(m + 1, dtype=np.int64)
-    for weight, row in zip([1] + [N // d] * d, nullity):
-        hist += weight * np.bincount(row, minlength=m + 1)
-    tally = {m - k: c for k, c in enumerate(hist.tolist()) if c}
-    if not return_counts:
-        return tally
-    # row g2 = alpha^j is row r = j mod d with g1 shifted in log by
-    # t (p^{3l}+1), where t (p^l+1)/d = (j-r)/d (mod (p^m-1)/d)
-    rep_counts = p ** nullity.astype(np.int32) - 1
-    counts = np.empty((ctx.order, ctx.order), dtype=np.int32)  # [g2, g1]
-    counts[0] = rep_counts[0]
-    inv = pow((p ** ell + 1) // d, -1, N // d)
-    lift = (p ** (3 * ell) + 1) % N
-    logs = ctx.log[1:]
-    chunk = max(1, (1 << 20) // ctx.order)
-    for lo in range(0, N, chunk):
-        js = np.arange(lo, min(lo + chunk, N), dtype=np.int64)
-        rs = js % d
-        shifts = ((js - rs) // d * inv % (N // d)) * lift % N
-        rows = rep_counts[1 + rs]
-        counts[ctx.exp[js], 0] = rows[:, 0]
-        counts[ctx.exp[js], 1:] = np.take_along_axis(
-            rows, ctx.exp[(logs[None, :] - shifts[:, None]) % N], axis=1)
-    return tally, counts.reshape(-1)
+    grams3, grams1 = pair_grams(ctx, ell)
+    hist = np.zeros(2 * (m + 1), dtype=np.int64)  # index 2 rank + (type == +1)
+    for weight, g2 in zip([1] + [N // d] * d, [0] + [int(g) for g in ctx.exp[:d]]):
+        red = reduce_symmetric(grams3 + grams1[g2], p)
+        hist += weight * np.bincount(2 * red.rank + (red.etas() > 0), minlength=2 * (m + 1))
+    # a rank-0 matrix has disc 1, so its key is 1
+    return {(k // 2, None if k < 2 else 1 if k % 2 else -1): int(hist[k])
+            for k in np.flatnonzero(hist)[::-1].tolist()}
+
+
+def tally_l3l_ranks(ctx: FieldCtx, ell: int, workers: int = 1) -> dict[int, int]:
+    """{rank: multiplicity} over all p^{2m} pairs: the rank marginal of tally_l3l_profiles.
+
+    The sweep runs in this process: ``workers`` is checked but no pool is
+    started.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    tally: dict[int, int] = {}
+    for (r, _), c in tally_l3l_profiles(ctx, ell).items():
+        tally[r] = tally.get(r, 0) + c
+    return tally

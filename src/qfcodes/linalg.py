@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import _int_dtype
+from .gf import int_dtype
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,14 @@ class Reduction:
         u = (-1) ** (int(self.rank[b]) // 2) * int(self.disc[b]) % self.p
         return 1 if pow(u, (self.p - 1) // 2, self.p) == 1 else -1
 
+    def etas(self) -> np.ndarray:
+        """eta() of every matrix at once, read from a table of the squares mod p."""
+        p = self.p
+        square = np.zeros(p, dtype=bool)
+        square[np.arange(1, p, dtype=np.int64) ** 2 % p] = True
+        u = np.where(self.rank // 2 % 2, -self.disc, self.disc) % p
+        return np.where(square[u], 1, -1)
+
     def kernel(self, b: int = 0) -> np.ndarray:
         """(n, n - rank[b]) matrix whose columns are a basis of ker mats[b].
 
@@ -50,7 +58,7 @@ class Reduction:
 
 def reduce_symmetric(mats: np.ndarray, p: int, kernel: bool = False) -> Reduction:
     """Congruence-reduce a (B, n, n) stack of symmetric integer matrices mod p."""
-    dt = _int_dtype(2 * p * p + p)
+    dt = int_dtype(2 * p * p + p)
     inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=dt)  # 1/0 read as 0
     a = np.asarray(mats).astype(dt) % p
     B, n, _ = a.shape

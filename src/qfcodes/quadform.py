@@ -10,6 +10,11 @@ and Q is additive there, the radical is ker B or a hyperplane of it according
 as Q vanishes on a kernel basis or not.  Exponential sums are integers
 (S_{Q,b}(beta) = q N_{Q,beta}(-b) - q^m); no complex arithmetic appears.
 
+Every trace-form symbol table in the package (Q's values, codewords, curve
+counts and scans) comes from form_symbols, one log-domain gather per term,
+and every Gram term from gram_exponents, one gather in the digit basis
+t^i = p^i.  lin_eval and lin_eval_table stay the independent routes of R.
+
 Every sweep over all beta goes through value_histograms: an exact
 additive-character transform in the group ring Z[F_q] that returns
 N_{Q,beta}(c) for all beta and c at once, at m q^{m+2} integer additions per
@@ -26,7 +31,7 @@ import numpy as np
 
 from .gf import FieldCtx, FieldError
 from .linalg import Reduction, reduce_symmetric
-from .linpoly import LinearizedPoly, lin_eval, lin_eval_table
+from .linpoly import LinearizedPoly, lin_eval
 
 BETA_CLASSES = ("null", "major", "minor")
 # largest field on which type_of counts zeros (and cross-checks the discriminant)
@@ -65,16 +70,22 @@ class QuadForm:
     def sym_table(self) -> np.ndarray:
         """Q over every field element, as symbols (cached)."""
         if self._syms is None:
-            ctx = self.ctx
-            xs = np.arange(ctx.order, dtype=np.int64)
-            self._syms = ctx.symbols(self.s).trace_sym[ctx.v_mul(xs, lin_eval_table(ctx, self.R))]
+            coeffs, exps = form_terms(self.R, self.q)
+            self._syms = form_table(self.ctx, self.s, [coeffs], exps)[0]
         return self._syms
 
     def gram(self) -> np.ndarray:
-        """Gram matrix over F_p of tr_{q/p} B in the digit basis p^0, .., p^{n-1}."""
+        """Gram matrix over F_p of tr_{q/p} B in the digit basis t^i = p^i, i < n.
+
+        tr(t^i R(t^j)) is a sum over the terms c x^{q^l} of tr(c t^i (t^j)^{q^l}):
+        one gather per term from the traces of the powers of alpha.
+        """
         ctx = self.ctx
-        r = np.array([lin_eval(ctx, self.R, int(b)) for b in ctx.pvec], dtype=np.int64)
-        t = ctx.symbols(1).trace_sym[ctx.v_mul(ctx.pvec[:, None], r[None, :])].astype(np.int64)
+        tp = ctx.symbols(1).trace_pow
+        t = np.zeros((ctx.n, ctx.n), dtype=np.int64)
+        for l, c in zip(self.R.q_exponents, self.R.coeffs):
+            if c:
+                t += tp[ctx.log[c] + gram_exponents(ctx, self.s * l)]
         return (t + t.T) % ctx.p
 
     def reduction(self) -> Reduction:
@@ -83,6 +94,55 @@ class QuadForm:
             p = self.ctx.p
             self._reduction = reduce_symmetric(self.gram()[None], p, kernel=p == 2)
         return self._reduction
+
+
+def form_terms(R: LinearizedPoly, q: int, beta: int = 0) -> tuple[list[int], tuple[int, ...]]:
+    """(coeffs, exps) with x R(x) + beta x = sum_i c_i x^{e_i}, zero coefficients dropped."""
+    terms = [(c, q ** l + 1) for l, c in zip(R.q_exponents, R.coeffs) if c]
+    if beta:
+        terms.append((beta, 1))
+    return [c for c, _ in terms], tuple(e for _, e in terms)
+
+
+def form_symbols(ctx: FieldCtx, s: int, coeffs, exps: tuple[int, ...],
+                 xs: slice = slice(None)) -> np.ndarray:
+    """Symbols of sum_i tr_{q^m/q}(c_i x^{e_i}) at x = alpha^k, k in xs: one row per coeffs row.
+
+    coeffs is a (B, len(exps)) array of field elements.  With c = alpha^j a
+    term at alpha^k is tr(alpha^{j + (k e mod N)}): one gather from the
+    traces of the powers of alpha, with no power table and no product, and
+    c = 0 gives a zero row.  The terms add through the flat symbol table.
+    """
+    sy = ctx.symbols(s)
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    out = None
+    for c, e in zip(coeffs.T, exps):
+        logs = ctx.log[c]
+        term = sy.trace_pow[ctx.log_power_table(e)[xs] + logs[:, None]]
+        term[logs < 0] = 0
+        out = term if out is None else sy.plus(out, term)
+    if out is None:
+        out = np.zeros((len(coeffs), len(range(ctx.mult_order)[xs])), dtype=sy.trace_pow.dtype)
+    return out
+
+
+def form_table(ctx: FieldCtx, s: int, coeffs, exps: tuple[int, ...]) -> np.ndarray:
+    """form_symbols indexed by field element: column x of row b is the form at x, 0 at x = 0."""
+    syms = form_symbols(ctx, s, coeffs, exps)
+    out = np.zeros((len(syms), ctx.order), dtype=syms.dtype)
+    out[:, ctx.exp[: ctx.mult_order]] = syms
+    return out
+
+
+def gram_exponents(ctx: FieldCtx, j: int) -> np.ndarray:
+    """e[a, b] = log(t^a (t^b)^{p^j}) mod N in the digit basis t^a = p^a.
+
+    So tr(c t^a (t^b)^{p^j}) = tr(alpha^{log c + e[a, b]}) is one gather of
+    the traces of the powers of alpha, for every entry of a Gram term.
+    """
+    N = ctx.mult_order
+    logs = ctx.log[ctx.pvec]
+    return (logs[:, None] + logs[None, :] * pow(ctx.p, j, N)) % N
 
 
 def rank(Q: QuadForm) -> int:
@@ -190,19 +250,20 @@ def _beta_histogram(Q: QuadForm) -> np.ndarray:
     return value_histograms(Q.ctx, Q.s, Q.sym_table()[None, :])[0]
 
 
-def _frequencies(values: np.ndarray) -> dict[int, int]:
+def frequencies(values: np.ndarray) -> dict[int, int]:
+    """Value -> number of occurrences in an integer array."""
     return {int(v): int(c) for v, c in zip(*np.unique(values, return_counts=True))}
 
 
 def _sum_frequencies(Q: QuadForm, hist: np.ndarray, b_sym: int) -> dict[int, int]:
     """S_{Q,b}(beta) = q N_{Q,beta}(-b) - q^m, tallied over beta."""
     target = int(Q.ctx.symbols(Q.s).neg[b_sym])
-    return _frequencies(Q.q * hist[:, target] - Q.ctx.order)
+    return frequencies(Q.q * hist[:, target] - Q.ctx.order)
 
 
 def n_distribution(Q: QuadForm, xi_sym: int) -> dict[int, int]:
     """Value -> frequency of N_{Q,beta}(xi) over all beta, for one xi symbol."""
-    return _frequencies(_beta_histogram(Q)[:, xi_sym])
+    return frequencies(_beta_histogram(Q)[:, xi_sym])
 
 
 # -- closed-form beta-sweep distributions --------------------------------------

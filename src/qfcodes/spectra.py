@@ -8,7 +8,9 @@ Codes are indexed by coordinates x = alpha^0, alpha^1, .., alpha^{q^m-2}
   "2"     plus both
 All table rows are generated by one shared routine driven by a rank
 distribution, so the single- and two-monomial instantiations cannot drift
-from the general tables.  Everything is exact integer arithmetic.
+from the general tables.  Codewords, and the brute oracle's words a block
+of forms at a time, are assembled by quadform.form_symbols.  Everything is
+exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .gf import FieldCtx, FieldError, SymbolSystem, int_log
 from .klapper import (HypothesisError, RankDistribution, eps_ell,
                       rank_distribution_l3l, rank_distribution_monomial)
 from .linpoly import FamilySpec, LinearizedPoly, elements_zech_order
-from .quadform import beta_class_counts, exp_sum_class_value
+from .quadform import beta_class_counts, exp_sum_class_value, form_symbols, form_terms
 
 VARIANTS = ("base", "0", "1", "2")
 DEFAULT_BUDGET = 1 << 32
@@ -280,34 +282,6 @@ _BLOCK_CELLS = 1 << 18
 _F32_EXACT = 1 << 24
 
 
-def _term_symbols(ctx: FieldCtx, sy: SymbolSystem, coeffs: np.ndarray, e: int,
-                  xs: slice) -> np.ndarray:
-    """Symbols of tr(c x^e) at the coordinates x = alpha^k, k in xs, one row per c.
-
-    With c = alpha^j the term is alpha^{j + (k e mod N)}: one gather from the
-    traces of the powers of alpha, no power table and no product; c = 0 gives
-    a zero row.
-    """
-    logs = ctx.log[coeffs]
-    out = sy.trace_pow[ctx.log_power_table(e)[xs] + logs[:, None]]
-    out[logs < 0] = 0
-    return out
-
-
-def _sum_symbols(sy: SymbolSystem, a: np.ndarray, b) -> np.ndarray:
-    """a + b over F_q symbols, through the flat addition table."""
-    return sy.add.ravel()[a.astype(np.intp) * sy.q + b]
-
-
-def _form_symbols(ctx: FieldCtx, sy: SymbolSystem, coeffs: np.ndarray,
-                  exps: tuple[int, ...], xs: slice) -> np.ndarray:
-    """Symbols of sum_i tr(c_i x^{e_i}) at x = alpha^k, k in xs, one row per row of coeffs."""
-    words = _term_symbols(ctx, sy, coeffs[:, 0], exps[0], xs)
-    for i in range(1, len(exps)):
-        words = _sum_symbols(sy, words, _term_symbols(ctx, sy, coeffs[:, i], exps[i], xs))
-    return words
-
-
 def build_codeword(ctx: FieldCtx, spec: CodeSpec, R: LinearizedPoly,
                    beta: int = 0, b_sym: int = 0) -> np.ndarray:
     """Symbol vector of one codeword (canonical F_q symbols)."""
@@ -318,16 +292,10 @@ def build_codeword(ctx: FieldCtx, spec: CodeSpec, R: LinearizedPoly,
         raise ValueError(f"variant {spec.variant} has no constant term")
     sy = ctx.symbols(fam.s)
     n = _length(ctx, spec)
-    terms = [(c, fam.q ** l + 1) for l, c in zip(R.q_exponents, R.coeffs) if c]
-    if beta:
-        terms.append((beta, 1))
-    if terms:
-        coeffs, exps = zip(*terms)
-        syms = _form_symbols(ctx, sy, np.array([coeffs]), exps, slice(0, n))[0]
-    else:
-        syms = np.zeros(n, dtype=np.int16)
+    coeffs, exps = form_terms(R, fam.q, beta)
+    syms = form_symbols(ctx, fam.s, [coeffs], exps, slice(0, n))[0]
     if b_sym:
-        syms = _sum_symbols(sy, syms, b_sym)
+        syms = sy.plus(syms, b_sym)
     return syms
 
 
@@ -395,8 +363,8 @@ def _brute_chunk(ctx: FieldCtx, spec: CodeSpec, collect: bool, lo: int, hi: int)
     comp_counts: dict[tuple[int, ...], int] = {}
     for start in range(lo, hi, block):
         ci = np.arange(start, min(start + block, hi), dtype=np.int64)
-        base = _form_symbols(ctx, sy, zech[ci[:, None] // places % ctx.order], exps,
-                             slice(0, n))
+        base = form_symbols(ctx, fam.s, zech[ci[:, None] // places % ctx.order], exps,
+                            slice(0, n))
         if with_beta:
             comp = _beta_compositions(ctx, sy, base, n_z)
         else:
@@ -433,9 +401,10 @@ def _beta_compositions(ctx: FieldCtx, sy: SymbolSystem, base: np.ndarray,
         w = xs.stop - x0
         x_rows = np.arange(w) * q
         u = np.zeros(order * w * q, dtype=np.float32)
-        u[(betas * (w * q))[:, None] + x_rows + _term_symbols(ctx, sy, betas, 1, xs)] = 1
+        traces = form_symbols(ctx, sy.d, betas[:, None], (1,), xs)
+        u[(betas * (w * q))[:, None] + x_rows + traces] = 1
         # the t with t + base = z is z - base
-        t = _sum_symbols(sy, neg_base[:, xs, None], z)
+        t = sy.plus(neg_base[:, xs, None], z)
         v = np.zeros(w * q * n_forms * n_z, dtype=np.float32)
         v[(x_rows[:, None] + t) * (n_forms * n_z) + cols] = 1
         acc += u.reshape(order, w * q) @ v.reshape(w * q, n_forms * n_z)

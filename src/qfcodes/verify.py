@@ -215,10 +215,11 @@ def criterion_6(budget: int, workers: int) -> CriterionResult:
         if sweep_work > budget:
             mode = "sampled"
             details["note"] = "budget below the exhaustive sweep; ran sampled checks only"
-            tally = None
         else:
-            tally, counts = klapper.tally_l3l_ranks(ctx, ell, workers=workers,
-                                                    return_counts=True)
+            profiles = klapper.tally_l3l_profiles(ctx, ell)
+            tally = {}  # the rank marginal
+            for (r, _), c in profiles.items():
+                tally[r] = tally.get(r, 0) + c
             expected = {m - 2 * j: fs[j] for j in range(4)} | {0: 1}
             details["tally"] = {str(k): v for k, v in sorted(tally.items())}
             if tally != expected:
@@ -232,18 +233,9 @@ def criterion_6(budget: int, workers: int) -> CriterionResult:
                 full = klapper.l3l_pair_profile(ctx, ell, g1, g2)
                 routes_ok &= (fast.rank, fast.type) == (full.rank, full.type)
             details["profile_routes_agree"] = routes_ok
-            # types are constant per rank: exhaustive for the rarest rank,
-            # 512 samples for each of the others
-            e = klapper.eps_ell(m, ell)
-            type_ok = routes_ok
-            for j, r in enumerate(range(m, m - 8, -2)):
-                members = np.nonzero(counts == p ** (m - r) - 1)[0]
-                pick = members if len(members) <= 2048 else \
-                    members[rng.choice(len(members), 512, replace=False)]
-                for code in pick:
-                    g1, g2 = int(code) % ctx.order, int(code) // ctx.order
-                    prof = klapper.l3l_pair_profile_fast(ctx, ell, g1, g2)
-                    type_ok &= (prof.rank, prof.type) == (r, (-1) ** j * e)
+            # every pair's type, exhaustively: rank m - 2jd carries (-1)^j eps_l
+            type_ok = routes_ok and profiles == (
+                klapper.rank_distribution_l3l(p, m, ell).as_dict() | {(0, None): 1})
             details["types_per_rank"] = type_ok
             if not type_ok:
                 return False, mode, details
@@ -274,10 +266,9 @@ def criterion_6(budget: int, workers: int) -> CriterionResult:
             for beta, b in draws:
                 syms = base
                 if beta:
-                    syms = spectra._sum_symbols(sy, syms, spectra._term_symbols(
-                        ctx, sy, np.array([beta]), 1, slice(0, ctx.mult_order))[0])
+                    syms = sy.plus(syms, quadform.form_symbols(ctx, 1, [[beta]], (1,))[0])
                 if b:
-                    syms = spectra._sum_symbols(sy, syms, b)
+                    syms = sy.plus(syms, b)
                 w = int(np.count_nonzero(syms != 0))
                 allowed = {spectra.weight_from_profile(p, m, r, eps, b == 0, cls)
                            for cls in quadform.BETA_CLASSES}

@@ -58,13 +58,17 @@ def test_hasse_weil_values():
 
 
 def test_point_routes_agree_random():
+    # one- and two-term R (a coefficient may be 0), beta = 0 included
     rng = np.random.default_rng(17)
-    ctx = gf.get_field(3, 4)
-    for _ in range(15):
-        g = int(rng.integers(1, 81))
-        beta = int(rng.integers(0, 81))
-        spec = CurveSpec(ctx, LinearizedPoly((1,), (g,), 1), beta)
-        assert curves.count_points(spec) == curves.count_points_by_solutions(spec)
+    for p, m in ((3, 4), (2, 6), (79, 2)):
+        ctx = gf.get_field(p, m)
+        for i in range(15):
+            g1, g2 = (int(v) for v in rng.integers(1, ctx.order, 2))
+            beta = 0 if i == 0 else int(rng.integers(0, ctx.order))
+            R = LinearizedPoly((1,), (g1,), 1) if i % 2 else \
+                LinearizedPoly((0, 1), (g2 * (i % 3 != 0), g1), 1)
+            spec = CurveSpec(ctx, R, beta)
+            assert curves.count_points(spec) == curves.count_points_by_solutions(spec)
 
 
 def test_scan_f16():

@@ -1,4 +1,5 @@
-import tracemalloc
+from collections import Counter
+from math import gcd
 
 import numpy as np
 import pytest
@@ -109,17 +110,21 @@ def test_l3l_errors():
 
 
 def test_pair_sweep_small_field_vs_scalar():
-    # the sweep machinery works on any odd-p field with even m; cross-check
-    # every pair against the general radical route on F_81
+    # the sweep machinery works on any odd-p field with even m; on F_81 the
+    # general quadform route (zero count cross-checked by discriminant), run
+    # on every g1 of the d + 1 orbit-representative rows and weighted by
+    # orbit size, gives the whole (rank, type) tally
     ctx = gf.get_field(3, 4)
-    tally, counts = klapper.tally_l3l_ranks(ctx, 1, return_counts=True)
-    assert sum(tally.values()) == 3 ** 8
-    rng = np.random.default_rng(9)
-    for _ in range(60):
-        g1, g2 = int(rng.integers(0, 81)), int(rng.integers(0, 81))
-        prof = klapper.l3l_pair_profile(ctx, 1, g1, g2)
-        nullity = round(np.log(counts[g1 + 81 * g2] + 1) / np.log(3))
-        assert 4 - nullity == prof.rank
+    N = ctx.mult_order
+    d = gcd(N, 3 + 1)
+    expected = Counter()
+    for weight, g2 in zip([1] + [N // d] * d, [0] + [int(g) for g in ctx.exp[:d]]):
+        for g1 in range(ctx.order):
+            prof = klapper.l3l_pair_profile(ctx, 1, g1, g2)
+            expected[(prof.rank, prof.type)] += weight
+    profiles = klapper.tally_l3l_profiles(ctx, 1)
+    assert sum(profiles.values()) == 3 ** 8
+    assert profiles == dict(expected)
 
 
 def test_pair_sweep_workers_match():
@@ -130,24 +135,26 @@ def test_pair_sweep_workers_match():
 
 @pytest.mark.parametrize("p,m", [(3, 4), (5, 4)])
 def test_orbit_tally_matches_direct_nullity(p, m):
-    # every pair's radical nullity by direct reduction, against the tally
-    # taken on orbit representatives and the per-pair array rebuilt from them
+    # every pair's rank and type by direct reduction, against the tally taken
+    # on orbit representatives
     ctx = gf.get_field(p, m)
-    grams3, grams1 = klapper._pair_grams(ctx, 1)
+    grams3, grams1 = klapper.pair_grams(ctx, 1)
     mats = grams3[None, :] + grams1[:, None]  # [g2, g1]
-    nullity = m - reduce_symmetric(mats.reshape(-1, m, m), p).rank
-    ranks, mult = np.unique(m - nullity, return_counts=True)
-    tally, counts = klapper.tally_l3l_ranks(ctx, 1, return_counts=True)
-    assert tally == dict(zip(ranks.tolist(), mult.tolist()))
-    assert counts.dtype == np.int32
-    assert np.array_equal(counts, p ** nullity.astype(np.int32) - 1)
+    red = reduce_symmetric(mats.reshape(-1, m, m), p)
+    direct = Counter((r, None if r == 0 else t) for r, t in zip(red.rank.tolist(),
+                                                                red.etas().tolist()))
+    profiles = klapper.tally_l3l_profiles(ctx, 1)
+    assert profiles == dict(direct)
+    ranks = Counter()
+    for (r, _), c in profiles.items():
+        ranks[r] += c
+    assert klapper.tally_l3l_ranks(ctx, 1) == dict(ranks)
 
 
 def test_tally_reaches_beyond_the_old_sweep():
-    # 3^20 pairs; checks the closed-form multiplicities at (3,10,1)
-    fs = klapper.l3l_constants(3, 10, 1)
-    tally = klapper.tally_l3l_ranks(gf.get_field(3, 10), 1)
-    assert tally == {10 - 2 * j: fs[j] for j in range(4)} | {0: 1}
+    # 3^20 pairs; checks the closed-form multiplicities and types at (3,10,1)
+    profiles = klapper.tally_l3l_profiles(gf.get_field(3, 10), 1)
+    assert profiles == klapper.rank_distribution_l3l(3, 10, 1).as_dict() | {(0, None): 1}
 
 
 @pytest.mark.parametrize("p", [3, 67, 131, 191])
@@ -160,15 +167,8 @@ def test_tally_guards():
     ctx = gf.get_field(3, 4)
     with pytest.raises(ValueError):
         klapper.tally_l3l_ranks(ctx, 1, workers=0)
-    ctx = gf.get_field(3, 10)
-    tracemalloc.start()
-    try:
-        with pytest.raises(HypothesisError):
-            klapper.tally_l3l_ranks(ctx, 1, return_counts=True)  # 3^20 pairs
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    with pytest.raises(HypothesisError):
+        klapper.tally_l3l_profiles(gf.get_field(2, 8), 1)
 
 
 def test_fast_profile_matches_general():

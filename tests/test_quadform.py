@@ -8,7 +8,7 @@ from qfcodes import gf, quadform, spectra
 from qfcodes.linpoly import FamilySpec
 from qfcodes.spectra import CodeSpec
 from qfcodes.verify import GRID
-from qfcodes.linpoly import LinearizedPoly
+from qfcodes.linpoly import LinearizedPoly, lin_eval
 from qfcodes.quadform import QuadForm, RankError
 
 
@@ -52,6 +52,34 @@ def test_f16_noncube_form():
     Q = form(2, 1, 4, (1,), (ctx.alpha,))
     assert quadform.rank(Q) == 4
     assert quadform.type_of(Q, 4) == 1
+
+
+def scalar_gram(Q):
+    """tr_{q/p} B(t^i, t^j) entry by entry, from scalar evaluations R(t^j)."""
+    ctx = Q.ctx
+    tr = ctx.symbols(1).trace_sym
+    basis = ctx.pvec.tolist()
+    R = [lin_eval(ctx, Q.R, b) for b in basis]
+    return np.array([[(int(tr[ctx.mul(a, Rb)]) + int(tr[ctx.mul(b, Ra)])) % ctx.p
+                      for b, Rb in zip(basis, R)] for a, Ra in zip(basis, R)])
+
+
+@pytest.mark.parametrize("p,s,m", [(2, 1, 4), (2, 2, 4), (3, 2, 2), (5, 1, 4), (3, 1, 8)])
+def test_gram_and_table_match_scalar_evaluation(p, s, m):
+    # one-, two- and three-term R, with zero coefficients, and the zero R
+    ctx = gf.get_field(p, s * m)
+    rng = np.random.default_rng(7 * p + s * m)
+    cases = [((1,), (0,))]
+    for k in (1, 2, 3, 3):
+        exps = tuple(sorted(rng.choice(m, min(k, m), replace=False).tolist()))
+        coeffs = rng.integers(1, ctx.order, len(exps)).tolist()
+        if k == 3:
+            coeffs[int(rng.integers(0, len(exps)))] = 0
+        cases.append((exps, tuple(coeffs)))
+    for exps, coeffs in cases:
+        Q = form(p, s, m, exps, coeffs)
+        assert np.array_equal(Q.gram(), scalar_gram(Q))
+        assert Q.sym_table().tolist() == [Q.value_sym(x) for x in range(ctx.order)]
 
 
 def test_count_and_sum_values():
