@@ -15,8 +15,8 @@ import sys
 from . import curves, klapper, spectra, verify
 from .gf import FieldCtx, FieldError, get_field
 from .klapper import HypothesisError
-from .linpoly import FamilySpec, LinearizedPoly
-from .quadform import QuadForm, profile as qf_profile
+from .linpoly import FamilySpec, LinearizedPoly, family_coeffs
+from .quadform import PROFILE_CELLS, RankError, form_profiles
 from .spectra import BudgetError, CodeSpec, DEFAULT_BUDGET
 
 EXIT_OK, EXIT_USAGE, EXIT_MISMATCH, EXIT_BUDGET = 0, 1, 2, 3
@@ -28,9 +28,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _default_budget() -> int:
-    env = os.environ.get("QFCODES_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+def _default_budget() -> int | str:
+    """QFCODES_BUDGET as given, else the default; argparse runs a string through _budget."""
+    return os.environ.get("QFCODES_BUDGET") or DEFAULT_BUDGET
 
 
 def _workers(text: str) -> int:
@@ -41,8 +41,8 @@ def _workers(text: str) -> int:
     return n
 
 
-def _pair_budget(text: str) -> int:
-    """--pair-budget value: at least 0."""
+def _budget(text: str) -> int:
+    """--budget and --pair-budget value: an integer, at least 0."""
     n = int(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
@@ -106,21 +106,39 @@ def _family_and_ctx(args) -> tuple[str, list[int], FieldCtx, FamilySpec]:
     return kind, ells, ctx, fam
 
 
+def _even_rank_profiles(ctx, fam: FamilySpec, rows) -> tuple:
+    """form_profiles of nonzero forms; a rank-0 form raises HypothesisError.
+
+    The first failing form in row order is the one reported: when a block
+    raises RankError, its halves are profiled in turn, so a rank-0 form
+    ahead of the failing one is still named.
+    """
+    try:
+        ranks, types = form_profiles(ctx, fam.s, rows, fam.exponents)
+    except RankError:
+        if len(rows) == 1:
+            raise
+        _even_rank_profiles(ctx, fam, rows[: len(rows) // 2])
+        return _even_rank_profiles(ctx, fam, rows[len(rows) // 2:])  # raises
+    if (ranks == 0).any():
+        raise HypothesisError("family is not an even-rank family (rank 0)")
+    return ranks, types
+
+
 def _measured_distribution(ctx, fam: FamilySpec, budget: int) -> klapper.RankDistribution:
-    """Rank distribution of an arbitrary family by exhaustive classification."""
-    from .linpoly import enumerate_family
+    """Rank distribution of an arbitrary family by exhaustive classification.
+
+    The coefficient rows are held one block of PROFILE_CELLS rows at a time.
+    """
     n_forms = ctx.order ** len(fam.exponents)
     if n_forms * (fam.m ** 3) > budget:
         raise BudgetError(f"{n_forms} forms exceed the classification budget")
     counts: dict[tuple[int, int], int] = {}
-    for R in enumerate_family(ctx, fam):
-        if R.is_zero:
-            continue
-        prof = qf_profile(QuadForm(ctx, fam.s, fam.m, R))
-        if prof.rank % 2 or prof.rank == 0:
-            raise HypothesisError(f"family is not an even-rank family (rank {prof.rank})")
-        key = (prof.rank, prof.type)
-        counts[key] = counts.get(key, 0) + 1
+    for lo in range(0, n_forms, PROFILE_CELLS):
+        rows = family_coeffs(ctx, fam, lo, min(lo + PROFILE_CELLS, n_forms))
+        ranks, types = _even_rank_profiles(ctx, fam, rows[rows.any(axis=1)])
+        for key in zip(ranks.tolist(), types.tolist()):
+            counts[key] = counts.get(key, 0) + 1
     ordered = tuple((r, e, c) for (r, e), c in
                     sorted(counts.items(), key=lambda kv: (-kv[0][0], -kv[0][1])))
     return klapper.RankDistribution(q=fam.q, m=fam.m, counts=ordered)
@@ -292,7 +310,7 @@ def _add_common(sp, with_family=True):
         sp.add_argument("--family", required=True, help="mono:L, l3l:L or span:L1,L2,..")
         sp.add_argument("--variant", default="base", choices=spectra.VARIANTS)
         sp.add_argument("--method", default="predict", choices=("predict", "brute", "both"))
-    sp.add_argument("--budget", type=int, default=_default_budget(),
+    sp.add_argument("--budget", type=_budget, default=_default_budget(),
                     help="max symbol evaluations for brute work")
     sp.add_argument("--workers", type=_workers, default=1)
     sp.add_argument("--format", default="json", choices=("json", "csv", "text"))
@@ -319,13 +337,13 @@ def build_parser() -> _Parser:
     sp.add_argument("--scan", action="store_true", help="sweep all gamma classes")
     sp.add_argument("--witness", action="store_true",
                     help="search the two-monomial family for an optimal curve")
-    sp.add_argument("--pair-budget", type=_pair_budget, default=None)
-    sp.add_argument("--budget", type=int, default=_default_budget())
+    sp.add_argument("--pair-budget", type=_budget, default=None)
+    sp.add_argument("--budget", type=_budget, default=_default_budget())
     sp.add_argument("--format", default="json", choices=("json", "csv", "text"))
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_curves)
     sp = sub.add_parser("verify", help="run the full acceptance grid")
-    sp.add_argument("--budget", type=int, default=_default_budget())
+    sp.add_argument("--budget", type=_budget, default=_default_budget())
     sp.add_argument("--workers", type=_workers, default=1)
     sp.add_argument("--json", default=None, help="write the report to a file")
     sp.set_defaults(fn=cmd_verify)

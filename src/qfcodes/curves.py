@@ -7,7 +7,9 @@ against the genus bound and by the weight class of the attached codeword;
 disagreement between the two routes raises.
 
 Every trace-form table here (the single-curve trace count, the per-gamma
-scan forms) comes from quadform.form_table, one log-domain gather per term.
+scan forms) comes from quadform.form_table, one log-domain gather per term,
+and every rank and type (the witness search's pair ranks included) from
+quadform.form_profiles.
 Sweeps over all beta (scan_monomial, the witness search) read their point
 counts from quadform.value_histograms, one exhaustive histogram per form.
 count_points_by_solutions stays an independent (x, y) enumeration through
@@ -23,12 +25,11 @@ import numpy as np
 
 from .gf import FieldCtx, FieldError
 from .klapper import (HypothesisError, MonomialClassification, classify_monomial, eps_ell,
-                      l3l_poly, l3l_pair_profile, pair_grams)
-from .linalg import reduce_symmetric
+                      l3l_poly, l3l_pair_profile)
 from .linpoly import LinearizedPoly, lin_eval_table
 from .quadform import (QuadForm, QuadFormProfile, beta_class_counts, exp_sum_class_value,
-                       form_table, form_terms, frequencies, profile as qf_profile,
-                       value_histograms)
+                       form_profiles, form_table, form_terms, frequencies,
+                       profile as qf_profile, value_histograms)
 
 
 class CurveCountError(RuntimeError):
@@ -295,19 +296,19 @@ def l3l_optimal_witness(ctx: FieldCtx, ell: int,
         pair_budget = ctx.order ** 2
     if pair_budget < 0:
         raise ValueError(f"pair_budget must be >= 0, got {pair_budget}")
-    grams3, grams1 = pair_grams(ctx, ell)
+    g2s = np.arange(ctx.order, dtype=np.int64)
     checked = 0
     hit = None
     for g1 in [0] + [int(v) for v in ctx.exp[: ctx.mult_order]]:
         if checked >= pair_budget:
             break
         take = min(ctx.order, pair_budget - checked)
-        nullities = m - reduce_symmetric(grams3[g1] + grams1[:take], p).rank
+        rows = np.column_stack([g2s[:take], np.full(take, g1)])
+        ranks, _ = form_profiles(ctx, 1, rows, (ell, 3 * ell), count=False)
         checked += take
-        for g2 in np.nonzero(nullities == 6 * ell)[0]:
-            hit = (g1, int(g2))
-            break
-        if hit:
+        hits = np.flatnonzero(ranks == target_rank)
+        if len(hits):
+            hit = (g1, int(hits[0]))
             break
     if hit is None:
         if checked >= ctx.order ** 2:

@@ -6,7 +6,9 @@ the t = L/2 class, so no discrete logarithm is ever computed.  The module
 also carries the rank-multiplicity constants for the one- and two-monomial
 families, and an exhaustive (rank, type) tally over all (gamma_1, gamma_2)
 pairs, taken on x -> cx orbit representatives, that verifies the
-two-monomial distribution in full, types included.
+two-monomial distribution in full, types included.  Every pair's rank and
+type, one pair or a whole orbit row at a time, comes from
+quadform.form_profiles.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ from math import gcd
 
 import numpy as np
 
-from .gf import FieldCtx, FieldError, int_dtype, is_prime
-from .linalg import reduce_symmetric
+from .gf import FieldCtx, FieldError, is_prime
 from .linpoly import LinearizedPoly
-from .quadform import QuadForm, QuadFormProfile, gram_exponents, profile as qf_profile
+from .quadform import QuadForm, QuadFormProfile, form_profiles, profile as qf_profile
 
 
 class HypothesisError(ValueError):
@@ -190,39 +191,8 @@ def l3l_pair_profile_fast(ctx: FieldCtx, ell: int, g1: int, g2: int) -> QuadForm
     """
     if ctx.p == 2:
         raise HypothesisError("fast profile targets odd characteristic")
-    red = QuadForm(ctx, 1, ctx.n, l3l_poly(ctx, ell, g1, g2)).reduction()
-    rank = int(red.rank[0])
-    if rank == 0:
-        return QuadFormProfile(rank=0, type=None)
-    if rank % 2 != 0:
-        raise HypothesisError(f"odd bilinear rank {rank} in the pair family")
-    return QuadFormProfile(rank=rank, type=red.eta())
-
-
-def pair_grams(ctx: FieldCtx, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-gamma F_p Gram stacks of y -> g y^{p^L} + (g y)^{p^{-L}} for L = 3l and l.
-
-    G[g][i, j] = tr(t^i E_g(t^j)) in the digit basis t^i = p^i is symmetric and
-    linear in g, so the Gram of a pair (g1, g2) is G3[g1] + G1[g2] (mod p), the
-    Gram of QuadForm.gram(); row g is indexed by the element g.  Column (i, j)
-    over g = alpha^k, k < N, is the contiguous slice tr(alpha^{k + e[i, j]}) of
-    the trace symbols, e = gram_exponents(ctx, L).  Entries lie in [0, p), in
-    a dtype that holds the sum of two.
-    """
-    p, m, N = ctx.p, ctx.n, ctx.mult_order
-    tp = ctx.symbols(1).trace_pow.astype(int_dtype(2 * p))
-
-    def build(L: int) -> np.ndarray:
-        e = gram_exponents(ctx, L)
-        S = np.empty((N, m, m), dtype=tp.dtype)
-        for i in range(m):
-            for j in range(m):
-                S[:, i, j] = tp[e[i, j]: e[i, j] + N]
-        out = np.zeros((ctx.order, m, m), dtype=tp.dtype)
-        out[ctx.exp[:N]] = (S + S.transpose(0, 2, 1)) % p
-        return out
-
-    return build(3 * ell), build(ell)
+    rank, eps = form_profiles(ctx, 1, [[g2, g1]], (ell, 3 * ell), count=False)
+    return QuadFormProfile(rank=int(rank[0]), type=int(eps[0]) or None)
 
 
 def tally_l3l_profiles(ctx: FieldCtx, ell: int) -> dict[tuple[int, int | None], int]:
@@ -233,9 +203,8 @@ def tally_l3l_profiles(ctx: FieldCtx, ell: int) -> dict[tuple[int, int | None], 
     orbits.  With d = gcd(p^m-1, p^l+1) the rows g2 = alpha^r, r < d, meet
     every orbit with g2 != 0, and each stands for (p^m-1)/d rows:
     c^{p^l+1} = 1 forces c^{p^{3l}+1} = 1 because p^l+1 divides p^{3l}+1, so
-    the induced permutation of g1 is well defined.  Every g1 on those d rows
-    and on g2 = 0 gets its rank and type from one batched congruence
-    reduction of the pair Gram stack per row.
+    the induced permutation of g1 is well defined.  Each of those d rows and
+    g2 = 0 is one form_profiles call over every g1, by the discriminant route.
 
     Returns {(rank, type): multiplicity} covering all p^{2m} pairs, ranks
     descending; the zero pair (and any other rank-0 pair) has type None.
@@ -245,12 +214,12 @@ def tally_l3l_profiles(ctx: FieldCtx, ell: int) -> dict[tuple[int, int | None], 
         raise HypothesisError("the two-monomial family sweep targets odd p")
     N = ctx.mult_order
     d = gcd(N, p ** ell + 1)
-    grams3, grams1 = pair_grams(ctx, ell)
+    g1 = np.arange(ctx.order, dtype=np.int64)
     hist = np.zeros(2 * (m + 1), dtype=np.int64)  # index 2 rank + (type == +1)
     for weight, g2 in zip([1] + [N // d] * d, [0] + [int(g) for g in ctx.exp[:d]]):
-        red = reduce_symmetric(grams3 + grams1[g2], p)
-        hist += weight * np.bincount(2 * red.rank + (red.etas() > 0), minlength=2 * (m + 1))
-    # a rank-0 matrix has disc 1, so its key is 1
+        rows = np.column_stack([np.full_like(g1, g2), g1])
+        rank, eps = form_profiles(ctx, 1, rows, (ell, 3 * ell), count=False)
+        hist += weight * np.bincount(2 * rank + (eps > 0), minlength=2 * (m + 1))
     return {(k // 2, None if k < 2 else 1 if k % 2 else -1): int(hist[k])
             for k in np.flatnonzero(hist)[::-1].tolist()}
 

@@ -1,9 +1,10 @@
 """Congruence reduction of stacks of symmetric matrices over a prime field F_p.
 
-Every rank, type and kernel in the package comes from reduce_symmetric.  A
-symmetric A is carried to a block-diagonal P^T A P one pivot at a time: a
-nonzero diagonal entry d gives a 1x1 block, and when the whole remaining
-diagonal is zero a nonzero A_ij gives the hyperbolic block [[0, a], [a, 0]].
+Every rank, type and kernel in the package comes from reduce_symmetric,
+through its one caller, quadform.form_profiles.  A symmetric A is carried to
+a block-diagonal P^T A P one pivot at a time: a nonzero diagonal entry d
+gives a 1x1 block, and when the whole remaining diagonal is zero a nonzero
+A_ij gives the hyperbolic block [[0, a], [a, 0]].
 Either way the Schur update
 
     A <- A - (A_.i A_j. + A_.j A_i.) / a      (i = j, one term, for a 1x1 pivot)
@@ -18,6 +19,7 @@ update spans [-2(p-1)^2, p), so the working dtype is chosen from p.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,18 +35,9 @@ class Reduction:
     disc: np.ndarray
     basis: np.ndarray | None = None  # (B, n, n): the column operations P
 
-    def eta(self, b: int = 0) -> int:
-        """eta_p((-1)^{rank/2} disc), p odd: the type (+1 or -1) of an even-rank form."""
-        u = (-1) ** (int(self.rank[b]) // 2) * int(self.disc[b]) % self.p
-        return 1 if pow(u, (self.p - 1) // 2, self.p) == 1 else -1
-
     def etas(self) -> np.ndarray:
-        """eta() of every matrix at once, read from a table of the squares mod p."""
-        p = self.p
-        square = np.zeros(p, dtype=bool)
-        square[np.arange(1, p, dtype=np.int64) ** 2 % p] = True
-        u = np.where(self.rank // 2 % 2, -self.disc, self.disc) % p
-        return np.where(square[u], 1, -1)
+        """eta_p((-1)^{rank/2} disc) per matrix, p odd: the type (+1 or -1) of an even-rank form."""
+        return _eta_table(self.p)[self.rank // 2 % 2, self.disc]
 
     def kernel(self, b: int = 0) -> np.ndarray:
         """(n, n - rank[b]) matrix whose columns are a basis of ker mats[b].
@@ -54,6 +47,15 @@ class Reduction:
         """
         P = self.basis[b]
         return P[:, P.any(axis=0)]
+
+
+@lru_cache(maxsize=None)
+def _eta_table(p: int) -> np.ndarray:
+    """eta[k, u] = eta_p((-1)^k u): +1 when (-1)^k u is a nonzero square mod p, else -1."""
+    square = np.zeros(p, dtype=bool)
+    square[np.arange(1, p, dtype=np.int64) ** 2 % p] = True
+    u = np.arange(p)
+    return np.where(square[np.stack([u, -u % p])], 1, -1)
 
 
 def reduce_symmetric(mats: np.ndarray, p: int, kernel: bool = False) -> Reduction:
@@ -67,11 +69,11 @@ def reduce_symmetric(mats: np.ndarray, p: int, kernel: bool = False) -> Reductio
     disc = np.ones(B, dtype=np.int64)
     P = np.broadcast_to(np.eye(n, dtype=dt), a.shape).copy() if kernel else None
     for _ in range(n):
-        nz = np.diagonal(a, axis1=1, axis2=2) != 0
-        i = nz.argmax(axis=1)
-        j = i.copy()
-        pair = np.flatnonzero(~nz[bs, i])  # no nonzero diagonal entry is left
+        nz = a.diagonal(0, 1, 2) != 0
+        i = j = nz.argmax(axis=1)
+        pair = (~nz[bs, i]).nonzero()[0]  # no nonzero diagonal entry is left
         if len(pair):
+            j = i.copy()
             flat = (a[pair].reshape(len(pair), -1) != 0).argmax(axis=1)
             i[pair], j[pair] = np.divmod(flat, n)
         row_i, row_j = a[bs, i], a[bs, j]

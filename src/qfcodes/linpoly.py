@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -91,19 +90,15 @@ def elements_zech_order(ctx: FieldCtx) -> np.ndarray:
     return np.concatenate([[0], ctx.exp[: ctx.mult_order]]).astype(np.int64)
 
 
-def enumerate_family(ctx: FieldCtx, family: FamilySpec) -> Iterator[LinearizedPoly]:
-    """All (q^m)^s coefficient tuples exactly once, lexicographic in Zech order."""
+def family_coeffs(ctx: FieldCtx, family: FamilySpec, lo: int, hi: int) -> np.ndarray:
+    """Coefficient rows lo..hi-1 of the family's (q^m)^k members, lexicographic in Zech order.
+
+    With k = len(exponents), entry j of row i is element number
+    (i // q^{m(k-1-j)}) mod q^m of elements_zech_order: row 0 is the zero
+    polynomial and the last coefficient runs fastest.
+    """
     if ctx.p != family.p or ctx.n != family.n:
         raise FieldError("field context does not match family parameters")
-    order = elements_zech_order(ctx)
-    exps = family.exponents
-    s = family.s
-
-    def rec(prefix: tuple[int, ...]) -> Iterator[LinearizedPoly]:
-        if len(prefix) == len(exps):
-            yield LinearizedPoly(q_exponents=exps, coeffs=prefix, base_q_degree=s)
-            return
-        for c in order:
-            yield from rec(prefix + (int(c),))
-
-    yield from rec(())
+    places = ctx.order ** np.arange(len(family.exponents), dtype=np.int64)[::-1]
+    i = np.arange(lo, hi, dtype=np.int64)
+    return elements_zech_order(ctx)[i[:, None] // places % ctx.order]

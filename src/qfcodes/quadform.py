@@ -1,13 +1,17 @@
 """Quadratic trace forms Q_R(x) = tr_{q^m/q}(x R(x)): rank, type, counts, sums.
 
-Rank and type come from one congruence reduction (linalg.reduce_symmetric)
-of the Gram matrix over F_p of tr_{q/p} B, where B(x,y) = Q(x+y) - Q(x) - Q(y)
+Every rank and type in the package comes from form_profiles, which takes a
+stack of forms and gives each block of them one congruence reduction
+(linalg.reduce_symmetric) of their Gram matrices over F_p of tr_{q/p} B
+(form_grams), where B(x,y) = Q(x+y) - Q(x) - Q(y)
 and tr_{q/p} B(x, y) = tr_{q^m/p}(x R(y) + y R(x)).  Three exact facts move
 the work from F_q to F_p: tr_{q/p} B has s times the F_q rank of B; for odd p
 the type is eta_p((-1)^{r_p/2} disc), because Q and tr_{q/p} Q have the same
 Gauss sum; and for p = 2, where the radical also needs Q(y) = 0 inside ker B
 and Q is additive there, the radical is ker B or a hyperplane of it according
-as Q vanishes on a kernel basis or not.  Exponential sums are integers
+as Q vanishes on a kernel basis or not.  On fields up to COUNT_LIMIT the
+type is also solved from the zero count of a value table, and the two
+routes must agree.  Exponential sums are integers
 (S_{Q,b}(beta) = q N_{Q,beta}(-b) - q^m); no complex arithmetic appears.
 
 Every trace-form symbol table in the package (Q's values, codewords, curve
@@ -26,15 +30,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .gf import FieldCtx, FieldError
-from .linalg import Reduction, reduce_symmetric
+from .gf import FieldCtx, FieldError, int_dtype
+from .linalg import reduce_symmetric
 from .linpoly import LinearizedPoly, lin_eval
 
 BETA_CLASSES = ("null", "major", "minor")
-# largest field on which type_of counts zeros (and cross-checks the discriminant)
+# largest field on which form_profiles counts zeros (and cross-checks the discriminant)
 COUNT_LIMIT = 1 << 16
 
 
@@ -60,7 +65,6 @@ class QuadForm:
         self.q = ctx.p ** s
         self.R = R
         self._syms: np.ndarray | None = None
-        self._reduction: Reduction | None = None
 
     def value_sym(self, x: int) -> int:
         """Q(x) as a canonical F_q symbol."""
@@ -73,27 +77,6 @@ class QuadForm:
             coeffs, exps = form_terms(self.R, self.q)
             self._syms = form_table(self.ctx, self.s, [coeffs], exps)[0]
         return self._syms
-
-    def gram(self) -> np.ndarray:
-        """Gram matrix over F_p of tr_{q/p} B in the digit basis t^i = p^i, i < n.
-
-        tr(t^i R(t^j)) is a sum over the terms c x^{q^l} of tr(c t^i (t^j)^{q^l}):
-        one gather per term from the traces of the powers of alpha.
-        """
-        ctx = self.ctx
-        tp = ctx.symbols(1).trace_pow
-        t = np.zeros((ctx.n, ctx.n), dtype=np.int64)
-        for l, c in zip(self.R.q_exponents, self.R.coeffs):
-            if c:
-                t += tp[ctx.log[c] + gram_exponents(ctx, self.s * l)]
-        return (t + t.T) % ctx.p
-
-    def reduction(self) -> Reduction:
-        """The congruence reduction of gram() (cached), with the kernel that p = 2 needs."""
-        if self._reduction is None:
-            p = self.ctx.p
-            self._reduction = reduce_symmetric(self.gram()[None], p, kernel=p == 2)
-        return self._reduction
 
 
 def form_terms(R: LinearizedPoly, q: int, beta: int = 0) -> tuple[list[int], tuple[int, ...]]:
@@ -134,76 +117,105 @@ def form_table(ctx: FieldCtx, s: int, coeffs, exps: tuple[int, ...]) -> np.ndarr
     return out
 
 
+@lru_cache(maxsize=256)
 def gram_exponents(ctx: FieldCtx, j: int) -> np.ndarray:
     """e[a, b] = log(t^a (t^b)^{p^j}) mod N in the digit basis t^a = p^a.
 
     So tr(c t^a (t^b)^{p^j}) = tr(alpha^{log c + e[a, b]}) is one gather of
     the traces of the powers of alpha, for every entry of a Gram term.
+    Cached per (field, j), because every one-form profile needs it; callers
+    only read it.
     """
     N = ctx.mult_order
     logs = ctx.log[ctx.pvec]
     return (logs[:, None] + logs[None, :] * pow(ctx.p, j, N)) % N
 
 
-def rank(Q: QuadForm) -> int:
-    r_p = int(Q.reduction().rank[0])
-    if Q.ctx.p != 2:
-        return r_p // Q.s
-    # char 2: Q is additive on ker B and Q(c y) = c^2 Q(y), so the radical
-    # {y in ker B : Q(y) = 0} is ker B or an F_q-hyperplane of it
-    kernel = Q.ctx.pvec @ Q.reduction().kernel()
-    return Q.m - (Q.ctx.n - r_p) // Q.s + any(Q.value_sym(int(y)) for y in kernel)
+def form_grams(ctx: FieldCtx, s: int, coeffs, ls: tuple[int, ...]) -> np.ndarray:
+    """(B, n, n) Gram stacks over F_p of tr_{q/p} B for R = sum_i c_i x^{q^{l_i}}.
+
+    coeffs is a (B, len(ls)) array of field elements, one form per row.
+    Entry (a, b) is tr(t^a R(t^b)) + tr(t^b R(t^a)) in the digit basis
+    t^a = p^a, and a term c x^{q^l} contributes tr(alpha^{log c + e[a, b]}),
+    e = gram_exponents(ctx, s l): one gather per term, c = 0 giving a zero term.
+    """
+    p, n = ctx.p, ctx.n
+    tp = ctx.symbols(1).trace_pow
+    logs = ctx.log[np.asarray(coeffs, dtype=np.int64)]
+    live = (logs >= 0)[:, :, None, None]
+    t = np.zeros((len(logs), n, n), dtype=int_dtype(2 * p * max(1, len(ls))))
+    for k, l in enumerate(ls):
+        t += tp[logs[:, k, None, None] + gram_exponents(ctx, s * l)] * live[:, k]
+    return (t + t.transpose(0, 2, 1)) % p
 
 
-def _count_zeros(Q: QuadForm) -> int:
-    return int(np.count_nonzero(Q.sym_table() == 0))
+# Gram and value-table cells one form_profiles block may hold
+PROFILE_CELLS = 1 << 16
 
 
-def type_by_count(Q: QuadForm, r: int) -> int:
-    """Solve N_Q(0) = q^{m-1} + eps (q-1) q^{m-r/2-1} for eps by exhaustive count."""
-    q, m = Q.q, Q.m
-    n0 = _count_zeros(Q)
-    dev = Fraction(q - 1) * Fraction(q) ** (m - r // 2 - 1)
-    base = Fraction(q) ** (m - 1)
-    if n0 == base + dev:
-        return 1
-    if n0 == base - dev:
-        return -1
-    raise RankError(f"zero count {n0} matches neither type at rank {r}")
+def form_profiles(ctx: FieldCtx, s: int, coeffs, ls: tuple[int, ...],
+                  count: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """(rank, type) of Q_R for R = sum_i c_i x^{q^{l_i}}, one per row of a (B, len(ls)) coeffs.
 
-
-def type_by_discriminant(Q: QuadForm, r: int) -> int:
-    """Odd characteristic: eps = eta_p((-1)^{r_p/2} disc) of tr_{q/p} B, with r_p = s r."""
-    if Q.ctx.p == 2:
-        raise RankError("discriminant route needs odd characteristic")
-    red = Q.reduction()
-    r_p = int(red.rank[0])
-    if r_p != Q.s * r:
-        raise RankError(f"bilinear rank {r_p} over F_p disagrees with quadratic rank {r}")
-    return red.eta()
-
-
-def type_of(Q: QuadForm, r: int) -> int:
-    """Type of an even-rank form; counting route, cross-checked by discriminant."""
-    if r % 2 != 0:
-        raise RankError(f"type is defined for even rank only, got {r}")
-    if r == 0:
-        raise RankError("rank 0: the zero form carries no type flag")
-    if Q.ctx.order <= COUNT_LIMIT:
-        eps = type_by_count(Q, r)
-        if Q.ctx.p != 2:
-            alt = type_by_discriminant(Q, r)
-            if alt != eps:
-                raise RankError("discriminant route disagrees with counting route")
-        return eps
-    if Q.ctx.p == 2:
-        raise RankError("field too large for the characteristic-2 counting route")
-    return type_by_discriminant(Q, r)
+    Each block of forms under PROFILE_CELLS gets one congruence reduction of
+    its form_grams.  Odd p: the rank is r_p / s and the type eta_p((-1)^{r_p/2} disc).
+    p = 2: ker B is read off the reduction and the radical is ker B or a
+    hyperplane of it as Q vanishes on a kernel basis or not (Q by scalar
+    lin_eval).  With count (always for p = 2), on fields of order up to
+    COUNT_LIMIT, the type is solved from the zero count
+    N_Q(0) = q^{m-1} + eps (q-1) q^{m-r/2-1} of a value table, and for odd p
+    it must equal the discriminant's.  Returns int arrays; type 0 at rank 0.
+    The first failing row raises RankError: odd rank, a zero count of
+    neither type, disagreeing routes, or p = 2 past COUNT_LIMIT.
+    """
+    p, n = ctx.p, ctx.n
+    m, q = n // s, p ** s
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    counting = (count or p == 2) and ctx.order <= COUNT_LIMIT
+    block = max(1, PROFILE_CELLS // (n * n + ctx.order * counting))
+    rank = np.empty(len(coeffs), dtype=np.int64)
+    eps = np.empty(len(coeffs), dtype=np.int64)
+    for lo in range(0, len(coeffs), block):
+        rows = coeffs[lo: lo + block]
+        red = reduce_symmetric(form_grams(ctx, s, rows, ls), p, kernel=p == 2)
+        if p == 2:
+            # Q is additive on ker B and Q(c y) = c^2 Q(y), so the radical
+            # {y in ker B : Q(y) = 0} is ker B or an F_q-hyperplane of it
+            r = m - (n - red.rank) // s
+            for b in np.flatnonzero(red.rank < n).tolist():
+                Q = QuadForm(ctx, s, m, LinearizedPoly(ls, tuple(rows[b].tolist()), s))
+                r[b] += any(Q.value_sym(y) for y in (ctx.pvec @ red.kernel(b)).tolist())
+            e = 0  # the zero count gives the type
+        else:
+            r, e = red.rank // s, red.etas()
+        odd = r % 2
+        if counting:
+            table = form_table(ctx, s, rows, tuple(q ** l + 1 for l in ls))
+            n0 = np.count_nonzero(table == 0, axis=1)
+            base, dev = q ** (m - 1), (q - 1) * q ** (m - 1 - r // 2)
+            if p == 2:
+                e = np.where(n0 == base + dev, 1, -1)
+            # odd rows are bad already; an even row of positive rank needs its count
+            bad = odd | (r > 0) & (n0 != base + e * dev)
+        else:
+            bad = odd | (r > 0) if p == 2 else odd
+        if bad.any():
+            i = int(bad.argmax())
+            if odd[i]:
+                raise RankError(f"type is defined for even rank only, got {r[i]}")
+            if not counting:
+                raise RankError("field too large for the characteristic-2 counting route")
+            if abs(n0[i] - base) != dev[i]:
+                raise RankError(f"zero count {n0[i]} matches neither type at rank {r[i]}")
+            raise RankError("discriminant route disagrees with counting route")
+        rank[lo: lo + block] = r
+        eps[lo: lo + block] = np.where(r > 0, e, 0)
+    return rank, eps
 
 
 def profile(Q: QuadForm) -> QuadFormProfile:
-    r = rank(Q)
-    return QuadFormProfile(rank=r, type=None if r == 0 else type_of(Q, r))
+    rank, eps = form_profiles(Q.ctx, Q.s, [Q.R.coeffs], Q.R.q_exponents)
+    return QuadFormProfile(rank=int(rank[0]), type=int(eps[0]) or None)
 
 
 # -- solution counts and exponential sums -------------------------------------
@@ -365,10 +377,8 @@ class SumDistributionReport:
 
 def verify_sum_distribution(Q: QuadForm) -> SumDistributionReport:
     """Tally all beta for b = 0 and each b != 0 from one histogram; compare with the closed forms."""
-    r = rank(Q)
-    if r % 2 != 0:
-        raise RankError("the sum-distribution check needs even rank")
-    eps = 1 if r == 0 else type_of(Q, r)
+    prof = profile(Q)
+    r, eps = prof.rank, prof.type or 1
     q, m = Q.q, Q.m
     hist = _beta_histogram(Q)
     mismatches = []

@@ -25,7 +25,7 @@ import numpy as np
 from .gf import FieldCtx, FieldError, SymbolSystem, int_log
 from .klapper import (HypothesisError, RankDistribution, eps_ell,
                       rank_distribution_l3l, rank_distribution_monomial)
-from .linpoly import FamilySpec, LinearizedPoly, elements_zech_order
+from .linpoly import FamilySpec, LinearizedPoly, family_coeffs
 from .quadform import beta_class_counts, exp_sum_class_value, form_symbols, form_terms
 
 VARIANTS = ("base", "0", "1", "2")
@@ -339,18 +339,16 @@ def brute_spectrum(ctx: FieldCtx, spec: CodeSpec, budget: int = DEFAULT_BUDGET,
 def _brute_chunk(ctx: FieldCtx, spec: CodeSpec, collect: bool, lo: int, hi: int):
     """Weight histogram (and compositions) over coefficient indices [lo, hi).
 
-    Index ci names the coefficient tuple whose i-th entry is element number
-    (ci // order^i) % order in Zech order; each index covers every beta and
-    b of the variant.  A block of indices is enumerated at once: its base
-    words take one gather per term, and their symbol compositions one
-    bincount, or over every beta one indicator product per x-tile
+    Index i names row i of linpoly.family_coeffs; each index covers every
+    beta and b of the variant.  A block of indices is enumerated at once:
+    its base words take one gather per term, and their symbol compositions
+    one bincount, or over every beta one indicator product per x-tile
     (`_beta_compositions`).  Returns (counts by weight 0..n, {composition: count}).
     """
     fam = spec.family
     q = fam.q
     n = _length(ctx, spec)
     sy = ctx.symbols(fam.s)
-    zech = elements_zech_order(ctx)
     exps = tuple(q ** l + 1 for l in fam.exponents)
     with_beta = spec.variant in ("1", "2")
     # word + b over all b has the weights n - #{word = z} over all symbols z
@@ -358,18 +356,16 @@ def _brute_chunk(ctx: FieldCtx, spec: CodeSpec, collect: bool, lo: int, hi: int)
     n_z = q if collect or with_b else 1
     words_per_form = ctx.order if with_beta else 1
     block = max(1, min(_BLOCK_CELLS // n, _BLOCK_CELLS // (words_per_form * n_z)))
-    places = ctx.order ** np.arange(len(exps), dtype=np.int64)
     weight_hist = np.zeros(n + 1, dtype=np.int64)
     comp_counts: dict[tuple[int, ...], int] = {}
     for start in range(lo, hi, block):
-        ci = np.arange(start, min(start + block, hi), dtype=np.int64)
-        base = form_symbols(ctx, fam.s, zech[ci[:, None] // places % ctx.order], exps,
-                            slice(0, n))
+        coeffs = family_coeffs(ctx, fam, start, min(start + block, hi))
+        base = form_symbols(ctx, fam.s, coeffs, exps, slice(0, n))
         if with_beta:
             comp = _beta_compositions(ctx, sy, base, n_z)
         else:
-            cells = (np.arange(len(ci))[:, None] * q + base).ravel()
-            comp = np.bincount(cells, minlength=len(ci) * q).reshape(-1, q)
+            cells = (np.arange(len(coeffs))[:, None] * q + base).ravel()
+            comp = np.bincount(cells, minlength=len(coeffs) * q).reshape(-1, q)
         zeros = comp if with_b else comp[:, :1]
         weight_hist += np.bincount((n - zeros).ravel(), minlength=n + 1)
         if collect:

@@ -159,12 +159,13 @@ def criterion_4(budget: int, workers: int) -> CriterionResult:
         details, ok = {}, True
         for (p, s, m, ell) in GRID:
             ctx = get_field(p, s * m)
+            gammas = ctx.exp[: ctx.mult_order]
+            ranks, types = quadform.form_profiles(ctx, s, gammas[:, None], (ell,))
             bad = []
-            for g in ctx.exp[: ctx.mult_order]:
-                cls = klapper.classify_monomial(ctx, s, m, int(g), ell)
-                prof = quadform.profile(QuadForm(ctx, s, m, LinearizedPoly((ell,), (int(g),), s)))
-                if (cls.rank, cls.type) != (prof.rank, prof.type):
-                    bad.append(int(g))
+            for g, r, t in zip(gammas.tolist(), ranks.tolist(), types.tolist()):
+                cls = klapper.classify_monomial(ctx, s, m, g, ell)
+                if (cls.rank, cls.type) != (r, t or None):
+                    bad.append(g)
             ok &= not bad
             details[f"q{p**s}m{m}l{ell}"] = {"gammas": int(ctx.mult_order), "mismatches": bad}
         return ok, "full", details

@@ -148,6 +148,24 @@ def test_budget_env_var(monkeypatch):
     assert args.budget == 12345
 
 
+def test_bad_budget_exit_1(capsys, monkeypatch):
+    # a negative or non-integer budget is a usage error, on the command line
+    # or in QFCODES_BUDGET, and no command starts
+    monkeypatch.setattr(cli.verify, "run_all", None)
+    field = ["--p", "2", "--m", "4", "--family", "mono:1"]
+    commands = (["spectrum", *field], ["cwe", *field],
+                ["curves", "--p", "3", "--m", "4", "--ell", "1"], ["verify"])
+    for argv in commands:
+        for bad in ("-5", "abc"):
+            code, out, err = run(argv + ["--budget", bad], capsys)
+            assert code == cli.EXIT_USAGE and out == "" and err.startswith("usage:")
+        assert cli.build_parser().parse_args(argv + ["--budget", "0"]).budget == 0
+    monkeypatch.setenv("QFCODES_BUDGET", "abc")
+    for argv in commands:
+        code, out, err = run(argv, capsys)
+        assert code == cli.EXIT_USAGE and out == "" and err.startswith("usage:")
+
+
 def test_verify_budget_exit_3(capsys, monkeypatch):
     fake = [verify.CriterionResult(1, "x", True),
             verify.CriterionResult(3, "y", False, mode="skipped",

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from math import gcd
 
@@ -135,12 +136,12 @@ def test_pair_sweep_workers_match():
 
 @pytest.mark.parametrize("p,m", [(3, 4), (5, 4)])
 def test_orbit_tally_matches_direct_nullity(p, m):
-    # every pair's rank and type by direct reduction, against the tally taken
-    # on orbit representatives
+    # every pair's rank and type by direct reduction of its Gram matrix, against
+    # the tally taken on orbit representatives
     ctx = gf.get_field(p, m)
-    grams3, grams1 = klapper.pair_grams(ctx, 1)
-    mats = grams3[None, :] + grams1[:, None]  # [g2, g1]
-    red = reduce_symmetric(mats.reshape(-1, m, m), p)
+    g = np.arange(ctx.order)
+    pairs = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)  # [g2, g1]
+    red = reduce_symmetric(quadform.form_grams(ctx, 1, pairs, (1, 3)), p)
     direct = Counter((r, None if r == 0 else t) for r, t in zip(red.rank.tolist(),
                                                                 red.etas().tolist()))
     profiles = klapper.tally_l3l_profiles(ctx, 1)
@@ -152,9 +153,18 @@ def test_orbit_tally_matches_direct_nullity(p, m):
 
 
 def test_tally_reaches_beyond_the_old_sweep():
-    # 3^20 pairs; checks the closed-form multiplicities and types at (3,10,1)
-    profiles = klapper.tally_l3l_profiles(gf.get_field(3, 10), 1)
+    # 3^20 pairs; checks the closed-form multiplicities and types at (3,10,1),
+    # holding one block of Gram matrices at a time
+    ctx = gf.get_field(3, 10)
+    ctx.symbols(1)
+    tracemalloc.start()
+    try:
+        profiles = klapper.tally_l3l_profiles(ctx, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert profiles == klapper.rank_distribution_l3l(3, 10, 1).as_dict() | {(0, None): 1}
+    assert peak < 16 * 2 ** 20
 
 
 @pytest.mark.parametrize("p", [3, 67, 131, 191])

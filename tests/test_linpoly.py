@@ -3,7 +3,7 @@ import pytest
 
 from qfcodes import gf
 from qfcodes.linpoly import (FamilySpec, LinearizedPoly, elements_zech_order,
-                             enumerate_family, lin_eval, lin_eval_table)
+                             family_coeffs, lin_eval, lin_eval_table)
 
 
 def test_eval_basics():
@@ -55,30 +55,43 @@ def test_fq_linearity(p, s, m, exps):
         assert lin_eval(F, R, F.mul(lam, x)) == F.mul(lam, lin_eval(F, R, x))
 
 
-def test_enumerate_family_counts_and_order():
+def members(F, fam, lo=0, hi=None):
+    hi = F.order ** len(fam.exponents) if hi is None else hi
+    return [LinearizedPoly(fam.exponents, tuple(row), fam.s)
+            for row in family_coeffs(F, fam, lo, hi).tolist()]
+
+
+def test_family_coeffs_counts_and_order():
     F = gf.get_field(2, 4)
     fam = FamilySpec(2, 1, 4, (1,))
-    members = list(enumerate_family(F, fam))
-    assert len(members) == 16
-    assert members[0].is_zero
-    coeffs = [R.coeffs[0] for R in members]
+    all_members = members(F, fam)
+    assert len(all_members) == 16
+    assert all_members[0].is_zero
+    coeffs = [R.coeffs[0] for R in all_members]
     assert coeffs == [0] + [F.alpha_pow(k) for k in range(15)]
     assert len(set(coeffs)) == 16
 
 
-def test_enumerate_family_two_exponents():
+def test_family_coeffs_two_exponents():
     F = gf.get_field(2, 4)
     fam = FamilySpec(2, 1, 4, (0, 1))
-    members = list(enumerate_family(F, fam))
-    assert len(members) == 256
-    assert len({R.coeffs for R in members}) == 256
+    all_members = members(F, fam)
+    assert len(all_members) == 256
+    assert len({R.coeffs for R in all_members}) == 256
+    # lexicographic in Zech order: the last coefficient runs fastest
+    zech = elements_zech_order(F).tolist()
+    assert [R.coeffs for R in all_members] == [(a, b) for a in zech for b in zech]
+    # any window is the same slice of the whole enumeration
+    assert members(F, fam, 37, 101) == all_members[37:101]
 
 
 def test_empty_family():
     F = gf.get_field(2, 4)
     fam = FamilySpec(2, 1, 4, ())
-    members = list(enumerate_family(F, fam))
-    assert len(members) == 1 and members[0].q_exponents == ()
+    all_members = members(F, fam)
+    assert len(all_members) == 1 and all_members[0].q_exponents == ()
+    with pytest.raises(Exception):
+        family_coeffs(gf.get_field(2, 6), fam, 0, 1)
 
 
 def test_zech_order():

@@ -5,31 +5,37 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfcodes import gf, quadform, spectra
+from qfcodes.linalg import reduce_symmetric
 from qfcodes.linpoly import FamilySpec
 from qfcodes.spectra import CodeSpec
 from qfcodes.verify import GRID
-from qfcodes.linpoly import LinearizedPoly, lin_eval
-from qfcodes.quadform import QuadForm, RankError
+from qfcodes.linpoly import LinearizedPoly, lin_eval, lin_eval_table
+from qfcodes.quadform import QuadForm, QuadFormProfile, RankError
 
 
 def form(p, s, m, exps, coeffs):
     return QuadForm(gf.get_field(p, s * m), s, m, LinearizedPoly(exps, coeffs, s))
 
 
+def gram_kernel(Q):
+    """ker of tr_{q/p} B as field elements, from the reduction of form_grams."""
+    gram = quadform.form_grams(Q.ctx, Q.s, [Q.R.coeffs], Q.R.q_exponents)
+    return [int(y) for y in Q.ctx.pvec @ reduce_symmetric(gram, Q.ctx.p, kernel=True).kernel()]
+
+
 def test_zero_form():
     Q = form(2, 1, 4, (1,), (0,))
-    assert quadform.rank(Q) == 0
-    assert Q.reduction().kernel().shape[1] == 4  # ker B is the whole field
+    assert quadform.profile(Q) == QuadFormProfile(rank=0, type=None)
+    assert len(gram_kernel(Q)) == 4  # ker B is the whole field
 
 
 def test_f16_cubic_form():
     # Q(x) = tr_{16/2}(x^3): rank 2, type -1
     Q = form(2, 1, 4, (1,), (1,))
     ctx = Q.ctx
-    V = [int(y) for y in ctx.pvec @ Q.reduction().kernel()]
+    V = gram_kernel(Q)
     assert len(V) == 2
-    assert quadform.rank(Q) == 2
-    assert quadform.type_of(Q, 2) == -1
+    assert quadform.profile(Q) == QuadFormProfile(rank=2, type=-1)
     # ker B is the radical here, and really invariant: Q(v)=0 and Q(x+v)=Q(x)
     span = set()
     for c1 in range(2):
@@ -50,8 +56,7 @@ def test_f16_cubic_form():
 def test_f16_noncube_form():
     ctx = gf.get_field(2, 4)
     Q = form(2, 1, 4, (1,), (ctx.alpha,))
-    assert quadform.rank(Q) == 4
-    assert quadform.type_of(Q, 4) == 1
+    assert quadform.profile(Q) == QuadFormProfile(rank=4, type=1)
 
 
 def scalar_gram(Q):
@@ -78,8 +83,76 @@ def test_gram_and_table_match_scalar_evaluation(p, s, m):
         cases.append((exps, tuple(coeffs)))
     for exps, coeffs in cases:
         Q = form(p, s, m, exps, coeffs)
-        assert np.array_equal(Q.gram(), scalar_gram(Q))
+        assert np.array_equal(quadform.form_grams(ctx, s, [coeffs], exps)[0], scalar_gram(Q))
         assert Q.sym_table().tolist() == [Q.value_sym(x) for x in range(ctx.order)]
+
+
+def reference_profile(ctx, s, exps, coeffs):
+    """(rank, type) of one form from scalar evaluations: the rank from the radical
+    {y in ker B : Q(y) = 0} counted over ker B of scalar_gram, the type from the
+    zero count of a lin_eval table; type 0 at rank 0 or odd rank."""
+    p, m, q = ctx.p, ctx.n // s, ctx.p ** s
+    Q = form(p, s, m, exps, coeffs)
+    basis = [int(y) for y in ctx.pvec @ reduce_symmetric(scalar_gram(Q)[None], p,
+                                                          kernel=True).kernel()]
+    kernel = {0}
+    for y in basis:
+        kernel = {ctx.add(v, ctx.mul(c, y)) for v in kernel for c in range(p)}
+    radical = sum(Q.value_sym(y) == 0 for y in kernel)
+    r = m - round(np.log(radical) / np.log(q))
+    assert q ** (m - r) == radical
+    xs = np.arange(ctx.order, dtype=np.int64)
+    values = ctx.symbols(s).trace_sym[ctx.v_mul(xs, lin_eval_table(ctx, Q.R))]
+    n0 = int(np.count_nonzero(values == 0))
+    if r == 0 or r % 2:
+        return r, 0
+    eps = (n0 - q ** (m - 1)) // ((q - 1) * q ** (m - r // 2 - 1))
+    assert eps in (1, -1)
+    return r, eps
+
+
+@pytest.mark.parametrize("p,s,m", [(2, 1, 4), (2, 2, 4), (3, 2, 2), (5, 1, 4), (3, 1, 6)])
+def test_form_profiles_match_scalar_reference(p, s, m):
+    # random multi-term stacks with zero rows and zero coefficients, every
+    # exponent set of size 1..3
+    ctx = gf.get_field(p, s * m)
+    rng = np.random.default_rng(11 * p + s * m)
+    for k in (1, 2, 3):
+        exps = tuple(sorted(rng.choice(m, min(k, m), replace=False).tolist()))
+        coeffs = rng.integers(0, ctx.order, (12, len(exps)))
+        coeffs[rng.random(coeffs.shape) < 0.2] = 0
+        coeffs[0] = 0
+        ref = [reference_profile(ctx, s, exps, tuple(row)) for row in coeffs.tolist()]
+        even = [i for i, (r, _) in enumerate(ref) if r % 2 == 0]
+        rank, eps = quadform.form_profiles(ctx, s, coeffs[even], exps)
+        assert list(zip(rank.tolist(), eps.tolist())) == [ref[i] for i in even]
+        for i in set(range(len(ref))) - set(even):
+            with pytest.raises(RankError, match=f"even rank only, got {ref[i][0]}"):
+                quadform.form_profiles(ctx, s, coeffs[i:i + 1], exps)
+        if p != 2:
+            no_count = quadform.form_profiles(ctx, s, coeffs[even], exps, count=False)
+            assert np.array_equal(no_count[0], rank) and np.array_equal(no_count[1], eps)
+
+
+@pytest.mark.parametrize("p,s,m", [(2, 1, 6), (3, 1, 4)])
+def test_form_profiles_blocks_split_mid_stack(p, s, m, monkeypatch):
+    ctx = gf.get_field(p, s * m)
+    gammas = ctx.exp[: ctx.mult_order, None]
+    whole = quadform.form_profiles(ctx, s, gammas, (1,))
+    # three forms per block, so the last block is partial
+    monkeypatch.setattr(quadform, "PROFILE_CELLS", 3 * (ctx.n ** 2 + ctx.order))
+    split = quadform.form_profiles(ctx, s, gammas, (1,))
+    assert np.array_equal(whole[0], split[0]) and np.array_equal(whole[1], split[1])
+
+
+def test_form_profiles_report_the_first_failing_row(monkeypatch):
+    # tr(a x^2 + b x^3) at rows of rank 4, 3 and 1; one block, or one row per block
+    ctx = gf.get_field(2, 4)
+    rows = [[0, ctx.alpha], [2, 1], [1, 0]]
+    for cells in (quadform.PROFILE_CELLS, ctx.n ** 2 + ctx.order):
+        monkeypatch.setattr(quadform, "PROFILE_CELLS", cells)
+        with pytest.raises(RankError, match="got 3$"):
+            quadform.form_profiles(ctx, 1, rows, (0, 1))
 
 
 def test_count_and_sum_values():
@@ -121,10 +194,8 @@ def test_sum_distribution_verification(p, s, m, ell):
 
 def test_count_distributions_odd_char():
     Q = form(3, 1, 4, (1,), (1,))
-    r = quadform.rank(Q)
-    eps = quadform.type_of(Q, r)
-    ctx = Q.ctx
-    sy = ctx.symbols(1)
+    prof = quadform.profile(Q)
+    r, eps = prof.rank, prof.type
     for xi_sym in range(3):
         obs = quadform.n_distribution(Q, xi_sym)
         exp = quadform.expected_count_distribution(3, 4, r, eps, xi_is_zero=(xi_sym == 0))
@@ -132,28 +203,30 @@ def test_count_distributions_odd_char():
 
 
 def test_type_routes_agree_everywhere_f81():
+    # count=True checks the zero count against the discriminant on every row
     ctx = gf.get_field(3, 4)
-    for g in ctx.exp[: ctx.mult_order]:
-        Q = form(3, 1, 4, (1,), (int(g),))
-        r = quadform.rank(Q)
-        assert quadform.type_by_count(Q, r) == quadform.type_by_discriminant(Q, r)
+    gammas = ctx.exp[: ctx.mult_order, None]
+    counted = quadform.form_profiles(ctx, 1, gammas, (1,))
+    by_disc = quadform.form_profiles(ctx, 1, gammas, (1,), count=False)
+    assert np.array_equal(counted[0], by_disc[0]) and np.array_equal(counted[1], by_disc[1])
+    assert set(counted[1].tolist()) == {1, -1}
 
 
 def test_odd_rank_rejected():
     # tr_{2^4/2}(x * x) = tr(x^2) has rank 1 (it is a linear functional squared)
     Q = form(2, 1, 4, (0,), (1,))
-    r = quadform.rank(Q)
-    assert r % 2 == 1
-    with pytest.raises(RankError):
-        quadform.type_of(Q, r)
+    with pytest.raises(RankError, match="even rank only, got 1"):
+        quadform.profile(Q)
     with pytest.raises(RankError):
         quadform.verify_sum_distribution(Q)
 
 
 def test_rank0_type_rejected():
+    # the zero form carries no type flag: type 0 in the arrays, None in a profile
     Q = form(2, 1, 4, (1,), (0,))
-    with pytest.raises(RankError):
-        quadform.type_of(Q, 0)
+    rank, eps = quadform.form_profiles(Q.ctx, 1, [[0]], (1,))
+    assert (rank.tolist(), eps.tolist()) == ([0], [0])
+    assert quadform.profile(Q).type is None
 
 
 def test_beta_class_counts_rank0():

@@ -9,7 +9,7 @@ import pytest
 
 from qfcodes import gf, klapper, quadform, spectra
 from qfcodes.klapper import HypothesisError
-from qfcodes.linpoly import FamilySpec, LinearizedPoly, enumerate_family
+from qfcodes.linpoly import FamilySpec, LinearizedPoly, family_coeffs
 from qfcodes.spectra import (BudgetError, CodeSpec, Spectrum, brute_spectrum,
                              build_codeword, cwe, dimension_oracle,
                              divisibility_report, predict_general,
@@ -114,6 +114,12 @@ def test_brute_workers_validated_no_pool(monkeypatch):
 
 # -- the block kernel ------------------------------------------------------------------
 
+def family_members(ctx, fam):
+    """Every polynomial of the family, one per row of family_coeffs."""
+    rows = family_coeffs(ctx, fam, 0, ctx.order ** len(fam.exponents))
+    return [LinearizedPoly(fam.exponents, tuple(row), fam.s) for row in rows.tolist()]
+
+
 @lru_cache(maxsize=None)
 def _per_word_tally(p, s, m, exponents, with_beta, shortened):
     """Weight histograms (b = 0, every b) and b = 0 compositions, one word at a time.
@@ -125,9 +131,9 @@ def _per_word_tally(p, s, m, exponents, with_beta, shortened):
     spec = CodeSpec(FamilySpec(p, s, m, exponents), "2" if with_beta else "0",
                     shortened=shortened)
     add = ctx.symbols(s).add
-    n = len(build_codeword(ctx, spec, next(enumerate_family(ctx, spec.family))))
+    n = len(build_codeword(ctx, spec, LinearizedPoly(exponents, (0,) * len(exponents), s)))
     hist_b0, hist_all, comps = np.zeros(n + 1, np.int64), np.zeros(n + 1, np.int64), Counter()
-    for R in enumerate_family(ctx, spec.family):
+    for R in family_members(ctx, spec.family):
         for beta in range(ctx.order) if with_beta else (0,):
             word = build_codeword(ctx, spec, R, beta)
             comps[tuple(np.bincount(word, minlength=q).tolist())] += 1
@@ -231,7 +237,7 @@ def test_distinct_words_equal_a_direct_count(exponents, variant):
     betas = range(16) if variant in ("1", "2") else (0,)
     bs = range(2) if variant in ("0", "2") else (0,)
     words = {build_codeword(ctx, spec, R, beta, b).tobytes()
-             for R in enumerate_family(ctx, fam) for beta in betas for b in bs}
+             for R in family_members(ctx, fam) for beta in betas for b in bs}
     assert brute_spectrum(ctx, spec).distinct_words == len(words)
 
 
