@@ -27,7 +27,7 @@ from .gf import FieldCtx, FieldError
 from .klapper import (HypothesisError, MonomialClassification, classify_monomial, eps_ell,
                       l3l_poly, l3l_pair_profile)
 from .linpoly import LinearizedPoly, lin_eval_table
-from .quadform import (QuadForm, QuadFormProfile, beta_class_counts, exp_sum_class_value,
+from .quadform import (QuadForm, QuadFormProfile, beta_class_counts, expected_sum_distribution,
                        form_profiles, form_table, form_terms, frequencies,
                        profile as qf_profile, value_histograms)
 
@@ -119,29 +119,14 @@ def hasse_weil(spec: CurveSpec) -> tuple[int, int]:
     return p ** m + 1 - dev, p ** m + 1 + dev
 
 
-def _class_point_count(p: int, m: int, r: int, eps: int, beta_class: str) -> int:
-    """#C for a beta in the given class (b = 0 curve words), rank-0 safe."""
-    base_w = Fraction(p ** m - p ** (m - 1))
-    w = base_w - Fraction(exp_sum_class_value(p, m, r, eps, beta_class), p)
-    pts = Fraction(p) ** (m + 1) + 1 - p * w
-    assert pts.denominator == 1
-    return int(pts)
-
-
 def expected_point_multiset(p: int, m: int, r: int, eps: int | None) -> dict[int, int]:
     """Point-count -> number of betas, from the rank/type profile of the form.
 
-    The zero form (rank 0) follows the same formulas with eps = +1, evaluated
-    as exact rationals.
+    #C = p^m + 1 + S_{Q,0}(beta), so this is quadform.expected_sum_distribution
+    at b = 0 mapped value by value; the zero form (rank 0) takes eps = +1.
     """
-    eps_eff = 1 if r == 0 else eps
-    counts = beta_class_counts(p, m, r, eps_eff, b_zero=True)
-    out: dict[int, int] = {}
-    for cls, cnt in counts.items():
-        if cnt:
-            pts = _class_point_count(p, m, r, eps_eff, cls)
-            out[pts] = out.get(pts, 0) + cnt
-    return out
+    table = expected_sum_distribution(p, m, r, 1 if r == 0 else eps, b_zero=True)
+    return {p ** m + 1 + S: c for S, c in table.items()}
 
 
 def optimality_status(spec: CurveSpec, prof: QuadFormProfile | None = None) -> CurveReport:
@@ -163,11 +148,7 @@ def optimality_status(spec: CurveSpec, prof: QuadFormProfile | None = None) -> C
     w_max = base_w - (p - 1) * qr
     w_min = base_w + (p - 1) * qr
     optimal_possible = spec.v() == Fraction(m - r, 2)
-    if p == 2:
-        max_hit = w in (w_max, base_w - qr)
-        min_hit = w in (w_min, base_w + qr)
-    else:
-        max_hit, min_hit = w == w_max, w == w_min
+    max_hit, min_hit = w == w_max, w == w_min
     by_weight = ("maximal" if max_hit else "minimal" if min_hit else "interior") \
         if optimal_possible else "interior"
     if by_weight != status:
@@ -254,9 +235,6 @@ def optimal_beta_counts(p: int, m: int, ell: int) -> tuple[int, int]:
     P = Fraction(p)
     low = P ** (m - 2 * ell - 1) - (P - 1) * P ** (Fraction(m, 2) - ell - 1)
     high = P ** (m - 2 * ell - 1) + (P - 1) * P ** (Fraction(m, 2) - ell - 1)
-    if p == 2:
-        low = P ** (m - 2 * ell - 1) - P ** (Fraction(m, 2) - ell - 1)
-        high = P ** (m - 2 * ell - 1) + P ** (Fraction(m, 2) - ell - 1)
     assert low.denominator == 1 and high.denominator == 1
     return int(low), int(high)
 

@@ -1,4 +1,4 @@
-"""Finite fields F_{p^n} with exp/log tables, subfields and trace maps.
+"""Finite fields F_{p^n} with exp/log tables and subfield symbol systems.
 
 A field element is a plain int in [0, p^n): its base-p digits are the
 coordinates in the power basis {1, t, .., t^{n-1}} of the modulus root t.
@@ -21,13 +21,14 @@ pickled (a memoryview cannot be), and nothing in the package needs to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
 
 import numpy as np
 
 DEFAULT_SIZE_LIMIT = 1 << 22
+# q x q cells a symbol addition or product table may hold (q <= 4096)
+SYMBOL_CELLS = 1 << 24
 
 
 def is_prime(n: int) -> bool:
@@ -161,20 +162,6 @@ class FieldError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Subfield:
-    """The unique subfield of size p^d inside F_{p^n}, with a canonical indexing."""
-
-    d: int
-    size: int
-    elements: np.ndarray          # sorted element indices, elements[0] == 0
-    index_of: np.ndarray          # element index -> canonical 0..size-1, -1 outside
-    gen: int                      # alpha^{(p^n-1)/(p^d-1)}, generator of the subfield
-
-    def contains(self, e: int) -> bool:
-        return self.index_of[e] >= 0
-
-
 class FieldCtx:
     """F_{p^n} with full exp/log tables (built for p^n <= size limit)."""
 
@@ -201,7 +188,6 @@ class FieldCtx:
         self._frob_tables: dict[int, np.ndarray] = {}
         self._log_power_tables: dict[int, np.ndarray] = {}
         self._symbols: dict[int, SymbolSystem] = {}
-        self._subfields: dict[int, Subfield] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -368,31 +354,7 @@ class FieldCtx:
             self._log_power_tables[e] = tab
         return tab
 
-    # -- subfields, traces, symbols -------------------------------------------
-
-    def subfield(self, d: int) -> Subfield:
-        if self.n % d != 0:
-            raise FieldError(f"subfield degree {d} does not divide {self.n}")
-        sub = self._subfields.get(d)
-        if sub is None:
-            all_e = np.arange(self.order, dtype=np.int64)
-            members = all_e[self.frob_table(d)[all_e] == all_e]
-            size = self.p ** d
-            if len(members) != size:
-                raise FieldError("subfield size check failed")
-            index_of = np.full(self.order, -1, dtype=np.int64)
-            index_of[members] = np.arange(size)
-            gen = self.alpha_pow(self.mult_order // (size - 1)) if size > 1 else 1
-            sub = Subfield(d=d, size=size, elements=members, index_of=index_of, gen=gen)
-            self._subfields[d] = sub
-        return sub
-
-    def trace_table(self, d: int) -> np.ndarray:
-        """tr_{p^n/p^d} as a lookup table over all elements."""
-        return self.symbols(d).trace_elem
-
-    def trace(self, a: int, d: int) -> int:
-        return int(self.trace_table(d)[a])
+    # -- subfield symbols ------------------------------------------------------
 
     def symbols(self, d: int) -> "SymbolSystem":
         if self.n % d != 0:
@@ -412,17 +374,23 @@ class SymbolSystem:
     symbol-level tables used by the codeword engines, and plus adds arrays of
     symbols through the flat add table.  The product table, the traces of the
     powers of alpha and the trace coordinates are built on first use only.
+    Past SYMBOL_CELLS q x q cells (q > 4096) construction raises FieldError.
     """
 
     def __init__(self, ctx: FieldCtx, d: int):
         self.ctx = ctx
         self.d = d
         self.q = ctx.p ** d
-        sub = ctx.subfield(d)
-        self.elements = sub.elements
-        self.index_of = sub.index_of
+        if self.q ** 2 > SYMBOL_CELLS:
+            raise FieldError(f"q^2 = {self.q ** 2} symbol table cells exceed {SYMBOL_CELLS}")
         k = ctx.n // d
         all_e = np.arange(ctx.order, dtype=np.int64)
+        # F_q is the set of fixed points of x -> x^q, in ascending element order
+        self.elements = all_e[ctx.frob_table(d) == all_e]
+        if len(self.elements) != self.q:
+            raise FieldError("subfield size check failed")
+        self.index_of = np.full(ctx.order, -1, dtype=np.int64)
+        self.index_of[self.elements] = np.arange(self.q)
         acc = all_e.copy()
         x = all_e
         for _ in range(k - 1):
@@ -474,9 +442,6 @@ class SymbolSystem:
         if (beta_index < 0).any() or len(np.unique(x_index)) != ctx.order:
             raise FieldError("alpha^0..alpha^{k-1} is not a basis over the subfield")
         return x_index, beta_index
-
-    def elem(self, s: int) -> int:
-        return int(self.elements[s])
 
 
 def make_field(p: int, n: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> FieldCtx:

@@ -19,6 +19,9 @@ counts and scans) comes from form_symbols, one log-domain gather per term,
 and every Gram term from gram_exponents, one gather in the digit basis
 t^i = p^i.  lin_eval and lin_eval_table stay the independent routes of R.
 
+Every closed-form sweep table (counts here, curve points, code weights) is an
+affine image of expected_sum_distribution, the one closed form of S over beta.
+
 Every sweep over all beta goes through value_histograms: an exact
 additive-character transform in the group ring Z[F_q] that returns
 N_{Q,beta}(c) for all beta and c at once, at m q^{m+2} integer additions per
@@ -280,20 +283,6 @@ def n_distribution(Q: QuadForm, xi_sym: int) -> dict[int, int]:
 
 # -- closed-form beta-sweep distributions --------------------------------------
 
-def _merge(rows: list[tuple[Fraction, Fraction]]) -> dict[int, int]:
-    acc: dict[Fraction, Fraction] = {}
-    for value, count in rows:
-        acc[value] = acc.get(value, Fraction(0)) + count
-    out: dict[int, int] = {}
-    for value, count in acc.items():
-        if count == 0:
-            continue
-        if value.denominator != 1 or count.denominator != 1 or count < 0:
-            raise RankError(f"non-integral row ({value}, {count}): parameters outside hypotheses")
-        out[int(value)] = int(count)
-    return out
-
-
 def _require_even_rank(r: int):
     if r < 0 or r % 2 != 0:
         raise RankError(f"even nonnegative rank required, got {r}")
@@ -302,23 +291,22 @@ def _require_even_rank(r: int):
 def beta_class_counts(q: int, m: int, r: int, eps: int, b_zero: bool) -> dict[str, int]:
     """How many beta fall in each exponential-sum class, for fixed b (=0 or !=0).
 
-    Evaluated as exact rationals so the degenerate r = 0 instance (zero form,
-    eps treated as +1) comes out right.
+    Evaluated as q times each count, in integers, so the degenerate r = 0
+    instance (zero form, eps treated as +1) comes out right.
     """
     _require_even_rank(r)
-    qq = Fraction(q)
+    h = q ** (r // 2)
     rows = {
-        "null": qq ** m - qq ** r,
-        "major": (qq ** (r - 1) + eps * (qq - 1) * qq ** (Fraction(r, 2) - 1)) if b_zero
-        else (qq ** (r - 1) - eps * qq ** (Fraction(r, 2) - 1)),
-        "minor": ((qq ** (r - 1) - eps * qq ** (Fraction(r, 2) - 1)) * (qq - 1)) if b_zero
-        else (qq ** r - qq ** (r - 1) + eps * qq ** (Fraction(r, 2) - 1)),
+        "null": q ** (m + 1) - q ** (r + 1),
+        "major": q ** r + eps * (q - 1) * h if b_zero else q ** r - eps * h,
+        "minor": (q ** r - eps * h) * (q - 1) if b_zero else q ** (r + 1) - q ** r + eps * h,
     }
     out: dict[str, int] = {}
-    for name, cnt in rows.items():
-        if cnt.denominator != 1 or cnt < 0:
+    for name, scaled in rows.items():
+        cnt, rest = divmod(scaled, q)
+        if rest or cnt < 0:
             raise RankError(f"non-integral class count for r={r}")
-        out[name] = int(cnt)
+        out[name] = cnt
     return out
 
 
@@ -327,7 +315,7 @@ def exp_sum_class_value(q: int, m: int, r: int, eps: int, beta_class: str) -> in
     _require_even_rank(r)
     if beta_class == "null":
         return 0
-    dev = Fraction(q) ** (m - Fraction(r, 2))
+    dev = Fraction(q) ** (m - r // 2)
     if beta_class == "major":
         return int(eps * (q - 1) * dev)
     if beta_class == "minor":
@@ -336,35 +324,22 @@ def exp_sum_class_value(q: int, m: int, r: int, eps: int, beta_class: str) -> in
 
 
 def expected_sum_distribution(q: int, m: int, r: int, eps: int, b_zero: bool) -> dict[int, int]:
-    """Closed-form S-value -> frequency table for one b."""
+    """Closed-form S-value -> frequency table over beta for one b: the BETA_CLASSES
+    values exp_sum_class_value, each with beta_class_counts betas."""
     counts = beta_class_counts(q, m, r, eps, b_zero)
-    rows = [(Fraction(exp_sum_class_value(q, m, r, eps, cls)), Fraction(counts[cls]))
-            for cls in BETA_CLASSES]
-    return _merge(rows)
+    out: dict[int, int] = {}
+    for cls in BETA_CLASSES:
+        if counts[cls]:
+            value = exp_sum_class_value(q, m, r, eps, cls)
+            out[value] = out.get(value, 0) + counts[cls]
+    return out
 
 
 def expected_count_distribution(q: int, m: int, r: int, eps: int, xi_is_zero: bool) -> dict[int, int]:
-    """Closed-form N_{Q,beta}(xi) value -> frequency over beta, for one xi.
-
-    The c-classes below enumerate F_q by whether c = 0 and whether xi + c = 0:
-    value = q^{m-1} + eps nu(xi+c) q^{m-r/2-1} occurs for
-    q^{r-1} + eps nu(c) q^{r/2-1} betas, plus the flat q^{m-1} row.
-    nu(0) = q-1 and nu(z) = -1 for z != 0 (the counts sum to q^m only with
-    this convention, and direct enumeration confirms it).
-    """
-    _require_even_rank(r)
-    qq = Fraction(q)
-    big = qq ** (m - Fraction(r, 2) - 1)
-    small = qq ** (Fraction(r, 2) - 1)
-    if xi_is_zero:
-        classes = [(qq - 1, qq - 1, 1), (-1, -1, q - 1)]
-    else:
-        classes = [(qq - 1, -1, 1), (-1, qq - 1, 1), (-1, -1, q - 2)]
-    rows = [(qq ** (m - 1), qq ** m - qq ** r)]
-    for nu_c, nu_shift, mult in classes:
-        rows.append((qq ** (m - 1) + eps * nu_shift * big,
-                     (qq ** (r - 1) + eps * nu_c * small) * mult))
-    return _merge(rows)
+    """Closed-form N_{Q,beta}(xi) value -> frequency over beta, for one xi:
+    N_{Q,beta}(xi) = (S_{Q,-xi}(beta) + q^m) / q over the sum table of b = -xi."""
+    table = expected_sum_distribution(q, m, r, eps, b_zero=xi_is_zero)
+    return {(S + q ** m) // q: c for S, c in table.items()}
 
 
 @dataclass

@@ -16,7 +16,6 @@ exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 import warnings
 
@@ -26,7 +25,7 @@ from .gf import FieldCtx, FieldError, SymbolSystem, int_log
 from .klapper import (HypothesisError, RankDistribution, eps_ell,
                       rank_distribution_l3l, rank_distribution_monomial)
 from .linpoly import FamilySpec, LinearizedPoly, family_coeffs
-from .quadform import beta_class_counts, exp_sum_class_value, form_symbols, form_terms
+from .quadform import exp_sum_class_value, expected_sum_distribution, form_symbols, form_terms
 
 VARIANTS = ("base", "0", "1", "2")
 DEFAULT_BUDGET = 1 << 32
@@ -95,16 +94,18 @@ class CodeParams:
 
 # -- the shared table rows -----------------------------------------------------
 
+def _weight(q: int, m: int, S: int, b_zero: bool) -> int:
+    """Weight q^m - q^{m-1} - [b != 0] - S/q of a full-length word whose exponential sum is S."""
+    assert S % q == 0
+    return q ** m - q ** (m - 1) - (0 if b_zero else 1) - S // q
+
+
 def weight_from_profile(q: int, m: int, r: int, eps: int, b_zero: bool,
                         beta_class: str) -> int:
     """Codeword weight for a rank-r type-eps form, given the b and beta case."""
     if r <= 0 or r % 2 != 0:
         raise HypothesisError(f"closed-form weights need positive even rank, got {r}")
-    base = q ** m - q ** (m - 1) - (0 if b_zero else 1)
-    s_over_q = Fraction(exp_sum_class_value(q, m, r, eps, beta_class), q)
-    w = base - s_over_q
-    assert w.denominator == 1
-    return int(w)
+    return _weight(q, m, exp_sum_class_value(q, m, r, eps, beta_class), b_zero)
 
 
 def _add_row(weights: dict[int, int], w: int, count: int):
@@ -112,48 +113,39 @@ def _add_row(weights: dict[int, int], w: int, count: int):
         weights[w] = weights.get(w, 0) + count
 
 
+def _rows(dist: RankDistribution) -> tuple[tuple[int, int, int], ...]:
+    """dist's (rank, type, count) rows, checked, and R = 0 as the rank-0, type +1 row."""
+    for r, _, cnt in dist.counts:
+        if cnt and (r <= 0 or r % 2 != 0):
+            raise HypothesisError(f"rank {r} outside the even positive range")
+    return dist.counts + ((0, 1, 1),)
+
+
 def predict_general(q: int, m: int, dist: RankDistribution, variant: str) -> Spectrum:
     """Assemble the spectrum of a full-length variant from a rank distribution.
 
-    Frequencies must total q^{ms(+1)} per the dimension claims; that is
-    asserted before returning.
+    Each b case (b = 0; the q - 1 alike b != 0 for 0 and 2) reads every row of
+    dist and the zero form R = 0 (rank 0, type +1): its whole
+    expected_sum_distribution for variants 1 and 2, its beta = 0 value for
+    base and 0.  Frequencies must total q^{ms(+1)} per the dimension claims;
+    that is asserted before returning.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if (q, m) != (dist.q, dist.m):
         raise ValueError("distribution does not match (q, m)")
-    for r, _, cnt in dist.counts:
-        if cnt and (r <= 0 or r % 2 != 0):
-            raise HypothesisError(f"rank {r} outside the even positive range")
-    n = q ** m - 1
-    weights: dict[int, int] = {0: 1}
-    null_total = sum(cnt * (q ** m - q ** r) for r, _, cnt in dist.counts) + (q ** m - 1)
+    rows = _rows(dist)
+    weights: dict[int, int] = {}
+    for b_zero in (True, False) if variant in ("0", "2") else (True,):
+        for r, e, cnt in rows:
+            if variant in ("1", "2"):
+                table = expected_sum_distribution(q, m, r, e, b_zero)
+            else:  # beta = 0 is in the major class for b = 0, the minor one for b != 0
+                table = {exp_sum_class_value(q, m, r, e, "major" if b_zero else "minor"): 1}
+            for S, c in table.items():
+                _add_row(weights, _weight(q, m, S, b_zero), cnt * c * (1 if b_zero else q - 1))
 
-    if variant == "base":
-        for r, e, cnt in dist.counts:
-            _add_row(weights, weight_from_profile(q, m, r, e, True, "major"), cnt)
-    elif variant == "0":
-        for r, e, cnt in dist.counts:
-            _add_row(weights, weight_from_profile(q, m, r, e, True, "major"), cnt)
-            _add_row(weights, weight_from_profile(q, m, r, e, False, "minor"), cnt * (q - 1))
-        _add_row(weights, n, q - 1)
-    else:
-        _add_row(weights, q ** m - q ** (m - 1), null_total)
-        for r, e, cnt in dist.counts:
-            bc = beta_class_counts(q, m, r, e, b_zero=True)
-            _add_row(weights, weight_from_profile(q, m, r, e, True, "major"), cnt * bc["major"])
-            _add_row(weights, weight_from_profile(q, m, r, e, True, "minor"), cnt * bc["minor"])
-        if variant == "2":
-            _add_row(weights, n, q - 1)
-            _add_row(weights, q ** m - q ** (m - 1) - 1, null_total * (q - 1))
-            for r, e, cnt in dist.counts:
-                bc = beta_class_counts(q, m, r, e, b_zero=False)
-                _add_row(weights, weight_from_profile(q, m, r, e, False, "major"),
-                         cnt * bc["major"] * (q - 1))
-                _add_row(weights, weight_from_profile(q, m, r, e, False, "minor"),
-                         cnt * bc["minor"] * (q - 1))
-
-    spec = Spectrum(n=n, q=q, weights=weights)
+    spec = Spectrum(n=q ** m - 1, q=q, weights=weights)
     size = dist.total() + 1
     ms = int_log(size, q)
     if ms is None or ms % m != 0:
@@ -427,10 +419,9 @@ class CweResult:
 
 def cwe_predicted(q: int, m: int, dist: RankDistribution, D: int = 1) -> list[CweTerm]:
     """Compressed enumerator terms from a rank distribution (shortened by D)."""
-    n = (q ** m - 1) // D
-    terms = [CweTerm(coeff=1, z0_exp=n, zrest_exp=0)]
-    for r, e, cnt in dist.counts:
-        w_full = weight_from_profile(q, m, r, e, True, "major")
+    terms = []
+    for r, e, cnt in _rows(dist):
+        w_full = _weight(q, m, exp_sum_class_value(q, m, r, e, "major"), True)
         if w_full % D or (q ** m - 1 - w_full) % D:
             raise HypothesisError(f"weight {w_full} does not shorten by {D}")
         a = (q ** m - 1 - w_full) // D

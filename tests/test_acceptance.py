@@ -5,6 +5,7 @@ criteria grid twice to decide the byte-identity criterion), then asserts
 each criterion individually so the report reads one line per criterion.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -12,6 +13,9 @@ import pytest
 from qfcodes import verify
 
 N_CRITERIA = 12
+# sha256 of the canonical report bytes (also what `qfcodes verify --json` writes);
+# any change to the report has to change this pin on purpose
+REPORT_SHA256 = "0e947eae3a32c4b26041a385d23c5da15b5b774788b0cd1c7b76114c027234d4"
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +23,7 @@ def results():
     res, payload = verify.run_all(workers=2, log=lambda line: None)
     report = json.loads(payload)
     assert report["criteria"][-1]["id"] == N_CRITERIA
+    assert (len(payload), hashlib.sha256(payload).hexdigest()) == (4058, REPORT_SHA256)
     return res
 
 

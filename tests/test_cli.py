@@ -1,4 +1,9 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +98,17 @@ def test_spectrum_brute_non_injective_span(capsys):
     assert payload["expected_words"] == 256
 
 
+@pytest.mark.parametrize("variant,k,d", [("0", 17, 63), ("1", 24, 64)])
+def test_spectrum_measured_span_matches_brute(capsys, variant, k, d):
+    # predict_general on a measured (rank, type) distribution, against brute force
+    code, out, _ = run(["spectrum", "--p", "2", "--m", "8", "--family", "span:1,3",
+                        "--variant", variant, "--method", "both"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["match"] is True
+    assert (payload["code"]["k"], payload["code"]["d"]) == (k, d)
+
+
 def test_cwe_command(capsys):
     code, out, _ = run(["cwe", "--p", "2", "--m", "4", "--family", "mono:1",
                         "--method", "both"], capsys)
@@ -109,6 +125,22 @@ def test_curves_single(capsys):
     payload = json.loads(out)
     assert payload["points"] == 9 and payload["status"] == "minimal"
     assert payload["independent_recount"] == 9
+
+
+def test_curves_past_symbol_table_bound_exit_1():
+    # F_16411 has a 16411 x 16411 symbol addition table: the command must refuse
+    # it before allocating, so it fails cleanly under a 512 MiB address-space cap
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "qfcodes.cli", "curves", "--p", "16411",
+                           "--m", "1", "--ell", "1"], env=env, capture_output=True, text=True,
+                          preexec_fn=cap, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "symbol table" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_curves_scan(capsys):

@@ -92,54 +92,55 @@ def test_scalar_matches_vector_ops():
 
 def test_subfield_embed_f16():
     F = gf.get_field(2, 4)
-    S = F.subfield(2)
+    sy = F.symbols(2)
     expect = {0, 1, F.alpha_pow(5), F.alpha_pow(10)}
-    assert set(int(e) for e in S.elements) == expect
+    assert set(int(e) for e in sy.elements) == expect
     # membership test is x^{p^d} = x
     for e in range(16):
-        assert S.contains(e) == (F.frob(e, 2) == e)
+        assert (sy.index_of[e] >= 0) == (F.frob(e, 2) == e)
 
 
 def test_subfield_whole_field_and_f256():
     F = gf.get_field(2, 8)
-    whole = F.subfield(8)
+    whole = F.symbols(8)
     assert len(whole.elements) == 256
-    S = F.subfield(4)
+    S = F.symbols(4)
     assert len(S.elements) == 16
     assert all(F.pow(int(e), 16) == int(e) for e in S.elements)
     with pytest.raises(gf.FieldError):
-        F.subfield(3)
+        F.symbols(3)
 
 
 def test_rel_trace_values():
     F = gf.get_field(2, 4)
-    assert F.trace(0, 1) == 0
-    assert F.trace(1, 1) == 0  # four ones in characteristic 2
+    tr = F.symbols(1).trace_elem
+    assert tr[0] == 0
+    assert tr[1] == 0  # four ones in characteristic 2
     F81 = gf.get_field(3, 4)
     a = F81.alpha
     # oracle: the defining sum alpha + alpha^3 + alpha^9 + alpha^27
     acc = a
     for e in (3, 9, 27):
         acc = F81.add(acc, F81.pow(a, e))
-    assert F81.trace(a, 1) == acc
+    assert F81.symbols(1).trace_elem[a] == acc
     with pytest.raises(gf.FieldError):
-        F.trace(1, 3)
+        F.symbols(3)
 
 
 @pytest.mark.parametrize("p,n,d", [(2, 4, 1), (2, 4, 2), (3, 4, 1), (2, 8, 4), (2, 8, 2)])
 def test_trace_onto_with_equal_fibers(p, n, d):
     F = gf.get_field(p, n)
-    tab = F.trace_table(d)
+    sy = F.symbols(d)
+    tab = sy.trace_elem
     values, counts = np.unique(tab, return_counts=True)
     assert len(values) == p ** d
     assert set(counts.tolist()) == {p ** (n - d)}
     # F_q-linearity of the trace
-    sub = F.subfield(d)
     rng = np.random.default_rng(5)
     for _ in range(20):
-        lam = int(sub.elements[rng.integers(0, len(sub.elements))])
+        lam = int(sy.elements[rng.integers(0, len(sy.elements))])
         x = int(rng.integers(0, F.order))
-        assert F.trace(F.mul(lam, x), d) == F.mul(lam, F.trace(x, d))
+        assert tab[F.mul(lam, x)] == F.mul(lam, int(tab[x]))
 
 
 def test_power_residue():
@@ -157,13 +158,23 @@ def test_symbol_system():
     F = gf.get_field(2, 8)
     sy = F.symbols(2)  # F_4 symbols inside F_{2^8}
     assert sy.q == 4
-    assert sy.elem(0) == 0
+    assert sy.elements[0] == 0
     # symbol addition agrees with field addition
     for i in range(4):
         for j in range(4):
-            assert sy.elem(int(sy.add[i, j])) == F.add(sy.elem(i), sy.elem(j))
+            assert sy.elements[sy.add[i, j]] == F.add(int(sy.elements[i]), int(sy.elements[j]))
     # traces land in the subfield
     assert np.all(sy.index_of[sy.trace_elem] >= 0)
+
+
+def test_symbol_tables_bounded(monkeypatch):
+    # q x q tables past SYMBOL_CELLS are refused before any allocation
+    with pytest.raises(gf.FieldError, match="symbol table cells"):
+        gf.get_field(16411, 1).symbols(1)
+    monkeypatch.setattr(gf, "SYMBOL_CELLS", 25)
+    assert gf.make_field(5, 2).symbols(1).add.shape == (5, 5)
+    with pytest.raises(gf.FieldError, match="symbol table cells"):
+        gf.make_field(5, 2).symbols(2)
 
 
 @pytest.mark.parametrize("p,n", [(3, 4), (2, 4), (5, 4), (2, 6), (79, 2), (131, 2),
