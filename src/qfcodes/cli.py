@@ -8,6 +8,7 @@ timestamps), so identical configurations produce byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -26,11 +27,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; the CLI reserves 2
         self.print_usage(sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _default_budget() -> int | str:
-    """QFCODES_BUDGET as given, else the default; argparse runs a string through _budget."""
-    return os.environ.get("QFCODES_BUDGET") or DEFAULT_BUDGET
 
 
 def _workers(text: str) -> int:
@@ -302,15 +298,14 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sp, with_family=True):
+def _add_common(sp, budget):
     sp.add_argument("--p", type=int, required=True, help="characteristic (prime)")
     sp.add_argument("--s", type=int, default=1, help="q = p^s")
     sp.add_argument("--m", type=int, required=True, help="extension degree over F_q")
-    if with_family:
-        sp.add_argument("--family", required=True, help="mono:L, l3l:L or span:L1,L2,..")
-        sp.add_argument("--variant", default="base", choices=spectra.VARIANTS)
-        sp.add_argument("--method", default="predict", choices=("predict", "brute", "both"))
-    sp.add_argument("--budget", type=_budget, default=_default_budget(),
+    sp.add_argument("--family", required=True, help="mono:L, l3l:L or span:L1,L2,..")
+    sp.add_argument("--variant", default="base", choices=spectra.VARIANTS)
+    sp.add_argument("--method", default="predict", choices=("predict", "brute", "both"))
+    sp.add_argument("--budget", type=_budget, default=budget,
                     help="max symbol evaluations for brute work")
     sp.add_argument("--workers", type=_workers, default=1)
     sp.add_argument("--format", default="json", choices=("json", "csv", "text"))
@@ -318,16 +313,21 @@ def _add_common(sp, with_family=True):
 
 
 def build_parser() -> _Parser:
+    """The CLI parser, built once per value of QFCODES_BUDGET (the --budget default)."""
+    return _parser(os.environ.get("QFCODES_BUDGET"))
+
+
+@functools.lru_cache(maxsize=8)
+def _parser(budget_env: str | None) -> _Parser:
+    budget = budget_env or DEFAULT_BUDGET  # argparse runs a string default through _budget
     ap = _Parser(prog="qfcodes",
                  description="weight distributions of trace-form cyclic codes "
                              "and their Artin-Schreier curves")
     sub = ap.add_subparsers(dest="command", required=True)
     sp = sub.add_parser("spectrum", help="predict and/or enumerate a code spectrum")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_spectrum)
+    _add_common(sp, budget)
     sp = sub.add_parser("cwe", help="complete weight enumerator of a base code")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_cwe)
+    _add_common(sp, budget)
     sp = sub.add_parser("curves", help="point counts, scans and optimal witnesses")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
@@ -338,26 +338,29 @@ def build_parser() -> _Parser:
     sp.add_argument("--witness", action="store_true",
                     help="search the two-monomial family for an optimal curve")
     sp.add_argument("--pair-budget", type=_budget, default=None)
-    sp.add_argument("--budget", type=_budget, default=_default_budget())
+    sp.add_argument("--budget", type=_budget, default=budget)
     sp.add_argument("--format", default="json", choices=("json", "csv", "text"))
     sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=cmd_curves)
     sp = sub.add_parser("verify", help="run the full acceptance grid")
-    sp.add_argument("--budget", type=_budget, default=_default_budget())
+    sp.add_argument("--budget", type=_budget, default=budget)
     sp.add_argument("--workers", type=_workers, default=1)
     sp.add_argument("--json", default=None, help="write the report to a file")
-    sp.set_defaults(fn=cmd_verify)
     return ap
 
 
 def main(argv=None) -> int:
+    """Run one command; may be called any number of times in one process.
+
+    The command function is looked up by name at each call, so a wrapper
+    installed on ``cmd_<command>`` after the parser was built still runs.
+    """
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        return globals()[f"cmd_{args.command}"](args)
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

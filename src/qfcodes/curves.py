@@ -19,7 +19,6 @@ lin_eval_table and the digit tables, and never goes through either.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -103,9 +102,10 @@ def genus(spec: CurveSpec) -> int:
     """g = (p-1) p^v / 2 for R != 0 (deg(xR(x)+beta x) = p^v + 1 is prime to p)."""
     if spec.R.is_zero:
         raise HypothesisError("the genus formula needs R != 0")
-    g = Fraction(spec.p - 1) * Fraction(spec.p) ** spec.v() / 2
-    assert g.denominator == 1
-    return int(g)
+    g, rest = divmod((spec.p - 1) * spec.p ** spec.v(), 2)
+    if rest:  # p = 2 and v = 0: xR(x) + beta x has even degree 2
+        raise HypothesisError("the genus formula needs deg(xR(x) + beta x) prime to p")
+    return g
 
 
 def hasse_weil(spec: CurveSpec) -> tuple[int, int]:
@@ -143,14 +143,11 @@ def optimality_status(spec: CurveSpec, prof: QuadFormProfile | None = None) -> C
     r = prof.rank
     eps_eff = 1 if r == 0 else prof.type
     w = (p ** (m + 1) + 1 - pts) // p
-    base_w = p ** m - p ** (m - 1)
-    qr = Fraction(p) ** (m - Fraction(r, 2) - 1)
-    w_max = base_w - (p - 1) * qr
-    w_min = base_w + (p - 1) * qr
-    optimal_possible = spec.v() == Fraction(m - r, 2)
-    max_hit, min_hit = w == w_max, w == w_min
-    by_weight = ("maximal" if max_hit else "minimal" if min_hit else "interior") \
-        if optimal_possible else "interior"
+    by_weight = "interior"
+    if 2 * spec.v() == m - r:  # endpoints reachable; m is even, so r is even
+        base_w = p ** m - p ** (m - 1)
+        dev = (p - 1) * p ** (m - r // 2 - 1)
+        by_weight = {base_w - dev: "maximal", base_w + dev: "minimal"}.get(w, "interior")
     if by_weight != status:
         raise CurveCountError(f"weight-class route says {by_weight}, "
                               f"endpoints say {status} (w={w}, rank={r}, eps={eps_eff})")
@@ -232,11 +229,12 @@ def optimal_beta_counts(p: int, m: int, ell: int) -> tuple[int, int]:
     """(minimal, maximal) beta counts per qualifying gamma when l | m."""
     if m % ell != 0:
         raise HypothesisError("l must divide m here")
-    P = Fraction(p)
-    low = P ** (m - 2 * ell - 1) - (P - 1) * P ** (Fraction(m, 2) - ell - 1)
-    high = P ** (m - 2 * ell - 1) + (P - 1) * P ** (Fraction(m, 2) - ell - 1)
-    assert low.denominator == 1 and high.denominator == 1
-    return int(low), int(high)
+    if m % 2 != 0:
+        raise HypothesisError("only even extension degrees are in scope")
+    if 2 * ell >= m:
+        raise HypothesisError("l < m/2 is required")
+    dev = (p - 1) * p ** (m // 2 - ell - 1)
+    return p ** (m - 2 * ell - 1) - dev, p ** (m - 2 * ell - 1) + dev
 
 
 @dataclass

@@ -29,6 +29,8 @@ import numpy as np
 DEFAULT_SIZE_LIMIT = 1 << 22
 # q x q cells a symbol addition or product table may hold (q <= 4096)
 SYMBOL_CELLS = 1 << 24
+# q x q table cells one block of field arithmetic fills at a time (2 MiB as int64)
+SYMBOL_BLOCK = 1 << 18
 
 
 def is_prime(n: int) -> bool:
@@ -400,9 +402,17 @@ class SymbolSystem:
             raise FieldError("trace values escaped the subfield")
         self.trace_elem = acc
         self.trace_sym = self.index_of[acc].astype(np.int16)
-        grid = ctx.v_add(self.elements[:, None], self.elements[None, :])
-        self.add = self.index_of[grid].astype(np.int16)
+        self.add = self._table(ctx.v_add)
         self.neg = self.index_of[ctx.v_neg(self.elements)].astype(np.int16)
+
+    def _table(self, op) -> np.ndarray:
+        """int16 q x q symbol table of a vectorised field op, filled SYMBOL_BLOCK cells at a time."""
+        out = np.empty((self.q, self.q), dtype=np.int16)
+        rows = max(1, SYMBOL_BLOCK // self.q)
+        for lo in range(0, self.q, rows):
+            out[lo:lo + rows] = self.index_of[op(self.elements[lo:lo + rows, None],
+                                                 self.elements[None, :])]
+        return out
 
     def plus(self, a: np.ndarray, b) -> np.ndarray:
         """a + b over F_q symbols, through the flat addition table (b may be a scalar)."""
@@ -411,8 +421,7 @@ class SymbolSystem:
     @cached_property
     def mul(self) -> np.ndarray:
         """Symbol product table."""
-        grid = self.ctx.v_mul(self.elements[:, None], self.elements[None, :])
-        return self.index_of[grid].astype(np.int16)
+        return self._table(self.ctx.v_mul)
 
     @cached_property
     def trace_pow(self) -> np.ndarray:

@@ -14,7 +14,6 @@ quadform.form_profiles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -134,30 +133,31 @@ def l3l_constants(p: int, m: int, ell: int) -> tuple[int, int, int, int]:
         raise HypothesisError("m > 6l is required")
     d = gcd(m, ell)
     e = eps_ell(m, ell)
-    P = Fraction(p)
-    denom = P ** (6 * d) + P ** (5 * d) - P ** (4 * d) + P ** (2 * d) - P ** d - 1
-    half, threehalf = Fraction(m, 2), Fraction(3 * m, 2)
-    alt = sum((-1) ** (i + 1) * P ** (i * d) for i in range(6))
-    f0 = (P ** (2 * m + 6 * d) - P ** (2 * m + 4 * d) - P ** (2 * m + d)
-          + P ** (m + 4 * d) + P ** (m + d) - P ** (6 * d)
-          + e * (P ** (threehalf + 5 * d) - P ** (threehalf + 4 * d)
-                 - P ** (half + 5 * d) + P ** (half + 4 * d))) / denom
-    f1 = (P ** (2 * m - 2 * d) * (P ** (7 * d) - P ** (2 * d) - 1)
-          + P ** (m - 2 * d) * (P ** (5 * d) - P ** (6 * d) + P ** (2 * d) + 1)
-          - P ** (3 * d) * (P ** (2 * d) - P ** d + 1)
-          - e * (P ** threehalf - P ** half) * alt) / denom
-    f2 = (P ** (2 * m - 3 * d) * (P ** (5 * d) + P ** d - 1)
-          - P ** (m - 3 * d) * (P ** (6 * d) + P ** (4 * d) + P ** d - 1)
-          + P ** d * (P ** (2 * d) - P ** d + 1)
-          + e * (P ** (threehalf - 2 * d) - P ** (half - 2 * d)) * alt) / denom
-    f3 = (P ** (2 * m - 3 * d) - P ** m - P ** (m - 3 * d) + 1
-          - e * (P ** (threehalf - d) - P ** (threehalf - 2 * d)
-                 - P ** (half - d) + P ** (half - 2 * d))) / denom
+    h = m // 2  # m > 6l >= 6d and m/d even, so every exponent below is >= 0
+    denom = p ** (6 * d) + p ** (5 * d) - p ** (4 * d) + p ** (2 * d) - p ** d - 1
+    alt = sum((-1) ** (i + 1) * p ** (i * d) for i in range(6))
+    n0 = (p ** (2 * m + 6 * d) - p ** (2 * m + 4 * d) - p ** (2 * m + d)
+          + p ** (m + 4 * d) + p ** (m + d) - p ** (6 * d)
+          + e * (p ** (3 * h + 5 * d) - p ** (3 * h + 4 * d)
+                 - p ** (h + 5 * d) + p ** (h + 4 * d)))
+    n1 = (p ** (2 * m - 2 * d) * (p ** (7 * d) - p ** (2 * d) - 1)
+          + p ** (m - 2 * d) * (p ** (5 * d) - p ** (6 * d) + p ** (2 * d) + 1)
+          - p ** (3 * d) * (p ** (2 * d) - p ** d + 1)
+          - e * (p ** (3 * h) - p ** h) * alt)
+    n2 = (p ** (2 * m - 3 * d) * (p ** (5 * d) + p ** d - 1)
+          - p ** (m - 3 * d) * (p ** (6 * d) + p ** (4 * d) + p ** d - 1)
+          + p ** d * (p ** (2 * d) - p ** d + 1)
+          + e * (p ** (3 * h - 2 * d) - p ** (h - 2 * d)) * alt)
+    n3 = (p ** (2 * m - 3 * d) - p ** m - p ** (m - 3 * d) + 1
+          - e * (p ** (3 * h - d) - p ** (3 * h - 2 * d)
+                 - p ** (h - d) + p ** (h - 2 * d)))
     out = []
-    for j, f in enumerate((f0, f1, f2, f3)):
-        if f.denominator != 1 or f < 0:
-            raise HypothesisError(f"rank multiplicity {j} is not a nonnegative integer: {f}")
-        out.append(int(f))
+    for j, num in enumerate((n0, n1, n2, n3)):
+        f, rest = divmod(num, denom)
+        if rest or f < 0:
+            raise HypothesisError(f"rank multiplicity {j} is not a nonnegative integer: "
+                                  f"{num}/{denom}")
+        out.append(f)
     if sum(out) != p ** (2 * m) - 1:
         raise HypothesisError("rank multiplicities do not sum to p^{2m} - 1")
     return tuple(out)

@@ -32,7 +32,6 @@ keeps the direct grid as the oracle the transform is checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -313,13 +312,15 @@ def beta_class_counts(q: int, m: int, r: int, eps: int, b_zero: bool) -> dict[st
 def exp_sum_class_value(q: int, m: int, r: int, eps: int, beta_class: str) -> int:
     """The S_{Q,b} value attached to a beta class (independent of b)."""
     _require_even_rank(r)
+    if r > 2 * m:
+        raise RankError(f"rank {r} exceeds 2m = {2 * m}")
     if beta_class == "null":
         return 0
-    dev = Fraction(q) ** (m - r // 2)
+    dev = q ** (m - r // 2)
     if beta_class == "major":
-        return int(eps * (q - 1) * dev)
+        return eps * (q - 1) * dev
     if beta_class == "minor":
-        return int(-eps * dev)
+        return -eps * dev
     raise ValueError(f"unknown beta class {beta_class!r}")
 
 

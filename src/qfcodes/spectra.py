@@ -96,7 +96,8 @@ class CodeParams:
 
 def _weight(q: int, m: int, S: int, b_zero: bool) -> int:
     """Weight q^m - q^{m-1} - [b != 0] - S/q of a full-length word whose exponential sum is S."""
-    assert S % q == 0
+    if S % q:
+        raise HypothesisError(f"exponential sum {S} is not a multiple of q = {q}")
     return q ** m - q ** (m - 1) - (0 if b_zero else 1) - S // q
 
 

@@ -231,3 +231,92 @@ def test_curves_negative_pair_budget_exit_1(capsys, monkeypatch):
         code, out, err = run(argv + ["--pair-budget", bad], capsys)
         assert code == cli.EXIT_USAGE and out == "" and "pair-budget" in err
     assert cli.build_parser().parse_args(argv + ["--pair-budget", "0"]).pair_budget == 0
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SPECTRUM = ["spectrum", "--p", "2", "--m", "4", "--family", "mono:1"]
+
+
+def test_parser_built_once_per_budget_env(monkeypatch):
+    monkeypatch.delenv("QFCODES_BUDGET", raising=False)
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setenv("QFCODES_BUDGET", "777")
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.build_parser().parse_args(SPECTRUM).budget == 777
+
+
+def test_parser_builds_counted(monkeypatch, capsys):
+    # deterministic guard: 20 main calls over 3 distinct QFCODES_BUDGET values
+    # build the top-level parser 3 times
+    builds = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "qfcodes":
+            builds.append(os.environ.get("QFCODES_BUDGET"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    envs = [None, "100000", "200000", None, "100000"]
+    for i in range(20):
+        env = envs[i % len(envs)]
+        if env is None:
+            monkeypatch.delenv("QFCODES_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("QFCODES_BUDGET", env)
+        assert cli.main(SPECTRUM) == 0
+    capsys.readouterr()
+    assert len(builds) == 3 and set(builds) == {None, "100000", "200000"}
+
+
+def test_budget_env_changed_between_main_calls(capsys, monkeypatch):
+    argv = SPECTRUM + ["--method", "brute"]
+    monkeypatch.delenv("QFCODES_BUDGET", raising=False)
+    assert run(argv, capsys)[0] == cli.EXIT_OK
+    monkeypatch.setenv("QFCODES_BUDGET", "10")
+    code, out, err = run(argv, capsys)
+    assert code == cli.EXIT_BUDGET and out == "" and err.startswith("budget exceeded")
+    for bad in ("abc", "-5"):
+        monkeypatch.setenv("QFCODES_BUDGET", bad)
+        code, out, err = run(argv, capsys)
+        assert code == cli.EXIT_USAGE and out == "" and err.startswith("usage:")
+    monkeypatch.setenv("QFCODES_BUDGET", "100000")
+    assert run(argv, capsys)[0] == cli.EXIT_OK
+    monkeypatch.delenv("QFCODES_BUDGET")
+    assert run(argv, capsys)[0] == cli.EXIT_OK
+
+
+def test_usage_error_then_spectrum_matches_fresh_process(capsys, monkeypatch):
+    monkeypatch.delenv("QFCODES_BUDGET", raising=False)
+    argv = ["spectrum", "--p", "3", "--m", "4", "--family", "mono:1",
+            "--variant", "0", "--method", "both"]
+    assert run(["spectrum", "--p", "3", "--family", "mono:1"], capsys)[0] == cli.EXIT_USAGE
+    code, out, _ = run(argv, capsys)
+    env = {k: v for k, v in os.environ.items() if k != "QFCODES_BUDGET"}
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-m", "qfcodes.cli", *argv], env=env,
+                          capture_output=True, timeout=120)
+    assert code == proc.returncode == cli.EXIT_OK
+    assert out.encode() == proc.stdout
+
+
+def test_benchmark_cli_configs_repeat_identically(capsys, monkeypatch):
+    # the benchmark's distinct `spectrum` argv set, each run twice through one
+    # cached parser: exit 0 and the same bytes both times
+    monkeypatch.delenv("QFCODES_BUDGET", raising=False)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    configs = workloads._cli_configs()
+    assert len(set(configs)) == 32
+    for op, p, s, m, fam, variant in configs:
+        if op == "cli_both":
+            family, method = f"mono:{fam}", "both"
+        else:
+            family, method = fam, "predict"
+        argv = [str(a) for a in workloads._spectrum_argv(p, s, m, family, variant, method)]
+        first = run(argv, capsys)
+        second = run(argv, capsys)
+        assert first[0] == second[0] == cli.EXIT_OK, argv
+        assert first[1] == second[1] and first[1], argv

@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +54,44 @@ def test_degenerate_r0():
 def test_genus_formula():
     assert curves.genus(curve(3, 8, 3, 1)) == 27  # deg R = 27
     assert curves.genus(curve(5, 4, 1, 1)) == 10  # deg R = 5
+
+
+def test_genus_needs_degree_prime_to_p():
+    # p = 2, R = x: xR(x) + beta x = x^2 + beta x has even degree
+    with pytest.raises(HypothesisError, match="prime to p"):
+        curves.genus(curve(2, 4, 0, 1))
+
+
+def test_optimal_beta_counts_out_of_scope():
+    with pytest.raises(HypothesisError, match="even extension degrees"):
+        curves.optimal_beta_counts(3, 3, 1)
+    with pytest.raises(HypothesisError, match="l < m/2"):
+        curves.optimal_beta_counts(3, 4, 2)
+
+
+def test_closed_form_checks_hold_under_optimize():
+    # the checks are raised errors, not asserts, so `python -O` keeps them
+    code = """
+from qfcodes import curves, gf, spectra
+from qfcodes.curves import CurveSpec
+from qfcodes.klapper import HypothesisError
+from qfcodes.linpoly import LinearizedPoly
+calls = (lambda: curves.genus(CurveSpec(gf.get_field(2, 4), LinearizedPoly((0,), (1,), 1), 0)),
+         lambda: curves.optimal_beta_counts(3, 3, 1),
+         lambda: curves.optimal_beta_counts(3, 4, 2),
+         lambda: spectra._weight(3, 4, 5, True))
+for call in calls:
+    try:
+        call()
+    except HypothesisError:
+        continue
+    raise SystemExit(1)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_hasse_weil_values():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -175,6 +177,35 @@ def test_symbol_tables_bounded(monkeypatch):
     assert gf.make_field(5, 2).symbols(1).add.shape == (5, 5)
     with pytest.raises(gf.FieldError, match="symbol table cells"):
         gf.make_field(5, 2).symbols(2)
+
+
+def test_symbol_tables_filled_in_blocks(monkeypatch):
+    # blocks of one row and of several rows with a short last block give the
+    # tables of one whole-grid evaluation
+    monkeypatch.setattr(gf, "SYMBOL_BLOCK", 7)
+    for p, n, d in ((3, 2, 1), (2, 4, 1), (5, 2, 1), (3, 4, 2), (2, 6, 3), (7, 2, 2)):
+        F = gf.make_field(p, n)
+        sy = F.symbols(d)
+        el = sy.elements
+        assert sy.add.dtype == sy.mul.dtype == np.int16
+        assert np.array_equal(sy.add, sy.index_of[F.v_add(el[:, None], el[None, :])])
+        assert np.array_equal(sy.mul, sy.index_of[F.v_mul(el[:, None], el[None, :])])
+
+
+def test_symbol_table_peak_memory():
+    # q = 4093: the two int16 tables hold 32 MiB each; no q x q int64 grid is built
+    F = gf.make_field(4093, 1)
+    tracemalloc.start()
+    try:
+        sy = F.symbols(1)
+        mul = sy.mul
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 << 20
+    rng = np.random.default_rng(5)
+    for i, j in rng.integers(0, 4093, size=(50, 2)).tolist():
+        assert sy.add[i, j] == F.add(i, j) and mul[i, j] == F.mul(i, j)
 
 
 @pytest.mark.parametrize("p,n", [(3, 4), (2, 4), (5, 4), (2, 6), (79, 2), (131, 2),

@@ -1,5 +1,6 @@
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -99,6 +100,41 @@ def test_l3l_constants():
     assert fs == (31084560, 11512800, 447720, 1640)
     dist = klapper.rank_distribution_l3l(3, 8, 1)
     assert dist.as_dict() == {(8, 1): fs[0], (6, -1): fs[1], (4, 1): fs[2], (2, -1): fs[3]}
+
+
+def l3l_constants_fraction(p, m, ell):
+    """Independent route: the four multiplicities evaluated in Fraction arithmetic."""
+    d = gcd(m, ell)
+    e = klapper.eps_ell(m, ell)
+    P = Fraction(p)
+    denom = P ** (6 * d) + P ** (5 * d) - P ** (4 * d) + P ** (2 * d) - P ** d - 1
+    half, threehalf = Fraction(m, 2), Fraction(3 * m, 2)
+    alt = sum((-1) ** (i + 1) * P ** (i * d) for i in range(6))
+    f0 = (P ** (2 * m + 6 * d) - P ** (2 * m + 4 * d) - P ** (2 * m + d)
+          + P ** (m + 4 * d) + P ** (m + d) - P ** (6 * d)
+          + e * (P ** (threehalf + 5 * d) - P ** (threehalf + 4 * d)
+                 - P ** (half + 5 * d) + P ** (half + 4 * d))) / denom
+    f1 = (P ** (2 * m - 2 * d) * (P ** (7 * d) - P ** (2 * d) - 1)
+          + P ** (m - 2 * d) * (P ** (5 * d) - P ** (6 * d) + P ** (2 * d) + 1)
+          - P ** (3 * d) * (P ** (2 * d) - P ** d + 1)
+          - e * (P ** threehalf - P ** half) * alt) / denom
+    f2 = (P ** (2 * m - 3 * d) * (P ** (5 * d) + P ** d - 1)
+          - P ** (m - 3 * d) * (P ** (6 * d) + P ** (4 * d) + P ** d - 1)
+          + P ** d * (P ** (2 * d) - P ** d + 1)
+          + e * (P ** (threehalf - 2 * d) - P ** (half - 2 * d)) * alt) / denom
+    f3 = (P ** (2 * m - 3 * d) - P ** m - P ** (m - 3 * d) + 1
+          - e * (P ** (threehalf - d) - P ** (threehalf - 2 * d)
+                 - P ** (half - d) + P ** (half - 2 * d))) / denom
+    assert all(f.denominator == 1 and f >= 0 for f in (f0, f1, f2, f3))
+    return tuple(int(f) for f in (f0, f1, f2, f3))
+
+
+def test_l3l_constants_match_fraction_route():
+    triples = [(p, m, ell) for p in (3, 5, 7, 11, 13) for m in range(2, 31, 2)
+               for ell in range(1, m) if m > 6 * ell and (m // gcd(m, ell)) % 2 == 0]
+    assert len(triples) == 110
+    for p, m, ell in triples:
+        assert klapper.l3l_constants(p, m, ell) == l3l_constants_fraction(p, m, ell), (p, m, ell)
 
 
 def test_l3l_errors():

@@ -1,4 +1,5 @@
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -233,6 +234,31 @@ def test_beta_class_counts_rank0():
     # zero form: only the "major" class with the single beta = 0
     counts = quadform.beta_class_counts(3, 2, 0, 1, b_zero=True)
     assert counts == {"null": 8, "major": 1, "minor": 0}
+
+
+def exp_sum_class_value_fraction(q, m, r, eps, beta_class):
+    """Independent route: the class value evaluated in Fraction arithmetic."""
+    if beta_class == "null":
+        return 0
+    dev = Fraction(q) ** (m - r // 2)
+    return int(eps * (q - 1) * dev) if beta_class == "major" else int(-eps * dev)
+
+
+def test_exp_sum_class_value_matches_fraction_route():
+    n = 0
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
+        for m in range(1, 11):
+            for r in range(0, 2 * m + 1, 2):
+                for eps in (1, -1):
+                    for cls in quadform.BETA_CLASSES:
+                        value = quadform.exp_sum_class_value(q, m, r, eps, cls)
+                        assert type(value) is int
+                        assert value == exp_sum_class_value_fraction(q, m, r, eps, cls)
+                        n += 1
+    assert n == 3510
+    # past r = 2m the value would need a negative power of q
+    with pytest.raises(RankError):
+        quadform.exp_sum_class_value(3, 2, 6, 1, "major")
 
 
 def test_exp_sum_identity_random():
