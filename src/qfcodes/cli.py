@@ -16,8 +16,8 @@ import sys
 from . import curves, klapper, spectra, verify
 from .gf import FieldCtx, FieldError, get_field
 from .klapper import HypothesisError
-from .linpoly import FamilySpec, LinearizedPoly, family_coeffs
-from .quadform import PROFILE_CELLS, RankError, form_profiles
+from .linpoly import FamilySpec, LinearizedPoly
+from .quadform import tally_profiles
 from .spectra import BudgetError, CodeSpec, DEFAULT_BUDGET
 
 EXIT_OK, EXIT_USAGE, EXIT_MISMATCH, EXIT_BUDGET = 0, 1, 2, 3
@@ -30,7 +30,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _workers(text: str) -> int:
-    """--workers value: at least 1; no command starts a process for any value."""
+    """--workers value: at least 1, and otherwise ignored: no command starts a process."""
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
@@ -102,42 +102,20 @@ def _family_and_ctx(args) -> tuple[str, list[int], FieldCtx, FamilySpec]:
     return kind, ells, ctx, fam
 
 
-def _even_rank_profiles(ctx, fam: FamilySpec, rows) -> tuple:
-    """form_profiles of nonzero forms; a rank-0 form raises HypothesisError.
-
-    The first failing form in row order is the one reported: when a block
-    raises RankError, its halves are profiled in turn, so a rank-0 form
-    ahead of the failing one is still named.
-    """
-    try:
-        ranks, types = form_profiles(ctx, fam.s, rows, fam.exponents)
-    except RankError:
-        if len(rows) == 1:
-            raise
-        _even_rank_profiles(ctx, fam, rows[: len(rows) // 2])
-        return _even_rank_profiles(ctx, fam, rows[len(rows) // 2:])  # raises
-    if (ranks == 0).any():
-        raise HypothesisError("family is not an even-rank family (rank 0)")
-    return ranks, types
-
-
 def _measured_distribution(ctx, fam: FamilySpec, budget: int) -> klapper.RankDistribution:
     """Rank distribution of an arbitrary family by exhaustive classification.
 
-    The coefficient rows are held one block of PROFILE_CELLS rows at a time.
+    quadform.tally_profiles covers every coefficient row; a rank-0 form other
+    than R = 0 raises HypothesisError, an odd-rank one RankError.
     """
     n_forms = ctx.order ** len(fam.exponents)
     if n_forms * (fam.m ** 3) > budget:
         raise BudgetError(f"{n_forms} forms exceed the classification budget")
-    counts: dict[tuple[int, int], int] = {}
-    for lo in range(0, n_forms, PROFILE_CELLS):
-        rows = family_coeffs(ctx, fam, lo, min(lo + PROFILE_CELLS, n_forms))
-        ranks, types = _even_rank_profiles(ctx, fam, rows[rows.any(axis=1)])
-        for key in zip(ranks.tolist(), types.tolist()):
-            counts[key] = counts.get(key, 0) + 1
-    ordered = tuple((r, e, c) for (r, e), c in
-                    sorted(counts.items(), key=lambda kv: (-kv[0][0], -kv[0][1])))
-    return klapper.RankDistribution(q=fam.q, m=fam.m, counts=ordered)
+    tally = tally_profiles(ctx, fam)
+    if tally.pop((0, None)) != 1:
+        raise HypothesisError("family is not an even-rank family (rank 0)")
+    return klapper.RankDistribution(q=fam.q, m=fam.m,
+                                    counts=tuple((r, e, c) for (r, e), c in tally.items()))
 
 
 def _predicted(kind, args, fam) -> spectra.MonomialPrediction:
@@ -162,9 +140,8 @@ def cmd_spectrum(args) -> int:
     if args.method in ("predict", "both") and kind != "span":
         predicted = _predicted(kind, args, fam)
     brute = None
-    dist = None
     if args.method in ("brute", "both"):
-        brute = spectra.brute_spectrum(ctx, spec, budget=budget, workers=args.workers)
+        brute = spectra.brute_spectrum(ctx, spec, budget=budget)
         if kind == "span" and args.method == "both":
             dist = _measured_distribution(ctx, fam, budget)
             pred_spec = spectra.predict_general(fam.q, args.m, dist, args.variant)
@@ -175,10 +152,8 @@ def cmd_spectrum(args) -> int:
     if kind == "span" and args.method == "predict":
         raise FieldError("span families have no closed-form prediction")
 
-    shown = predicted if predicted is not None else None
-    result = brute if brute is not None else None
-    chosen = result.spectrum if result else shown.spectrum
-    params = result.params if result else shown.params
+    chosen = brute.spectrum if brute else predicted.spectrum
+    params = brute.params if brute else predicted.params
     match = None
     if predicted is not None and brute is not None:
         match = (predicted.spectrum.weights == brute.spectrum.weights
@@ -284,7 +259,7 @@ def cmd_curves(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results, payload = verify.run_all(budget=args.budget, workers=args.workers,
+    results, payload = verify.run_all(budget=args.budget,
                                       log=lambda line: print(line, file=sys.stderr))
     if args.json:
         with open(args.json, "wb") as fh:

@@ -19,6 +19,7 @@ lin_eval_table and the digit tables, and never goes through either.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -74,23 +75,27 @@ def _trace_zero_count(spec: CurveSpec) -> int:
 
 
 def count_points(spec: CurveSpec) -> int:
-    """#C(F_{p^m}) including infinity; both defining formulas are checked."""
-    p, m = spec.p, spec.m
-    z = _trace_zero_count(spec)
-    w = p ** m - z  # weight of the attached codeword
-    by_weight = p ** (m + 1) + 1 - p * w
-    by_kernel = 1 + p * z
-    if by_weight != by_kernel:
-        raise CurveCountError("point count routes disagree")
-    return by_kernel
+    """#C(F_{p^m}) = 1 + p z including infinity, z the trace-zero count of x R(x) + beta x.
+
+    count_points_by_solutions and the weight-class route of
+    optimality_status check it independently.
+    """
+    return 1 + spec.p * _trace_zero_count(spec)
+
+
+@lru_cache(maxsize=16)
+def _artin_schreier_counts(ctx: FieldCtx) -> np.ndarray:
+    """#{y : y^p - y = a} for every field element a (read-only, cached per field)."""
+    ys = np.arange(ctx.order, dtype=np.int64)
+    hist = np.bincount(ctx.v_add(ctx.frob_table(1), ctx.v_neg(ys)), minlength=ctx.order)
+    hist.flags.writeable = False
+    return hist
 
 
 def count_points_by_solutions(spec: CurveSpec) -> int:
     """Independent oracle: enumerate (x, y) solutions of y^p - y = xR(x) + beta x."""
     ctx = spec.ctx
-    ys = np.arange(ctx.order, dtype=np.int64)
-    lhs = ctx.v_add(ctx.frob_table(1)[ys], ctx.v_neg(ys))
-    hist = np.bincount(lhs, minlength=ctx.order)
+    hist = _artin_schreier_counts(ctx)
     xs = np.arange(ctx.order, dtype=np.int64)
     rhs = ctx.v_mul(xs, lin_eval_table(ctx, spec.R))
     if spec.beta:

@@ -5,10 +5,9 @@ L = q^{(m,l)}+1 equals 1 exactly on the t = 0 (mod L) power class and -1 on
 the t = L/2 class, so no discrete logarithm is ever computed.  The module
 also carries the rank-multiplicity constants for the one- and two-monomial
 families, and an exhaustive (rank, type) tally over all (gamma_1, gamma_2)
-pairs, taken on x -> cx orbit representatives, that verifies the
-two-monomial distribution in full, types included.  Every pair's rank and
-type, one pair or a whole orbit row at a time, comes from
-quadform.form_profiles.
+pairs, quadform.tally_profiles on x -> cx orbit rows, that verifies the
+two-monomial distribution in full, types included.  Every single pair's
+rank and type comes from quadform.form_profiles.
 """
 
 from __future__ import annotations
@@ -16,11 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-import numpy as np
-
 from .gf import FieldCtx, FieldError, is_prime
-from .linpoly import LinearizedPoly
-from .quadform import QuadForm, QuadFormProfile, form_profiles, profile as qf_profile
+from .linpoly import FamilySpec, LinearizedPoly
+from .quadform import (QuadForm, QuadFormProfile, form_profiles, profile as qf_profile,
+                       tally_profiles)
 
 
 class HypothesisError(ValueError):
@@ -196,39 +194,22 @@ def l3l_pair_profile_fast(ctx: FieldCtx, ell: int, g1: int, g2: int) -> QuadForm
 
 
 def tally_l3l_profiles(ctx: FieldCtx, ell: int) -> dict[tuple[int, int | None], int]:
-    """Exhaustive (rank, type) tally over all (g1, g2) in F_{p^m}^2 by orbit representatives.
+    """Exhaustive (rank, type) tally over all (g1, g2) in F_{p^m}^2, by the discriminant route.
 
-    The substitution x -> cx carries Q_{g1,g2} to Q_{g1 c^{p^{3l}+1}, g2 c^{p^l+1}};
-    it is an invertible change of variables, so rank and type are constant on
-    orbits.  With d = gcd(p^m-1, p^l+1) the rows g2 = alpha^r, r < d, meet
-    every orbit with g2 != 0, and each stands for (p^m-1)/d rows:
-    c^{p^l+1} = 1 forces c^{p^{3l}+1} = 1 because p^l+1 divides p^{3l}+1, so
-    the induced permutation of g1 is well defined.  Each of those d rows and
-    g2 = 0 is one form_profiles call over every g1, by the discriminant route.
-
-    Returns {(rank, type): multiplicity} covering all p^{2m} pairs, ranks
-    descending; the zero pair (and any other rank-0 pair) has type None.
+    quadform.tally_profiles on <x^{p^l}, x^{p^{3l}}>: one row per x -> cx
+    orbit class of g2.  Returns {(rank, type): multiplicity} covering all
+    p^{2m} pairs, ranks descending; the zero pair has type None.
     """
-    p, m = ctx.p, ctx.n
-    if p == 2:
+    if ctx.p == 2:
         raise HypothesisError("the two-monomial family sweep targets odd p")
-    N = ctx.mult_order
-    d = gcd(N, p ** ell + 1)
-    g1 = np.arange(ctx.order, dtype=np.int64)
-    hist = np.zeros(2 * (m + 1), dtype=np.int64)  # index 2 rank + (type == +1)
-    for weight, g2 in zip([1] + [N // d] * d, [0] + [int(g) for g in ctx.exp[:d]]):
-        rows = np.column_stack([np.full_like(g1, g2), g1])
-        rank, eps = form_profiles(ctx, 1, rows, (ell, 3 * ell), count=False)
-        hist += weight * np.bincount(2 * rank + (eps > 0), minlength=2 * (m + 1))
-    return {(k // 2, None if k < 2 else 1 if k % 2 else -1): int(hist[k])
-            for k in np.flatnonzero(hist)[::-1].tolist()}
+    return tally_profiles(ctx, FamilySpec(ctx.p, 1, ctx.n, (ell, 3 * ell)), count=False)
 
 
 def tally_l3l_ranks(ctx: FieldCtx, ell: int, workers: int = 1) -> dict[int, int]:
     """{rank: multiplicity} over all p^{2m} pairs: the rank marginal of tally_l3l_profiles.
 
     The sweep runs in this process: ``workers`` is checked but no pool is
-    started.
+    started.  The argument stays because the benchmark workloads pass it.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")

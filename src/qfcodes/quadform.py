@@ -13,6 +13,8 @@ as Q vanishes on a kernel basis or not.  On fields up to COUNT_LIMIT the
 type is also solved from the zero count of a value table, and the two
 routes must agree.  Exponential sums are integers
 (S_{Q,b}(beta) = q N_{Q,beta}(-b) - q^m); no complex arithmetic appears.
+Every (rank, type) tally of a whole family comes from tally_profiles, which
+profiles one row per x -> cx orbit class of the leading coefficient.
 
 Every trace-form symbol table in the package (Q's values, codewords, curve
 counts and scans) comes from form_symbols, one log-domain gather per term,
@@ -33,12 +35,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 
 import numpy as np
 
 from .gf import FieldCtx, FieldError, int_dtype
 from .linalg import reduce_symmetric
-from .linpoly import LinearizedPoly, lin_eval
+from .linpoly import FamilySpec, LinearizedPoly, family_coeffs, lin_eval
 
 BETA_CLASSES = ("null", "major", "minor")
 # largest field on which form_profiles counts zeros (and cross-checks the discriminant)
@@ -213,6 +216,38 @@ def form_profiles(ctx: FieldCtx, s: int, coeffs, ls: tuple[int, ...],
         rank[lo: lo + block] = r
         eps[lo: lo + block] = np.where(r > 0, e, 0)
     return rank, eps
+
+
+def tally_profiles(ctx: FieldCtx, fam: FamilySpec,
+                   count: bool = True) -> dict[tuple[int, int | None], int]:
+    """{(rank, type): multiplicity} over all (q^m)^k coefficient rows of a family.
+
+    x -> cx is an invertible change of variables, so it keeps rank and type,
+    and it carries each c_i to c_i c^{q^{l_i}+1}.  With d = gcd(q^m-1, q^{l_j}+1)
+    it carries any nonzero c_j to some alpha^r, r < d, scaling each later
+    coefficient by a nonzero constant: a bijection of tails.  So among the
+    rows whose first nonzero coefficient is c_j, the row c_j = alpha^r with
+    every tail from family_coeffs stands for (q^m-1)/d rows.  Tails go to
+    form_profiles (with count) in chunks of PROFILE_CELLS rows, the rows
+    with more leading zeros first, as in row order.  Ranks descending, type
+    +1 before -1; rank-0 rows (the zero row at least) have type None.
+    """
+    N = ctx.mult_order
+    hist = np.zeros(2 * (fam.m + 1), dtype=np.int64)  # index 2 rank + (type == +1)
+    hist[0] = 1  # the zero row
+    for j in reversed(range(len(fam.exponents))):
+        ls = fam.exponents[j:]
+        tail = FamilySpec(fam.p, fam.s, fam.m, ls[1:])
+        d = gcd(N, fam.q ** ls[0] + 1)
+        n_tails = ctx.order ** len(tail.exponents)
+        for lo in range(0, n_tails, PROFILE_CELLS):
+            tails = family_coeffs(ctx, tail, lo, min(lo + PROFILE_CELLS, n_tails))
+            for lead in ctx.exp[:d].tolist():
+                rows = np.column_stack([np.full(len(tails), lead), tails])
+                rank, eps = form_profiles(ctx, fam.s, rows, ls, count)
+                hist += N // d * np.bincount(2 * rank + (eps > 0), minlength=len(hist))
+    return {(k // 2, None if k < 2 else 1 if k % 2 else -1): int(hist[k])
+            for k in np.flatnonzero(hist)[::-1].tolist()}
 
 
 def profile(Q: QuadForm) -> QuadFormProfile:

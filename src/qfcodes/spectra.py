@@ -301,7 +301,8 @@ def brute_spectrum(ctx: FieldCtx, spec: CodeSpec, budget: int = DEFAULT_BUDGET,
     index -> word is F_q-linear, so every word is hit A_0 times (A_0 = the
     indices giving the zero word) and the image holds expected/A_0 words.
     The enumeration runs in this process, a block of forms at a time;
-    `workers` is validated (at least 1) and starts no process.
+    `workers` is validated (at least 1) and starts no process.  The argument
+    stays because the benchmark workloads pass it.
     """
     fam = spec.family
     if ctx.p != fam.p or ctx.n != fam.n:

@@ -25,6 +25,8 @@ GRID = ((2, 1, 4, 1), (2, 1, 6, 1), (2, 1, 8, 1), (2, 1, 8, 2),
         (3, 1, 4, 1), (2, 2, 4, 1), (5, 1, 4, 1))  # (p, s, m, ell)
 
 SAMPLE_SEED = 0x5EED_C0DE
+# word cells one block of criterion 6's sampled codewords may hold
+SAMPLE_CELLS = 1 << 20
 
 
 @dataclass
@@ -80,7 +82,7 @@ def _timed(cid, name, limit, fn) -> CriterionResult:
 
 # -- criteria -------------------------------------------------------------------
 
-def criterion_1(budget: int, workers: int) -> CriterionResult:
+def criterion_1(budget: int) -> CriterionResult:
     def run():
         ctx = get_field(2, 8)
         fam = FamilySpec(2, 1, 8, (1,))
@@ -105,7 +107,7 @@ def criterion_1(budget: int, workers: int) -> CriterionResult:
     return _timed(1, "shortened codes at (2,8,1): [85,8,40] and [85,9,37]", 1.0, run)
 
 
-def criterion_2(budget: int, workers: int) -> CriterionResult:
+def criterion_2(budget: int) -> CriterionResult:
     def run():
         ctx = get_field(2, 8)
         fam = FamilySpec(2, 1, 8, (1,))
@@ -114,7 +116,7 @@ def criterion_2(budget: int, workers: int) -> CriterionResult:
         for variant, want_params, want in (("1", [255, 16, 112], want1),
                                            ("2", [255, 17, 111], None)):
             pred = spectra.predict_monomial_long(2, 8, 1, variant)
-            res = spectra.brute_spectrum(ctx, CodeSpec(fam, variant), budget, workers=workers)
+            res = spectra.brute_spectrum(ctx, CodeSpec(fam, variant), budget)
             match = pred.spectrum.weights == res.spectrum.weights
             if want:
                 match &= res.spectrum.weights == want
@@ -127,7 +129,7 @@ def criterion_2(budget: int, workers: int) -> CriterionResult:
     return _timed(2, "full-length codes at (2,8,1): [255,16,112] and [255,17,111]", 10.0, run)
 
 
-def criterion_3(budget: int, workers: int) -> CriterionResult:
+def criterion_3(budget: int) -> CriterionResult:
     def run():
         details, ok = {}, True
         for (p, s, m, ell) in GRID:
@@ -136,14 +138,11 @@ def criterion_3(budget: int, workers: int) -> CriterionResult:
             fam = FamilySpec(p, s, m, (ell,))
             point = {}
             for variant in spectra.VARIANTS:
-                if variant in ("base", "0"):
-                    pred = spectra.predict_monomial(q, m, ell, variant)
-                    res = spectra.brute_spectrum(ctx, CodeSpec(fam, variant, shortened=True),
-                                                 budget)
-                else:
-                    pred = spectra.predict_monomial_long(q, m, ell, variant)
-                    res = spectra.brute_spectrum(ctx, CodeSpec(fam, variant), budget,
-                                                 workers=workers if q >= 5 else 1)
+                shortened = variant in ("base", "0")
+                predict = spectra.predict_monomial if shortened else spectra.predict_monomial_long
+                pred = predict(q, m, ell, variant)
+                res = spectra.brute_spectrum(ctx, CodeSpec(fam, variant, shortened=shortened),
+                                             budget)
                 match = (pred.spectrum.weights == res.spectrum.weights
                          and pred.params.as_list() == res.params.as_list()
                          and res.injective)
@@ -154,7 +153,7 @@ def criterion_3(budget: int, workers: int) -> CriterionResult:
     return _timed(3, "brute = predicted spectra on the whole grid, all variants", 300.0, run)
 
 
-def criterion_4(budget: int, workers: int) -> CriterionResult:
+def criterion_4(budget: int) -> CriterionResult:
     def run():
         details, ok = {}, True
         for (p, s, m, ell) in GRID:
@@ -181,7 +180,7 @@ def _branch_representatives(ctx, s, m, ell) -> dict[str, int]:
     return reps
 
 
-def criterion_5(budget: int, workers: int) -> CriterionResult:
+def criterion_5(budget: int) -> CriterionResult:
     def run():
         details, ok = {}, True
         for (p, s, m, ell) in GRID:
@@ -204,7 +203,7 @@ def criterion_5(budget: int, workers: int) -> CriterionResult:
     return _timed(5, "beta-sweep sum/count distributions match the closed forms", 120.0, run)
 
 
-def criterion_6(budget: int, workers: int) -> CriterionResult:
+def criterion_6(budget: int) -> CriterionResult:
     p, m, ell = 3, 8, 1
 
     def run():
@@ -253,37 +252,37 @@ def criterion_6(budget: int, workers: int) -> CriterionResult:
         n_pairs = 2100 if mode == "full" else \
             max(40, min(2100, budget // (5 * ctx.order)))
         rng = np.random.default_rng(SAMPLE_SEED)
-        sy = ctx.symbols(1)
-        base_spec = CodeSpec(FamilySpec(p, 1, m, (ell, 3 * ell)), "base")
-        n_samples = 0
-        samples_ok = True
+        pairs, draws = [], []
         for _ in range(n_pairs):
             g1, g2 = int(rng.integers(0, ctx.order)), int(rng.integers(1, ctx.order))
-            prof = klapper.l3l_pair_profile_fast(ctx, ell, g1, g2)
-            r, eps = prof.rank, prof.type
-            base = spectra.build_codeword(ctx, base_spec, klapper.l3l_poly(ctx, ell, g1, g2))
-            draws = [(0, 0)] + [(int(rng.integers(0, ctx.order)), int(rng.integers(0, p)))
-                                for _ in range(4)]
-            for beta, b in draws:
-                syms = base
-                if beta:
-                    syms = sy.plus(syms, quadform.form_symbols(ctx, 1, [[beta]], (1,))[0])
-                if b:
-                    syms = sy.plus(syms, b)
-                w = int(np.count_nonzero(syms != 0))
-                allowed = {spectra.weight_from_profile(p, m, r, eps, b == 0, cls)
-                           for cls in quadform.BETA_CLASSES}
-                if beta == 0 and b == 0:
-                    allowed = {spectra.weight_from_profile(p, m, r, eps, True, "major")}
-                samples_ok &= w in allowed
-                n_samples += 1
-        details["sampled_codewords"] = {"count": n_samples, "ok": samples_ok}
+            pairs.append((g2, g1))
+            draws.append([(0, 0)] + [(int(rng.integers(0, ctx.order)), int(rng.integers(0, p)))
+                                     for _ in range(4)])
+        pairs, draws = np.array(pairs), np.array(draws)
+        ranks, types = quadform.form_profiles(ctx, 1, pairs, (ell, 3 * ell), count=False)
+        # words base + tr(beta x) + b, a bounded block of forms at a time
+        sy, exps = ctx.symbols(1), (p ** ell + 1, p ** (3 * ell) + 1)
+        weights = np.empty(draws.shape[:2], dtype=np.int64)
+        block = max(1, SAMPLE_CELLS // (draws.shape[1] * ctx.mult_order))
+        for lo in range(0, n_pairs, block):
+            beta, b = draws[lo: lo + block, :, :1], draws[lo: lo + block, :, 1:]
+            base = quadform.form_symbols(ctx, 1, pairs[lo: lo + block], exps)
+            traces = quadform.form_symbols(ctx, 1, beta.reshape(-1, 1), (1,))
+            words = sy.plus(base[:, None, :], traces.reshape(*b.shape[:2], -1))
+            weights[lo: lo + block] = np.count_nonzero(words != sy.neg[b], axis=2)  # word + b != 0
+        samples_ok = True
+        for r, eps, ws, ds in zip(ranks.tolist(), types.tolist(), weights.tolist(), draws.tolist()):
+            for w, (beta, b) in zip(ws, ds):
+                classes = ("major",) if beta == 0 and b == 0 else quadform.BETA_CLASSES
+                samples_ok &= w in {spectra.weight_from_profile(p, m, r, eps, b == 0, cls)
+                                    for cls in classes}
+        details["sampled_codewords"] = {"count": weights.size, "ok": samples_ok}
         return dims_ok and samples_ok, mode, details
     return _timed(6, "exhaustive 3^16 rank tally equals the closed-form multiplicities",
                   900.0, run)
 
 
-def criterion_7(budget: int, workers: int) -> CriterionResult:
+def criterion_7(budget: int) -> CriterionResult:
     def run():
         details, ok = {}, True
         for (p, s, m, ell) in GRID:
@@ -307,7 +306,7 @@ def criterion_7(budget: int, workers: int) -> CriterionResult:
     return _timed(7, "gcd and power-class counting identities on the grid", 60.0, run)
 
 
-def criterion_8(budget: int, workers: int) -> CriterionResult:
+def criterion_8(budget: int) -> CriterionResult:
     def run():
         ctx = get_field(2, 4)
         R = LinearizedPoly((1,), (1,), 1)
@@ -333,7 +332,7 @@ def criterion_8(budget: int, workers: int) -> CriterionResult:
     return _timed(8, "the elliptic examples over F_16: 9 points minimal, 25 maximal", 1.0, run)
 
 
-def criterion_9(budget: int, workers: int) -> CriterionResult:
+def criterion_9(budget: int) -> CriterionResult:
     def run():
         details, ok = {}, True
         for (p, m, ell) in ((3, 4, 1), (3, 2, 1), (2, 4, 1), (2, 6, 1)):
@@ -344,7 +343,7 @@ def criterion_9(budget: int, workers: int) -> CriterionResult:
     return _timed(9, "point-count multisets of full beta sweeps, all six classes", 60.0, run)
 
 
-def criterion_10(budget: int, workers: int) -> CriterionResult:
+def criterion_10(budget: int) -> CriterionResult:
     def run():
         details, ok = {}, True
         ctx4 = get_field(3, 4)
@@ -366,7 +365,7 @@ def criterion_10(budget: int, workers: int) -> CriterionResult:
                   120.0, run)
 
 
-def criterion_11(budget: int, workers: int) -> CriterionResult:
+def criterion_11(budget: int) -> CriterionResult:
     def run():
         ctx = get_field(3, 8)
         wit = curves.l3l_optimal_witness(ctx, 1)
@@ -385,8 +384,8 @@ CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
             criterion_11)
 
 
-def run_grid(budget: int = DEFAULT_BUDGET, workers: int = 1) -> list[CriterionResult]:
-    return [fn(budget, workers) for fn in CRITERIA]
+def run_grid(budget: int = DEFAULT_BUDGET) -> list[CriterionResult]:
+    return [fn(budget) for fn in CRITERIA]
 
 
 def report_json(results: list[CriterionResult]) -> bytes:
@@ -398,13 +397,12 @@ def report_json(results: list[CriterionResult]) -> bytes:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
 
 
-def run_all(budget: int = DEFAULT_BUDGET, workers: int = 1,
-            log=lambda line: None) -> tuple[list[CriterionResult], bytes]:
+def run_all(budget: int = DEFAULT_BUDGET, log=lambda line: None) -> tuple[list[CriterionResult], bytes]:
     """Run the grid twice; the determinism criterion byte-compares the reports."""
-    first = run_grid(budget, workers)
+    first = run_grid(budget)
     for r in first:
         log(r.line())
-    second = run_grid(budget, workers)
+    second = run_grid(budget)
     identical = report_json(first) == report_json(second)
     det = CriterionResult(12, "two full runs emit byte-identical reports", identical,
                           "full", {"identical": identical})

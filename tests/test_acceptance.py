@@ -20,7 +20,7 @@ REPORT_SHA256 = "0e947eae3a32c4b26041a385d23c5da15b5b774788b0cd1c7b76114c027234d
 
 @pytest.fixture(scope="module")
 def results():
-    res, payload = verify.run_all(workers=2, log=lambda line: None)
+    res, payload = verify.run_all(log=lambda line: None)
     report = json.loads(payload)
     assert report["criteria"][-1]["id"] == N_CRITERIA
     assert (len(payload), hashlib.sha256(payload).hexdigest()) == (4058, REPORT_SHA256)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -98,15 +99,65 @@ def test_spectrum_brute_non_injective_span(capsys):
     assert payload["expected_words"] == 256
 
 
-@pytest.mark.parametrize("variant,k,d", [("0", 17, 63), ("1", 24, 64)])
-def test_spectrum_measured_span_matches_brute(capsys, variant, k, d):
-    # predict_general on a measured (rank, type) distribution, against brute force
+def pinned(out):
+    """(byte length, sha256) of a command's stdout."""
+    return len(out.encode()), hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("variant,k,d,size,sha", [
+    pytest.param("base", 16, 96, 331,
+                 "245480d441b81dc46b5957c04beda3efacf3833d39fadb2a5c6138cc8090ed0d",
+                 id="base-16-96"),
+    pytest.param("0", 17, 63, 421,
+                 "baf0eaf9fb7e7b33896cdd1e808c14e574adcb43c2e6dcdb9464c1c2fd886780",
+                 id="0-17-63"),
+    pytest.param("1", 24, 64, 440,
+                 "108e3fffd01242546a7b64031cde5140844d5feea9bc9410eb9bb52f3044d26c",
+                 id="1-24-64"),
+])
+def test_spectrum_measured_span_matches_brute(capsys, variant, k, d, size, sha):
+    # predict_general on a measured (rank, type) distribution, against brute force;
+    # the stdout bytes are pinned
     code, out, _ = run(["spectrum", "--p", "2", "--m", "8", "--family", "span:1,3",
                         "--variant", variant, "--method", "both"], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["match"] is True
     assert (payload["code"]["k"], payload["code"]["d"]) == (k, d)
+    assert pinned(out) == (size, sha)
+
+
+@pytest.mark.parametrize("argv,size,sha", [
+    (["--p", "2", "--m", "8", "--family", "span:1,3", "--method", "both"], 359,
+     "0fc36a8040418286ffde8b422a62b73fe5fafa21d69b3619b656e88eec5c6c8a"),
+    (["--p", "3", "--m", "6", "--family", "span:0,2", "--method", "predict"], 428,
+     "8b9e42d963b3a7982a99d0b65b3066dffb1dca518f5c254fc3a5b39c5db9eb85"),
+], ids=["2-8-span13-both", "3-6-span02-predict"])
+def test_cwe_measured_span_bytes_pinned(capsys, argv, size, sha):
+    code, out, _ = run(["cwe", *argv], capsys)
+    assert code == 0
+    assert pinned(out) == (size, sha)
+
+
+@pytest.mark.parametrize("p,family,message", [
+    (3, "span:0,2", "not an even-rank family (rank 0)"),
+    (2, "span:0,1", "even rank only, got 1"),
+    (3, "span:0,1", "even rank only, got 3"),
+], ids=["3-span02-rank0", "2-span01-odd", "3-span01-odd"])
+def test_spectrum_measured_span_not_even_rank_exit_1(capsys, p, family, message):
+    code, out, err = run(["spectrum", "--p", str(p), "--m", "4", "--family", family,
+                          "--method", "both"], capsys)
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.startswith("error:") and message in err
+
+
+def test_measured_span_budget_exit_3(capsys):
+    argv = ["--p", "2", "--m", "8", "--family", "span:1,3"]
+    code, _, err = run(["spectrum", *argv, "--variant", "2", "--method", "both"], capsys)
+    assert code == cli.EXIT_BUDGET and "exceeds budget" in err
+    # the classification budget counts n_forms m^3
+    code, _, err = run(["cwe", *argv, "--budget", str(65536 * 8 ** 3 - 1)], capsys)
+    assert code == cli.EXIT_BUDGET and "classification budget" in err
 
 
 def test_cwe_command(capsys):
@@ -154,7 +205,7 @@ def test_curves_scan(capsys):
 def test_verify_exit_codes(capsys, monkeypatch):
     fake = [verify.CriterionResult(1, "x", True), verify.CriterionResult(2, "y", False)]
 
-    def fake_run_all(budget, workers, log):
+    def fake_run_all(budget, log):
         return fake, verify.report_json(fake)
 
     monkeypatch.setattr(cli.verify, "run_all", fake_run_all)
@@ -166,7 +217,7 @@ def test_verify_exit_codes(capsys, monkeypatch):
 def test_verify_json_written(tmp_path, capsys, monkeypatch):
     fake = [verify.CriterionResult(1, "x", True)]
     monkeypatch.setattr(cli.verify, "run_all",
-                        lambda budget, workers, log: (fake, verify.report_json(fake)))
+                        lambda budget, log: (fake, verify.report_json(fake)))
     out = tmp_path / "report.json"
     assert cli.main(["verify", "--json", str(out)]) == 0
     payload = json.loads(out.read_bytes())
@@ -203,7 +254,7 @@ def test_verify_budget_exit_3(capsys, monkeypatch):
             verify.CriterionResult(3, "y", False, mode="skipped",
                                    details={"budget_exceeded": "too big"})]
     monkeypatch.setattr(cli.verify, "run_all",
-                        lambda budget, workers, log: (fake, verify.report_json(fake)))
+                        lambda budget, log: (fake, verify.report_json(fake)))
     assert cli.main(["verify"]) == 3
 
 

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from qfcodes import gf, quadform, spectra
 from qfcodes.linalg import reduce_symmetric
-from qfcodes.linpoly import FamilySpec
+from qfcodes.klapper import rank_distribution_monomial
+from qfcodes.linpoly import FamilySpec, family_coeffs
 from qfcodes.spectra import CodeSpec
 from qfcodes.verify import GRID
 from qfcodes.linpoly import LinearizedPoly, lin_eval, lin_eval_table
@@ -154,6 +155,50 @@ def test_form_profiles_report_the_first_failing_row(monkeypatch):
         monkeypatch.setattr(quadform, "PROFILE_CELLS", cells)
         with pytest.raises(RankError, match="got 3$"):
             quadform.form_profiles(ctx, 1, rows, (0, 1))
+
+
+def direct_tally(ctx, fam, count):
+    """(rank, type) over every family_coeffs row, one form_profiles call."""
+    rows = family_coeffs(ctx, fam, 0, ctx.order ** len(fam.exponents))
+    rank, eps = quadform.form_profiles(ctx, fam.s, rows, fam.exponents, count)
+    return Counter((r, e or None) for r, e in zip(rank.tolist(), eps.tolist()))
+
+
+# (family, count): the 5^8 forms of span:0,2 at (5,1,4) take the discriminant
+# route alone, as the two-monomial tally does
+TALLY_FAMILIES = ([(FamilySpec(p, s, m, (ell,)), True) for p, s, m, ell in GRID]
+                  + [(FamilySpec(2, 1, 4, (1, 3)), True), (FamilySpec(2, 1, 6, (1, 3)), True),
+                     (FamilySpec(3, 1, 4, (0, 2)), True), (FamilySpec(5, 1, 4, (0, 2)), False)])
+
+
+@pytest.mark.parametrize("fam,count", TALLY_FAMILIES, ids=str)
+def test_tally_profiles_equals_direct_count(fam, count):
+    ctx = gf.get_field(fam.p, fam.n)
+    tally = quadform.tally_profiles(ctx, fam, count)
+    assert tally == dict(direct_tally(ctx, fam, count))
+    assert sum(tally.values()) == fam.q ** (fam.m * len(fam.exponents))
+    # ranks descending, +1 before -1, rank 0 (type None) last
+    assert list(tally) == sorted(tally, key=lambda k: (-k[0], -(k[1] or 0)))
+
+
+@pytest.mark.parametrize("p,s,m,ell", GRID)
+def test_tally_profiles_mono_closed_form(p, s, m, ell):
+    tally = quadform.tally_profiles(gf.get_field(p, s * m), FamilySpec(p, s, m, (ell,)))
+    expected = rank_distribution_monomial(p ** s, m, ell).as_dict() | {(0, None): 1}
+    assert list(tally.items()) == list(expected.items())
+
+
+def test_tally_profiles_chunks_tails(monkeypatch):
+    # tails in chunks of 5 rows, and one form per form_profiles block
+    fam = FamilySpec(2, 1, 4, (1, 3))
+    ctx = gf.get_field(2, 4)
+    whole = quadform.tally_profiles(ctx, fam)
+    monkeypatch.setattr(quadform, "PROFILE_CELLS", 5)
+    assert quadform.tally_profiles(ctx, fam) == whole
+
+
+def test_tally_profiles_empty_family_is_the_zero_form():
+    assert quadform.tally_profiles(gf.get_field(3, 4), FamilySpec(3, 1, 4, ())) == {(0, None): 1}
 
 
 def test_count_and_sum_values():

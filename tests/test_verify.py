@@ -4,14 +4,14 @@ from qfcodes import verify
 
 
 def test_single_criterion_shape():
-    r = verify.criterion_1(1 << 32, 1)
+    r = verify.criterion_1(1 << 32)
     assert r.passed and r.cid == 1 and r.mode == "full"
     assert r.details["variant_base"]["params"] == [85, 8, 40]
     assert "PASS" in r.line()
 
 
 def test_budget_limited_run_is_marked_sampled():
-    r = verify.criterion_6(budget=10_000_000, workers=1)
+    r = verify.criterion_6(budget=10_000_000)
     assert r.mode == "sampled"
     assert r.passed
     assert "note" in r.details
@@ -48,6 +48,6 @@ def test_exceptions_become_failures():
 
 
 def test_budget_exhaustion_marks_skipped():
-    r = verify.criterion_3(budget=1_000_000, workers=1)
+    r = verify.criterion_3(budget=1_000_000)
     assert not r.passed and r.mode == "skipped"
     assert "budget_exceeded" in r.details
