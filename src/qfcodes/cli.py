@@ -141,14 +141,16 @@ def cmd_spectrum(args) -> int:
         predicted = _predicted(kind, args, fam)
     brute = None
     if args.method in ("brute", "both"):
-        brute = spectra.brute_spectrum(ctx, spec, budget=budget)
         if kind == "span" and args.method == "both":
+            # the tally rejects a family that is not even-rank before brute force runs
+            spectra.brute_size(ctx, spec, budget)
             dist = _measured_distribution(ctx, fam, budget)
             pred_spec = spectra.predict_general(fam.q, args.m, dist, args.variant)
             predicted = spectra.MonomialPrediction(
                 params=spectra.CodeParams(pred_spec.n, pred_spec.dim(),
                                           pred_spec.min_distance()),
                 spectrum=pred_spec, full_spectrum=pred_spec, D=1)
+        brute = spectra.brute_spectrum(ctx, spec, budget=budget)
     if kind == "span" and args.method == "predict":
         raise FieldError("span families have no closed-form prediction")
 

@@ -4,8 +4,16 @@ A field element is a plain int in [0, p^n): its base-p digits are the
 coordinates in the power basis {1, t, .., t^{n-1}} of the modulus root t.
 Construction is deterministic: the modulus is the first irreducible monic
 polynomial of degree n in ascending order of its digit encoding
-(constant term least significant), and alpha is the first element of full
-multiplicative order in the same ascending element order.
+(constant term least significant, found by Rabin's test), and alpha is the
+first element of full multiplicative order in the same ascending element
+order.  Both tables come from whole-array F_p linear algebra on the
+companion matrix C of the modulus (Lidl-Niederreiter, Finite Fields, ch. 2):
+the element c with digits c_i acts on digit vectors as M_c = sum_i c_i C^i.
+The order test raises a batch of candidate matrices to every N/r, r a prime
+factor of N = p^n - 1, by repeated squaring; alpha is the first candidate
+whose powers never fix e_0.  The exp table doubles, exp[2^j : 2^{j+1}] being
+exp[: 2^j] times M_{alpha^{2^j}}, one digit product per block of rows, and
+log inverts it.  The products run in float64, exact while n p^2 < 2^53.
 
 Scalar arithmetic works on ints and is table-driven: mul/inv/pow read the
 exp/log tables, and for odd p add/neg read them too, through a Zech table
@@ -31,6 +39,10 @@ DEFAULT_SIZE_LIMIT = 1 << 22
 SYMBOL_CELLS = 1 << 24
 # q x q table cells one block of field arithmetic fills at a time (2 MiB as int64)
 SYMBOL_BLOCK = 1 << 18
+# (element, digit) cells one block of table construction handles at a time
+BUILD_CELLS = 1 << 18
+# candidates for alpha whose multiplicative order is tested together
+ALPHA_BATCH = 32
 
 
 def is_prime(n: int) -> bool:
@@ -152,6 +164,27 @@ def int_dtype(bound: int):
     return np.int64
 
 
+def _mod_p(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place, for float64 integers 0 <= x with x + p <= 2^53.
+
+    x / p is correctly rounded, and k + r/p with 0 < r < p lies at least 1/p
+    below k + 1, farther than half an ulp, so floor(x / p) is exact.
+    """
+    x -= p * np.floor(x / p)
+    return x
+
+
+def _mat_pow(M: np.ndarray, e: int, p: int) -> np.ndarray:
+    """M^e mod p for a stack of float64 matrices with integer entries in [0, p)."""
+    out = np.broadcast_to(np.eye(M.shape[-1]), M.shape).copy()
+    while e:
+        if e & 1:
+            out = _mod_p(out @ M, p)
+        M = _mod_p(M @ M, p)
+        e >>= 1
+    return out
+
+
 def _digits_of(value: int, p: int, n: int) -> list[int]:
     out = []
     for _ in range(n):
@@ -175,6 +208,10 @@ class FieldCtx:
         order = p ** n
         if order > size_limit:
             raise FieldError(f"p^n = {order} exceeds size bound {size_limit}")
+        # float64 is exact below 2^53: a digit product sums n (p-1)^2, and its
+        # reduction mod p needs that sum plus p below 2^53 too
+        if n * p * p >= 1 << 53:
+            raise FieldError(f"p^n = {p}^{n}: digit products are not exact in float64")
         self.p = p
         self.n = n
         self.order = order
@@ -182,8 +219,7 @@ class FieldCtx:
         self.modulus = self._find_modulus()
         self.pvec = np.array([p ** i for i in range(n)], dtype=np.int64)
         # digits lie in [0, p) and a digit sum in [0, 2p - 2]
-        self._digmat = ((np.arange(order, dtype=np.int64)[:, None] // self.pvec) % p
-                        ).astype(int_dtype(p - 1))
+        self._digmat = self._digit_table()
         self._sum_dtype = int_dtype(2 * p - 2)
         self.alpha = self._find_alpha()
         self._build_tables()
@@ -201,48 +237,82 @@ class FieldCtx:
                 return tuple(f)
         raise FieldError("no irreducible polynomial found")  # unreachable
 
-    def _poly_mul_idx(self, a: int, b: int) -> int:
-        pa = _digits_of(a, self.p, self.n)
-        pb = _digits_of(b, self.p, self.n)
-        prod = _pmod(_pmul(pa, pb, self.p), list(self.modulus), self.p)
-        prod = (prod + [0] * self.n)[: self.n]
-        return int(sum(c * self.p ** i for i, c in enumerate(prod)))
+    def _digit_table(self) -> np.ndarray:
+        """Base-p digits of every element, written column by column in place.
 
-    def _poly_pow_idx(self, a: int, e: int) -> int:
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = self._poly_mul_idx(result, base)
-            base = self._poly_mul_idx(base, base)
-            e >>= 1
-        return result
+        Digit i of e cycles through 0..p-1 in runs of p^i, so viewing the
+        table as (p^{n-1-i}, p, p^i, n) makes column i one broadcast write
+        with no temporary.
+        """
+        p, n = self.p, self.n
+        out = np.empty((self.order, n), dtype=int_dtype(p - 1))
+        digits = np.arange(p, dtype=out.dtype)[None, :, None]
+        for i in range(n):
+            out.reshape(p ** (n - 1 - i), p, p ** i, n)[:, :, :, i] = digits
+        return out
+
+    def _mult_matrices(self, elems: np.ndarray) -> np.ndarray:
+        """Stack of M_c = sum_i c_i C^i, C the companion matrix of the modulus.
+
+        M_c maps the digits of x to the digits of c x; its column j holds the
+        digits of c t^j = C^j c.  Entries are exact float64 integers in [0, p).
+        """
+        p, n = self.p, self.n
+        C = np.zeros((n, n))
+        C[1:, :-1] = np.eye(n - 1)
+        C[:, -1] = np.negative(self.modulus[:n]) % p
+        col = self._digmat[elems].astype(np.float64)
+        cols = [col]
+        for _ in range(n - 1):
+            col = _mod_p(col @ C.T, p)
+            cols.append(col)
+        return np.stack(cols, axis=-1)
 
     def _find_alpha(self) -> int:
+        # order test on ALPHA_BATCH candidates at once: c has full order iff
+        # c^{N/r} != 1 for every prime r | N, read off the first column of M_c^{N/r}
         N = self.mult_order
         if N == 1:
             return 1
         radicals = [N // r for r in factorize(N)]
-        for cand in range(2, self.order):
-            if all(self._poly_pow_idx(cand, e) != 1 for e in radicals):
-                return cand
+        one = self._digmat[1]
+        for lo in range(2, self.order, ALPHA_BATCH):
+            cands = np.arange(lo, min(lo + ALPHA_BATCH, self.order))
+            M = self._mult_matrices(cands)
+            full = np.ones(len(cands), dtype=bool)
+            for e in radicals:
+                full &= (_mat_pow(M, e, self.p)[:, :, 0] != one).any(axis=1)
+            if full.any():
+                return int(cands[np.argmax(full)])
         raise FieldError("no primitive element found")  # unreachable
 
     def _build_tables(self):
+        # doubling: exp[2^j : 2^{j+1}] = exp[: 2^j] * alpha^{2^j}, one digit
+        # product with M_{alpha^{2^j}} per block of BUILD_CELLS cells
         N, p, n = self.mult_order, self.p, self.n
-        mult_alpha = np.zeros((n, n), dtype=np.int64)
-        for j in range(n):
-            mult_alpha[:, j] = self._digmat[self._poly_mul_idx(self.alpha, int(self.pvec[j]))]
-        exp = np.zeros(2 * N, dtype=np.int64)
-        log = np.full(self.order, -1, dtype=np.int64)
-        v = self._digmat[1].astype(np.int64)
-        for k in range(N):
-            e = int(v @ self.pvec)
-            exp[k] = e
-            log[e] = k
-            v = (mult_alpha @ v) % p
-        if int(v @ self.pvec) != 1:
+        exp = np.empty(2 * N, dtype=np.int64)
+        exp[0] = 1
+        m_alpha = self._mult_matrices(np.array([self.alpha]))[0]
+        pv = self.pvec.astype(np.float64)
+        rows = max(1, BUILD_CELLS // n)
+        step, size = m_alpha, 1
+        while size < N:
+            top = min(2 * size, N)
+            for lo in range(size, top, rows):
+                hi = min(lo + rows, top)
+                d = np.take(self._digmat, exp[lo - size:hi - size], axis=0).astype(np.float64)
+                exp[lo:hi] = _mod_p(d @ step.T, p) @ pv
+            step = _mod_p(step @ step, p)
+            size *= 2
+        last = self._digmat[exp[N - 1]].astype(np.float64)
+        if not np.array_equal(_mod_p(m_alpha @ last, p), self._digmat[1]):
             raise FieldError("alpha order verification failed")
         exp[N:] = exp[:N]
+        log = np.full(self.order, -1, dtype=np.int64)
+        log[exp[:N]] = np.arange(N, dtype=np.int64)
+        # N entries fill the N nonzero slots exactly when they are distinct
+        if log[0] != -1 or (log[1:] < 0).any():
+            raise FieldError("exp table entries are not distinct")
         self.exp = exp
         self.log = log
         self._exp = memoryview(exp)

@@ -292,6 +292,19 @@ def build_codeword(ctx: FieldCtx, spec: CodeSpec, R: LinearizedPoly,
     return syms
 
 
+def brute_size(ctx: FieldCtx, spec: CodeSpec, budget: int) -> tuple[int, int]:
+    """(length, words) of the brute enumeration; BudgetError past `budget` symbols."""
+    n = _length(ctx, spec)
+    n_words = ctx.order ** len(spec.family.exponents)
+    if spec.variant in ("1", "2"):
+        n_words *= ctx.order
+    if spec.variant in ("0", "2"):
+        n_words *= spec.family.q
+    if n_words * n > budget:
+        raise BudgetError(f"{n_words} words x {n} symbols exceeds budget {budget}")
+    return n, n_words
+
+
 def brute_spectrum(ctx: FieldCtx, spec: CodeSpec, budget: int = DEFAULT_BUDGET,
                    collect_compositions: bool = False,
                    workers: int = 1) -> BruteResult:
@@ -309,15 +322,8 @@ def brute_spectrum(ctx: FieldCtx, spec: CodeSpec, budget: int = DEFAULT_BUDGET,
         raise FieldError("field does not match family")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    n = _length(ctx, spec)
+    n, n_words = brute_size(ctx, spec, budget)
     n_forms = ctx.order ** len(fam.exponents)
-    n_words = n_forms
-    if spec.variant in ("1", "2"):
-        n_words *= ctx.order
-    if spec.variant in ("0", "2"):
-        n_words *= fam.q
-    if n_words * n > budget:
-        raise BudgetError(f"{n_words} words x {n} symbols exceeds budget {budget}")
 
     weight_hist, comp_counts = _brute_chunk(ctx, spec, collect_compositions, 0, n_forms)
     weights = {int(w): int(c) for w, c in enumerate(weight_hist) if c}

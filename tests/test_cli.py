@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -149,6 +150,19 @@ def test_spectrum_measured_span_not_even_rank_exit_1(capsys, p, family, message)
                           "--method", "both"], capsys)
     assert code == cli.EXIT_USAGE and out == ""
     assert err.startswith("error:") and message in err
+
+
+def test_spectrum_span_not_even_rank_exits_before_brute(capsys):
+    # the tally rejects the family before the 5^8-form brute enumeration runs
+    argv = ["spectrum", "--p", "5", "--m", "4", "--family", "span:0,2", "--method", "both"]
+    start = time.perf_counter()
+    code, out, err = run(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == cli.EXIT_USAGE and out == ""
+    assert "not an even-rank family (rank 0)" in err
+    # an over-budget brute run is still refused first, with exit 3
+    code, out, err = run([*argv, "--budget", "1000"], capsys)
+    assert code == cli.EXIT_BUDGET and out == "" and "exceeds budget" in err
 
 
 def test_measured_span_budget_exit_3(capsys):

@@ -1,10 +1,15 @@
+import hashlib
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfcodes import gf
+from qfcodes import gf, verify
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 FIELDS = [(2, 4), (2, 6), (2, 8), (3, 2), (3, 4), (5, 4)]
@@ -264,3 +269,160 @@ def test_zech_add_property(pn, seed):
     assert F.neg(a) == int(F.v_neg(np.array([a]))[0])
     assert F.sub(F.add(a, b), b) == a
     assert F.add(a, F.neg(a)) == 0
+
+
+# -- the scalar construction route, kept as an oracle for the table builders --
+
+def _oracle_modulus(p, n):
+    """First monic degree-n polynomial in digit order with no monic factor of degree <= n/2."""
+    for enc in range(p ** n):
+        f = gf._digits_of(enc, p, n) + [1]
+        if not any(not any(gf._pmod(f, gf._digits_of(g, p, d) + [1], p))
+                   for d in range(1, n // 2 + 1) for g in range(p ** d)):
+            return tuple(f)
+
+
+def _poly_mul_idx(F, a, b):
+    pa = gf._digits_of(a, F.p, F.n)
+    pb = gf._digits_of(b, F.p, F.n)
+    prod = gf._pmod(gf._pmul(pa, pb, F.p), list(F.modulus), F.p)
+    prod = (prod + [0] * F.n)[:F.n]
+    return int(sum(c * F.p ** i for i, c in enumerate(prod)))
+
+
+def _poly_pow_idx(F, a, e):
+    result, base = 1, a
+    while e:
+        if e & 1:
+            result = _poly_mul_idx(F, result, base)
+        base = _poly_mul_idx(F, base, base)
+        e >>= 1
+    return result
+
+
+def _oracle_alpha(F):
+    N = F.mult_order
+    if N == 1:
+        return 1
+    radicals = [N // r for r in gf.factorize(N)]
+    for cand in range(2, F.order):
+        if all(_poly_pow_idx(F, cand, e) != 1 for e in radicals):
+            return cand
+
+
+def _oracle_tables(F, alpha):
+    """exp and log by one multiplication by alpha per element."""
+    N, p, n = F.mult_order, F.p, F.n
+    pvec = np.array([p ** i for i in range(n)], dtype=np.int64)
+    digits = lambda e: np.array(gf._digits_of(e, p, n), dtype=np.int64)
+    mult_alpha = np.stack([digits(_poly_mul_idx(F, alpha, p ** j)) for j in range(n)], axis=1)
+    exp = np.zeros(2 * N, dtype=np.int64)
+    log = np.full(F.order, -1, dtype=np.int64)
+    v = digits(1)
+    for k in range(N):
+        e = int(v @ pvec)
+        exp[k] = e
+        log[e] = k
+        v = (mult_alpha @ v) % p
+    assert int(v @ pvec) == 1
+    exp[N:] = exp[:N]
+    return exp, log
+
+
+def _assert_matches_oracle(p, n):
+    F = gf.make_field(p, n)
+    assert F.modulus == _oracle_modulus(p, n)
+    alpha = _oracle_alpha(F)
+    assert F.alpha == alpha
+    exp, log = _oracle_tables(F, alpha)
+    assert F.exp.dtype == F.log.dtype == np.int64
+    assert np.array_equal(F.exp, exp) and np.array_equal(F.log, log)
+    assert F._digmat.dtype == gf.int_dtype(p - 1)
+    e = np.arange(F.order, dtype=np.int64)
+    assert np.array_equal(F._digmat, (e[:, None] // F.pvec) % p)
+
+
+def _benchmark_fields():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    return {(p, n) for w in workloads.WORKLOADS for p, n, _ in workloads.fields(w)}
+
+
+ORACLE_FIELDS = sorted({(p, s * m) for p, s, m, _ in verify.GRID}
+                       | _benchmark_fields()
+                       | {(2, 1), (3, 1), (4093, 1), (2, 2), (7, 2), (2, 10), (5, 6)})
+
+
+@pytest.mark.parametrize("p,n", ORACLE_FIELDS)
+def test_tables_match_scalar_oracle(p, n):
+    _assert_matches_oracle(p, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(pn=st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 31, 47, 61]).flatmap(
+    lambda p: st.tuples(st.just(p), st.integers(1, max(1, int(np.log(3000) / np.log(p)))))))
+def test_tables_match_scalar_oracle_property(pn):
+    _assert_matches_oracle(*pn)
+
+
+def _table_digest(F):
+    N = F.mult_order
+    return hashlib.sha256(F.exp[:N].astype("<i8").tobytes()
+                          + F.log.astype("<i8").tobytes()).hexdigest()
+
+
+# fields too large for the oracle: modulus, alpha and the digest of exp and log
+PINS = [
+    pytest.param(3, 10, (1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1), 34,
+                 "be467f0d6db2db329aec29bc77339be12f1a1377a1a6adb231d77835bc093b0a",
+                 id="3-10"),
+    pytest.param(5, 8, (2, 0, 0, 0, 0, 0, 0, 0, 1), 6,
+                 "7e7c41a60470fa59b36df4c5edd14306ae2cec6cf46459f12954c389f56d1e92",
+                 id="5-8"),
+    pytest.param(3, 12, (2, 0, 1) + (0,) * 9 + (1,), 14,
+                 "867dd52b446515e415ce167314b795354518c99ff83622f51c8f561bafda5a42",
+                 id="3-12", marks=pytest.mark.slow),
+    pytest.param(2, 20, (1, 0, 0, 1) + (0,) * 16 + (1,), 2,
+                 "681a2435ee064f81fbf1f3ded70ab81d607bec21d4ab3e3228fc8f50c98ba940",
+                 id="2-20", marks=pytest.mark.slow),
+]
+
+
+@pytest.mark.parametrize("p,n,modulus,alpha,digest", PINS)
+def test_large_field_tables_pinned(p, n, modulus, alpha, digest):
+    F = gf.make_field(p, n)
+    assert (F.modulus, F.alpha, _table_digest(F)) == (modulus, alpha, digest)
+    assert F.pow(alpha, F.mult_order) == 1
+
+
+def test_construction_peak_memory():
+    # blocks of BUILD_CELLS cells: no order x n int64 temporary beside the kept tables
+    tracemalloc.start()
+    try:
+        F = gf.make_field(2, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = F.exp.nbytes + F.log.nbytes + F._digmat.nbytes  # 44 MiB
+    assert peak <= 1.5 * kept
+
+
+def test_construction_blocks_and_batches(monkeypatch):
+    # one-row blocks, ragged last blocks and one-candidate batches give the same tables
+    monkeypatch.setattr(gf, "BUILD_CELLS", 7)
+    monkeypatch.setattr(gf, "ALPHA_BATCH", 1)
+    for p, n in ((2, 4), (3, 5), (7, 2), (13, 1)):
+        _assert_matches_oracle(p, n)
+
+
+def test_construction_checks(monkeypatch):
+    # float64 digit products must stay exact, and a non-generator is caught
+    with pytest.raises(gf.FieldError, match="not exact"):
+        gf.make_field(94906297, 1, size_limit=1 << 30)
+    assert gf.make_field(2, 4).alpha == 2
+    monkeypatch.setattr(gf.FieldCtx, "_find_alpha", lambda self: 8)  # t^3, of order 5
+    with pytest.raises(gf.FieldError, match="not distinct"):
+        gf.make_field(2, 4)
