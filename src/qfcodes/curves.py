@@ -197,6 +197,8 @@ def scan_monomial(ctx: FieldCtx, ell: int, gammas: list[int] | None = None) -> S
     p, m = ctx.p, ctx.n
     if m % 2 != 0:
         raise HypothesisError("only even extension degrees are in scope")
+    if ell < 1:
+        raise HypothesisError("l must be >= 1")
     if gammas is None:
         gammas = [int(g) for g in ctx.exp[: ctx.mult_order]]
     scans = []

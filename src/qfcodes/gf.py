@@ -3,15 +3,17 @@
 A field element is a plain int in [0, p^n): its base-p digits are the
 coordinates in the power basis {1, t, .., t^{n-1}} of the modulus root t.
 Construction is deterministic: the modulus is the first irreducible monic
-polynomial of degree n in ascending order of its digit encoding
-(constant term least significant, found by Rabin's test), and alpha is the
-first element of full multiplicative order in the same ascending element
-order.  Both tables come from whole-array F_p linear algebra on the
-companion matrix C of the modulus (Lidl-Niederreiter, Finite Fields, ch. 2):
-the element c with digits c_i acts on digit vectors as M_c = sum_i c_i C^i.
-The order test raises a batch of candidate matrices to every N/r, r a prime
-factor of N = p^n - 1, by repeated squaring; alpha is the first candidate
-whose powers never fix e_0.  The exp table doubles, exp[2^j : 2^{j+1}] being
+polynomial of degree n in ascending order of its digit encoding (constant
+term least significant), and alpha is the first element of full
+multiplicative order in the same ascending element order.  Both searches
+test a batch of candidates at a time by whole-array F_p linear algebra on
+companion matrices C (Lidl-Niederreiter, Finite Fields, ch. 2), raised to
+powers by repeated squaring.  The modulus is found by Rabin's test written
+as matrix identities: C^{p^n} = C, and (C^{p^{n/r}} - C)^{p^n - 1} = I for
+every prime r | n.  With C the companion matrix of the modulus, the element
+c with digits c_i acts on digit vectors as M_c = sum_i c_i C^i; alpha is the
+first candidate whose M_c^{N/r} never fixes e_0, r a prime factor of
+N = p^n - 1.  The exp table doubles, exp[2^j : 2^{j+1}] being
 exp[: 2^j] times M_{alpha^{2^j}}, one digit product per block of rows, and
 log inverts it.  The products run in float64, exact while n p^2 < 2^53.
 
@@ -41,8 +43,8 @@ SYMBOL_CELLS = 1 << 24
 SYMBOL_BLOCK = 1 << 18
 # (element, digit) cells one block of table construction handles at a time
 BUILD_CELLS = 1 << 18
-# candidates for alpha whose multiplicative order is tested together
-ALPHA_BATCH = 32
+# candidates for the modulus or for alpha that are tested together
+CANDIDATE_BATCH = 32
 
 
 def is_prime(n: int) -> bool:
@@ -83,79 +85,6 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-# -- polynomial helpers over F_p (coefficient tuples, constant term first) --
-# Only used during construction; all later arithmetic is table-driven.
-
-def _pmul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
-
-
-def _pmod(a, f, p):
-    a = list(a)
-    df = len(f) - 1
-    inv_lead = pow(f[-1], -1, p)
-    for i in range(len(a) - 1, df - 1, -1):
-        c = a[i] % p
-        if c:
-            q = (c * inv_lead) % p
-            for j in range(df + 1):
-                a[i - df + j] = (a[i - df + j] - q * f[j]) % p
-    return a[:df] if df > 0 else []
-
-
-def _pmulmod(a, b, f, p):
-    return _pmod(_pmul(a, b, p), f, p)
-
-
-def _ppowmod(base, e, f, p):
-    result = [1]
-    b = list(base)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, b, f, p)
-        b = _pmulmod(b, b, f, p)
-        e >>= 1
-    return result
-
-
-def _pgcd(a, b, p):
-    a, b = list(a), list(b)
-    while any(c % p for c in b):
-        while b and b[-1] % p == 0:
-            b.pop()
-        a = _pmod(a, b, p)
-        a, b = b, a
-        while a and a[-1] % p == 0:
-            a.pop()
-    return a
-
-
-def _is_irreducible(f, p, n):
-    # Rabin: x^{p^n} = x mod f, and gcd(x^{p^{n/r}} - x, f) = 1 for prime r | n.
-    if n == 1:
-        return True
-    x = [0, 1]
-    xq = x
-    for _ in range(n):
-        xq = _ppowmod(xq, p, f, p)
-    if (_pmod(xq, f, p) + [0] * n)[:n] != (_pmod(x, f, p) + [0] * n)[:n]:
-        return False
-    for r in factorize(n):
-        xr = x
-        for _ in range(n // r):
-            xr = _ppowmod(xr, p, f, p)
-        diff = [(a - b) % p for a, b in zip((xr + [0] * n)[:n], (x + [0] * n)[:n])]
-        g = _pgcd(list(f), diff, p)
-        if len(g) != 1:
-            return False
-    return True
-
-
 def int_dtype(bound: int):
     """The smallest signed numpy integer type that holds -bound..bound."""
     for dt in (np.int8, np.int16, np.int32):
@@ -174,6 +103,19 @@ def _mod_p(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
+def _companion(low: np.ndarray, p: int) -> np.ndarray:
+    """Companion matrices C of f = t^n + sum_i low_i t^i, stacked over low's leading axes.
+
+    C maps the digits of x to the digits of t x in F_p[t]/(f), so g(C) = 0
+    exactly when f divides g.  Entries are float64 integers in [0, p).
+    """
+    n = low.shape[-1]
+    C = np.zeros(low.shape + (n,))
+    C[..., 1:, :-1] = np.eye(n - 1)
+    C[..., -1] = np.negative(low) % p
+    return C
+
+
 def _mat_pow(M: np.ndarray, e: int, p: int) -> np.ndarray:
     """M^e mod p for a stack of float64 matrices with integer entries in [0, p)."""
     out = np.broadcast_to(np.eye(M.shape[-1]), M.shape).copy()
@@ -182,14 +124,6 @@ def _mat_pow(M: np.ndarray, e: int, p: int) -> np.ndarray:
             out = _mod_p(out @ M, p)
         M = _mod_p(M @ M, p)
         e >>= 1
-    return out
-
-
-def _digits_of(value: int, p: int, n: int) -> list[int]:
-    out = []
-    for _ in range(n):
-        out.append(value % p)
-        value //= p
     return out
 
 
@@ -216,10 +150,10 @@ class FieldCtx:
         self.n = n
         self.order = order
         self.mult_order = order - 1
-        self.modulus = self._find_modulus()
         self.pvec = np.array([p ** i for i in range(n)], dtype=np.int64)
         # digits lie in [0, p) and a digit sum in [0, 2p - 2]
         self._digmat = self._digit_table()
+        self.modulus = self._find_modulus()
         self._sum_dtype = int_dtype(2 * p - 2)
         self.alpha = self._find_alpha()
         self._build_tables()
@@ -230,11 +164,18 @@ class FieldCtx:
     # -- construction ------------------------------------------------------
 
     def _find_modulus(self) -> tuple[int, ...]:
-        p, n = self.p, self.n
-        for enc in range(p ** n):
-            f = _digits_of(enc, p, n) + [1]
-            if _is_irreducible(f, p, n):
-                return tuple(f)
+        # Rabin's test on CANDIDATE_BATCH candidates f at once (the low digits
+        # of f are those of its encoding).  Once C^{p^n} = C, F_p[t]/(f) is a
+        # product of fields F_{p^d}, d | n, whose units u have u^{p^n - 1} = 1.
+        p, n, order = self.p, self.n, self.order
+        for lo in range(0, order, CANDIDATE_BATCH):
+            C = _companion(self._digmat[lo:lo + CANDIDATE_BATCH], p)
+            keep = np.flatnonzero((_mat_pow(C, order, p) == C).all(axis=(1, 2)))
+            for r in factorize(n):
+                U = _mod_p(_mat_pow(C[keep], p ** (n // r), p) - C[keep] + p, p)
+                keep = keep[(_mat_pow(U, order - 1, p) == np.eye(n)).all(axis=(1, 2))]
+            if len(keep):
+                return tuple(self._digmat[lo + keep[0]].tolist()) + (1,)
         raise FieldError("no irreducible polynomial found")  # unreachable
 
     def _digit_table(self) -> np.ndarray:
@@ -258,9 +199,7 @@ class FieldCtx:
         digits of c t^j = C^j c.  Entries are exact float64 integers in [0, p).
         """
         p, n = self.p, self.n
-        C = np.zeros((n, n))
-        C[1:, :-1] = np.eye(n - 1)
-        C[:, -1] = np.negative(self.modulus[:n]) % p
+        C = _companion(np.array(self.modulus[:n]), p)
         col = self._digmat[elems].astype(np.float64)
         cols = [col]
         for _ in range(n - 1):
@@ -269,15 +208,15 @@ class FieldCtx:
         return np.stack(cols, axis=-1)
 
     def _find_alpha(self) -> int:
-        # order test on ALPHA_BATCH candidates at once: c has full order iff
+        # order test on CANDIDATE_BATCH candidates at once: c has full order iff
         # c^{N/r} != 1 for every prime r | N, read off the first column of M_c^{N/r}
         N = self.mult_order
         if N == 1:
             return 1
         radicals = [N // r for r in factorize(N)]
         one = self._digmat[1]
-        for lo in range(2, self.order, ALPHA_BATCH):
-            cands = np.arange(lo, min(lo + ALPHA_BATCH, self.order))
+        for lo in range(2, self.order, CANDIDATE_BATCH):
+            cands = np.arange(lo, min(lo + CANDIDATE_BATCH, self.order))
             M = self._mult_matrices(cands)
             full = np.ones(len(cands), dtype=bool)
             for e in radicals:
@@ -396,15 +335,11 @@ class FieldCtx:
         return out
 
     def frob_table(self, j: int) -> np.ndarray:
-        """Lookup table e -> e^{p^j} over all elements."""
+        """Lookup table e -> e^{p^j} over all elements, built once per j mod n."""
         j %= self.n
         tab = self._frob_tables.get(j)
         if tab is None:
-            N = self.mult_order
-            tab = np.zeros(self.order, dtype=np.int64)
-            ks = np.arange(N, dtype=np.int64)
-            tab[self.exp[:N]] = self.exp[(ks * pow(self.p, j, N)) % N] if N > 1 else self.exp[:N]
-            self._frob_tables[j] = tab
+            tab = self._frob_tables[j] = self.power_table(self.p ** j)
         return tab
 
     def power_table(self, e: int) -> np.ndarray:

@@ -19,6 +19,8 @@ class FamilySpec:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
+        if any(e < 0 for e in self.exponents):
+            raise FieldError("family exponents must be >= 0")
         if len(set(self.exponents)) != len(self.exponents):
             raise FieldError("family exponents must be distinct")
         if list(self.exponents) != sorted(self.exponents):
@@ -46,6 +48,8 @@ class LinearizedPoly:
             raise FieldError("exponents and coefficients must align")
         if list(self.q_exponents) != sorted(set(self.q_exponents)):
             raise FieldError("q-exponents must be sorted and distinct")
+        if any(e < 0 for e in self.q_exponents):
+            raise FieldError("q-exponents must be >= 0")
 
     @property
     def is_zero(self) -> bool:

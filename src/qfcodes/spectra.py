@@ -473,43 +473,3 @@ def cwe(ctx: FieldCtx, spec: CodeSpec, dist: RankDistribution,
     return CweResult(n=n, q=q, terms=tuple(terms), balanced_verified=True,
                      brute_match=observed == predicted)
 
-
-# -- divisibility and dimension checks -------------------------------------------
-
-def divisibility_report(spectrum: Spectrum, q: int, m: int, ranks: list[int],
-                        variant: str) -> dict:
-    """Check the q^{m-r_max/2-1}(q-1) (base) / q^{m-r_max/2-1} (variant 1) division."""
-    r_max = max(ranks)
-    t = q ** (m - r_max // 2 - 1) * ((q - 1) if variant == "base" else 1)
-    offenders = [w for w in spectrum.weights if w > 0 and w % t != 0]
-    return {"divisor": t, "ok": not offenders, "offenders": offenders}
-
-
-def dimension_oracle(q: int, m: int, exponents: list[int]) -> int:
-    """Sum of q-cyclotomic coset sizes of the exponents mod q^m - 1.
-
-    Verifies each coset has size exactly m and that cosets are disjoint;
-    anything else signals parameters outside the dimension hypotheses.
-    """
-    N = q ** m - 1
-    seen: dict[int, int] = {}
-    total = 0
-    for u in exponents:
-        u %= N
-        if u == 0:
-            raise HypothesisError("exponent 0 mod q^m-1 has a size-1 coset; append it separately")
-        coset = []
-        v = u
-        while True:
-            coset.append(v)
-            v = (v * q) % N
-            if v == u:
-                break
-        if len(coset) != m:
-            raise HypothesisError(f"coset of {u} has size {len(coset)}, expected {m}")
-        for v in coset:
-            if v in seen:
-                raise HypothesisError(f"cosets of {u} and {seen[v]} collide")
-            seen[v] = u
-        total += len(coset)
-    return total

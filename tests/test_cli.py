@@ -152,6 +152,20 @@ def test_spectrum_measured_span_not_even_rank_exit_1(capsys, p, family, message)
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    ("curves --p 3 --m 4 --ell -1", "q-exponents must be >= 0"),
+    ("curves --p 3 --m 4 --ell -1 --scan", "l must be >= 1"),
+    ("spectrum --p 3 --m 4 --family span:-1,1 --method brute", "exponents must be >= 0"),
+    ("cwe --p 3 --m 4 --family span:0,-2", "exponents must be >= 0"),
+    ("spectrum --p 3 --m 4 --family l3l:-1", "exponents must be >= 0"),
+], ids=["curves", "curves-scan", "spectrum-span", "cwe-span", "spectrum-l3l"])
+def test_negative_exponent_exit_1(capsys, argv, message):
+    # a clean error, not an uncaught IndexError or TypeError deep in the kernels
+    code, out, err = run(argv.split(), capsys)
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+
+
 def test_spectrum_span_not_even_rank_exits_before_brute(capsys):
     # the tally rejects the family before the 5^8-form brute enumeration runs
     argv = ["spectrum", "--p", "5", "--m", "4", "--family", "span:0,2", "--method", "both"]

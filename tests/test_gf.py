@@ -272,20 +272,50 @@ def test_zech_add_property(pn, seed):
 
 
 # -- the scalar construction route, kept as an oracle for the table builders --
+# polynomials over F_p are coefficient lists, constant term first
+
+def _digits_of(value, p, n):
+    out = []
+    for _ in range(n):
+        out.append(value % p)
+        value //= p
+    return out
+
+
+def _pmul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return out
+
+
+def _pmod(a, f, p):
+    """a mod the monic f."""
+    a = list(a)
+    df = len(f) - 1
+    for i in range(len(a) - 1, df - 1, -1):
+        c = a[i] % p
+        if c:
+            for j in range(df + 1):
+                a[i - df + j] = (a[i - df + j] - c * f[j]) % p
+    return a[:df]
+
 
 def _oracle_modulus(p, n):
     """First monic degree-n polynomial in digit order with no monic factor of degree <= n/2."""
     for enc in range(p ** n):
-        f = gf._digits_of(enc, p, n) + [1]
-        if not any(not any(gf._pmod(f, gf._digits_of(g, p, d) + [1], p))
+        f = _digits_of(enc, p, n) + [1]
+        if not any(not any(_pmod(f, _digits_of(g, p, d) + [1], p))
                    for d in range(1, n // 2 + 1) for g in range(p ** d)):
             return tuple(f)
 
 
 def _poly_mul_idx(F, a, b):
-    pa = gf._digits_of(a, F.p, F.n)
-    pb = gf._digits_of(b, F.p, F.n)
-    prod = gf._pmod(gf._pmul(pa, pb, F.p), list(F.modulus), F.p)
+    pa = _digits_of(a, F.p, F.n)
+    pb = _digits_of(b, F.p, F.n)
+    prod = _pmod(_pmul(pa, pb, F.p), list(F.modulus), F.p)
     prod = (prod + [0] * F.n)[:F.n]
     return int(sum(c * F.p ** i for i, c in enumerate(prod)))
 
@@ -314,7 +344,7 @@ def _oracle_tables(F, alpha):
     """exp and log by one multiplication by alpha per element."""
     N, p, n = F.mult_order, F.p, F.n
     pvec = np.array([p ** i for i in range(n)], dtype=np.int64)
-    digits = lambda e: np.array(gf._digits_of(e, p, n), dtype=np.int64)
+    digits = lambda e: np.array(_digits_of(e, p, n), dtype=np.int64)
     mult_alpha = np.stack([digits(_poly_mul_idx(F, alpha, p ** j)) for j in range(n)], axis=1)
     exp = np.zeros(2 * N, dtype=np.int64)
     log = np.full(F.order, -1, dtype=np.int64)
@@ -398,6 +428,17 @@ def test_large_field_tables_pinned(p, n, modulus, alpha, digest):
     assert F.pow(alpha, F.mult_order) == 1
 
 
+def test_moduli_pinned():
+    # the moduli of every F_{p^n}, n >= 2, p^n <= 2^16, as the scalar Rabin test gave them
+    fields = [(p, n) for p in range(2, 257) if gf.is_prime(p)
+              for n in range(2, 17) if p ** n <= 1 << 16]
+    assert len(fields) == 93
+    text = "\n".join(f"{p} {n} " + " ".join(map(str, gf.make_field(p, n).modulus))
+                     for p, n in fields)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "489d74a180c56c273a4e33ef775dd1cc6fded4f4160bd37a9fd79cff28089188"
+
+
 def test_construction_peak_memory():
     # blocks of BUILD_CELLS cells: no order x n int64 temporary beside the kept tables
     tracemalloc.start()
@@ -411,9 +452,10 @@ def test_construction_peak_memory():
 
 
 def test_construction_blocks_and_batches(monkeypatch):
-    # one-row blocks, ragged last blocks and one-candidate batches give the same tables
+    # one-row blocks, ragged last blocks and one-candidate modulus and alpha
+    # batches give the same tables
     monkeypatch.setattr(gf, "BUILD_CELLS", 7)
-    monkeypatch.setattr(gf, "ALPHA_BATCH", 1)
+    monkeypatch.setattr(gf, "CANDIDATE_BATCH", 1)
     for p, n in ((2, 4), (3, 5), (7, 2), (13, 1)):
         _assert_matches_oracle(p, n)
 

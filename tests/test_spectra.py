@@ -11,8 +11,7 @@ from qfcodes import gf, klapper, quadform, spectra
 from qfcodes.klapper import HypothesisError
 from qfcodes.linpoly import FamilySpec, LinearizedPoly, family_coeffs
 from qfcodes.spectra import (BudgetError, CodeSpec, Spectrum, brute_spectrum,
-                             build_codeword, cwe, dimension_oracle,
-                             divisibility_report, predict_general,
+                             build_codeword, cwe, predict_general,
                              predict_l3l, predict_monomial,
                              predict_monomial_long, weight_from_profile)
 from qfcodes.verify import GRID
@@ -447,29 +446,6 @@ def test_cwe_unbalanced_impossible_on_grid():
     dist = klapper.rank_distribution_monomial(2, 6, 1)
     res = cwe(ctx, CodeSpec(fam_of(2, 1, 6, 1), "base", shortened=True), dist)
     assert res.balanced_verified
-
-
-# -- reports and oracles ------------------------------------------------------------
-
-def test_divisibility_reports():
-    full = predict_monomial(2, 8, 1, "base").full_spectrum
-    rep = divisibility_report(full, 2, 8, [8, 6], "base")
-    assert rep["ok"] and rep["divisor"] == 8
-    v1 = predict_monomial_long(2, 8, 1, "1").spectrum
-    rep1 = divisibility_report(v1, 2, 8, [8, 6], "1")
-    assert rep1["ok"] and rep1["divisor"] == 8
-    empty = Spectrum(n=5, q=2, weights={0: 1})
-    assert divisibility_report(empty, 2, 4, [4], "base")["ok"]
-
-
-def test_dimension_oracle():
-    assert dimension_oracle(2, 8, [1, 3]) == 16
-    assert dimension_oracle(2, 8, [1, 3, 9]) == 24
-    assert dimension_oracle(2, 8, [1]) == 8
-    with pytest.raises(HypothesisError):
-        dimension_oracle(2, 4, [3, 12])  # 12 lies in the coset of 3
-    with pytest.raises(HypothesisError):
-        dimension_oracle(2, 6, [9])  # coset size 3 != 6
 
 
 def test_budget_gate():
