@@ -6,10 +6,10 @@ at infinity.  Optimality (Hasse-Weil endpoint) is decided both by comparing
 against the genus bound and by the weight class of the attached codeword;
 disagreement between the two routes raises.
 
-Every trace-form table here (the single-curve trace count, the per-gamma
-scan forms) comes from quadform.form_table, one log-domain gather per term,
-and every rank and type (the witness search's pair ranks included) from
-quadform.form_profiles.
+Every trace-form table here comes from one log-domain gather per term: the
+single-curve trace count reads quadform.form_symbols directly, the per-gamma
+scan forms go through quadform.form_table.  Every rank and type (the witness
+search's pair ranks included) comes from quadform.form_profiles.
 Sweeps over all beta (scan_monomial, the witness search) read their point
 counts from quadform.value_histograms, one exhaustive histogram per form.
 count_points_by_solutions stays an independent (x, y) enumeration through
@@ -28,7 +28,7 @@ from .klapper import (HypothesisError, MonomialClassification, classify_monomial
                       l3l_poly, l3l_pair_profile)
 from .linpoly import LinearizedPoly, lin_eval_table
 from .quadform import (QuadForm, QuadFormProfile, beta_class_counts, expected_sum_distribution,
-                       form_profiles, form_table, form_terms, frequencies,
+                       form_profiles, form_symbols, form_table, form_terms, frequencies,
                        profile as qf_profile, value_histograms)
 
 
@@ -71,7 +71,8 @@ class CurveReport:
 def _trace_zero_count(spec: CurveSpec) -> int:
     """#{x in F_{p^m} : tr(x R(x) + beta x) = 0}, including x = 0."""
     coeffs, exps = form_terms(spec.R, spec.p, spec.beta)
-    return int(np.count_nonzero(form_table(spec.ctx, 1, [coeffs], exps) == 0))
+    syms = form_symbols(spec.ctx, 1, [coeffs], exps)  # over x = alpha^k; x = 0 adds 1
+    return 1 + int(np.count_nonzero(syms == 0))
 
 
 def count_points(spec: CurveSpec) -> int:

@@ -182,10 +182,11 @@ def l3l_pair_profile(ctx: FieldCtx, ell: int, g1: int, g2: int) -> QuadFormProfi
 
 
 def l3l_pair_profile_fast(ctx: FieldCtx, ell: int, g1: int, g2: int) -> QuadFormProfile:
-    """Profile from the congruence reduction of the F_p Gram matrix alone (s = 1 only).
+    """form_profiles without the zero count, for one pair (s = 1, odd p only).
 
-    The type is the discriminant route's eta, with no zero count; a sweep
-    accelerator, tested to agree with the general quadform route.
+    Rank and type come from the congruence reduction of the F_p Gram matrix
+    alone, the type as the discriminant route's eta; tests check it against
+    l3l_pair_profile, which also counts zeros.
     """
     if ctx.p == 2:
         raise HypothesisError("fast profile targets odd characteristic")

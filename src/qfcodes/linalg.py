@@ -58,10 +58,18 @@ def _eta_table(p: int) -> np.ndarray:
     return np.where(square[np.stack([u, -u % p])], 1, -1)
 
 
+@lru_cache(maxsize=None)
+def _inv_table(p: int) -> np.ndarray:
+    """inv[v] = 1/v mod p (1/0 read as 0), in the working dtype, which holds 2p^2 + p."""
+    inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=int_dtype(2 * p * p + p))
+    inv.flags.writeable = False
+    return inv
+
+
 def reduce_symmetric(mats: np.ndarray, p: int, kernel: bool = False) -> Reduction:
     """Congruence-reduce a (B, n, n) stack of symmetric integer matrices mod p."""
-    dt = int_dtype(2 * p * p + p)
-    inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=dt)  # 1/0 read as 0
+    inv = _inv_table(p)
+    dt = inv.dtype
     a = np.asarray(mats).astype(dt) % p
     B, n, _ = a.shape
     bs = np.arange(B)

@@ -195,8 +195,8 @@ def form_profiles(ctx: FieldCtx, s: int, coeffs, ls: tuple[int, ...],
             r, e = red.rank // s, red.etas()
         odd = r % 2
         if counting:
-            table = form_table(ctx, s, rows, tuple(q ** l + 1 for l in ls))
-            n0 = np.count_nonzero(table == 0, axis=1)
+            syms = form_symbols(ctx, s, rows, tuple(q ** l + 1 for l in ls))
+            n0 = 1 + np.count_nonzero(syms == 0, axis=1)  # 1 for x = 0
             base, dev = q ** (m - 1), (q - 1) * q ** (m - 1 - r // 2)
             if p == 2:
                 e = np.where(n0 == base + dev, 1, -1)

@@ -16,6 +16,7 @@ exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 import warnings
 
@@ -277,7 +278,11 @@ _F32_EXACT = 1 << 24
 
 def build_codeword(ctx: FieldCtx, spec: CodeSpec, R: LinearizedPoly,
                    beta: int = 0, b_sym: int = 0) -> np.ndarray:
-    """Symbol vector of one codeword (canonical F_q symbols)."""
+    """Symbol vector of one codeword (canonical F_q symbols), a fresh writable array.
+
+    The tr(xR(x)) part comes from _form_word, so the (beta, b) draws of one R
+    evaluate its terms once.
+    """
     fam = spec.family
     if beta != 0 and spec.variant not in ("1", "2"):
         raise ValueError(f"variant {spec.variant} has no beta term")
@@ -285,11 +290,22 @@ def build_codeword(ctx: FieldCtx, spec: CodeSpec, R: LinearizedPoly,
         raise ValueError(f"variant {spec.variant} has no constant term")
     sy = ctx.symbols(fam.s)
     n = _length(ctx, spec)
-    coeffs, exps = form_terms(R, fam.q, beta)
-    syms = form_symbols(ctx, fam.s, [coeffs], exps, slice(0, n))[0]
+    syms = _form_word(ctx, fam.s, R, n)
+    if beta:  # tr(beta alpha^k) = tr(alpha^{log beta + k}): a slice, trace_pow holds 2N
+        lb = int(ctx.log[beta])
+        syms = sy.plus(sy.trace_pow[lb: lb + n], syms)
     if b_sym:
         syms = sy.plus(syms, b_sym)
-    return syms
+    return syms if beta or b_sym else syms.copy()
+
+
+@lru_cache(maxsize=1)
+def _form_word(ctx: FieldCtx, s: int, R: LinearizedPoly, n: int) -> np.ndarray:
+    """Read-only symbols of tr(xR(x)) at x = alpha^k, k < n, kept for the next draw of R."""
+    coeffs, exps = form_terms(R, ctx.p ** s)
+    word = form_symbols(ctx, s, [coeffs], exps, slice(0, n))[0]
+    word.flags.writeable = False
+    return word
 
 
 def brute_size(ctx: FieldCtx, spec: CodeSpec, budget: int) -> tuple[int, int]:
@@ -329,7 +345,8 @@ def brute_spectrum(ctx: FieldCtx, spec: CodeSpec, budget: int = DEFAULT_BUDGET,
     weights = {int(w): int(c) for w, c in enumerate(weight_hist) if c}
     spectrum = Spectrum(n=n, q=fam.q, weights=weights)
     distinct, rest = divmod(n_words, weights[0])
-    assert rest == 0, "a linear map hits every word of its image equally often"
+    if rest:
+        raise HypothesisError("a linear map hits every word of its image equally often")
     params = CodeParams(n=n, k=spectrum.dim(), d=spectrum.min_distance())
     return BruteResult(params=params, spectrum=spectrum, expected_words=n_words,
                        distinct_words=distinct,

@@ -8,11 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfcodes import curves, gf, klapper
+from qfcodes import curves, gf, klapper, quadform
 from qfcodes.curves import CurveSpec
 from qfcodes.klapper import HypothesisError
 from qfcodes.linalg import reduce_symmetric
 from qfcodes.linpoly import LinearizedPoly
+from qfcodes.verify import GRID
 
 
 def curve(p, m, ell, gamma, beta=0):
@@ -92,6 +93,22 @@ for call in calls:
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("p,s,m,ell", GRID)
+def test_trace_zero_count_matches_form_table(p, s, m, ell):
+    # the count is 1 (x = 0) plus the zero symbols of form_symbols; the
+    # element-indexed form_table must count the same
+    ctx = gf.get_field(p, s * m)
+    rng = np.random.default_rng(p * 1000 + s * 100 + m * 10 + ell)
+    pairs = [(0, 0), (0, int(rng.integers(1, ctx.order)))]
+    pairs += [(int(g), int(b) * (k % 2)) for k, (g, b) in
+              enumerate(rng.integers(1, ctx.order, (10, 2)))]
+    for gamma, beta in pairs:
+        spec = CurveSpec(ctx, LinearizedPoly((ell,), (gamma,), 1), beta)
+        coeffs, exps = quadform.form_terms(spec.R, p, beta)
+        table = quadform.form_table(ctx, 1, [coeffs], exps)
+        assert curves._trace_zero_count(spec) == np.count_nonzero(table == 0)
 
 
 def test_hasse_weil_values():

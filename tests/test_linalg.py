@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qfcodes import linalg
 from qfcodes.linalg import reduce_symmetric
 
 
@@ -60,3 +61,18 @@ def test_zero_matrices():
     red = reduce_symmetric(np.zeros((3, 4, 4), dtype=np.int64), 3, kernel=True)
     assert red.rank.tolist() == [0, 0, 0] and red.disc.tolist() == [1, 1, 1]
     assert np.array_equal(red.kernel(1), np.eye(4))
+
+
+def test_inverse_table_built_once_per_p():
+    linalg._inv_table.cache_clear()
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        for p in (5, 191):
+            a = rng.integers(0, p, (4, 6, 6))
+            reduce_symmetric(a + a.transpose(0, 2, 1), p)
+    info = linalg._inv_table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
+    inv = linalg._inv_table(191)
+    assert not inv.flags.writeable
+    assert all(v * int(inv[v]) % 191 == 1 for v in range(1, 191))
+

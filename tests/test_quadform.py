@@ -182,6 +182,28 @@ def test_tally_profiles_equals_direct_count(fam, count):
 
 
 @pytest.mark.parametrize("p,s,m,ell", GRID)
+def test_symbol_zero_count_matches_form_table(p, s, m, ell):
+    # zero counts are 1 (x = 0) plus the zero symbols of form_symbols; the
+    # element-indexed form_table must count the same, with or without beta
+    ctx, q = gf.get_field(p, s * m), p ** s
+    assert ctx.order <= quadform.COUNT_LIMIT  # form_profiles takes the counting route
+    rng = np.random.default_rng(p * 1000 + s * 100 + m * 10 + ell)
+    gammas = np.vstack([[0], rng.integers(1, ctx.order, (12, 1))])  # the zero form first
+    rows = np.hstack([np.vstack([gammas, gammas]),
+                      np.vstack([np.zeros_like(gammas), rng.integers(1, ctx.order, (13, 1))])])
+    exps = (q ** ell + 1, 1)
+    n0 = np.count_nonzero(quadform.form_table(ctx, s, rows, exps) == 0, axis=1)
+    syms = quadform.form_symbols(ctx, s, rows, exps)
+    assert np.array_equal(n0, 1 + np.count_nonzero(syms == 0, axis=1))
+    # form_profiles(count=True) solves (p = 2) or checks (odd p) the type from
+    # that count; it must be the type the form_table count gives
+    rank, eps = quadform.form_profiles(ctx, s, gammas, (ell,), count=True)
+    expected = [q ** m if r == 0 else q ** (m - 1) + e * (q - 1) * q ** (m - 1 - r // 2)
+                for r, e in zip(rank.tolist(), eps.tolist())]
+    assert n0[:len(gammas)].tolist() == expected
+
+
+@pytest.mark.parametrize("p,s,m,ell", GRID)
 def test_tally_profiles_mono_closed_form(p, s, m, ell):
     tally = quadform.tally_profiles(gf.get_field(p, s * m), FamilySpec(p, s, m, (ell,)))
     expected = rank_distribution_monomial(p ** s, m, ell).as_dict() | {(0, None): 1}

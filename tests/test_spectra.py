@@ -1,8 +1,12 @@
 import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from functools import lru_cache
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,6 +113,31 @@ def test_brute_workers_validated_no_pool(monkeypatch):
     for workers in (2, 3, 100000):
         assert brute_spectrum(ctx, spec, workers=workers) == serial
     assert brute_spectrum(ctx, CodeSpec(fam_of(2, 1, 6, 1), "base"), workers=100000).injective
+
+
+def test_uneven_image_count_raises_under_optimize():
+    # an A_0 that does not divide the word count is a raised error, not an
+    # assert, so `python -O` keeps the check
+    code = """
+import numpy as np
+from qfcodes import gf, spectra
+from qfcodes.klapper import HypothesisError
+from qfcodes.linpoly import FamilySpec
+hist = np.zeros(16, dtype=np.int64)
+hist[0], hist[8] = 3, 13  # 16 words, A_0 = 3
+spectra._brute_chunk = lambda *args: (hist, {})
+spec = spectra.CodeSpec(FamilySpec(2, 1, 4, (1,)))
+try:
+    spectra.brute_spectrum(gf.get_field(2, 4), spec)
+except HypothesisError as exc:
+    raise SystemExit(0 if "equally often" in str(exc) else 2)
+raise SystemExit(1)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- the block kernel ------------------------------------------------------------------
@@ -302,6 +331,53 @@ def test_l3l_codeword_matches_power_tables():
         b = int(rng.integers(0, 3))
         assert np.array_equal(build_codeword(ctx, spec, R, beta, b),
                               _codeword_by_power_tables(ctx, spec, R, beta, b))
+
+
+@pytest.mark.parametrize("p,s,m,exponents,variant,shortened", [
+    (2, 1, 8, (1,), "0", True),     # shortened, constant term only
+    (2, 2, 4, (1,), "2", False),    # s = 2
+    (3, 1, 4, (1, 3), "2", False),  # two-term forms, as in the l3l pair queries
+])
+def test_cached_form_word_is_safe_to_reuse(p, s, m, exponents, variant, shortened):
+    # several (beta, b) draws per R, alternating two R's and two contexts of
+    # one field; each word is scribbled on before the next one is built
+    ctxs = [gf.make_field(p, s * m), gf.make_field(p, s * m)]
+    spec = CodeSpec(FamilySpec(p, s, m, exponents), variant, shortened=shortened)
+    q, order = p ** s, ctxs[0].order
+    rng = np.random.default_rng(p * 1000 + s * 100 + m)
+    Rs = [LinearizedPoly(exponents, tuple(int(c) for c in rng.integers(1, order, len(exponents))),
+                         s) for _ in range(2)]
+    with_beta, with_b = variant in ("1", "2"), variant in ("0", "2")
+    for _ in range(2):
+        for ctx in ctxs:
+            for R in Rs:
+                draws = [(0, 0)] + [(int(rng.integers(1, order)) if with_beta else 0,
+                                     int(rng.integers(0, q)) if with_b else 0)
+                                    for _ in range(4)] + [(0, 0)]
+                for beta, b in draws:
+                    word = build_codeword(ctx, spec, R, beta, b)
+                    assert word.flags.writeable
+                    assert np.array_equal(word, _codeword_by_power_tables(ctx, spec, R, beta, b))
+                    word[:] = (word + 1) % q
+
+
+def test_words_of_one_form_evaluate_its_terms_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return quadform.form_symbols(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "form_symbols", counted)
+    spectra._form_word.cache_clear()
+    ctx = gf.get_field(3, 8)
+    spec = CodeSpec(FamilySpec(3, 1, 8, (1, 3)), "2")
+    R = klapper.l3l_poly(ctx, 1, 5, 7)
+    for k in range(8):
+        build_codeword(ctx, spec, R, beta=k * 37 % ctx.order, b_sym=k % 3)
+    assert len(calls) == 1
+    build_codeword(ctx, spec, klapper.l3l_poly(ctx, 1, 7, 5))
+    assert len(calls) == 2
 
 
 def test_shortened_word_concatenates_to_full():
