@@ -71,9 +71,8 @@ def _field_block(ctx: FieldCtx, s: int, m: int) -> dict:
 def _emit(payload: dict, fmt: str, out_path: str | None, spectrum_items=None):
     if fmt == "json":
         text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    elif fmt == "csv":
-        rows = spectrum_items if spectrum_items is not None else []
-        text = "weight,frequency\n" + "".join(f"{w},{a}\n" for w, a in rows)
+    elif fmt == "csv":  # offered by spectrum only, the one command with a weight table
+        text = "weight,frequency\n" + "".join(f"{w},{a}\n" for w, a in spectrum_items)
     else:
         lines = [f"{k}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(payload.items())]
         text = "\n".join(lines) + "\n"
@@ -119,19 +118,20 @@ def _measured_distribution(ctx, fam: FamilySpec, budget: int) -> klapper.RankDis
 
 
 def _predicted(kind, args, fam) -> spectra.MonomialPrediction:
-    q = args.p ** args.s
-    if kind == "mono":
-        if args.variant in ("base", "0"):
-            return spectra.predict_monomial(q, args.m, fam.exponents[0], args.variant)
-        return spectra.predict_monomial_long(q, args.m, fam.exponents[0], args.variant)
+    """The closed-form prediction of a mono or l3l family."""
     if kind == "l3l":
         return spectra.predict_l3l(args.p, args.m, fam.exponents[0], args.variant)
-    raise FieldError("span families have no closed-form prediction; use --method brute "
-                     "or --method both")
+    q = args.p ** args.s
+    if args.variant in ("base", "0"):
+        return spectra.predict_monomial(q, args.m, fam.exponents[0], args.variant)
+    return spectra.predict_monomial_long(q, args.m, fam.exponents[0], args.variant)
 
 
 def cmd_spectrum(args) -> int:
     kind, _, ctx, fam = _family_and_ctx(args)
+    if kind == "span" and args.method == "predict":
+        raise FieldError("span families have no closed-form prediction; use --method brute "
+                         "or --method both")
     budget = args.budget
     shortened = kind == "mono" and args.variant in ("base", "0")
     spec = CodeSpec(fam, args.variant, shortened=shortened)
@@ -151,8 +151,6 @@ def cmd_spectrum(args) -> int:
                                           pred_spec.min_distance()),
                 spectrum=pred_spec, full_spectrum=pred_spec, D=1)
         brute = spectra.brute_spectrum(ctx, spec, budget=budget)
-    if kind == "span" and args.method == "predict":
-        raise FieldError("span families have no closed-form prediction")
 
     chosen = brute.spectrum if brute else predicted.spectrum
     params = brute.params if brute else predicted.params
@@ -285,7 +283,6 @@ def _add_common(sp, budget):
     sp.add_argument("--budget", type=_budget, default=budget,
                     help="max symbol evaluations for brute work")
     sp.add_argument("--workers", type=_workers, default=1)
-    sp.add_argument("--format", default="json", choices=("json", "csv", "text"))
     sp.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -303,8 +300,10 @@ def _parser(budget_env: str | None) -> _Parser:
     sub = ap.add_subparsers(dest="command", required=True)
     sp = sub.add_parser("spectrum", help="predict and/or enumerate a code spectrum")
     _add_common(sp, budget)
+    sp.add_argument("--format", default="json", choices=("json", "csv", "text"))
     sp = sub.add_parser("cwe", help="complete weight enumerator of a base code")
     _add_common(sp, budget)
+    sp.add_argument("--format", default="json", choices=("json", "text"))
     sp = sub.add_parser("curves", help="point counts, scans and optimal witnesses")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
@@ -316,7 +315,7 @@ def _parser(budget_env: str | None) -> _Parser:
                     help="search the two-monomial family for an optimal curve")
     sp.add_argument("--pair-budget", type=_budget, default=None)
     sp.add_argument("--budget", type=_budget, default=budget)
-    sp.add_argument("--format", default="json", choices=("json", "csv", "text"))
+    sp.add_argument("--format", default="json", choices=("json", "text"))
     sp.add_argument("--out", default=None)
     sp = sub.add_parser("verify", help="run the full acceptance grid")
     sp.add_argument("--budget", type=_budget, default=budget)

@@ -6,14 +6,14 @@ at infinity.  Optimality (Hasse-Weil endpoint) is decided both by comparing
 against the genus bound and by the weight class of the attached codeword;
 disagreement between the two routes raises.
 
-Every trace-form table here comes from one log-domain gather per term: the
-single-curve trace count reads quadform.form_symbols directly, the per-gamma
-scan forms go through quadform.form_table.  Every rank and type (the witness
-search's pair ranks included) comes from quadform.form_profiles.
-Sweeps over all beta (scan_monomial, the witness search) read their point
-counts from quadform.value_histograms, one exhaustive histogram per form.
-count_points_by_solutions stays an independent (x, y) enumeration through
-lin_eval_table and the digit tables, and never goes through either.
+Every trace-form table here is a quadform.form_symbols row, one log-domain
+gather per term over x = alpha^k: the single-curve trace count reads it
+directly, and the sweeps over all beta (scan_monomial, the witness search)
+pass the rows to quadform.value_histograms, one exhaustive histogram per
+form.  Every rank and type (the witness search's pair ranks included) comes
+from quadform.form_profiles.  count_points_by_solutions stays an
+independent (x, y) enumeration in element order through lin_eval_table and
+the digit tables, and never goes through either.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .klapper import (HypothesisError, MonomialClassification, classify_monomial
                       l3l_poly, l3l_pair_profile)
 from .linpoly import LinearizedPoly, lin_eval_table
 from .quadform import (QuadForm, QuadFormProfile, beta_class_counts, expected_sum_distribution,
-                       form_profiles, form_symbols, form_table, form_terms, frequencies,
+                       form_profiles, form_symbols, form_terms, frequencies,
                        profile as qf_profile, value_histograms)
 
 
@@ -206,7 +206,7 @@ def scan_monomial(ctx: FieldCtx, ell: int, gammas: list[int] | None = None) -> S
     batch = max(1, SCAN_CELLS // (ctx.order * p))
     for lo in range(0, len(gammas), batch):
         chunk = gammas[lo: lo + batch]
-        forms = form_table(ctx, 1, np.array(chunk)[:, None], (p ** ell + 1,))
+        forms = form_symbols(ctx, 1, np.array(chunk)[:, None], (p ** ell + 1,))
         # points = 1 + p #{x : tr(gamma x^{p^l+1} + beta x) = 0}, one row per gamma
         for gamma, points in zip(chunk, 1 + p * value_histograms(ctx, 1, forms)[:, :, 0]):
             scans.append(_scan_gamma(ctx, ell, gamma, points))
@@ -304,8 +304,8 @@ def l3l_optimal_witness(ctx: FieldCtx, ell: int,
         raise CurveCountError(f"profile {prof} disagrees with the predicted class")
     R = l3l_poly(ctx, ell, g1, g2)
     # sweep beta for the extreme class
-    form = QuadForm(ctx, 1, m, R).sym_table()
-    points = 1 + p * value_histograms(ctx, 1, form[None, :])[0, :, 0]
+    coeffs, exps = form_terms(R, p)
+    points = 1 + p * value_histograms(ctx, 1, form_symbols(ctx, 1, [coeffs], exps))[0, :, 0]
     lo, hi = hasse_weil(CurveSpec(ctx, R, 0))
     target_points = hi if status_target == "maximal" else lo
     hits = np.nonzero(points == target_points)[0]

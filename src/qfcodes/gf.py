@@ -377,7 +377,9 @@ class SymbolSystem:
     """Canonical F_q = F_{p^d} symbol indexing inside F_{p^n}, q = p^d.
 
     Symbols are 0..q-1 in ascending element-index order (so symbol 0 is the
-    zero element).  trace_sym[e] is the symbol of tr_{p^n/p^d}(e); add/neg are
+    zero element).  trace_sym[e] is the symbol of tr_{p^n/p^d}(e), indexed by
+    element; trace_pow and the x half of coordinates are indexed by log, the
+    order x = alpha^k of every trace-form table in the package.  add/neg are
     symbol-level tables used by the codeword engines, and plus adds arrays of
     symbols through the flat add table.  The product table, the traces of the
     powers of alpha and the trace coordinates are built on first use only.
@@ -405,7 +407,6 @@ class SymbolSystem:
             acc = ctx.v_add(acc, x)
         if not np.all(ctx.frob_table(d)[acc] == acc):
             raise FieldError("trace values escaped the subfield")
-        self.trace_elem = acc
         self.trace_sym = self.index_of[acc].astype(np.int16)
         self.add = self._table(ctx.v_add)
         self.neg = self.index_of[ctx.v_neg(self.elements)].astype(np.int16)
@@ -435,25 +436,28 @@ class SymbolSystem:
 
     @cached_property
     def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
-        """(x_index, beta_index): F_q-coordinates of every element as base-q integers.
+        """(x_index, beta_index): F_q-coordinates as base-q integers, first digit most significant.
 
-        With k = n/d, x_index[x] has digits c_i(x) = tr(alpha^i x), i < k, and
-        beta_index[beta] has the digits b_i of beta = sum_i b_i alpha^i, the
-        first digit most significant in both.  Both maps are bijections onto
-        [0, q^k), and tr(beta x) = sum_i b_i c_i(x).
+        With k = n/d, x_index[j] has the digits c_i(alpha^j) = tr(alpha^{i+j}),
+        i < k, of x = alpha^j for j < N, in the log order of form_symbols: one
+        slice of trace_pow per digit.  x = 0 has all digits 0 and no entry.
+        beta_index[beta] has the digits b_i of beta = sum_i b_i alpha^i, for
+        every element beta in element order.  x_index is a bijection onto
+        [1, q^k) and beta_index onto [0, q^k), and tr(beta x) = sum_i b_i c_i(x).
         """
         ctx, q, k = self.ctx, self.q, self.ctx.n // self.d
+        N = ctx.mult_order
         all_e = np.arange(ctx.order, dtype=np.int64)
-        x_index = np.zeros(ctx.order, dtype=np.int64)
+        x_index = np.zeros(N, dtype=np.int64)
         beta_of = np.zeros(ctx.order, dtype=np.int64)
         for i in range(k):
+            x_index = x_index * q + self.trace_pow[i: i + N]
             a_i = np.full(ctx.order, ctx.alpha_pow(i), dtype=np.int64)
-            x_index = x_index * q + self.trace_sym[ctx.v_mul(a_i, all_e)]
             digit = (all_e // q ** (k - 1 - i)) % q
             beta_of = ctx.v_add(beta_of, ctx.v_mul(a_i, self.elements[digit]))
         beta_index = np.full(ctx.order, -1, dtype=np.int64)
         beta_index[beta_of] = all_e
-        if (beta_index < 0).any() or len(np.unique(x_index)) != ctx.order:
+        if (beta_index < 0).any() or (x_index == 0).any() or len(np.unique(x_index)) != N:
             raise FieldError("alpha^0..alpha^{k-1} is not a basis over the subfield")
         return x_index, beta_index
 

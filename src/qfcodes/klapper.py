@@ -52,9 +52,6 @@ class MonomialClassification:
     type: int | None        # suppressed for the degenerate rank-0 class
     branch: str             # which power class fired
 
-    def profile(self) -> QuadFormProfile:
-        return QuadFormProfile(rank=self.rank, type=self.type)
-
 
 def classify_monomial(ctx: FieldCtx, s: int, m: int, gamma: int, ell: int) -> MonomialClassification:
     """Rank and type of tr_{q^m/q}(gamma x^{q^l+1}) by the power-class tests."""

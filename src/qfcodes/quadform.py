@@ -17,18 +17,21 @@ Every (rank, type) tally of a whole family comes from tally_profiles, which
 profiles one row per x -> cx orbit class of the leading coefficient.
 
 Every trace-form symbol table in the package (Q's values, codewords, curve
-counts and scans) comes from form_symbols, one log-domain gather per term,
-and every Gram term from gram_exponents, one gather in the digit basis
-t^i = p^i.  lin_eval and lin_eval_table stay the independent routes of R.
+counts, scans and the beta sweeps) comes from form_symbols, one log-domain
+gather per term, in the one layout x = alpha^k, k < q^m - 1 (the form is 0
+at x = 0), and every Gram term from gram_exponents, one gather in the digit
+basis t^i = p^i.  lin_eval and lin_eval_table stay the independent routes
+of R, in element order.
 
 Every closed-form sweep table (counts here, curve points, code weights) is an
 affine image of expected_sum_distribution, the one closed form of S over beta.
 
-Every sweep over all beta goes through value_histograms: an exact
-additive-character transform in the group ring Z[F_q] that returns
-N_{Q,beta}(c) for all beta and c at once, at m q^{m+2} integer additions per
-form instead of the q^{2m} of a (beta, x) grid.  spectra's brute enumeration
-keeps the direct grid as the oracle the transform is checked against.
+Every sweep over all beta goes through value_histograms, which reads
+form_symbols rows: an exact additive-character transform in the group ring
+Z[F_q] that returns N_{Q,beta}(c) for all beta and c at once, at m q^{m+2}
+integer additions per form instead of the q^{2m} of a (beta, x) grid.
+spectra's brute enumeration keeps the direct grid as the oracle the
+transform is checked against.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ class QuadFormProfile:
 
 
 class QuadForm:
-    """Q_R over F_q in m variables, with table-backed evaluation."""
+    """Q_R over F_q in m variables, with scalar evaluation."""
 
     def __init__(self, ctx: FieldCtx, s: int, m: int, R: LinearizedPoly):
         if ctx.n != s * m:
@@ -69,19 +72,11 @@ class QuadForm:
         self.m = m
         self.q = ctx.p ** s
         self.R = R
-        self._syms: np.ndarray | None = None
 
     def value_sym(self, x: int) -> int:
         """Q(x) as a canonical F_q symbol."""
         ctx = self.ctx
         return int(ctx.symbols(self.s).trace_sym[ctx.mul(x, lin_eval(ctx, self.R, x))])
-
-    def sym_table(self) -> np.ndarray:
-        """Q over every field element, as symbols (cached)."""
-        if self._syms is None:
-            coeffs, exps = form_terms(self.R, self.q)
-            self._syms = form_table(self.ctx, self.s, [coeffs], exps)[0]
-        return self._syms
 
 
 def form_terms(R: LinearizedPoly, q: int, beta: int = 0) -> tuple[list[int], tuple[int, ...]]:
@@ -111,14 +106,6 @@ def form_symbols(ctx: FieldCtx, s: int, coeffs, exps: tuple[int, ...],
         out = term if out is None else sy.plus(out, term)
     if out is None:
         out = np.zeros((len(coeffs), len(range(ctx.mult_order)[xs])), dtype=sy.trace_pow.dtype)
-    return out
-
-
-def form_table(ctx: FieldCtx, s: int, coeffs, exps: tuple[int, ...]) -> np.ndarray:
-    """form_symbols indexed by field element: column x of row b is the form at x, 0 at x = 0."""
-    syms = form_symbols(ctx, s, coeffs, exps)
-    out = np.zeros((len(syms), ctx.order), dtype=syms.dtype)
-    out[:, ctx.exp[: ctx.mult_order]] = syms
     return out
 
 
@@ -262,16 +249,18 @@ HISTOGRAM_CELLS = 1 << 26
 
 
 def value_histograms(ctx: FieldCtx, s: int, f: np.ndarray) -> np.ndarray:
-    """H[b, beta, c] = #{x in F_{q^m} : f[b, x] + tr_{q^m/q}(beta x) = c}, for every beta and c.
+    """H[b, beta, c] = #{x in F_{q^m} : f_b(x) + tr_{q^m/q}(beta x) = c}, for every beta and c.
 
-    f is a (B, q^m) stack of F_q symbol tables indexed by field element; any
-    tables work, not just quadratic ones.  With the coordinates
+    f is a (B, q^m - 1) stack of F_q symbol rows in the log order of
+    form_symbols: column k holds f_b(alpha^k), and f_b(0) = 0, as for every
+    trace form.  Any rows work, not just quadratic ones.  With the coordinates
     c_i(x) = tr(alpha^i x) and beta = sum_i b_i alpha^i, the histograms
-    A[c(x), f(x)] += 1 become H by one additive-character stage per
-    coordinate in the group ring Z[F_q] (MacWilliams-Sloane ch. 5):
-    A'[.., t, .., c] = sum_y A[.., y, .., c - y t].  That is m q^{m+2}
-    exact integer additions per table instead of q^{2m}, in O(B q^{m+1})
-    memory; callers bound B.  Returns int64 counts of shape (B, q^m, q).
+    A[c(x), f(x)] += 1 (x = 0 adding 1 to A[0, 0]) become H by one
+    additive-character stage per coordinate in the group ring Z[F_q]
+    (MacWilliams-Sloane ch. 5): A'[.., t, .., c] = sum_y A[.., y, .., c - y t].
+    That is m q^{m+2} exact integer additions per table instead of q^{2m},
+    in O(B q^{m+1}) memory; callers bound B.  Returns int64 counts of shape
+    (B, q^m, q), beta indexed by field element.
     """
     q, k = ctx.p ** s, ctx.n // s
     cells = ctx.order * q
@@ -282,6 +271,7 @@ def value_histograms(ctx: FieldCtx, s: int, f: np.ndarray) -> np.ndarray:
     B = f.shape[0]
     flat = np.arange(B, dtype=np.int64)[:, None] * cells + x_index * q + f
     a = np.bincount(flat.ravel(), minlength=B * cells).astype(np.int32)
+    a[::cells] += 1  # x = 0: every coordinate and f vanish there
     # shift[y, t, c] = c - y t
     shift = sy.add[np.arange(q)[None, None, :], sy.neg[sy.mul][:, :, None]]
     for _ in range(k):
@@ -296,7 +286,8 @@ def value_histograms(ctx: FieldCtx, s: int, f: np.ndarray) -> np.ndarray:
 
 def _beta_histogram(Q: QuadForm) -> np.ndarray:
     """H[beta, c] = N_{Q,beta}(c) for every beta and every symbol c."""
-    return value_histograms(Q.ctx, Q.s, Q.sym_table()[None, :])[0]
+    coeffs, exps = form_terms(Q.R, Q.q)
+    return value_histograms(Q.ctx, Q.s, form_symbols(Q.ctx, Q.s, [coeffs], exps))[0]
 
 
 def frequencies(values: np.ndarray) -> dict[int, int]:

@@ -47,6 +47,34 @@ def test_spectrum_csv(capsys):
     assert out.splitlines() == ["weight,frequency", "0,1", "2,10", "4,5"]
 
 
+@pytest.mark.parametrize("argv", [
+    "cwe --p 2 --m 4 --family mono:1",
+    "curves --p 2 --m 4 --ell 1",
+    "curves --p 2 --m 4 --ell 1 --scan",
+], ids=["cwe", "curves", "curves-scan"])
+def test_csv_is_offered_by_spectrum_only(capsys, argv):
+    # only spectrum has a weight table; elsewhere csv is a usage error, not a bare header
+    code, out, err = run([*argv.split(), "--format", "csv"], capsys)
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.startswith("usage:") and "[--format {json,text}]" in err
+
+
+def test_span_predict_rejected_before_any_work(capsys, monkeypatch):
+    # span families have no closed form: refused once, before prediction or brute force
+    def fail(*args, **kwargs):
+        raise AssertionError("no prediction or brute work may run")
+
+    for name in ("predict_monomial", "predict_monomial_long", "predict_l3l",
+                 "predict_general", "brute_size", "brute_spectrum"):
+        monkeypatch.setattr(cli.spectra, name, fail)
+    monkeypatch.setattr(cli, "tally_profiles", fail)
+    code, out, err = run(["spectrum", "--p", "2", "--m", "4", "--family", "span:1,3",
+                          "--method", "predict"], capsys)
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.startswith("error: span families have no closed-form prediction")
+    assert "--method brute or --method both" in err
+
+
 def test_hypothesis_violation_exit_1(capsys):
     code, _, err = run(["spectrum", "--p", "2", "--m", "5", "--family", "mono:1"], capsys)
     assert code == 1

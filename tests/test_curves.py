@@ -8,11 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfcodes import curves, gf, klapper, quadform
+from qfcodes import curves, gf, klapper
 from qfcodes.curves import CurveSpec
 from qfcodes.klapper import HypothesisError
 from qfcodes.linalg import reduce_symmetric
-from qfcodes.linpoly import LinearizedPoly
+from qfcodes.linpoly import LinearizedPoly, lin_eval_table
 from qfcodes.verify import GRID
 
 
@@ -76,7 +76,7 @@ def test_closed_form_checks_hold_under_optimize():
 from qfcodes import curves, gf, spectra
 from qfcodes.curves import CurveSpec
 from qfcodes.klapper import HypothesisError
-from qfcodes.linpoly import LinearizedPoly
+from qfcodes.linpoly import LinearizedPoly, lin_eval_table
 calls = (lambda: curves.genus(CurveSpec(gf.get_field(2, 4), LinearizedPoly((0,), (1,), 1), 0)),
          lambda: curves.optimal_beta_counts(3, 3, 1),
          lambda: curves.optimal_beta_counts(3, 4, 2),
@@ -97,18 +97,20 @@ for call in calls:
 
 @pytest.mark.parametrize("p,s,m,ell", GRID)
 def test_trace_zero_count_matches_form_table(p, s, m, ell):
-    # the count is 1 (x = 0) plus the zero symbols of form_symbols; the
-    # element-indexed form_table must count the same
+    # the count is 1 (x = 0) plus the zero symbols of form_symbols; an
+    # element-indexed table from lin_eval_table must count the same
     ctx = gf.get_field(p, s * m)
     rng = np.random.default_rng(p * 1000 + s * 100 + m * 10 + ell)
     pairs = [(0, 0), (0, int(rng.integers(1, ctx.order)))]
     pairs += [(int(g), int(b) * (k % 2)) for k, (g, b) in
               enumerate(rng.integers(1, ctx.order, (10, 2)))]
+    xs = np.arange(ctx.order, dtype=np.int64)
+    tr = ctx.symbols(1).trace_sym
     for gamma, beta in pairs:
         spec = CurveSpec(ctx, LinearizedPoly((ell,), (gamma,), 1), beta)
-        coeffs, exps = quadform.form_terms(spec.R, p, beta)
-        table = quadform.form_table(ctx, 1, [coeffs], exps)
-        assert curves._trace_zero_count(spec) == np.count_nonzero(table == 0)
+        values = ctx.v_add(ctx.v_mul(xs, lin_eval_table(ctx, spec.R)),
+                           ctx.v_mul(np.full(ctx.order, beta, dtype=np.int64), xs))
+        assert curves._trace_zero_count(spec) == np.count_nonzero(tr[values] == 0)
 
 
 def test_hasse_weil_values():

@@ -86,7 +86,11 @@ def test_gram_and_table_match_scalar_evaluation(p, s, m):
     for exps, coeffs in cases:
         Q = form(p, s, m, exps, coeffs)
         assert np.array_equal(quadform.form_grams(ctx, s, [coeffs], exps)[0], scalar_gram(Q))
-        assert Q.sym_table().tolist() == [Q.value_sym(x) for x in range(ctx.order)]
+        # the form_symbols row, column k at alpha^k; the form is 0 at x = 0
+        terms, powers = quadform.form_terms(Q.R, p ** s)
+        row = quadform.form_symbols(ctx, s, [terms], powers)[0]
+        assert row.tolist() == [Q.value_sym(ctx.alpha_pow(k)) for k in range(ctx.mult_order)]
+        assert Q.value_sym(0) == 0
 
 
 def reference_profile(ctx, s, exps, coeffs):
@@ -183,20 +187,25 @@ def test_tally_profiles_equals_direct_count(fam, count):
 
 @pytest.mark.parametrize("p,s,m,ell", GRID)
 def test_symbol_zero_count_matches_form_table(p, s, m, ell):
-    # zero counts are 1 (x = 0) plus the zero symbols of form_symbols; the
-    # element-indexed form_table must count the same, with or without beta
+    # zero counts are 1 (x = 0) plus the zero symbols of form_symbols; an
+    # element-indexed table from lin_eval_table must count the same, with or
+    # without beta
     ctx, q = gf.get_field(p, s * m), p ** s
     assert ctx.order <= quadform.COUNT_LIMIT  # form_profiles takes the counting route
     rng = np.random.default_rng(p * 1000 + s * 100 + m * 10 + ell)
     gammas = np.vstack([[0], rng.integers(1, ctx.order, (12, 1))])  # the zero form first
     rows = np.hstack([np.vstack([gammas, gammas]),
                       np.vstack([np.zeros_like(gammas), rng.integers(1, ctx.order, (13, 1))])])
-    exps = (q ** ell + 1, 1)
-    n0 = np.count_nonzero(quadform.form_table(ctx, s, rows, exps) == 0, axis=1)
-    syms = quadform.form_symbols(ctx, s, rows, exps)
+    xs = np.arange(ctx.order, dtype=np.int64)
+    tr = ctx.symbols(s).trace_sym
+    n0 = np.array([np.count_nonzero(tr[ctx.v_add(
+        ctx.v_mul(xs, lin_eval_table(ctx, LinearizedPoly((ell,), (gamma,), s))),
+        ctx.v_mul(np.full(ctx.order, beta, dtype=np.int64), xs))] == 0)
+        for gamma, beta in rows.tolist()])
+    syms = quadform.form_symbols(ctx, s, rows, (q ** ell + 1, 1))
     assert np.array_equal(n0, 1 + np.count_nonzero(syms == 0, axis=1))
     # form_profiles(count=True) solves (p = 2) or checks (odd p) the type from
-    # that count; it must be the type the form_table count gives
+    # that count; it must be the type the element-indexed count gives
     rank, eps = quadform.form_profiles(ctx, s, gammas, (ell,), count=True)
     expected = [q ** m if r == 0 else q ** (m - 1) + e * (q - 1) * q ** (m - 1 - r // 2)
                 for r, e in zip(rank.tolist(), eps.tolist())]
@@ -334,26 +343,35 @@ def test_exp_sum_identity_random():
     sy = ctx.symbols(1)
     H = quadform._beta_histogram(Q)
     xs = np.arange(81, dtype=np.int64)
+    values = sy.trace_sym[ctx.v_mul(xs, lin_eval_table(ctx, Q.R))]  # Q in element order
     rng = np.random.default_rng(2)
     for _ in range(10):
         beta = int(rng.integers(0, 81))
         b_sym = int(rng.integers(0, 3))
         # N_{Q,beta}(-b) by a direct count over x
         tr_b = sy.trace_sym[ctx.v_mul(np.full(81, beta, dtype=np.int64), xs)]
-        n = int(np.count_nonzero(sy.add[Q.sym_table(), tr_b] == sy.neg[b_sym]))
+        n = int(np.count_nonzero(sy.add[values, tr_b] == sy.neg[b_sym]))
         assert H[beta, sy.neg[b_sym]] == n
         s = 3 * n - 81
         assert s in quadform._sum_frequencies(Q, H, b_sym)
 
 
+def element_tables(ctx, f):
+    """Log-order rows f (column k at alpha^k) as element-indexed tables, 0 at x = 0."""
+    out = np.zeros((f.shape[0], ctx.order), dtype=f.dtype)
+    out[:, ctx.exp[: ctx.mult_order]] = f
+    return out
+
+
 def direct_histograms(ctx, s, f):
-    """H[b, beta, c] by walking every beta and counting f + tr(beta x) = c."""
+    """H[b, beta, c] by walking every beta and counting f + tr(beta x) = c over every x."""
     sy = ctx.symbols(s)
     xs = np.arange(ctx.order, dtype=np.int64)
+    tables = element_tables(ctx, f)
     out = np.zeros((f.shape[0], ctx.order, sy.q), dtype=np.int64)
     for beta in range(ctx.order):
         tr_b = sy.trace_sym[ctx.v_mul(np.full(ctx.order, beta, dtype=np.int64), xs)]
-        for b, row in enumerate(f):
+        for b, row in enumerate(tables):
             for x in range(ctx.order):
                 out[b, beta, sy.add[row[x], tr_b[x]]] += 1
     return out
@@ -364,17 +382,18 @@ def test_value_histograms_match_direct_count(p, s, m):
     ctx = gf.get_field(p, s * m)
     q = p ** s
     rng = np.random.default_rng(p * 1000 + s * 100 + m)
-    f = rng.integers(0, q, size=(2, ctx.order)).astype(np.int16)
+    f = rng.integers(0, q, size=(2, ctx.mult_order)).astype(np.int16)
     if ctx.order > 64:
         # the direct count is a Python loop: check a sample of beta rows exactly
         betas = np.sort(rng.choice(ctx.order, 48, replace=False))
         H = quadform.value_histograms(ctx, s, f)
         sy = ctx.symbols(s)
         xs = np.arange(ctx.order, dtype=np.int64)
+        tables = element_tables(ctx, f)
         for beta in betas:
             tr_b = sy.trace_sym[ctx.v_mul(np.full(ctx.order, beta, dtype=np.int64), xs)]
             for b in range(2):
-                want = np.bincount(sy.add[f[b], tr_b], minlength=q)
+                want = np.bincount(sy.add[tables[b], tr_b], minlength=q)
                 assert np.array_equal(H[b, beta], want)
         assert (H.sum(axis=2) == ctx.order).all()
     else:
@@ -390,7 +409,8 @@ def test_value_histograms_match_brute_oracle(p, s, m):
     _, comps = spectra._brute_chunk(ctx, CodeSpec(FamilySpec(p, s, m, (1,)), "1"), True,
                                     0, ctx.order)
     gammas = np.arange(ctx.order, dtype=np.int64)
-    f = ctx.symbols(s).trace_sym[ctx.v_mul(gammas[:, None], ctx.power_table(q + 1)[None, :])]
+    powers = ctx.power_table(q + 1)[ctx.exp[: ctx.mult_order]]  # x^{q+1} at x = alpha^k
+    f = ctx.symbols(s).trace_sym[ctx.v_mul(gammas[:, None], powers[None, :])]
     H = quadform.value_histograms(ctx, s, f)
     H[:, :, 0] -= 1
     assert Counter(map(tuple, H.reshape(-1, q).tolist())) == comps
@@ -403,11 +423,12 @@ def test_value_histograms_property(p, s, m, rows, seed):
     if p ** (s * m) > 256:
         m = 1
     ctx = gf.get_field(p, s * m)
-    f = np.random.default_rng(seed).integers(0, p ** s, size=(rows, ctx.order)).astype(np.int16)
+    f = np.random.default_rng(seed).integers(0, p ** s, size=(rows, ctx.mult_order))
+    f = f.astype(np.int16)
     assert np.array_equal(quadform.value_histograms(ctx, s, f), direct_histograms(ctx, s, f))
 
 
 def test_value_histograms_rejects_oversized_tables():
     ctx = gf.get_field(2, 16)
     with pytest.raises(ValueError):
-        quadform.value_histograms(ctx, 16, np.zeros((1, ctx.order), dtype=np.int16))
+        quadform.value_histograms(ctx, 16, np.zeros((1, ctx.mult_order), dtype=np.int16))

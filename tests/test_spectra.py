@@ -225,7 +225,8 @@ def test_brute_working_set_is_capped_at_large_q():
     # gamma = 0 and one gamma per coset of the 30 32nd powers, alpha^0..alpha^31, suffice
     n = ctx.mult_order
     gammas = np.array([0] + [ctx.alpha_pow(j) for j in range(32)], dtype=np.int64)
-    tables = ctx.symbols(1).trace_sym[ctx.v_mul(gammas[:, None], ctx.power_table(32))]
+    powers = ctx.power_table(32)[ctx.exp[:n]]  # x^32 at x = alpha^k, the kernel's order
+    tables = ctx.symbols(1).trace_sym[ctx.v_mul(gammas[:, None], powers[None, :])]
     H = quadform.value_histograms(ctx, 1, tables)
     orbit = np.array([1] + [30] * 32)[:, None]
     want = np.bincount((n - (H[:, :, 0] - 1)).ravel(),
