@@ -26,6 +26,7 @@ EXIT_OK, EXIT_USAGE, EXIT_MISMATCH, EXIT_BUDGET = 0, 1, 2, 3
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; the CLI reserves 2
         self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 

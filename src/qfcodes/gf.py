@@ -421,7 +421,9 @@ class SymbolSystem:
         return out
 
     def plus(self, a: np.ndarray, b) -> np.ndarray:
-        """a + b over F_q symbols, through the flat addition table (b may be a scalar)."""
+        """a + b over F_q symbols: row b of the addition table for a scalar b, else the flat one."""
+        if np.ndim(b) == 0:
+            return self.add[b].take(a)
         return self.add.ravel()[a.astype(np.intp) * self.q + b]
 
     @cached_property

@@ -14,6 +14,11 @@ the number of pivoted indices, the discriminant of the nondegenerate part is
 the product of the d's and the (-a^2)'s, and the columns of P at indices
 never pivoted span the kernel.  Entries stay in [0, p) between steps and an
 update spans [-2(p-1)^2, p), so the working dtype is chosen from p.
+
+A stack of one matrix (a single form's profile, an l3l pair query) is
+reduced in Python integers by the same pivots and updates, so it returns its
+row of a batched call exactly: per pivot the batched loop makes about 20
+numpy calls, which cost more than the arithmetic of one small matrix.
 """
 
 from __future__ import annotations
@@ -61,16 +66,24 @@ def _eta_table(p: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _inv_table(p: int) -> np.ndarray:
     """inv[v] = 1/v mod p (1/0 read as 0), in the working dtype, which holds 2p^2 + p."""
-    inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=int_dtype(2 * p * p + p))
+    inv, v, e = np.ones(p, dtype=np.int64), np.arange(p, dtype=np.int64), p - 2
+    while e:  # v^(p-2) by squaring; p < 2^22 keeps every product below 2^44
+        if e & 1:
+            inv = inv * v % p
+        v, e = v * v % p, e >> 1
+    inv[0] = 0
+    inv = inv.astype(int_dtype(2 * p * p + p))
     inv.flags.writeable = False
     return inv
 
 
 def reduce_symmetric(mats: np.ndarray, p: int, kernel: bool = False) -> Reduction:
     """Congruence-reduce a (B, n, n) stack of symmetric integer matrices mod p."""
-    inv = _inv_table(p)
-    dt = inv.dtype
+    dt = int_dtype(2 * p * p + p)
     a = np.asarray(mats).astype(dt) % p
+    if len(a) == 1:
+        return _reduce_one(a[0].tolist(), p, dt, kernel)
+    inv = _inv_table(p)
     B, n, _ = a.shape
     bs = np.arange(B)
     rank = np.zeros(B, dtype=np.int64)
@@ -110,3 +123,41 @@ def reduce_symmetric(mats: np.ndarray, p: int, kernel: bool = False) -> Reductio
             P %= p
         disc = disc * factor % p
     return Reduction(p=p, rank=rank, disc=disc, basis=P)
+
+
+def _reduce_one(a: list, p: int, dt, kernel: bool) -> Reduction:
+    """reduce_symmetric on one matrix in Python integers: the same pivots, updates and P.
+
+    As A is symmetric, the pivot (u, v) takes row x of A to row x - A_ux r
+    and column x of P to column x - r_x (column u of P), with r = row v / piv.
+    Rows whose multiplier is 0, among them every pivoted row, are kept as they are.
+    """
+    n = len(a)
+    pt = np.eye(n, dtype=np.int64).tolist() if kernel else None  # the columns of P
+    rank, disc = 0, 1
+    while rank < n:
+        i = j = next((k for k in range(n) if a[k][k]), None)
+        if i is None:  # the first nonzero entry in row-major order, as a hyperbolic pair
+            i = next((k for k, row in enumerate(a) if any(row)), None)
+            if i is None:
+                break
+            j = next(k for k, v in enumerate(a[i]) if v)
+        piv = a[i][j]
+        c = pow(piv, -1, p)
+        steps = [(i, i)] if i == j else [(i, j), (j, i)]
+        a0, pt0 = a, pt
+        for u, v in steps:
+            r = [x * c % p for x in a0[v]]
+            a = _minus_outer(a, a0[u], r, p)
+            if kernel:
+                pt = _minus_outer(pt, r, pt0[u], p)
+        rank += len(steps)
+        disc = disc * (piv if i == j else -piv * piv) % p
+    basis = np.array(pt, dtype=dt).T.reshape(1, n, n) if kernel else None
+    return Reduction(p=p, rank=np.array([rank], dtype=np.int64),
+                     disc=np.array([disc], dtype=np.int64), basis=basis)
+
+
+def _minus_outer(rows: list, s: list, r: list, p: int) -> list:
+    """rows - s r^T mod p, keeping each row whose s entry is 0."""
+    return [[(w - x * t) % p for w, t in zip(row, r)] if x else row for row, x in zip(rows, s)]

@@ -57,6 +57,7 @@ def test_csv_is_offered_by_spectrum_only(capsys, argv):
     code, out, err = run([*argv.split(), "--format", "csv"], capsys)
     assert code == cli.EXIT_USAGE and out == ""
     assert err.startswith("usage:") and "[--format {json,text}]" in err
+    assert f"qfcodes {argv.split()[0]}: error: argument --format: invalid choice: 'csv'" in err
 
 
 def test_span_predict_rejected_before_any_work(capsys, monkeypatch):

@@ -118,6 +118,18 @@ def test_subfield_whole_field_and_f256():
         F.symbols(3)
 
 
+def test_symbol_plus_scalar_and_array():
+    sy = gf.get_field(3, 4).symbols(2)
+    a = np.arange(sy.q, dtype=np.int16).repeat(sy.q)
+    b = np.tile(np.arange(sy.q, dtype=np.int16), sy.q)
+    field = sy.index_of[gf.get_field(3, 4).v_add(sy.elements[a], sy.elements[b])]
+    assert np.array_equal(sy.plus(a, b), field)
+    for c in range(sy.q):
+        out = sy.plus(a, np.int16(c))
+        assert out.dtype == np.int16
+        assert np.array_equal(out, sy.plus(a, np.full_like(a, c)))
+
+
 def test_rel_trace_values():
     F = gf.get_field(2, 4)
     sy = F.symbols(1)

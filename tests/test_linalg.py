@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qfcodes import linalg
+from qfcodes import gf, linalg, quadform
 from qfcodes.linalg import reduce_symmetric
 
 
@@ -51,10 +52,11 @@ def test_known_rank_discriminant_and_kernel(p):
             K = red.kernel(b).astype(np.int64)
             assert K.shape == (n, n - ranks[b])
             assert not (mats[b] @ K % p).any()
-        # a batch gives what each matrix gives alone
-        alone = [reduce_symmetric(mats[b:b + 1], p) for b in range(0, len(mats), 7)]
+        # a batch gives what each matrix gives alone, kernel basis included
+        alone = [reduce_symmetric(mats[b:b + 1], p, kernel=True) for b in range(0, len(mats), 7)]
         assert [int(r.rank[0]) for r in alone] == ranks[::7].tolist()
         assert [int(r.disc[0]) for r in alone] == red.disc[::7].tolist()
+        assert all(np.array_equal(r.basis[0], P) for r, P in zip(alone, red.basis[::7]))
 
 
 def test_zero_matrices():
@@ -75,4 +77,38 @@ def test_inverse_table_built_once_per_p():
     inv = linalg._inv_table(191)
     assert not inv.flags.writeable
     assert all(v * int(inv[v]) % 191 == 1 for v in range(1, 191))
+    # the Fermat power v^(p-2) against pow(v, -1, p)
+    assert linalg._inv_table(2).tolist() == [0, 1]
+    assert linalg._inv_table(65521).tolist() == [0] + [pow(v, -1, 65521) for v in range(1, 65521)]
 
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7, 191]), n=st.integers(0, 10), count=st.integers(2, 4),
+       density=st.sampled_from([0.0, 0.2, 0.6, 1.0]), alternating=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_one_matrix_route_equals_its_batched_row(p, n, count, density, alternating, seed):
+    # a one-matrix stack is reduced in Python integers, a longer one by the
+    # batched loop; density 0 gives zero matrices, a zero diagonal hyperbolic pivots
+    rng = np.random.default_rng(seed)
+    u = np.triu(rng.integers(0, p, (count, n, n)) * (rng.random((count, n, n)) < density),
+                int(alternating))
+    mats = u + np.triu(u, 1).transpose(0, 2, 1)
+    for kernel in (False, True):
+        batch = reduce_symmetric(mats, p, kernel=kernel)
+        for b in range(count):
+            one = reduce_symmetric(mats[b:b + 1], p, kernel=kernel)
+            assert one.rank.dtype == one.disc.dtype == batch.rank.dtype == batch.disc.dtype
+            assert (one.rank.tolist(), one.disc.tolist()) == ([batch.rank[b]], [batch.disc[b]])
+            if kernel:
+                assert one.basis.dtype == batch.basis.dtype
+                assert np.array_equal(one.basis[0], batch.basis[b])
+            else:
+                assert one.basis is None
+
+
+def test_one_form_profile_builds_no_inverse_table():
+    # one form_profiles row is a one-matrix stack, reduced without the table
+    linalg._inv_table.cache_clear()
+    ctx = gf.get_field(7, 2)
+    assert quadform.form_profiles(ctx, 1, [[ctx.alpha]], (0,))[0].tolist() == [2]
+    assert linalg._inv_table.cache_info().misses == 0
