@@ -30,14 +30,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _workers(text: str) -> int:
-    """--workers value: at least 1, and otherwise ignored: no command starts a process."""
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
-
-
 def _budget(text: str) -> int:
     """--budget and --pair-budget value: an integer, at least 0."""
     n = int(text)
@@ -279,11 +271,9 @@ def _add_common(sp, budget):
     sp.add_argument("--s", type=int, default=1, help="q = p^s")
     sp.add_argument("--m", type=int, required=True, help="extension degree over F_q")
     sp.add_argument("--family", required=True, help="mono:L, l3l:L or span:L1,L2,..")
-    sp.add_argument("--variant", default="base", choices=spectra.VARIANTS)
     sp.add_argument("--method", default="predict", choices=("predict", "brute", "both"))
     sp.add_argument("--budget", type=_budget, default=budget,
                     help="max symbol evaluations for brute work")
-    sp.add_argument("--workers", type=_workers, default=1)
     sp.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -301,6 +291,7 @@ def _parser(budget_env: str | None) -> _Parser:
     sub = ap.add_subparsers(dest="command", required=True)
     sp = sub.add_parser("spectrum", help="predict and/or enumerate a code spectrum")
     _add_common(sp, budget)
+    sp.add_argument("--variant", default="base", choices=spectra.VARIANTS)
     sp.add_argument("--format", default="json", choices=("json", "csv", "text"))
     sp = sub.add_parser("cwe", help="complete weight enumerator of a base code")
     _add_common(sp, budget)
@@ -315,12 +306,10 @@ def _parser(budget_env: str | None) -> _Parser:
     sp.add_argument("--witness", action="store_true",
                     help="search the two-monomial family for an optimal curve")
     sp.add_argument("--pair-budget", type=_budget, default=None)
-    sp.add_argument("--budget", type=_budget, default=budget)
     sp.add_argument("--format", default="json", choices=("json", "text"))
     sp.add_argument("--out", default=None)
     sp = sub.add_parser("verify", help="run the full acceptance grid")
     sp.add_argument("--budget", type=_budget, default=budget)
-    sp.add_argument("--workers", type=_workers, default=1)
     sp.add_argument("--json", default=None, help="write the report to a file")
     return ap
 

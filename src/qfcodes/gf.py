@@ -17,12 +17,10 @@ N = p^n - 1.  The exp table doubles, exp[2^j : 2^{j+1}] being
 exp[: 2^j] times M_{alpha^{2^j}}, one digit product per block of rows, and
 log inverts it.  The products run in float64, exact while n p^2 < 2^53.
 
-Scalar arithmetic works on ints and is table-driven: mul/inv/pow read the
-exp/log tables, and for odd p add/neg read them too, through a Zech table
-Z[k] = log(1 + alpha^k) built on the first scalar add (Lidl-Niederreiter,
-Finite Fields, ch. 2), so a + b = alpha^{log a + Z[log b - log a]} and
--a = alpha^{log a + N/2}; for p = 2 add is XOR.  The scalar ops index the
-tables through memoryviews, which give Python ints without a numpy scalar.
+Scalar arithmetic works on Python ints: mul/pow and, for odd p, neg read the
+exp/log tables (-a = alpha^{log a + N/2}); add adds the base-p digits of a
+and b without carry (XOR for p = 2).  The scalar ops index the tables
+through memoryviews, which give Python ints without a numpy scalar.
 The v_* methods operate on numpy arrays of element indices through the
 digit tables and back every bulk sweep in the package.  FieldCtx is
 immutable after construction apart from its lazy tables; it cannot be
@@ -132,7 +130,10 @@ class FieldError(ValueError):
 
 
 class FieldCtx:
-    """F_{p^n} with full exp/log tables (built for p^n <= size limit)."""
+    """F_{p^n} with full exp/log tables, built deterministically.
+
+    Raises FieldError if p is not prime or p^n exceeds size_limit.
+    """
 
     def __init__(self, p: int, n: int, size_limit: int = DEFAULT_SIZE_LIMIT):
         if not is_prime(p):
@@ -259,22 +260,17 @@ class FieldCtx:
 
     # -- scalar arithmetic ---------------------------------------------------
 
-    @cached_property
-    def _zech(self) -> memoryview:
-        """Z[k] = log(1 + alpha^k) for k < N; -1 at k = N/2, where 1 + alpha^k = 0."""
-        N = self.mult_order
-        return memoryview(self.log[self.v_add(np.ones(N, dtype=np.int64), self.exp[:N])])
-
     def add(self, a: int, b: int) -> int:
-        if self.p == 2:
+        p = self.p
+        if p == 2:
             return a ^ b
-        if a == 0:
-            return int(b)
-        if b == 0:
-            return int(a)
-        la = self._log[a]
-        z = self._zech[(self._log[b] - la) % self.mult_order]
-        return self._exp[la + z] if z >= 0 else 0
+        out, place = 0, 1
+        while a or b:
+            a, da = divmod(a, p)
+            b, db = divmod(b, p)
+            out += (da + db) % p * place
+            place *= p
+        return out
 
     def neg(self, a: int) -> int:
         if self.p == 2:
@@ -283,18 +279,10 @@ class FieldCtx:
             return 0
         return self._exp[self._log[a] + self.mult_order // 2]
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         return self._exp[self._log[a] + self._log[b]]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return self._exp[(self.mult_order - self._log[a]) % self.mult_order]
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -464,15 +452,10 @@ class SymbolSystem:
         return x_index, beta_index
 
 
-def make_field(p: int, n: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> FieldCtx:
-    """Construct F_{p^n} deterministically; errors if p is not prime or p^n too large."""
-    return FieldCtx(p, n, size_limit)
-
-
 @lru_cache(maxsize=None)
 def get_field(p: int, n: int) -> FieldCtx:
-    """Cached frontend to make_field (contexts are immutable)."""
-    return make_field(p, n)
+    """Cached FieldCtx(p, n) (contexts are immutable)."""
+    return FieldCtx(p, n)
 
 
 def power_residue_test(ctx: FieldCtx, gamma: int, e: int) -> bool:

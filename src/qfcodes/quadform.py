@@ -37,7 +37,7 @@ transform is checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 import numpy as np
@@ -62,7 +62,7 @@ class QuadFormProfile:
 
 
 class QuadForm:
-    """Q_R over F_q in m variables, with scalar evaluation."""
+    """Q_R over F_q in m variables, with scalar evaluation and its beta histogram."""
 
     def __init__(self, ctx: FieldCtx, s: int, m: int, R: LinearizedPoly):
         if ctx.n != s * m:
@@ -77,6 +77,12 @@ class QuadForm:
         """Q(x) as a canonical F_q symbol."""
         ctx = self.ctx
         return int(ctx.symbols(self.s).trace_sym[ctx.mul(x, lin_eval(ctx, self.R, x))])
+
+    @cached_property
+    def histogram(self) -> np.ndarray:
+        """H[beta, c] = N_{Q,beta}(c) for every beta and every symbol c, built once per form."""
+        coeffs, exps = form_terms(self.R, self.q)
+        return value_histograms(self.ctx, self.s, form_symbols(self.ctx, self.s, [coeffs], exps))[0]
 
 
 def form_terms(R: LinearizedPoly, q: int, beta: int = 0) -> tuple[list[int], tuple[int, ...]]:
@@ -284,26 +290,20 @@ def value_histograms(ctx: FieldCtx, s: int, f: np.ndarray) -> np.ndarray:
     return a.reshape(B, ctx.order, q)[:, beta_index, :].astype(np.int64)
 
 
-def _beta_histogram(Q: QuadForm) -> np.ndarray:
-    """H[beta, c] = N_{Q,beta}(c) for every beta and every symbol c."""
-    coeffs, exps = form_terms(Q.R, Q.q)
-    return value_histograms(Q.ctx, Q.s, form_symbols(Q.ctx, Q.s, [coeffs], exps))[0]
-
-
 def frequencies(values: np.ndarray) -> dict[int, int]:
     """Value -> number of occurrences in an integer array."""
     return {int(v): int(c) for v, c in zip(*np.unique(values, return_counts=True))}
 
 
-def _sum_frequencies(Q: QuadForm, hist: np.ndarray, b_sym: int) -> dict[int, int]:
+def _sum_frequencies(Q: QuadForm, b_sym: int) -> dict[int, int]:
     """S_{Q,b}(beta) = q N_{Q,beta}(-b) - q^m, tallied over beta."""
     target = int(Q.ctx.symbols(Q.s).neg[b_sym])
-    return frequencies(Q.q * hist[:, target] - Q.ctx.order)
+    return frequencies(Q.q * Q.histogram[:, target] - Q.ctx.order)
 
 
 def n_distribution(Q: QuadForm, xi_sym: int) -> dict[int, int]:
     """Value -> frequency of N_{Q,beta}(xi) over all beta, for one xi symbol."""
-    return frequencies(_beta_histogram(Q)[:, xi_sym])
+    return frequencies(Q.histogram[:, xi_sym])
 
 
 # -- closed-form beta-sweep distributions --------------------------------------
@@ -382,10 +382,9 @@ def verify_sum_distribution(Q: QuadForm) -> SumDistributionReport:
     prof = profile(Q)
     r, eps = prof.rank, prof.type or 1
     q, m = Q.q, Q.m
-    hist = _beta_histogram(Q)
     mismatches = []
     for b_sym in range(q):
-        observed = _sum_frequencies(Q, hist, b_sym)
+        observed = _sum_frequencies(Q, b_sym)
         expected = expected_sum_distribution(q, m, r, eps, b_zero=(b_sym == 0))
         if observed != expected:
             mismatches.append(f"b_sym={b_sym}: observed {sorted(observed.items())}, "

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -293,8 +294,7 @@ def test_bad_budget_exit_1(capsys, monkeypatch):
     # or in QFCODES_BUDGET, and no command starts
     monkeypatch.setattr(cli.verify, "run_all", None)
     field = ["--p", "2", "--m", "4", "--family", "mono:1"]
-    commands = (["spectrum", *field], ["cwe", *field],
-                ["curves", "--p", "3", "--m", "4", "--ell", "1"], ["verify"])
+    commands = (["spectrum", *field], ["cwe", *field], ["verify"])
     for argv in commands:
         for bad in ("-5", "abc"):
             code, out, err = run(argv + ["--budget", bad], capsys)
@@ -306,6 +306,14 @@ def test_bad_budget_exit_1(capsys, monkeypatch):
         assert code == cli.EXIT_USAGE and out == "" and err.startswith("usage:")
 
 
+def test_curves_ignores_budget_env(capsys, monkeypatch):
+    # curves does no budgeted work, so QFCODES_BUDGET is not read there
+    monkeypatch.setenv("QFCODES_BUDGET", "abc")
+    code, out, err = run(["curves", "--p", "3", "--m", "4", "--ell", "1"], capsys)
+    assert code == cli.EXIT_OK and err == ""
+    assert pinned(out) == (211, "6fda088b2518d22f952d40022f5c599e04795269cd305c68ec32284db866d165")
+
+
 def test_verify_budget_exit_3(capsys, monkeypatch):
     fake = [verify.CriterionResult(1, "x", True),
             verify.CriterionResult(3, "y", False, mode="skipped",
@@ -315,18 +323,51 @@ def test_verify_budget_exit_3(capsys, monkeypatch):
     assert cli.main(["verify"]) == 3
 
 
-def test_workers_validated_not_clamped():
-    # parsing only: no command starts a process, so any value >= 1 is kept
-    parser = cli.build_parser()
+def test_removed_options_exit_1(capsys, monkeypatch):
+    # options no command read are gone; passing one is a usage error
+    monkeypatch.setattr(cli.verify, "run_all", None)
     field = ["--p", "2", "--m", "4", "--family", "mono:1"]
-    for argv in (["spectrum", *field], ["cwe", *field], ["verify"]):
-        assert parser.parse_args(argv).workers == 1
-        assert parser.parse_args(argv + ["--workers", "2"]).workers == 2
-        assert parser.parse_args(argv + ["--workers", "100000"]).workers == 100000
-        for bad in ("0", "-4"):
-            with pytest.raises(SystemExit) as exc:
-                parser.parse_args(argv + ["--workers", bad])
-            assert exc.value.code == cli.EXIT_USAGE
+    for argv in (["spectrum", *field, "--workers", "2"], ["cwe", *field, "--workers", "2"],
+                 ["verify", "--workers", "2"], ["cwe", *field, "--variant", "1"],
+                 ["curves", "--p", "3", "--m", "4", "--ell", "1", "--budget", "5"]):
+        code, out, err = run(argv, capsys)
+        assert code == cli.EXIT_USAGE and out == "", argv
+        assert err.startswith("usage:") and "unrecognized arguments" in err, argv
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records the attributes read once ``_reads`` is set."""
+
+    _reads = None
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "_reads")
+        if reads is not None:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_every_option_is_read(capsys, monkeypatch):
+    fake = [verify.CriterionResult(1, "x", True)]
+    monkeypatch.setattr(cli.verify, "run_all",
+                        lambda budget, log: (fake, verify.report_json(fake)))
+    field = "--p 2 --m 4 --family mono:1 --method both"
+    runs = {"spectrum": [field], "cwe": [field],
+            "curves": ["--p 3 --m 4 --ell 1", "--p 3 --m 4 --ell 1 --scan",
+                       "--p 3 --m 8 --ell 1 --witness"],
+            "verify": [""]}
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(runs)
+    for command, argvs in runs.items():
+        read = set()
+        for argv in argvs:
+            args = parser.parse_args([command, *argv.split()], namespace=_ReadRecorder())
+            args._reads = read
+            assert getattr(cli, f"cmd_{command}")(args) == cli.EXIT_OK
+        capsys.readouterr()
+        dests = {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
+        assert dests <= read, (command, dests - read)
 
 
 def test_curves_negative_pair_budget_exit_1(capsys, monkeypatch):

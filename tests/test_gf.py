@@ -16,24 +16,24 @@ FIELDS = [(2, 4), (2, 6), (2, 8), (3, 2), (3, 4), (5, 4)]
 
 
 def test_make_field_basic_orders():
-    F = gf.make_field(2, 4)
+    F = gf.FieldCtx(2, 4)
     assert F.order == 16 and F.mult_order == 15
-    F = gf.make_field(3, 8)
+    F = gf.FieldCtx(3, 8)
     assert F.order == 6561 and F.mult_order == 6560
     # alpha really has full order: every power distinct
     assert len({int(v) for v in F.exp[: F.mult_order]}) == 6560
 
 
 def test_alpha_order_is_exact():
-    F = gf.make_field(2, 8)
+    F = gf.FieldCtx(2, 8)
     assert F.pow(F.alpha, 255) == 1
     for k in range(1, 255):
         assert F.alpha_pow(k) != 1
 
 
 def test_make_field_deterministic():
-    a = gf.make_field(3, 4)
-    b = gf.make_field(3, 4)
+    a = gf.FieldCtx(3, 4)
+    b = gf.FieldCtx(3, 4)
     assert a.modulus == b.modulus
     assert a.alpha == b.alpha
     assert np.array_equal(a.exp, b.exp)
@@ -41,13 +41,13 @@ def test_make_field_deterministic():
 
 def test_make_field_errors():
     with pytest.raises(gf.FieldError):
-        gf.make_field(4, 2)
+        gf.FieldCtx(4, 2)
     with pytest.raises(gf.FieldError):
-        gf.make_field(6, 1)
+        gf.FieldCtx(6, 1)
     with pytest.raises(gf.FieldError):
-        gf.make_field(2, 30)  # above the size bound
+        gf.FieldCtx(2, 30)  # above the size bound
     with pytest.raises(gf.FieldError):
-        gf.make_field(2, 0)
+        gf.FieldCtx(2, 0)
 
 
 @pytest.mark.parametrize("p,n", FIELDS)
@@ -70,8 +70,8 @@ def test_field_axioms_exhaustive_or_sampled(p, n):
 
 
 def test_scalar_matches_vector_ops():
-    # scalar add/sub/neg (Zech table, XOR for p = 2) against the digit route,
-    # on every element pair
+    # scalar add/neg (digit addition without carry, XOR for p = 2) against
+    # the digit table route, on every element pair
     for p, n in ((3, 4), (5, 4), (2, 6)):
         F = gf.get_field(p, n)
         xs = np.arange(F.order, dtype=np.int64)
@@ -80,21 +80,15 @@ def test_scalar_matches_vector_ops():
         negs = F.v_neg(xs)
         assert [F.neg(x) for x in xs.tolist()] == negs.tolist()
         assert [F.add(x, y) for x, y in pairs] == F.v_add(a, b).tolist()
-        assert [F.sub(x, y) for x, y in pairs] == F.v_add(a, negs[b]).tolist()
         assert all(F.add(x, F.neg(x)) == 0 for x in xs.tolist())
         if p > 2:
-            # 1 + alpha^{N/2} = 0 is the table's only empty slot
-            N = F.mult_order
-            assert [k for k in range(N) if F._zech[k] < 0] == [N // 2]
-            assert F.add(1, F.alpha_pow(N // 2)) == 0
+            assert F.add(1, F.alpha_pow(F.mult_order // 2)) == 0
     F = gf.get_field(3, 4)
     rng = np.random.default_rng(3)
     for _ in range(50):
         a, b = int(rng.integers(0, 81)), int(rng.integers(0, 81))
         assert F.add(a, b) == int(F.v_add(np.array([a]), np.array([b]))[0])
         assert F.mul(a, b) == int(F.v_mul(np.array([a]), np.array([b]))[0])
-        if a:
-            assert F.mul(a, F.inv(a)) == 1
 
 
 def test_subfield_embed_f16():
@@ -193,9 +187,9 @@ def test_symbol_tables_bounded(monkeypatch):
     with pytest.raises(gf.FieldError, match="symbol table cells"):
         gf.get_field(16411, 1).symbols(1)
     monkeypatch.setattr(gf, "SYMBOL_CELLS", 25)
-    assert gf.make_field(5, 2).symbols(1).add.shape == (5, 5)
+    assert gf.FieldCtx(5, 2).symbols(1).add.shape == (5, 5)
     with pytest.raises(gf.FieldError, match="symbol table cells"):
-        gf.make_field(5, 2).symbols(2)
+        gf.FieldCtx(5, 2).symbols(2)
 
 
 def test_symbol_tables_filled_in_blocks(monkeypatch):
@@ -203,7 +197,7 @@ def test_symbol_tables_filled_in_blocks(monkeypatch):
     # tables of one whole-grid evaluation
     monkeypatch.setattr(gf, "SYMBOL_BLOCK", 7)
     for p, n, d in ((3, 2, 1), (2, 4, 1), (5, 2, 1), (3, 4, 2), (2, 6, 3), (7, 2, 2)):
-        F = gf.make_field(p, n)
+        F = gf.FieldCtx(p, n)
         sy = F.symbols(d)
         el = sy.elements
         assert sy.add.dtype == sy.mul.dtype == np.int16
@@ -213,7 +207,7 @@ def test_symbol_tables_filled_in_blocks(monkeypatch):
 
 def test_symbol_table_peak_memory():
     # q = 4093: the two int16 tables hold 32 MiB each; no q x q int64 grid is built
-    F = gf.make_field(4093, 1)
+    F = gf.FieldCtx(4093, 1)
     tracemalloc.start()
     try:
         sy = F.symbols(1)
@@ -244,7 +238,6 @@ def test_scalar_add_sub_on_random_pairs(p, n):
     b = rng.integers(0, F.order, 10 ** 5)
     pairs = list(zip(a.tolist(), b.tolist()))
     assert [F.add(x, y) for x, y in pairs] == F.v_add(a, b).tolist()
-    assert [F.sub(x, y) for x, y in pairs] == F.v_add(a, F.v_neg(b)).tolist()
 
 
 def _digit_add(F, x, y):
@@ -276,12 +269,12 @@ def test_digits_past_int8(p, n):
 @given(pn=st.sampled_from([(3, 1), (3, 2), (3, 5), (5, 1), (5, 3), (7, 2), (11, 2),
                            (13, 1), (13, 2), (17, 2), (23, 1)]),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_zech_add_property(pn, seed):
+def test_scalar_add_property(pn, seed):
     F = gf.get_field(*pn)
     a, b = (int(v) for v in np.random.default_rng(seed).integers(0, F.order, 2))
     assert F.add(a, b) == int(F.v_add(np.array([a]), np.array([b]))[0])
     assert F.neg(a) == int(F.v_neg(np.array([a]))[0])
-    assert F.sub(F.add(a, b), b) == a
+    assert F.add(F.add(a, b), F.neg(b)) == a
     assert F.add(a, F.neg(a)) == 0
 
 
@@ -374,7 +367,7 @@ def _oracle_tables(F, alpha):
 
 
 def _assert_matches_oracle(p, n):
-    F = gf.make_field(p, n)
+    F = gf.FieldCtx(p, n)
     assert F.modulus == _oracle_modulus(p, n)
     alpha = _oracle_alpha(F)
     assert F.alpha == alpha
@@ -437,7 +430,7 @@ PINS = [
 
 @pytest.mark.parametrize("p,n,modulus,alpha,digest", PINS)
 def test_large_field_tables_pinned(p, n, modulus, alpha, digest):
-    F = gf.make_field(p, n)
+    F = gf.FieldCtx(p, n)
     assert (F.modulus, F.alpha, _table_digest(F)) == (modulus, alpha, digest)
     assert F.pow(alpha, F.mult_order) == 1
 
@@ -447,7 +440,7 @@ def test_moduli_pinned():
     fields = [(p, n) for p in range(2, 257) if gf.is_prime(p)
               for n in range(2, 17) if p ** n <= 1 << 16]
     assert len(fields) == 93
-    text = "\n".join(f"{p} {n} " + " ".join(map(str, gf.make_field(p, n).modulus))
+    text = "\n".join(f"{p} {n} " + " ".join(map(str, gf.FieldCtx(p, n).modulus))
                      for p, n in fields)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "489d74a180c56c273a4e33ef775dd1cc6fded4f4160bd37a9fd79cff28089188"
@@ -457,7 +450,7 @@ def test_construction_peak_memory():
     # blocks of BUILD_CELLS cells: no order x n int64 temporary beside the kept tables
     tracemalloc.start()
     try:
-        F = gf.make_field(2, 20)
+        F = gf.FieldCtx(2, 20)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -477,8 +470,8 @@ def test_construction_blocks_and_batches(monkeypatch):
 def test_construction_checks(monkeypatch):
     # float64 digit products must stay exact, and a non-generator is caught
     with pytest.raises(gf.FieldError, match="not exact"):
-        gf.make_field(94906297, 1, size_limit=1 << 30)
-    assert gf.make_field(2, 4).alpha == 2
+        gf.FieldCtx(94906297, 1, size_limit=1 << 30)
+    assert gf.FieldCtx(2, 4).alpha == 2
     monkeypatch.setattr(gf.FieldCtx, "_find_alpha", lambda self: 8)  # t^3, of order 5
     with pytest.raises(gf.FieldError, match="not distinct"):
-        gf.make_field(2, 4)
+        gf.FieldCtx(2, 4)

@@ -234,7 +234,7 @@ def test_tally_profiles_empty_family_is_the_zero_form():
 
 def test_count_and_sum_values():
     Q = form(2, 1, 4, (1,), (1,))
-    H = quadform._beta_histogram(Q)
+    H = Q.histogram
     assert H[0, 0] == 4  # 2^3 - 1*1*2^2
     assert 2 * H[0, 0] - 16 == -8  # S = q N - q^m
     # sum over xi of N equals q^m
@@ -243,14 +243,14 @@ def test_count_and_sum_values():
 
 def test_exp_sum_distribution_example():
     Q = form(2, 1, 4, (1,), (1,))
-    dist = quadform._sum_frequencies(Q, quadform._beta_histogram(Q), 0)
+    dist = quadform._sum_frequencies(Q, 0)
     assert dist == {0: 12, -8: 1, 8: 3}
 
 
 def test_full_rank_no_zero_sum():
     ctx = gf.get_field(2, 4)
     Q = form(2, 1, 4, (1,), (ctx.alpha,))
-    dist = quadform._sum_frequencies(Q, quadform._beta_histogram(Q), 0)
+    dist = quadform._sum_frequencies(Q, 0)
     assert 0 not in dist  # q^m - q^r = 0 at full rank
 
 
@@ -277,6 +277,23 @@ def test_count_distributions_odd_char():
         obs = quadform.n_distribution(Q, xi_sym)
         exp = quadform.expected_count_distribution(3, 4, r, eps, xi_is_zero=(xi_sym == 0))
         assert obs == exp
+
+
+def test_one_histogram_per_form(monkeypatch):
+    # the sum table and every xi's count table read one cached histogram
+    calls = []
+    real = quadform.value_histograms
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(quadform, "value_histograms", counting)
+    Q = form(5, 1, 4, (1,), (1,))
+    assert quadform.verify_sum_distribution(Q).ok
+    for xi_sym in range(5):
+        quadform.n_distribution(Q, xi_sym)
+    assert len(calls) == 1
 
 
 def test_type_routes_agree_everywhere_f81():
@@ -341,7 +358,7 @@ def test_exp_sum_identity_random():
     ctx = gf.get_field(3, 4)
     Q = form(3, 1, 4, (1,), (ctx.alpha,))
     sy = ctx.symbols(1)
-    H = quadform._beta_histogram(Q)
+    H = Q.histogram
     xs = np.arange(81, dtype=np.int64)
     values = sy.trace_sym[ctx.v_mul(xs, lin_eval_table(ctx, Q.R))]  # Q in element order
     rng = np.random.default_rng(2)
@@ -353,7 +370,7 @@ def test_exp_sum_identity_random():
         n = int(np.count_nonzero(sy.add[values, tr_b] == sy.neg[b_sym]))
         assert H[beta, sy.neg[b_sym]] == n
         s = 3 * n - 81
-        assert s in quadform._sum_frequencies(Q, H, b_sym)
+        assert s in quadform._sum_frequencies(Q, b_sym)
 
 
 def element_tables(ctx, f):

@@ -342,7 +342,7 @@ def test_l3l_codeword_matches_power_tables():
 def test_cached_form_word_is_safe_to_reuse(p, s, m, exponents, variant, shortened):
     # several (beta, b) draws per R, alternating two R's and two contexts of
     # one field; each word is scribbled on before the next one is built
-    ctxs = [gf.make_field(p, s * m), gf.make_field(p, s * m)]
+    ctxs = [gf.FieldCtx(p, s * m), gf.FieldCtx(p, s * m)]
     spec = CodeSpec(FamilySpec(p, s, m, exponents), variant, shortened=shortened)
     q, order = p ** s, ctxs[0].order
     rng = np.random.default_rng(p * 1000 + s * 100 + m)
