@@ -179,14 +179,11 @@ def cmd_cwe(args) -> int:
     q = fam.q
     if kind == "mono":
         dist = klapper.rank_distribution_monomial(q, args.m, fam.exponents[0])
-        shortened = True
     elif kind == "l3l":
         dist = klapper.rank_distribution_l3l(args.p, args.m, fam.exponents[0])
-        shortened = False
     else:
         dist = _measured_distribution(ctx, fam, args.budget)
-        shortened = False
-    spec = CodeSpec(fam, "base", shortened=shortened)
+    spec = CodeSpec(fam, "base", shortened=kind == "mono")
     budget = args.budget if args.method in ("brute", "both") else 0
     res = spectra.cwe(ctx, spec, dist, budget=budget)
     payload = {
@@ -289,6 +286,7 @@ def _parser(budget_env: str | None) -> _Parser:
                  description="weight distributions of trace-form cyclic codes "
                              "and their Artin-Schreier curves")
     sub = ap.add_subparsers(dest="command", required=True)
+    ap.commands = sub.choices
     sp = sub.add_parser("spectrum", help="predict and/or enumerate a code spectrum")
     _add_common(sp, budget)
     sp.add_argument("--variant", default="base", choices=spectra.VARIANTS)
@@ -302,9 +300,10 @@ def _parser(budget_env: str | None) -> _Parser:
     sp.add_argument("--ell", type=int, required=True)
     sp.add_argument("--gamma", default="a^0", help="element index or a^K")
     sp.add_argument("--beta", default="0")
-    sp.add_argument("--scan", action="store_true", help="sweep all gamma classes")
-    sp.add_argument("--witness", action="store_true",
-                    help="search the two-monomial family for an optimal curve")
+    mode = sp.add_mutually_exclusive_group()
+    mode.add_argument("--scan", action="store_true", help="sweep all gamma classes")
+    mode.add_argument("--witness", action="store_true",
+                      help="search the two-monomial family for an optimal curve")
     sp.add_argument("--pair-budget", type=_budget, default=None)
     sp.add_argument("--format", default="json", choices=("json", "text"))
     sp.add_argument("--out", default=None)
@@ -322,7 +321,9 @@ def main(argv=None) -> int:
     """
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args, extra = ap.parse_known_args(argv)
+        if extra:  # report it with the usage of the subcommand that lacks the option
+            ap.commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

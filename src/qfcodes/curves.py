@@ -8,9 +8,10 @@ disagreement between the two routes raises.
 
 Every trace-form table here is a quadform.form_symbols row, one log-domain
 gather per term over x = alpha^k: the single-curve trace count reads it
-directly, and the sweeps over all beta (scan_monomial, the witness search)
-pass the rows to quadform.value_histograms, one exhaustive histogram per
-form.  Every rank and type (the witness search's pair ranks included) comes
+directly, and the sweeps over all beta pass the rows to
+quadform.value_histograms, one exhaustive histogram per form (scan_monomial
+a batch of gammas at a time, the witness search through QuadForm.histogram).
+Every rank and type (the witness search's pair ranks included) comes
 from quadform.form_profiles.  count_points_by_solutions stays an
 independent (x, y) enumeration in element order through lin_eval_table and
 the digit tables, and never goes through either.
@@ -68,20 +69,15 @@ class CurveReport:
     status: str
 
 
-def _trace_zero_count(spec: CurveSpec) -> int:
-    """#{x in F_{p^m} : tr(x R(x) + beta x) = 0}, including x = 0."""
-    coeffs, exps = form_terms(spec.R, spec.p, spec.beta)
-    syms = form_symbols(spec.ctx, 1, [coeffs], exps)  # over x = alpha^k; x = 0 adds 1
-    return 1 + int(np.count_nonzero(syms == 0))
-
-
 def count_points(spec: CurveSpec) -> int:
-    """#C(F_{p^m}) = 1 + p z including infinity, z the trace-zero count of x R(x) + beta x.
+    """#C(F_{p^m}) = 1 + p z including infinity, z = #{x : tr(x R(x) + beta x) = 0}.
 
     count_points_by_solutions and the weight-class route of
     optimality_status check it independently.
     """
-    return 1 + spec.p * _trace_zero_count(spec)
+    coeffs, exps = form_terms(spec.R, spec.p, spec.beta)
+    syms = form_symbols(spec.ctx, 1, [coeffs], exps)  # over x = alpha^k; x = 0 adds 1
+    return 1 + spec.p * (1 + int(np.count_nonzero(syms == 0)))
 
 
 @lru_cache(maxsize=16)
@@ -304,8 +300,7 @@ def l3l_optimal_witness(ctx: FieldCtx, ell: int,
         raise CurveCountError(f"profile {prof} disagrees with the predicted class")
     R = l3l_poly(ctx, ell, g1, g2)
     # sweep beta for the extreme class
-    coeffs, exps = form_terms(R, p)
-    points = 1 + p * value_histograms(ctx, 1, form_symbols(ctx, 1, [coeffs], exps))[0, :, 0]
+    points = 1 + p * QuadForm(ctx, 1, m, R).histogram[:, 0]
     lo, hi = hasse_weil(CurveSpec(ctx, R, 0))
     target_points = hi if status_target == "maximal" else lo
     hits = np.nonzero(points == target_points)[0]

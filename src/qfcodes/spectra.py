@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-import warnings
 
 import numpy as np
 
@@ -183,17 +182,15 @@ def predict_monomial(q: int, m: int, ell: int, variant: str) -> MonomialPredicti
     if variant == "base":
         dprime = q ** half - 1 if e_half_even else q ** half - q ** delta
         d = q ** (half - 1) * (q - 1) * dprime // D
-        k = m
     else:
         dbar = q ** (half + delta - 1) + 1 if e_half_even else q ** (half + delta - 1) * (q - 1)
         d = (q ** (m - 1) * (q - 1) - dbar) // D
-        k = m + 1
     if d != short.min_distance():
         raise HypothesisError(f"distance formula {d} disagrees with table minimum "
                               f"{short.min_distance()}")
     note = (f"full-length weights are {D} x the shortened weights "
             f"(the full word is {D} concatenated copies)",)
-    return MonomialPrediction(params=CodeParams(short.n, k, d), spectrum=short,
+    return MonomialPrediction(params=CodeParams(short.n, full.dim(), d), spectrum=short,
                               full_spectrum=full, D=D, notes=note)
 
 
@@ -209,11 +206,10 @@ def predict_monomial_long(q: int, m: int, ell: int, variant: str) -> MonomialPre
     d = q ** (m - 1) * (q - 1) - dprime
     if variant == "2":
         d -= 1
-    k = 2 * m + (1 if variant == "2" else 0)
     if d != full.min_distance():
         raise HypothesisError(f"distance formula {d} disagrees with table minimum "
                               f"{full.min_distance()}")
-    return MonomialPrediction(params=CodeParams(full.n, k, d), spectrum=full,
+    return MonomialPrediction(params=CodeParams(full.n, full.dim(), d), spectrum=full,
                               full_spectrum=full, D=q ** delta + 1)
 
 
@@ -221,9 +217,7 @@ def predict_l3l(p: int, m: int, ell: int, variant: str) -> MonomialPrediction:
     """Full-length codes of the two-monomial family <x^{p^l}, x^{p^{3l}}>, p odd."""
     dist = rank_distribution_l3l(p, m, ell)
     full = predict_general(p, m, dist, variant)
-    k = {"base": 2 * m, "0": 2 * m + 1, "1": 3 * m, "2": 3 * m + 1}[variant]
     d = full.min_distance()
-    notes = []
     half, delta = m // 2, gcd(m, ell)
     if variant in ("0", "2"):
         if eps_ell(m, ell) == 1:
@@ -233,11 +227,9 @@ def predict_l3l(p: int, m: int, ell: int, variant: str) -> MonomialPrediction:
             d0 = p ** (m - 1) * (p - 1) - (p - 1) * p ** (half + 3 * delta - 1)
         dhat = d0 if (variant == "0" or eps_ell(m, ell) == 1) else d0 - 1
         if dhat != d:
-            warnings.warn(f"stated distance {dhat} disagrees with the assembled "
-                          f"table minimum {d}; reporting the table value")
-            notes.append(f"distance formula gave {dhat}, table minimum is {d}")
-    return MonomialPrediction(params=CodeParams(full.n, k, d), spectrum=full,
-                              full_spectrum=full, D=1, notes=tuple(notes))
+            raise HypothesisError(f"distance formula {dhat} disagrees with table minimum {d}")
+    return MonomialPrediction(params=CodeParams(full.n, full.dim(), d), spectrum=full,
+                              full_spectrum=full, D=1)
 
 
 # -- brute force ----------------------------------------------------------------
@@ -467,13 +459,9 @@ def cwe(ctx: FieldCtx, spec: CodeSpec, dist: RankDistribution,
     """
     if spec.variant != "base":
         raise ValueError("the complete weight enumerator applies to base codes")
-    fam = spec.family
-    q = fam.q
-    D = 1
-    if spec.shortened:
-        D = q ** gcd(fam.m, fam.exponents[0]) + 1
-    terms = cwe_predicted(q, fam.m, dist, D)
-    n = (q ** fam.m - 1) // D
+    q = spec.family.q
+    n = _length(ctx, spec)
+    terms = cwe_predicted(q, spec.family.m, dist, ctx.mult_order // n)
     try:
         res = brute_spectrum(ctx, spec, budget=budget, collect_compositions=True)
     except BudgetError:

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import resource
 import subprocess
@@ -31,6 +32,19 @@ def test_spectrum_both_matches(capsys):
     assert payload["full_length"]["D"] == 3
     assert {"A": 170, "w": 120} in payload["full_length"]["spectrum"]
     assert payload["field"]["modulus"][-1] == 1
+
+
+@pytest.mark.parametrize("p,s,m,ell,variant", [(2, 1, 8, 1, "1"), (3, 1, 4, 1, "2"),
+                                                (2, 2, 4, 1, "2")])
+def test_spectrum_full_length_long_mono(capsys, p, s, m, ell, variant):
+    # mono variants 1/2 are full length already: the block repeats the main
+    # spectrum with D = q^{(m,l)} + 1 and no notes
+    code, out, _ = run(["spectrum", "--p", str(p), "--s", str(s), "--m", str(m),
+                        "--family", f"mono:{ell}", "--variant", variant], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["full_length"] == {"D": (p ** s) ** math.gcd(m, ell) + 1,
+                                      "spectrum": payload["spectrum"], "notes": []}
 
 
 def test_spectrum_deterministic_output(capsys):
@@ -324,7 +338,8 @@ def test_verify_budget_exit_3(capsys, monkeypatch):
 
 
 def test_removed_options_exit_1(capsys, monkeypatch):
-    # options no command read are gone; passing one is a usage error
+    # options no command read are gone; passing one is a usage error, reported
+    # with the usage line of the subcommand that was given it
     monkeypatch.setattr(cli.verify, "run_all", None)
     field = ["--p", "2", "--m", "4", "--family", "mono:1"]
     for argv in (["spectrum", *field, "--workers", "2"], ["cwe", *field, "--workers", "2"],
@@ -332,7 +347,20 @@ def test_removed_options_exit_1(capsys, monkeypatch):
                  ["curves", "--p", "3", "--m", "4", "--ell", "1", "--budget", "5"]):
         code, out, err = run(argv, capsys)
         assert code == cli.EXIT_USAGE and out == "", argv
-        assert err.startswith("usage:") and "unrecognized arguments" in err, argv
+        assert err.startswith(f"usage: qfcodes {argv[0]} "), argv
+        assert f"qfcodes {argv[0]}: error: unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+
+def test_curves_scan_and_witness_exclusive(capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("a rejected argv must not start a sweep")
+
+    monkeypatch.setattr(cli.curves, "l3l_optimal_witness", no_search)
+    monkeypatch.setattr(cli.curves, "scan_monomial", no_search)
+    code, out, err = run(["curves", "--p", "3", "--m", "8", "--ell", "1", "--scan", "--witness"],
+                         capsys)
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.startswith("usage: qfcodes curves ") and "not allowed with argument" in err
 
 
 class _ReadRecorder(argparse.Namespace):

@@ -97,7 +97,7 @@ for call in calls:
 
 @pytest.mark.parametrize("p,s,m,ell", GRID)
 def test_trace_zero_count_matches_form_table(p, s, m, ell):
-    # the count is 1 (x = 0) plus the zero symbols of form_symbols; an
+    # count_points reads the zero symbols of form_symbols (x = 0 adding 1); an
     # element-indexed table from lin_eval_table must count the same
     ctx = gf.get_field(p, s * m)
     rng = np.random.default_rng(p * 1000 + s * 100 + m * 10 + ell)
@@ -110,7 +110,7 @@ def test_trace_zero_count_matches_form_table(p, s, m, ell):
         spec = CurveSpec(ctx, LinearizedPoly((ell,), (gamma,), 1), beta)
         values = ctx.v_add(ctx.v_mul(xs, lin_eval_table(ctx, spec.R)),
                            ctx.v_mul(np.full(ctx.order, beta, dtype=np.int64), xs))
-        assert curves._trace_zero_count(spec) == np.count_nonzero(tr[values] == 0)
+        assert curves.count_points(spec) == 1 + p * np.count_nonzero(tr[values] == 0)
 
 
 def test_hasse_weil_values():

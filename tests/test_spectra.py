@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from collections import Counter
 from functools import lru_cache
 from math import gcd
@@ -468,6 +469,38 @@ def test_predict_l3l_dimensions_and_distances():
     assert predict_l3l(3, 8, 1, "2").params.d == 3644  # d-hat = d when half m_l even
     assert predict_l3l(3, 8, 1, "base").spectrum.weights == {
         0: 1, 3888: 447720, 4320: 31084560, 4536: 11512800, 5832: 1640}
+
+
+MONO_SWEEP = [(q, m, ell) for q in (2, 3, 4, 5, 9) for m in range(4, 15, 2)
+              for ell in range(1, (m + 1) // 2) if (m // gcd(m, ell)) % 2 == 0]
+L3L_SWEEP = [(p, m, ell) for p in (3, 5, 7, 11) for m in range(8, 27, 2)
+             for ell in range(1, 4) if m > 6 * ell and (m // gcd(m, ell)) % 2 == 0]
+
+
+def test_monomial_dimension_oracle():
+    # k is read off the assembled table; the stated dimensions must come out
+    for q, m, ell in MONO_SWEEP:
+        for variant, k in (("base", m), ("0", m + 1)):
+            assert predict_monomial(q, m, ell, variant).params.k == k, (q, m, ell, variant)
+        for variant, k in (("1", 2 * m), ("2", 2 * m + 1)):
+            assert predict_monomial_long(q, m, ell, variant).params.k == k, (q, m, ell, variant)
+
+
+def test_l3l_dimension_oracle():
+    for p, m, ell in L3L_SWEEP:
+        for variant, k in (("base", 2 * m), ("0", 2 * m + 1), ("1", 3 * m), ("2", 3 * m + 1)):
+            assert predict_l3l(p, m, ell, variant).params.k == k, (p, m, ell, variant)
+
+
+@pytest.mark.parametrize("variant", ["0", "2"])
+def test_predict_l3l_distance_disagreement_raises(monkeypatch, variant):
+    # a stated distance that misses the table minimum raises, as for the
+    # monomial predictors, and warns nothing
+    monkeypatch.setattr(spectra, "eps_ell", lambda m, ell: -klapper.eps_ell(m, ell))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(HypothesisError, match="disagrees with table minimum"):
+            predict_l3l(3, 8, 1, variant)
 
 
 def test_predict_l3l_row_counts():
