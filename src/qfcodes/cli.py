@@ -17,7 +17,7 @@ from . import curves, klapper, spectra, verify
 from .gf import FieldCtx, FieldError, get_field
 from .klapper import HypothesisError
 from .linpoly import FamilySpec, LinearizedPoly
-from .quadform import tally_profiles
+from .quadform import RankDistribution, tally_profiles
 from .spectra import BudgetError, CodeSpec, DEFAULT_BUDGET
 
 EXIT_OK, EXIT_USAGE, EXIT_MISMATCH, EXIT_BUDGET = 0, 1, 2, 3
@@ -94,7 +94,7 @@ def _family_and_ctx(args) -> tuple[str, list[int], FieldCtx, FamilySpec]:
     return kind, ells, ctx, fam
 
 
-def _measured_distribution(ctx, fam: FamilySpec, budget: int) -> klapper.RankDistribution:
+def _measured_distribution(ctx, fam: FamilySpec, budget: int) -> RankDistribution:
     """Rank distribution of an arbitrary family by exhaustive classification.
 
     quadform.tally_profiles covers every coefficient row; a rank-0 form other
@@ -103,11 +103,10 @@ def _measured_distribution(ctx, fam: FamilySpec, budget: int) -> klapper.RankDis
     n_forms = ctx.order ** len(fam.exponents)
     if n_forms * (fam.m ** 3) > budget:
         raise BudgetError(f"{n_forms} forms exceed the classification budget")
-    tally = tally_profiles(ctx, fam)
-    if tally.pop((0, None)) != 1:
+    dist = tally_profiles(ctx, fam)
+    if dist.as_dict()[0, 1] != 1:
         raise HypothesisError("family is not an even-rank family (rank 0)")
-    return klapper.RankDistribution(q=fam.q, m=fam.m,
-                                    counts=tuple((r, e, c) for (r, e), c in tally.items()))
+    return dist
 
 
 def _predicted(kind, args, fam) -> spectra.MonomialPrediction:
@@ -138,7 +137,7 @@ def cmd_spectrum(args) -> int:
             # the tally rejects a family that is not even-rank before brute force runs
             spectra.brute_size(ctx, spec, budget)
             dist = _measured_distribution(ctx, fam, budget)
-            pred_spec = spectra.predict_general(fam.q, args.m, dist, args.variant)
+            pred_spec = spectra.predict_general(dist, args.variant)
             predicted = spectra.MonomialPrediction(
                 params=spectra.CodeParams(pred_spec.n, pred_spec.dim(),
                                           pred_spec.min_distance()),

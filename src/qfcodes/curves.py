@@ -121,13 +121,13 @@ def hasse_weil(spec: CurveSpec) -> tuple[int, int]:
     return p ** m + 1 - dev, p ** m + 1 + dev
 
 
-def expected_point_multiset(p: int, m: int, r: int, eps: int | None) -> dict[int, int]:
+def expected_point_multiset(p: int, m: int, r: int, eps: int) -> dict[int, int]:
     """Point-count -> number of betas, from the rank/type profile of the form.
 
     #C = p^m + 1 + S_{Q,0}(beta), so this is quadform.expected_sum_distribution
-    at b = 0 mapped value by value; the zero form (rank 0) takes eps = +1.
+    at b = 0 mapped value by value; the zero form is rank 0, type +1.
     """
-    table = expected_sum_distribution(p, m, r, 1 if r == 0 else eps, b_zero=True)
+    table = expected_sum_distribution(p, m, r, eps, b_zero=True)
     return {p ** m + 1 + S: c for S, c in table.items()}
 
 
@@ -143,7 +143,6 @@ def optimality_status(spec: CurveSpec, prof: QuadFormProfile | None = None) -> C
     if prof is None:
         prof = qf_profile(QuadForm(spec.ctx, 1, m, spec.R))
     r = prof.rank
-    eps_eff = 1 if r == 0 else prof.type
     w = (p ** (m + 1) + 1 - pts) // p
     by_weight = "interior"
     if 2 * spec.v() == m - r:  # endpoints reachable; m is even, so r is even
@@ -152,7 +151,7 @@ def optimality_status(spec: CurveSpec, prof: QuadFormProfile | None = None) -> C
         by_weight = {base_w - dev: "maximal", base_w + dev: "minimal"}.get(w, "interior")
     if by_weight != status:
         raise CurveCountError(f"weight-class route says {by_weight}, "
-                              f"endpoints say {status} (w={w}, rank={r}, eps={eps_eff})")
+                              f"endpoints say {status} (w={w}, rank={r}, eps={prof.type})")
     return CurveReport(points=pts, genus=genus(spec), hw_lo=lo, hw_hi=hi, status=status)
 
 

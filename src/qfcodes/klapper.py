@@ -3,11 +3,11 @@
 Classification branches on exponentiation tests only: gamma^{(q^m-1)/L} with
 L = q^{(m,l)}+1 equals 1 exactly on the t = 0 (mod L) power class and -1 on
 the t = L/2 class, so no discrete logarithm is ever computed.  The module
-also carries the rank-multiplicity constants for the one- and two-monomial
-families, and an exhaustive (rank, type) tally over all (gamma_1, gamma_2)
-pairs, quadform.tally_profiles on x -> cx orbit rows, that verifies the
-two-monomial distribution in full, types included.  Every single pair's
-rank and type comes from quadform.form_profiles.
+also carries the rank distributions of the one- and two-monomial families
+(zero form included), and an exhaustive (rank, type) tally over all
+(gamma_1, gamma_2) pairs, quadform.tally_profiles on x -> cx orbit rows, that
+verifies the two-monomial distribution in full, types included.  Every
+single pair's rank and type comes from quadform.form_profiles.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from math import gcd
 
 from .gf import FieldCtx, FieldError, is_prime
 from .linpoly import FamilySpec, LinearizedPoly
-from .quadform import (QuadForm, QuadFormProfile, form_profiles, profile as qf_profile,
-                       tally_profiles)
+from .quadform import (QuadForm, QuadFormProfile, RankDistribution, form_profiles,
+                       profile as qf_profile, tally_profiles)
 
 
 class HypothesisError(ValueError):
@@ -49,7 +49,7 @@ class MonomialClassification:
     gamma: int
     ell: int
     rank: int
-    type: int | None        # suppressed for the degenerate rank-0 class
+    type: int               # +1 for the rank-0 class (m = 2(m,l), so -eps_l = +1)
     branch: str             # which power class fired
 
 
@@ -78,8 +78,7 @@ def classify_monomial(ctx: FieldCtx, s: int, m: int, gamma: int, ell: int) -> Mo
         special = pr == ctx.neg(1)
         branch = "thalf" if special else "generic"
     if special:
-        r = m - 2 * delta
-        return MonomialClassification(gamma, ell, r, None if r == 0 else -e, branch)
+        return MonomialClassification(gamma, ell, m - 2 * delta, -e, branch)
     return MonomialClassification(gamma, ell, m, e, branch)
 
 
@@ -93,30 +92,15 @@ def m_counts(q: int, m: int, ell: int) -> tuple[int, int]:
     return M, q ** gcd(m, ell) * M
 
 
-@dataclass(frozen=True)
-class RankDistribution:
-    """M_{r,eps} multiplicities of nonzero forms in a family (R = 0 implicit)."""
-
-    q: int
-    m: int
-    counts: tuple[tuple[int, int, int], ...]  # (rank, eps, count), rank descending
-
-    def total(self) -> int:
-        return sum(c for _, _, c in self.counts)
-
-    def as_dict(self) -> dict[tuple[int, int], int]:
-        return {(r, e): c for r, e, c in self.counts}
-
-
 def rank_distribution_monomial(q: int, m: int, ell: int) -> RankDistribution:
-    """Two-rank distribution of <x^{q^l}>: n q^{(m,l)} forms of rank m, n of rank m-2(m,l)."""
+    """Distribution of <x^{q^l}>: n q^{(m,l)} forms of rank m, n of rank m-2(m,l), and R = 0."""
     _check_m_ell_even(m, ell)
     if 2 * ell >= m:
         raise HypothesisError("l < m/2 is required")
     delta = gcd(m, ell)
     n, n_comp = m_counts(q, m, ell)
     e = eps_ell(m, ell)
-    return RankDistribution(q=q, m=m, counts=((m, e, n_comp), (m - 2 * delta, -e, n)))
+    return RankDistribution(q=q, m=m, counts=((m, e, n_comp), (m - 2 * delta, -e, n), (0, 1, 1)))
 
 
 def l3l_constants(p: int, m: int, ell: int) -> tuple[int, int, int, int]:
@@ -159,11 +143,11 @@ def l3l_constants(p: int, m: int, ell: int) -> tuple[int, int, int, int]:
 
 
 def rank_distribution_l3l(p: int, m: int, ell: int) -> RankDistribution:
-    """Distribution over ranks m-2jd, type (-1)^j eps_l, j = 0..3."""
+    """Distribution over ranks m-2jd, type (-1)^j eps_l, j = 0..3, and the zero pair."""
     fs = l3l_constants(p, m, ell)
     d = gcd(m, ell)
     e = eps_ell(m, ell)
-    counts = tuple((m - 2 * j * d, (-1) ** j * e, fs[j]) for j in range(4))
+    counts = tuple((m - 2 * j * d, (-1) ** j * e, fs[j]) for j in range(4)) + ((0, 1, 1),)
     return RankDistribution(q=p, m=m, counts=counts)
 
 
@@ -188,15 +172,15 @@ def l3l_pair_profile_fast(ctx: FieldCtx, ell: int, g1: int, g2: int) -> QuadForm
     if ctx.p == 2:
         raise HypothesisError("fast profile targets odd characteristic")
     rank, eps = form_profiles(ctx, 1, [[g2, g1]], (ell, 3 * ell), count=False)
-    return QuadFormProfile(rank=int(rank[0]), type=int(eps[0]) or None)
+    return QuadFormProfile(rank=int(rank[0]), type=int(eps[0]))
 
 
-def tally_l3l_profiles(ctx: FieldCtx, ell: int) -> dict[tuple[int, int | None], int]:
+def tally_l3l_profiles(ctx: FieldCtx, ell: int) -> RankDistribution:
     """Exhaustive (rank, type) tally over all (g1, g2) in F_{p^m}^2, by the discriminant route.
 
     quadform.tally_profiles on <x^{p^l}, x^{p^{3l}}>: one row per x -> cx
-    orbit class of g2.  Returns {(rank, type): multiplicity} covering all
-    p^{2m} pairs, ranks descending; the zero pair has type None.
+    orbit class of g2.  The distribution covers all p^{2m} pairs, ranks
+    descending; the zero pair is counted in (0, +1).
     """
     if ctx.p == 2:
         raise HypothesisError("the two-monomial family sweep targets odd p")
@@ -212,6 +196,6 @@ def tally_l3l_ranks(ctx: FieldCtx, ell: int, workers: int = 1) -> dict[int, int]
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     tally: dict[int, int] = {}
-    for (r, _), c in tally_l3l_profiles(ctx, ell).items():
+    for r, _, c in tally_l3l_profiles(ctx, ell).counts:
         tally[r] = tally.get(r, 0) + c
     return tally

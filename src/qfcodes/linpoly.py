@@ -19,6 +19,8 @@ class FamilySpec:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
+        if self.s < 1 or self.m < 1:
+            raise FieldError(f"s and m must be >= 1, got s={self.s}, m={self.m}")
         if any(e < 0 for e in self.exponents):
             raise FieldError("family exponents must be >= 0")
         if len(set(self.exponents)) != len(self.exponents):

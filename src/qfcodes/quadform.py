@@ -14,7 +14,9 @@ type is also solved from the zero count of a value table, and the two
 routes must agree.  Exponential sums are integers
 (S_{Q,b}(beta) = q N_{Q,beta}(-b) - q^m); no complex arithmetic appears.
 Every (rank, type) tally of a whole family comes from tally_profiles, which
-profiles one row per x -> cx orbit class of the leading coefficient.
+profiles one row per x -> cx orbit class of the leading coefficient into a
+RankDistribution.  Rank 0 has type +1 on every route, with no branch:
+N_Q(0) = q^m is the type +1 count at r = 0.
 
 Every trace-form symbol table in the package (Q's values, codewords, curve
 counts, scans and the beta sweeps) comes from form_symbols, one log-domain
@@ -58,7 +60,19 @@ class RankError(ValueError):
 @dataclass(frozen=True)
 class QuadFormProfile:
     rank: int
-    type: int | None  # +1 / -1, None when rank 0 (type suppressed)
+    type: int  # +1 / -1; +1 at rank 0
+
+
+@dataclass(frozen=True)
+class RankDistribution:
+    """M_{r,eps} multiplicities of a family's forms over F_q; R = 0 is the (0, +1, 1) row."""
+
+    q: int
+    m: int
+    counts: tuple[tuple[int, int, int], ...]  # (rank, eps, count), rank descending
+
+    def as_dict(self) -> dict[tuple[int, int], int]:
+        return {(r, e): c for r, e, c in self.counts}
 
 
 class QuadForm:
@@ -162,7 +176,8 @@ def form_profiles(ctx: FieldCtx, s: int, coeffs, ls: tuple[int, ...],
     lin_eval).  With count (always for p = 2), on fields of order up to
     COUNT_LIMIT, the type is solved from the zero count
     N_Q(0) = q^{m-1} + eps (q-1) q^{m-r/2-1} of a value table, and for odd p
-    it must equal the discriminant's.  Returns int arrays; type 0 at rank 0.
+    it must equal the discriminant's.  Returns int arrays; type +1 at rank 0,
+    where N_Q(0) = q^m and the discriminant is 1.
     The first failing row raises RankError: odd rank, a zero count of
     neither type, disagreeing routes, or p = 2 past COUNT_LIMIT.
     """
@@ -183,7 +198,7 @@ def form_profiles(ctx: FieldCtx, s: int, coeffs, ls: tuple[int, ...],
             for b in np.flatnonzero(red.rank < n).tolist():
                 Q = QuadForm(ctx, s, m, LinearizedPoly(ls, tuple(rows[b].tolist()), s))
                 r[b] += any(Q.value_sym(y) for y in (ctx.pvec @ red.kernel(b)).tolist())
-            e = 0  # the zero count gives the type
+            e = 1  # the type of rank 0; the zero count gives the others
         else:
             r, e = red.rank // s, red.etas()
         odd = r % 2
@@ -193,8 +208,7 @@ def form_profiles(ctx: FieldCtx, s: int, coeffs, ls: tuple[int, ...],
             base, dev = q ** (m - 1), (q - 1) * q ** (m - 1 - r // 2)
             if p == 2:
                 e = np.where(n0 == base + dev, 1, -1)
-            # odd rows are bad already; an even row of positive rank needs its count
-            bad = odd | (r > 0) & (n0 != base + e * dev)
+            bad = odd | (n0 != base + e * dev)
         else:
             bad = odd | (r > 0) if p == 2 else odd
         if bad.any():
@@ -207,13 +221,12 @@ def form_profiles(ctx: FieldCtx, s: int, coeffs, ls: tuple[int, ...],
                 raise RankError(f"zero count {n0[i]} matches neither type at rank {r[i]}")
             raise RankError("discriminant route disagrees with counting route")
         rank[lo: lo + block] = r
-        eps[lo: lo + block] = np.where(r > 0, e, 0)
+        eps[lo: lo + block] = e
     return rank, eps
 
 
-def tally_profiles(ctx: FieldCtx, fam: FamilySpec,
-                   count: bool = True) -> dict[tuple[int, int | None], int]:
-    """{(rank, type): multiplicity} over all (q^m)^k coefficient rows of a family.
+def tally_profiles(ctx: FieldCtx, fam: FamilySpec, count: bool = True) -> RankDistribution:
+    """The (rank, type) multiplicities over all (q^m)^k coefficient rows of a family.
 
     x -> cx is an invertible change of variables, so it keeps rank and type,
     and it carries each c_i to c_i c^{q^{l_i}+1}.  With d = gcd(q^m-1, q^{l_j}+1)
@@ -223,11 +236,11 @@ def tally_profiles(ctx: FieldCtx, fam: FamilySpec,
     every tail from family_coeffs stands for (q^m-1)/d rows.  Tails go to
     form_profiles (with count) in chunks of PROFILE_CELLS rows, the rows
     with more leading zeros first, as in row order.  Ranks descending, type
-    +1 before -1; rank-0 rows (the zero row at least) have type None.
+    +1 before -1; the zero row is counted in (0, +1).
     """
     N = ctx.mult_order
     hist = np.zeros(2 * (fam.m + 1), dtype=np.int64)  # index 2 rank + (type == +1)
-    hist[0] = 1  # the zero row
+    hist[1] = 1  # the zero row
     for j in reversed(range(len(fam.exponents))):
         ls = fam.exponents[j:]
         tail = FamilySpec(fam.p, fam.s, fam.m, ls[1:])
@@ -239,13 +252,13 @@ def tally_profiles(ctx: FieldCtx, fam: FamilySpec,
                 rows = np.column_stack([np.full(len(tails), lead), tails])
                 rank, eps = form_profiles(ctx, fam.s, rows, ls, count)
                 hist += N // d * np.bincount(2 * rank + (eps > 0), minlength=len(hist))
-    return {(k // 2, None if k < 2 else 1 if k % 2 else -1): int(hist[k])
-            for k in np.flatnonzero(hist)[::-1].tolist()}
+    return RankDistribution(fam.q, fam.m, tuple((k // 2, 1 if k % 2 else -1, int(hist[k]))
+                                                for k in np.flatnonzero(hist)[::-1].tolist()))
 
 
 def profile(Q: QuadForm) -> QuadFormProfile:
     rank, eps = form_profiles(Q.ctx, Q.s, [Q.R.coeffs], Q.R.q_exponents)
-    return QuadFormProfile(rank=int(rank[0]), type=int(eps[0]) or None)
+    return QuadFormProfile(rank=int(rank[0]), type=int(eps[0]))
 
 
 # -- solution counts and exponential sums -------------------------------------
@@ -380,7 +393,7 @@ class SumDistributionReport:
 def verify_sum_distribution(Q: QuadForm) -> SumDistributionReport:
     """Tally all beta for b = 0 and each b != 0 from one histogram; compare with the closed forms."""
     prof = profile(Q)
-    r, eps = prof.rank, prof.type or 1
+    r, eps = prof.rank, prof.type
     q, m = Q.q, Q.m
     mismatches = []
     for b_sym in range(q):

@@ -22,10 +22,10 @@ from math import gcd
 import numpy as np
 
 from .gf import FieldCtx, FieldError, SymbolSystem, int_log
-from .klapper import (HypothesisError, RankDistribution, eps_ell,
-                      rank_distribution_l3l, rank_distribution_monomial)
+from .klapper import HypothesisError, eps_ell, rank_distribution_l3l, rank_distribution_monomial
 from .linpoly import FamilySpec, LinearizedPoly, family_coeffs
-from .quadform import exp_sum_class_value, expected_sum_distribution, form_symbols, form_terms
+from .quadform import (RankDistribution, exp_sum_class_value, expected_sum_distribution,
+                       form_symbols, form_terms)
 
 VARIANTS = ("base", "0", "1", "2")
 DEFAULT_BUDGET = 1 << 32
@@ -115,26 +115,25 @@ def _add_row(weights: dict[int, int], w: int, count: int):
 
 
 def _rows(dist: RankDistribution) -> tuple[tuple[int, int, int], ...]:
-    """dist's (rank, type, count) rows, checked, and R = 0 as the rank-0, type +1 row."""
-    for r, _, cnt in dist.counts:
-        if cnt and (r <= 0 or r % 2 != 0):
+    """dist's (rank, type, count) rows, checked: even positive ranks, and R = 0 as (0, +1, 1)."""
+    for r, e, cnt in dist.counts:
+        if (r, e, cnt) != (0, 1, 1) and cnt and (r <= 0 or r % 2 != 0):
             raise HypothesisError(f"rank {r} outside the even positive range")
-    return dist.counts + ((0, 1, 1),)
+    return dist.counts
 
 
-def predict_general(q: int, m: int, dist: RankDistribution, variant: str) -> Spectrum:
+def predict_general(dist: RankDistribution, variant: str) -> Spectrum:
     """Assemble the spectrum of a full-length variant from a rank distribution.
 
     Each b case (b = 0; the q - 1 alike b != 0 for 0 and 2) reads every row of
-    dist and the zero form R = 0 (rank 0, type +1): its whole
+    dist, the zero form's (0, +1, 1) among them: its whole
     expected_sum_distribution for variants 1 and 2, its beta = 0 value for
     base and 0.  Frequencies must total q^{ms(+1)} per the dimension claims;
     that is asserted before returning.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    if (q, m) != (dist.q, dist.m):
-        raise ValueError("distribution does not match (q, m)")
+    q, m = dist.q, dist.m
     rows = _rows(dist)
     weights: dict[int, int] = {}
     for b_zero in (True, False) if variant in ("0", "2") else (True,):
@@ -147,7 +146,7 @@ def predict_general(q: int, m: int, dist: RankDistribution, variant: str) -> Spe
                 _add_row(weights, _weight(q, m, S, b_zero), cnt * c * (1 if b_zero else q - 1))
 
     spec = Spectrum(n=q ** m - 1, q=q, weights=weights)
-    size = dist.total() + 1
+    size = sum(cnt for _, _, cnt in rows)
     ms = int_log(size, q)
     if ms is None or ms % m != 0:
         raise HypothesisError("family size is not q^{ms}")
@@ -173,7 +172,7 @@ def predict_monomial(q: int, m: int, ell: int, variant: str) -> MonomialPredicti
     if variant not in ("base", "0"):
         raise ValueError("shortened predictions cover variants base and 0")
     dist = rank_distribution_monomial(q, m, ell)
-    full = predict_general(q, m, dist, variant)
+    full = predict_general(dist, variant)
     delta = gcd(m, ell)
     D = q ** delta + 1
     short = full.scaled_down(D)
@@ -199,7 +198,7 @@ def predict_monomial_long(q: int, m: int, ell: int, variant: str) -> MonomialPre
     if variant not in ("1", "2"):
         raise ValueError("long predictions cover variants 1 and 2")
     dist = rank_distribution_monomial(q, m, ell)
-    full = predict_general(q, m, dist, variant)
+    full = predict_general(dist, variant)
     delta = gcd(m, ell)
     half = m // 2
     dprime = q ** (half + delta - 1) if eps_ell(m, ell) == 1 else (q - 1) * q ** (half + delta - 1)
@@ -216,7 +215,7 @@ def predict_monomial_long(q: int, m: int, ell: int, variant: str) -> MonomialPre
 def predict_l3l(p: int, m: int, ell: int, variant: str) -> MonomialPrediction:
     """Full-length codes of the two-monomial family <x^{p^l}, x^{p^{3l}}>, p odd."""
     dist = rank_distribution_l3l(p, m, ell)
-    full = predict_general(p, m, dist, variant)
+    full = predict_general(dist, variant)
     d = full.min_distance()
     half, delta = m // 2, gcd(m, ell)
     if variant in ("0", "2"):
@@ -434,8 +433,9 @@ class CweResult:
     brute_match: bool | None = None
 
 
-def cwe_predicted(q: int, m: int, dist: RankDistribution, D: int = 1) -> list[CweTerm]:
+def cwe_predicted(dist: RankDistribution, D: int = 1) -> list[CweTerm]:
     """Compressed enumerator terms from a rank distribution (shortened by D)."""
+    q, m = dist.q, dist.m
     terms = []
     for r, e, cnt in _rows(dist):
         w_full = _weight(q, m, exp_sum_class_value(q, m, r, e, "major"), True)
@@ -455,13 +455,15 @@ def cwe(ctx: FieldCtx, spec: CodeSpec, dist: RankDistribution,
 
     When the code fits in the budget, every word's composition is checked to
     be balanced (t_i equal for all i > 0) and the compressed form is compared
-    with the brute tally.
+    with the brute tally.  dist must be over the code's (q, m).
     """
     if spec.variant != "base":
         raise ValueError("the complete weight enumerator applies to base codes")
     q = spec.family.q
+    if (dist.q, dist.m) != (q, spec.family.m):
+        raise ValueError(f"distribution has (q, m) = {dist.q, dist.m}, the code {q, spec.family.m}")
     n = _length(ctx, spec)
-    terms = cwe_predicted(q, spec.family.m, dist, ctx.mult_order // n)
+    terms = cwe_predicted(dist, ctx.mult_order // n)
     try:
         res = brute_spectrum(ctx, spec, budget=budget, collect_compositions=True)
     except BudgetError:

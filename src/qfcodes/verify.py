@@ -163,7 +163,7 @@ def criterion_4(budget: int) -> CriterionResult:
             bad = []
             for g, r, t in zip(gammas.tolist(), ranks.tolist(), types.tolist()):
                 cls = klapper.classify_monomial(ctx, s, m, g, ell)
-                if (cls.rank, cls.type) != (r, t or None):
+                if (cls.rank, cls.type) != (r, t):
                     bad.append(g)
             ok &= not bad
             details[f"q{p**s}m{m}l{ell}"] = {"gammas": int(ctx.mult_order), "mismatches": bad}
@@ -218,7 +218,7 @@ def criterion_6(budget: int) -> CriterionResult:
         else:
             profiles = klapper.tally_l3l_profiles(ctx, ell)
             tally = {}  # the rank marginal
-            for (r, _), c in profiles.items():
+            for r, _, c in profiles.counts:
                 tally[r] = tally.get(r, 0) + c
             expected = {m - 2 * j: fs[j] for j in range(4)} | {0: 1}
             details["tally"] = {str(k): v for k, v in sorted(tally.items())}
@@ -234,8 +234,7 @@ def criterion_6(budget: int) -> CriterionResult:
                 routes_ok &= (fast.rank, fast.type) == (full.rank, full.type)
             details["profile_routes_agree"] = routes_ok
             # every pair's type, exhaustively: rank m - 2jd carries (-1)^j eps_l
-            type_ok = routes_ok and profiles == (
-                klapper.rank_distribution_l3l(p, m, ell).as_dict() | {(0, None): 1})
+            type_ok = routes_ok and profiles == klapper.rank_distribution_l3l(p, m, ell)
             details["types_per_rank"] = type_ok
             if not type_ok:
                 return False, mode, details

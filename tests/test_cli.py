@@ -210,6 +210,19 @@ def test_negative_exponent_exit_1(capsys, argv, message):
     assert err.startswith("error:") and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    "cwe --p 3 --s -1 --m -1 --family span:1 --method both",
+    "spectrum --p 3 --s -1 --m -1 --family mono:1",
+    "spectrum --p 3 --s -1 --m -1 --family span:1 --method brute",
+    "spectrum --p 2 --s -2 --m -2 --family span:1 --method both",
+], ids=["cwe-span", "spectrum-mono", "spectrum-span-brute", "spectrum-span-both"])
+def test_nonpositive_s_or_m_exit_1(capsys, argv):
+    # s m >= 1 builds a field, so the family itself must refuse s < 1 or m < 1
+    code, out, err = run(argv.split(), capsys)
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.startswith("error: s and m must be >= 1") and "Traceback" not in err
+
+
 def test_spectrum_span_not_even_rank_exits_before_brute(capsys):
     # the tally rejects the family before the 5^8-form brute enumeration runs
     argv = ["spectrum", "--p", "5", "--m", "4", "--family", "span:0,2", "--method", "both"]

@@ -22,7 +22,7 @@ def test_classify_examples():
     assert (cls.rank, cls.type) == (4, 1)
     F9 = gf.get_field(3, 2)
     cls = klapper.classify_monomial(F9, 1, 2, F9.alpha_pow(2), 1)  # t = 2 = L/2 mod 4
-    assert cls.rank == 0 and cls.type is None
+    assert (cls.rank, cls.type) == (0, 1)
 
 
 def test_classify_errors():
@@ -73,18 +73,18 @@ def test_gcd_identity_grid():
 
 def test_rank_distribution_monomial():
     d = klapper.rank_distribution_monomial(2, 8, 1)
-    assert d.as_dict() == {(8, 1): 170, (6, -1): 85}
+    assert (d.q, d.m, d.counts) == (2, 8, ((8, 1, 170), (6, -1, 85), (0, 1, 1)))
     d = klapper.rank_distribution_monomial(2, 4, 1)
-    assert d.as_dict() == {(4, 1): 10, (2, -1): 5}
+    assert (d.q, d.m, d.counts) == (2, 4, ((4, 1, 10), (2, -1, 5), (0, 1, 1)))
     d = klapper.rank_distribution_monomial(3, 4, 1)
-    assert d.as_dict() == {(4, 1): 60, (2, -1): 20}
+    assert (d.q, d.m, d.counts) == (3, 4, ((4, 1, 60), (2, -1, 20), (0, 1, 1)))
     with pytest.raises(HypothesisError):
         klapper.rank_distribution_monomial(2, 4, 2)  # l < m/2 violated
 
 
 def test_rank_distribution_monomial_exhaustive_oracle():
     ctx = gf.get_field(2, 4)
-    tally = {}
+    tally = {(0, 1): 1}  # R = 0
     for g in ctx.exp[:15]:
         cls = klapper.classify_monomial(ctx, 1, 4, int(g), 1)
         key = (cls.rank, cls.type)
@@ -99,7 +99,8 @@ def test_l3l_constants():
     # frozen from the exhaustive radical sweep over all 3^16 pairs
     assert fs == (31084560, 11512800, 447720, 1640)
     dist = klapper.rank_distribution_l3l(3, 8, 1)
-    assert dist.as_dict() == {(8, 1): fs[0], (6, -1): fs[1], (4, 1): fs[2], (2, -1): fs[3]}
+    assert dist.counts == ((8, 1, fs[0]), (6, -1, fs[1]), (4, 1, fs[2]), (2, -1, fs[3]),
+                           (0, 1, 1))
 
 
 def l3l_constants_fraction(p, m, ell):
@@ -160,8 +161,9 @@ def test_pair_sweep_small_field_vs_scalar():
             prof = klapper.l3l_pair_profile(ctx, 1, g1, g2)
             expected[(prof.rank, prof.type)] += weight
     profiles = klapper.tally_l3l_profiles(ctx, 1)
-    assert sum(profiles.values()) == 3 ** 8
-    assert profiles == dict(expected)
+    assert sum(c for _, _, c in profiles.counts) == 3 ** 8
+    assert profiles.counts == tuple((r, t, expected[r, t])
+                                    for r, t in sorted(expected, reverse=True))
 
 
 def test_pair_sweep_workers_match():
@@ -178,12 +180,11 @@ def test_orbit_tally_matches_direct_nullity(p, m):
     g = np.arange(ctx.order)
     pairs = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)  # [g2, g1]
     red = reduce_symmetric(quadform.form_grams(ctx, 1, pairs, (1, 3)), p)
-    direct = Counter((r, None if r == 0 else t) for r, t in zip(red.rank.tolist(),
-                                                                red.etas().tolist()))
+    direct = Counter(zip(red.rank.tolist(), red.etas().tolist()))
     profiles = klapper.tally_l3l_profiles(ctx, 1)
-    assert profiles == dict(direct)
+    assert profiles.as_dict() == dict(direct)
     ranks = Counter()
-    for (r, _), c in profiles.items():
+    for r, _, c in profiles.counts:
         ranks[r] += c
     assert klapper.tally_l3l_ranks(ctx, 1) == dict(ranks)
 
@@ -199,7 +200,7 @@ def test_tally_reaches_beyond_the_old_sweep():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert profiles == klapper.rank_distribution_l3l(3, 10, 1).as_dict() | {(0, None): 1}
+    assert profiles == klapper.rank_distribution_l3l(3, 10, 1)
     assert peak < 16 * 2 ** 20
 
 

@@ -106,6 +106,9 @@ def test_validation():
         FamilySpec(2, 1, 4, (1, 1))
     with pytest.raises(Exception):
         FamilySpec(2, 1, 4, (2, 1))
+    for s, m in ((-1, -1), (-2, -2), (0, 4), (1, 0)):
+        with pytest.raises(gf.FieldError, match="s and m must be >= 1"):
+            FamilySpec(2, s, m, (1,))
     with pytest.raises(Exception):
         LinearizedPoly((1,), (1, 2), 1)
     R = LinearizedPoly((1,), (0,), 1)

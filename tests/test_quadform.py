@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfcodes import gf, quadform, spectra
+from qfcodes import gf, klapper, quadform, spectra
 from qfcodes.linalg import reduce_symmetric
 from qfcodes.klapper import rank_distribution_monomial
 from qfcodes.linpoly import FamilySpec, family_coeffs
@@ -27,7 +27,7 @@ def gram_kernel(Q):
 
 def test_zero_form():
     Q = form(2, 1, 4, (1,), (0,))
-    assert quadform.profile(Q) == QuadFormProfile(rank=0, type=None)
+    assert quadform.profile(Q) == QuadFormProfile(rank=0, type=1)
     assert len(gram_kernel(Q)) == 4  # ker B is the whole field
 
 
@@ -96,7 +96,7 @@ def test_gram_and_table_match_scalar_evaluation(p, s, m):
 def reference_profile(ctx, s, exps, coeffs):
     """(rank, type) of one form from scalar evaluations: the rank from the radical
     {y in ker B : Q(y) = 0} counted over ker B of scalar_gram, the type from the
-    zero count of a lin_eval table; type 0 at rank 0 or odd rank."""
+    zero count of a lin_eval table; type 0 at odd rank."""
     p, m, q = ctx.p, ctx.n // s, ctx.p ** s
     Q = form(p, s, m, exps, coeffs)
     basis = [int(y) for y in ctx.pvec @ reduce_symmetric(scalar_gram(Q)[None], p,
@@ -110,7 +110,7 @@ def reference_profile(ctx, s, exps, coeffs):
     xs = np.arange(ctx.order, dtype=np.int64)
     values = ctx.symbols(s).trace_sym[ctx.v_mul(xs, lin_eval_table(ctx, Q.R))]
     n0 = int(np.count_nonzero(values == 0))
-    if r == 0 or r % 2:
+    if r % 2:
         return r, 0
     eps = (n0 - q ** (m - 1)) // ((q - 1) * q ** (m - r // 2 - 1))
     assert eps in (1, -1)
@@ -165,7 +165,7 @@ def direct_tally(ctx, fam, count):
     """(rank, type) over every family_coeffs row, one form_profiles call."""
     rows = family_coeffs(ctx, fam, 0, ctx.order ** len(fam.exponents))
     rank, eps = quadform.form_profiles(ctx, fam.s, rows, fam.exponents, count)
-    return Counter((r, e or None) for r, e in zip(rank.tolist(), eps.tolist()))
+    return Counter(zip(rank.tolist(), eps.tolist()))
 
 
 # (family, count): the 5^8 forms of span:0,2 at (5,1,4) take the discriminant
@@ -179,10 +179,12 @@ TALLY_FAMILIES = ([(FamilySpec(p, s, m, (ell,)), True) for p, s, m, ell in GRID]
 def test_tally_profiles_equals_direct_count(fam, count):
     ctx = gf.get_field(fam.p, fam.n)
     tally = quadform.tally_profiles(ctx, fam, count)
-    assert tally == dict(direct_tally(ctx, fam, count))
-    assert sum(tally.values()) == fam.q ** (fam.m * len(fam.exponents))
-    # ranks descending, +1 before -1, rank 0 (type None) last
-    assert list(tally) == sorted(tally, key=lambda k: (-k[0], -(k[1] or 0)))
+    assert (tally.q, tally.m) == (fam.q, fam.m)
+    assert tally.as_dict() == dict(direct_tally(ctx, fam, count))
+    assert sum(c for _, _, c in tally.counts) == fam.q ** (fam.m * len(fam.exponents))
+    # ranks descending, +1 before -1, the zero form's (0, +1) last
+    assert [(r, e) for r, e, _ in tally.counts] == sorted(tally.as_dict(), reverse=True)
+    assert tally.counts[-1][:2] == (0, 1)
 
 
 @pytest.mark.parametrize("p,s,m,ell", GRID)
@@ -207,7 +209,7 @@ def test_symbol_zero_count_matches_form_table(p, s, m, ell):
     # form_profiles(count=True) solves (p = 2) or checks (odd p) the type from
     # that count; it must be the type the element-indexed count gives
     rank, eps = quadform.form_profiles(ctx, s, gammas, (ell,), count=True)
-    expected = [q ** m if r == 0 else q ** (m - 1) + e * (q - 1) * q ** (m - 1 - r // 2)
+    expected = [q ** (m - 1) + e * (q - 1) * q ** (m - 1 - r // 2)
                 for r, e in zip(rank.tolist(), eps.tolist())]
     assert n0[:len(gammas)].tolist() == expected
 
@@ -215,8 +217,7 @@ def test_symbol_zero_count_matches_form_table(p, s, m, ell):
 @pytest.mark.parametrize("p,s,m,ell", GRID)
 def test_tally_profiles_mono_closed_form(p, s, m, ell):
     tally = quadform.tally_profiles(gf.get_field(p, s * m), FamilySpec(p, s, m, (ell,)))
-    expected = rank_distribution_monomial(p ** s, m, ell).as_dict() | {(0, None): 1}
-    assert list(tally.items()) == list(expected.items())
+    assert tally == rank_distribution_monomial(p ** s, m, ell)
 
 
 def test_tally_profiles_chunks_tails(monkeypatch):
@@ -229,7 +230,8 @@ def test_tally_profiles_chunks_tails(monkeypatch):
 
 
 def test_tally_profiles_empty_family_is_the_zero_form():
-    assert quadform.tally_profiles(gf.get_field(3, 4), FamilySpec(3, 1, 4, ())) == {(0, None): 1}
+    tally = quadform.tally_profiles(gf.get_field(3, 4), FamilySpec(3, 1, 4, ()))
+    assert (tally.q, tally.m, tally.counts) == (3, 4, ((0, 1, 1),))
 
 
 def test_count_and_sum_values():
@@ -316,11 +318,35 @@ def test_odd_rank_rejected():
 
 
 def test_rank0_type_rejected():
-    # the zero form carries no type flag: type 0 in the arrays, None in a profile
+    # the zero form has type +1 in the arrays and in a profile: N_Q(0) = q^m
+    # is the type +1 zero count at rank 0
     Q = form(2, 1, 4, (1,), (0,))
     rank, eps = quadform.form_profiles(Q.ctx, 1, [[0]], (1,))
-    assert (rank.tolist(), eps.tolist()) == ([0], [0])
-    assert quadform.profile(Q).type is None
+    assert (rank.tolist(), eps.tolist()) == ([0], [1])
+    assert quadform.profile(Q).type == 1
+
+
+def test_rank0_is_type_plus_one_on_every_route():
+    # the zero row by the counting and the discriminant routes, p = 2 inside
+    # and past COUNT_LIMIT, and s = 2; then profile() on the same form
+    for p, s, m, count in [(3, 1, 4, True), (3, 1, 4, False), (2, 1, 4, True),
+                           (2, 1, 18, True), (2, 2, 4, True)]:
+        ctx = gf.get_field(p, s * m)
+        assert (ctx.order <= quadform.COUNT_LIMIT) == (m != 18)
+        rank, eps = quadform.form_profiles(ctx, s, [[0, 0]], (0, 1), count=count)
+        assert (rank.tolist(), eps.tolist()) == ([0], [1])
+        assert quadform.profile(form(p, s, m, (1,), (0,))) == QuadFormProfile(rank=0, type=1)
+    tally = quadform.tally_profiles(gf.get_field(3, 4), FamilySpec(3, 1, 4, ()))
+    assert tally.counts == ((0, 1, 1),)
+    # at m = 2, l = 1 the special power class has rank m - 2(m,l) = 0 and
+    # type -eps_l = +1, as form_profiles finds on every gamma
+    for p in (2, 3, 5, 7):
+        ctx = gf.get_field(p, 2)
+        gammas = ctx.exp[: ctx.mult_order]
+        rank, eps = quadform.form_profiles(ctx, 1, gammas[:, None], (1,))
+        classes = [klapper.classify_monomial(ctx, 1, 2, g, 1) for g in gammas.tolist()]
+        assert [(c.rank, c.type) for c in classes] == list(zip(rank.tolist(), eps.tolist()))
+        assert (0, 1) in {(c.rank, c.type) for c in classes}
 
 
 def test_beta_class_counts_rank0():

@@ -425,15 +425,23 @@ def test_weight_from_profile_values():
 
 
 def test_predict_general_empty_family():
-    dist = klapper.RankDistribution(q=2, m=4, counts=())
-    spec = predict_general(2, 4, dist, "base")
+    dist = quadform.RankDistribution(q=2, m=4, counts=((0, 1, 1),))
+    spec = predict_general(dist, "base")
     assert spec.weights == {0: 1}
 
 
 def test_predict_general_rejects_odd_rank():
-    dist = klapper.RankDistribution(q=2, m=4, counts=((3, 1, 15),))
+    dist = quadform.RankDistribution(q=2, m=4, counts=((3, 1, 15), (0, 1, 1)))
     with pytest.raises(HypothesisError):
-        predict_general(2, 4, dist, "base")
+        predict_general(dist, "base")
+
+
+@pytest.mark.parametrize("row", [(0, -1, 1), (0, 1, 2)])
+def test_predict_general_rank0_row_is_the_zero_form(row):
+    # rank 0 is R = 0 alone, with type +1
+    dist = quadform.RankDistribution(q=2, m=4, counts=((4, 1, 10), (2, -1, 5), row))
+    with pytest.raises(HypothesisError, match="rank 0"):
+        predict_general(dist, "base")
 
 
 def test_symmetric_spectra_q2():
@@ -551,6 +559,16 @@ def test_cwe_over_budget_skips_the_brute_check():
         [(1, 5, 0), (10, 3, 2), (5, 1, 4)]
 
 
+def test_cwe_rejects_a_distribution_of_another_field():
+    # the (2,1,4) distribution totals 16 forms; the (2,1,8,1) code has 256 words
+    ctx = gf.get_field(2, 8)
+    spec = CodeSpec(fam_of(2, 1, 8, 1), "base", shortened=True)
+    with pytest.raises(ValueError, match=r"\(q, m\) = \(2, 4\), the code \(2, 8\)"):
+        cwe(ctx, spec, klapper.rank_distribution_monomial(2, 4, 1), budget=0)
+    res = cwe(ctx, spec, klapper.rank_distribution_monomial(2, 8, 1), budget=0)
+    assert sum(t.coeff for t in res.terms) == 2 ** 8
+
+
 def test_cwe_unbalanced_impossible_on_grid():
     ctx = gf.get_field(2, 6)
     dist = klapper.rank_distribution_monomial(2, 6, 1)
@@ -583,7 +601,7 @@ def test_l3l_cwe_composition_spotcheck():
     from qfcodes.spectra import cwe_predicted
     ctx = gf.get_field(3, 8)
     dist = klapper.rank_distribution_l3l(3, 8, 1)
-    terms = {t.coeff: (t.z0_exp, t.zrest_exp) for t in cwe_predicted(3, 8, dist)}
+    terms = {t.coeff: (t.z0_exp, t.zrest_exp) for t in cwe_predicted(dist)}
     by_rank = {r: terms[c] for r, _, c in dist.counts}
     spec = CodeSpec(FamilySpec(3, 1, 8, (1, 3)), "base")
     rng = np.random.default_rng(31)
