@@ -2,9 +2,9 @@
 
 Point counts ride on the additive Hilbert-90 criterion: the affine points
 over x lie p-to-1 over {x : tr_{p^m/p}(xR(x) + beta x) = 0}, plus one point
-at infinity.  Optimality (Hasse-Weil endpoint) is decided both by comparing
-against the genus bound and by the weight class of the attached codeword;
-disagreement between the two routes raises.
+at infinity.  A count at a Hasse-Weil endpoint is optimal; optimal_betas
+reads the betas at each endpoint off the closed-form point multiset, and
+optimality_status profiles only a curve at an endpoint, against it.
 
 Every trace-form table here is a quadform.form_symbols row, one log-domain
 gather per term over x = alpha^k: the single-curve trace count reads it
@@ -28,9 +28,9 @@ from .gf import FieldCtx, FieldError
 from .klapper import (HypothesisError, MonomialClassification, classify_monomial, eps_ell,
                       l3l_poly, l3l_pair_profile)
 from .linpoly import LinearizedPoly, lin_eval_table
-from .quadform import (QuadForm, QuadFormProfile, beta_class_counts, expected_sum_distribution,
-                       form_profiles, form_symbols, form_terms, frequencies,
-                       profile as qf_profile, value_histograms)
+from .quadform import (QuadForm, QuadFormProfile, expected_sum_distribution, form_profiles,
+                       form_symbols, form_terms, frequencies, profile as qf_profile,
+                       value_histograms)
 
 
 class CurveCountError(RuntimeError):
@@ -72,8 +72,7 @@ class CurveReport:
 def count_points(spec: CurveSpec) -> int:
     """#C(F_{p^m}) = 1 + p z including infinity, z = #{x : tr(x R(x) + beta x) = 0}.
 
-    count_points_by_solutions and the weight-class route of
-    optimality_status check it independently.
+    count_points_by_solutions checks it independently.
     """
     coeffs, exps = form_terms(spec.R, spec.p, spec.beta)
     syms = form_symbols(spec.ctx, 1, [coeffs], exps)  # over x = alpha^k; x = 0 adds 1
@@ -114,10 +113,13 @@ def hasse_weil(spec: CurveSpec) -> tuple[int, int]:
     """(lower, upper) genus bound endpoints p^m + 1 -+ (p-1) p^{v + m/2}."""
     if spec.R.is_zero:
         raise HypothesisError("bounds need R != 0")
-    if spec.m % 2 != 0:
+    return _endpoints(spec.p, spec.m, spec.v())
+
+
+def _endpoints(p: int, m: int, v: int) -> tuple[int, int]:
+    if m % 2 != 0:
         raise HypothesisError("only even extension degrees are in scope")
-    p, m = spec.p, spec.m
-    dev = (p - 1) * p ** (spec.v() + m // 2)
+    dev = (p - 1) * p ** (v + m // 2)
     return p ** m + 1 - dev, p ** m + 1 + dev
 
 
@@ -131,27 +133,32 @@ def expected_point_multiset(p: int, m: int, r: int, eps: int) -> dict[int, int]:
     return {p ** m + 1 + S: c for S, c in table.items()}
 
 
+def optimal_betas(p: int, m: int, v: int, r: int, eps: int) -> tuple[int, int]:
+    """(minimal, maximal) beta counts of y^p - y = xR(x) + beta x, deg R = p^v, Q_R of (r, eps).
+
+    expected_point_multiset read at the endpoints p^m + 1 -+ (p-1) p^{v + m/2}.
+    The major class reaches one of them exactly when r = m - 2v (eps gives
+    which), and for p = 2 the minor class the other; otherwise both are 0.
+    """
+    lo, hi = _endpoints(p, m, v)
+    points = expected_point_multiset(p, m, r, eps)
+    return points.get(lo, 0), points.get(hi, 0)
+
+
 def optimality_status(spec: CurveSpec, prof: QuadFormProfile | None = None) -> CurveReport:
-    """maximal/minimal/interior by endpoint comparison, cross-checked by weight class."""
-    p, m = spec.p, spec.m
+    """maximal/minimal/interior by the genus bounds; a curve at an endpoint raises
+    when optimal_betas of its form's profile (or prof) puts no beta there."""
     pts = count_points(spec)
     lo, hi = hasse_weil(spec)
     if not lo <= pts <= hi:
         raise CurveCountError(f"count {pts} escapes the genus bounds ({lo}, {hi})")
     status = "maximal" if pts == hi else "minimal" if pts == lo else "interior"
-
-    if prof is None:
-        prof = qf_profile(QuadForm(spec.ctx, 1, m, spec.R))
-    r = prof.rank
-    w = (p ** (m + 1) + 1 - pts) // p
-    by_weight = "interior"
-    if 2 * spec.v() == m - r:  # endpoints reachable; m is even, so r is even
-        base_w = p ** m - p ** (m - 1)
-        dev = (p - 1) * p ** (m - r // 2 - 1)
-        by_weight = {base_w - dev: "maximal", base_w + dev: "minimal"}.get(w, "interior")
-    if by_weight != status:
-        raise CurveCountError(f"weight-class route says {by_weight}, "
-                              f"endpoints say {status} (w={w}, rank={r}, eps={prof.type})")
+    if status != "interior":
+        if prof is None:
+            prof = qf_profile(QuadForm(spec.ctx, 1, spec.m, spec.R))
+        if not optimal_betas(spec.p, spec.m, spec.v(), prof.rank, prof.type)[pts == hi]:
+            raise CurveCountError(f"{status} count {pts}, but no beta reaches it "
+                                  f"at rank {prof.rank}, eps {prof.type}")
     return CurveReport(points=pts, genus=genus(spec), hw_lo=lo, hw_hi=hi, status=status)
 
 
@@ -191,8 +198,7 @@ def scan_monomial(ctx: FieldCtx, ell: int, gammas: list[int] | None = None) -> S
     gamma.
     """
     p, m = ctx.p, ctx.n
-    if m % 2 != 0:
-        raise HypothesisError("only even extension degrees are in scope")
+    ends = _endpoints(p, m, ell)  # raises for odd m
     if ell < 1:
         raise HypothesisError("l must be >= 1")
     if gammas is None:
@@ -204,11 +210,12 @@ def scan_monomial(ctx: FieldCtx, ell: int, gammas: list[int] | None = None) -> S
         forms = form_symbols(ctx, 1, np.array(chunk)[:, None], (p ** ell + 1,))
         # points = 1 + p #{x : tr(gamma x^{p^l+1} + beta x) = 0}, one row per gamma
         for gamma, points in zip(chunk, 1 + p * value_histograms(ctx, 1, forms)[:, :, 0]):
-            scans.append(_scan_gamma(ctx, ell, gamma, points))
+            scans.append(_scan_gamma(ctx, ell, gamma, points, ends))
     return ScanReport(ell=ell, scans=scans)
 
 
-def _scan_gamma(ctx: FieldCtx, ell: int, gamma: int, points: np.ndarray) -> GammaScan:
+def _scan_gamma(ctx: FieldCtx, ell: int, gamma: int, points: np.ndarray,
+                ends: tuple[int, int]) -> GammaScan:
     """Check one gamma's point counts over all beta against its profile's multiset."""
     p, m = ctx.p, ctx.n
     cls = classify_monomial(ctx, 1, m, gamma, ell)
@@ -218,26 +225,8 @@ def _scan_gamma(ctx: FieldCtx, ell: int, gamma: int, points: np.ndarray) -> Gamm
         raise CurveCountError(
             f"gamma={gamma} (branch {cls.branch}): observed {sorted(tally.items())}, "
             f"expected {sorted(expected.items())}")
-    n_max = n_min = 0
-    if 2 * ell == m - cls.rank:  # v = (m-r)/2: endpoints are reachable
-        spec0 = CurveSpec(ctx, LinearizedPoly((ell,), (gamma,), 1), 0)
-        lo, hi = hasse_weil(spec0)
-        n_max = tally.get(hi, 0)
-        n_min = tally.get(lo, 0)
     return GammaScan(gamma=gamma, classification=cls, point_tally=tally,
-                     n_maximal=n_max, n_minimal=n_min)
-
-
-def optimal_beta_counts(p: int, m: int, ell: int) -> tuple[int, int]:
-    """(minimal, maximal) beta counts per qualifying gamma when l | m."""
-    if m % ell != 0:
-        raise HypothesisError("l must divide m here")
-    if m % 2 != 0:
-        raise HypothesisError("only even extension degrees are in scope")
-    if 2 * ell >= m:
-        raise HypothesisError("l < m/2 is required")
-    dev = (p - 1) * p ** (m // 2 - ell - 1)
-    return p ** (m - 2 * ell - 1) - dev, p ** (m - 2 * ell - 1) + dev
+                     n_maximal=tally.get(ends[1], 0), n_minimal=tally.get(ends[0], 0))
 
 
 @dataclass
@@ -268,9 +257,9 @@ def l3l_optimal_witness(ctx: FieldCtx, ell: int,
     if m % ell != 0 or (m // ell) % 2 != 0 or m <= 6 * ell:
         raise HypothesisError("need l | m, m/l even and m > 6l")
     target_rank = m - 6 * ell
-    e = eps_ell(m, ell)
-    eps_form = -e  # rank m-6l carries type (-1)^3 eps_l
-    status_target = "maximal" if eps_form == 1 else "minimal"
+    eps_form = -eps_ell(m, ell)  # rank m-6l carries type (-1)^3 eps_l
+    n_min, n_max = optimal_betas(p, m, 3 * ell, target_rank, eps_form)  # deg R = p^{3l}
+    status_target = "maximal" if n_max else "minimal"
     if pair_budget is None:
         pair_budget = ctx.order ** 2
     if pair_budget < 0:
@@ -303,7 +292,7 @@ def l3l_optimal_witness(ctx: FieldCtx, ell: int,
     lo, hi = hasse_weil(CurveSpec(ctx, R, 0))
     target_points = hi if status_target == "maximal" else lo
     hits = np.nonzero(points == target_points)[0]
-    expected = beta_class_counts(p, m, target_rank, eps_form, b_zero=True)["major"]
+    expected = n_max or n_min
     if len(hits) != expected:
         raise CurveCountError(f"{len(hits)} optimal betas, predicted {expected}")
     beta = int(hits[0])

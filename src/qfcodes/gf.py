@@ -34,7 +34,7 @@ from math import gcd
 
 import numpy as np
 
-DEFAULT_SIZE_LIMIT = 1 << 22
+SIZE_LIMIT = 1 << 22
 # q x q cells a symbol addition or product table may hold (q <= 4096)
 SYMBOL_CELLS = 1 << 24
 # q x q table cells one block of field arithmetic fills at a time (2 MiB as int64)
@@ -132,17 +132,17 @@ class FieldError(ValueError):
 class FieldCtx:
     """F_{p^n} with full exp/log tables, built deterministically.
 
-    Raises FieldError if p is not prime or p^n exceeds size_limit.
+    Raises FieldError if p is not prime or p^n exceeds SIZE_LIMIT.
     """
 
-    def __init__(self, p: int, n: int, size_limit: int = DEFAULT_SIZE_LIMIT):
+    def __init__(self, p: int, n: int):
         if not is_prime(p):
             raise FieldError(f"p must be prime, got {p}")
         if n < 1:
             raise FieldError(f"extension degree must be >= 1, got {n}")
         order = p ** n
-        if order > size_limit:
-            raise FieldError(f"p^n = {order} exceeds size bound {size_limit}")
+        if order > SIZE_LIMIT:
+            raise FieldError(f"p^n = {order} exceeds size bound {SIZE_LIMIT}")
         # float64 is exact below 2^53: a digit product sums n (p-1)^2, and its
         # reduction mod p needs that sum plus p below 2^53 too
         if n * p * p >= 1 << 53:

@@ -1,10 +1,10 @@
 """Congruence reduction of stacks of symmetric matrices over a prime field F_p.
 
 Every rank, type and kernel in the package comes from reduce_symmetric,
-through its one caller, quadform.form_profiles.  A symmetric A is carried to
-a block-diagonal P^T A P one pivot at a time: a nonzero diagonal entry d
-gives a 1x1 block, and when the whole remaining diagonal is zero a nonzero
-A_ij gives the hyperbolic block [[0, a], [a, 0]].
+through quadform.form_profiles and verify's bordered forms.  A symmetric
+A is carried to a block-diagonal P^T A P one pivot at a time: a nonzero
+diagonal entry d gives a 1x1 block, and when the whole remaining diagonal
+is zero a nonzero A_ij gives the hyperbolic block [[0, a], [a, 0]].
 Either way the Schur update
 
     A <- A - (A_.i A_j. + A_.j A_i.) / a      (i = j, one term, for a 1x1 pivot)

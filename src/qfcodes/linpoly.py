@@ -91,20 +91,20 @@ def lin_eval_table(ctx: FieldCtx, R: LinearizedPoly) -> np.ndarray:
     return np.zeros(ctx.order, dtype=np.int64) if acc is None else acc
 
 
-def elements_zech_order(ctx: FieldCtx) -> np.ndarray:
+def elements_log_order(ctx: FieldCtx) -> np.ndarray:
     """0 first, then alpha^0, alpha^1, ...: the enumeration order for families."""
     return np.concatenate([[0], ctx.exp[: ctx.mult_order]]).astype(np.int64)
 
 
 def family_coeffs(ctx: FieldCtx, family: FamilySpec, lo: int, hi: int) -> np.ndarray:
-    """Coefficient rows lo..hi-1 of the family's (q^m)^k members, lexicographic in Zech order.
+    """Coefficient rows lo..hi-1 of the family's (q^m)^k members, lexicographic in log order.
 
     With k = len(exponents), entry j of row i is element number
-    (i // q^{m(k-1-j)}) mod q^m of elements_zech_order: row 0 is the zero
+    (i // q^{m(k-1-j)}) mod q^m of elements_log_order: row 0 is the zero
     polynomial and the last coefficient runs fastest.
     """
     if ctx.p != family.p or ctx.n != family.n:
         raise FieldError("field context does not match family parameters")
     places = ctx.order ** np.arange(len(family.exponents), dtype=np.int64)[::-1]
     i = np.arange(lo, hi, dtype=np.int64)
-    return elements_zech_order(ctx)[i[:, None] // places % ctx.order]
+    return elements_log_order(ctx)[i[:, None] // places % ctx.order]

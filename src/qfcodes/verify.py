@@ -15,7 +15,7 @@ from math import gcd
 
 import numpy as np
 
-from . import curves, klapper, quadform, spectra
+from . import curves, klapper, linalg, quadform, spectra
 from .gf import get_field, power_residue_test
 from .linpoly import FamilySpec, LinearizedPoly
 from .quadform import QuadForm
@@ -246,7 +246,7 @@ def criterion_6(budget: int) -> CriterionResult:
             dims_ok &= pred.spectrum.dim() == kk == pred.params.k
         details["dimension_sums"] = dims_ok
 
-        # sampled codewords vs the closed-form weights: 2100 random forms,
+        # sampled codewords vs their bordered forms' weights: 2100 random forms,
         # 5 (beta, b) draws each (scaled down when the budget is tight)
         n_pairs = 2100 if mode == "full" else \
             max(40, min(2100, budget // (5 * ctx.order)))
@@ -258,27 +258,49 @@ def criterion_6(budget: int) -> CriterionResult:
             draws.append([(0, 0)] + [(int(rng.integers(0, ctx.order)), int(rng.integers(0, p)))
                                      for _ in range(4)])
         pairs, draws = np.array(pairs), np.array(draws)
-        ranks, types = quadform.form_profiles(ctx, 1, pairs, (ell, 3 * ell), count=False)
-        # words base + tr(beta x) + b, a bounded block of forms at a time
-        sy, exps = ctx.symbols(1), (p ** ell + 1, p ** (3 * ell) + 1)
-        weights = np.empty(draws.shape[:2], dtype=np.int64)
-        block = max(1, SAMPLE_CELLS // (draws.shape[1] * ctx.mult_order))
-        for lo in range(0, n_pairs, block):
-            beta, b = draws[lo: lo + block, :, :1], draws[lo: lo + block, :, 1:]
-            base = quadform.form_symbols(ctx, 1, pairs[lo: lo + block], exps)
-            traces = quadform.form_symbols(ctx, 1, beta.reshape(-1, 1), (1,))
-            words = sy.plus(base[:, None, :], traces.reshape(*b.shape[:2], -1))
-            weights[lo: lo + block] = np.count_nonzero(words != sy.neg[b], axis=2)  # word + b != 0
-        samples_ok = True
-        for r, eps, ws, ds in zip(ranks.tolist(), types.tolist(), weights.tolist(), draws.tolist()):
-            for w, (beta, b) in zip(ws, ds):
-                classes = ("major",) if beta == 0 and b == 0 else quadform.BETA_CLASSES
-                samples_ok &= w in {spectra.weight_from_profile(p, m, r, eps, b == 0, cls)
-                                    for cls in classes}
+        weights = _sampled_weights(ctx, ell, pairs, draws)
+        samples_ok = np.array_equal(weights, _bordered_weights(ctx, ell, pairs, draws))
         details["sampled_codewords"] = {"count": weights.size, "ok": samples_ok}
         return dims_ok and samples_ok, mode, details
     return _timed(6, "exhaustive 3^16 rank tally equals the closed-form multiplicities",
                   900.0, run)
+
+
+def _sampled_weights(ctx, ell: int, pairs: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Weights of the words tr(Q(x) + beta x) + b over x = alpha^k: Q of R = g2 x^{p^l} +
+    g1 x^{p^{3l}} per (g2, g1) row of pairs, one (beta, b) draw per column of draws."""
+    sy, exps = ctx.symbols(1), (ctx.p ** ell + 1, ctx.p ** (3 * ell) + 1)
+    weights = np.empty(draws.shape[:2], dtype=np.int64)
+    block = max(1, SAMPLE_CELLS // (draws.shape[1] * ctx.mult_order))
+    for lo in range(0, len(pairs), block):
+        beta, b = draws[lo: lo + block, :, :1], draws[lo: lo + block, :, 1:]
+        base = quadform.form_symbols(ctx, 1, pairs[lo: lo + block], exps)
+        traces = quadform.form_symbols(ctx, 1, beta.reshape(-1, 1), (1,))
+        words = sy.plus(base[:, None, :], traces.reshape(*b.shape[:2], -1))
+        weights[lo: lo + block] = np.count_nonzero(words != sy.neg[b], axis=2)  # word + b != 0
+    return weights
+
+
+def _bordered_weights(ctx, ell: int, pairs: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """The same weights from F(x, z) = Q(x) + tr(beta x) z + b z^2 on F_p^{m+1}, p odd.
+
+    F(zx, z) = z^2 (Q(x) + tr(beta x) + b), so the word has N = (N_F(0) - N_Q(0)) / (p-1)
+    zeros over all x (x = 0 when b = 0), where a form of rank r on F_p^n has
+    N(0) = p^{n-1} + [r even] eta (p-1) p^{n-1-r/2}: one reduction of the F Grams.
+    """
+    p, m, ls = ctx.p, ctx.n, (ell, 3 * ell)
+    ranks, types = quadform.form_profiles(ctx, 1, pairs, ls, count=False)
+    n_q = p ** (m - 1) + types * (p - 1) * p ** (m - 1 - ranks // 2)
+    logs = ctx.log[draws[:, :, 0].reshape(-1, 1)]
+    grams = np.zeros((len(logs), m + 1, m + 1), dtype=np.int64)
+    grams[:, :m, :m] = np.repeat(quadform.form_grams(ctx, 1, pairs, ls), draws.shape[1], axis=0)
+    grams[:, :m, m] = grams[:, m, :m] = \
+        ctx.symbols(1).trace_pow[logs + ctx.log[ctx.pvec]] * (logs >= 0)  # tr(beta t^a)
+    grams[:, m, m] = 2 * draws[:, :, 1].ravel()
+    red = linalg.reduce_symmetric(grams, p)
+    n_f = p ** m + np.where(red.rank % 2, 0, red.etas() * (p - 1) * p ** (m - red.rank // 2))
+    zeros = (n_f.reshape(draws.shape[:2]) - n_q[:, None]) // (p - 1)
+    return p ** m - 1 - zeros + (draws[:, :, 1] == 0)
 
 
 def criterion_7(budget: int) -> CriterionResult:
@@ -344,22 +366,23 @@ def criterion_9(budget: int) -> CriterionResult:
 
 def criterion_10(budget: int) -> CriterionResult:
     def run():
-        details, ok = {}, True
-        ctx4 = get_field(3, 4)
-        scan4 = curves.scan_monomial(ctx4, 1)
-        t0 = [s for s in scan4.scans if s.classification.branch == "t0"]
-        lo, _ = curves.optimal_beta_counts(3, 4, 1)
-        ok4 = {(s.n_minimal, s.n_maximal) for s in t0} == {(lo, 0)} and lo == 1
-        details["p3m4"] = {"qualifying_gammas": len(t0), "minimal_each": lo, "ok": ok4}
+        def agree(scans, m) -> bool:
+            """Every gamma's observed (minimal, maximal) is optimal_betas of its class."""
+            return all((s.n_minimal, s.n_maximal) == curves.optimal_betas(
+                3, m, 1, s.classification.rank, s.classification.type) for s in scans)
+
+        scan4 = curves.scan_monomial(get_field(3, 4), 1).scans
+        t0 = [(s.n_minimal, s.n_maximal) for s in scan4 if s.classification.branch == "t0"]
+        ok4 = agree(scan4, 4) and set(t0) == {(1, 0)}
 
         ctx6 = get_field(3, 6)
         qual = [int(g) for g in ctx6.exp[: ctx6.mult_order]
                 if klapper.classify_monomial(ctx6, 1, 6, int(g), 1).branch == "thalf"]
-        scan6 = curves.scan_monomial(ctx6, 1, gammas=qual)
-        _, hi = curves.optimal_beta_counts(3, 6, 1)
-        ok6 = {(s.n_minimal, s.n_maximal) for s in scan6.scans} == {(0, hi)} and hi == 33
-        details["p3m6"] = {"qualifying_gammas": len(qual), "maximal_each": hi, "ok": ok6}
-        return ok4 and ok6, "full", details
+        scan6 = curves.scan_monomial(ctx6, 1, gammas=qual).scans
+        ok6 = agree(scan6, 6) and {(s.n_minimal, s.n_maximal) for s in scan6} == {(0, 33)}
+        return ok4 and ok6, "full", {
+            "p3m4": {"qualifying_gammas": len(t0), "minimal_each": 1, "ok": ok4},
+            "p3m6": {"qualifying_gammas": len(qual), "maximal_each": 33, "ok": ok6}}
     return _timed(10, "optimal-beta counts: 1 minimal at (3,4,1), 33 maximal at (3,6,1)",
                   120.0, run)
 

@@ -263,6 +263,16 @@ def test_curves_single(capsys):
     assert payload["independent_recount"] == 9
 
 
+def test_curves_odd_rank_interior_exit_0(capsys):
+    # m/(m,l) = 3 is odd, so the form has rank 5; the count is interior and
+    # no type is needed
+    code, out, _ = run(["curves", "--p", "2", "--m", "6", "--ell", "2", "--gamma", "a^0"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["status"] == "interior"
+    assert payload["points"] == payload["independent_recount"] == 65
+
+
 def test_curves_past_symbol_table_bound_exit_1():
     # F_16411 has a 16411 x 16411 symbol addition table: the command must refuse
     # it before allocating, so it fails cleanly under a 512 MiB address-space cap

@@ -13,6 +13,7 @@ from qfcodes.curves import CurveSpec
 from qfcodes.klapper import HypothesisError
 from qfcodes.linalg import reduce_symmetric
 from qfcodes.linpoly import LinearizedPoly, lin_eval_table
+from qfcodes.quadform import QuadForm, QuadFormProfile
 from qfcodes.verify import GRID
 
 
@@ -63,11 +64,9 @@ def test_genus_needs_degree_prime_to_p():
         curves.genus(curve(2, 4, 0, 1))
 
 
-def test_optimal_beta_counts_out_of_scope():
+def test_optimal_betas_out_of_scope():
     with pytest.raises(HypothesisError, match="even extension degrees"):
-        curves.optimal_beta_counts(3, 3, 1)
-    with pytest.raises(HypothesisError, match="l < m/2"):
-        curves.optimal_beta_counts(3, 4, 2)
+        curves.optimal_betas(3, 3, 1, 2, 1)
 
 
 def test_closed_form_checks_hold_under_optimize():
@@ -78,8 +77,7 @@ from qfcodes.curves import CurveSpec
 from qfcodes.klapper import HypothesisError
 from qfcodes.linpoly import LinearizedPoly, lin_eval_table
 calls = (lambda: curves.genus(CurveSpec(gf.get_field(2, 4), LinearizedPoly((0,), (1,), 1), 0)),
-         lambda: curves.optimal_beta_counts(3, 3, 1),
-         lambda: curves.optimal_beta_counts(3, 4, 2),
+         lambda: curves.optimal_betas(3, 3, 1, 2, 1),
          lambda: spectra._weight(3, 4, 5, True))
 for call in calls:
     try:
@@ -147,7 +145,7 @@ def test_scan_341():
     assert len(by["t0"]) == 20
     assert {(s.n_minimal, s.n_maximal) for s in by["t0"]} == {(1, 0)}
     assert {(s.n_minimal, s.n_maximal) for s in by["generic"]} == {(0, 0)}
-    assert curves.optimal_beta_counts(3, 4, 1)[0] == 1
+    assert curves.optimal_betas(3, 4, 1, 2, -1) == (1, 0)
 
 
 def test_scan_degenerate_rank0():
@@ -168,10 +166,47 @@ def test_scan_custom_gammas():
 
 
 def test_optimal_beta_count_values():
-    assert curves.optimal_beta_counts(3, 6, 1) == (21, 33)
-    assert curves.optimal_beta_counts(2, 4, 1) == (1, 3)
+    # the type decides the endpoint for odd p; p = 2 reaches both
+    assert curves.optimal_betas(3, 6, 1, 4, -1) == (21, 0)
+    assert curves.optimal_betas(3, 6, 1, 4, 1) == (0, 33)
+    assert curves.optimal_betas(2, 4, 1, 2, 1) == (1, 3)
     with pytest.raises(HypothesisError):
-        curves.optimal_beta_counts(3, 4, 3)
+        curves.optimal_betas(3, 5, 1, 4, 1)
+
+
+@pytest.mark.parametrize("p,m,ell", [(2, 4, 1), (3, 4, 1), (3, 6, 1), (5, 4, 1),
+                                     (3, 2, 1), (3, 4, 2), (5, 2, 3)])
+def test_optimal_betas_match_every_scan(p, m, ell):
+    # (3,2,1), (3,4,2) and (5,2,3) have l >= m/2: rank 0 forms, or none at an endpoint
+    for s in curves.scan_monomial(gf.get_field(p, m), ell).scans:
+        cls = s.classification
+        assert (s.n_minimal, s.n_maximal) == curves.optimal_betas(p, m, ell, cls.rank, cls.type)
+
+
+def test_optimality_status_checks_the_type():
+    # a t0 gamma at (3,4,1) has rank 2 and type -1: one beta reaches the lower endpoint
+    ctx = gf.get_field(3, 4)
+    scan = curves.scan_monomial(ctx, 1)
+    gamma = next(s.gamma for s in scan.scans if s.classification.branch == "t0")
+    R = LinearizedPoly((1,), (gamma,), 1)
+    points = 1 + 3 * QuadForm(ctx, 1, 4, R).histogram[:, 0]
+    spec = CurveSpec(ctx, R, int(np.flatnonzero(points == 28)[0]))
+    assert curves.optimality_status(spec).status == "minimal"
+    assert curves.optimality_status(spec, QuadFormProfile(2, -1)).status == "minimal"
+    with pytest.raises(curves.CurveCountError, match="no beta reaches it"):
+        curves.optimality_status(spec, QuadFormProfile(2, 1))
+
+
+def test_interior_curve_is_not_profiled(monkeypatch):
+    def no_profile(Q):
+        raise AssertionError("an interior curve was profiled")
+
+    monkeypatch.setattr(curves, "qf_profile", no_profile)
+    for p, m, ell, gamma, beta in ((2, 4, 1, 2, 0), (3, 4, 1, 2, 5), (2, 6, 2, 1, 0)):
+        rep = curves.optimality_status(curve(p, m, ell, gamma, beta))
+        assert rep.status == "interior"
+    with pytest.raises(AssertionError, match="profiled"):  # an endpoint still is
+        curves.optimality_status(curve(2, 4, 1, 1))
 
 
 def test_witness_not_found_with_zero_budget():
@@ -191,6 +226,7 @@ def test_witness_full_search():
     assert rep.report.genus == 27
 
 
+@pytest.mark.slow
 def test_witness_beyond_the_old_sweep():
     # the q^m x q^m beta sweep would need a 59049 x 59048 matrix here
     rep = curves.l3l_optimal_witness(gf.get_field(3, 10), 1)
@@ -281,8 +317,8 @@ def test_interior_is_strict_for_generic_class():
 
 
 def test_dual_route_status_agreement_sweeps():
-    # optimality_status cross-checks the endpoint route against the weight
-    # class route internally; drive it across whole beta sweeps
+    # optimality_status checks every endpoint count against optimal_betas
+    # of the form's profile; drive it across whole beta sweeps
     ctx = gf.get_field(2, 4)
     for g in ctx.exp[:15]:
         R = LinearizedPoly((1,), (int(g),), 1)

@@ -468,9 +468,11 @@ def test_construction_blocks_and_batches(monkeypatch):
 
 
 def test_construction_checks(monkeypatch):
-    # float64 digit products must stay exact, and a non-generator is caught
+    # float64 digit products must stay exact (past the size bound), and a
+    # non-generator is caught
+    monkeypatch.setattr(gf, "SIZE_LIMIT", 1 << 30)
     with pytest.raises(gf.FieldError, match="not exact"):
-        gf.FieldCtx(94906297, 1, size_limit=1 << 30)
+        gf.FieldCtx(94906297, 1)
     assert gf.FieldCtx(2, 4).alpha == 2
     monkeypatch.setattr(gf.FieldCtx, "_find_alpha", lambda self: 8)  # t^3, of order 5
     with pytest.raises(gf.FieldError, match="not distinct"):

@@ -189,6 +189,7 @@ def test_orbit_tally_matches_direct_nullity(p, m):
     assert klapper.tally_l3l_ranks(ctx, 1) == dict(ranks)
 
 
+@pytest.mark.slow
 def test_tally_reaches_beyond_the_old_sweep():
     # 3^20 pairs; checks the closed-form multiplicities and types at (3,10,1),
     # holding one block of Gram matrices at a time
@@ -204,7 +205,7 @@ def test_tally_reaches_beyond_the_old_sweep():
     assert peak < 16 * 2 ** 20
 
 
-@pytest.mark.parametrize("p", [3, 67, 131, 191])
+@pytest.mark.parametrize("p", [3, 67, 131, pytest.param(191, marks=pytest.mark.slow)])
 def test_tally_m2_closed_form(p):
     # at m = 2, l = 1: Q(x) = tr(c) N(x) with c = g1 + g2, so rank 0 iff tr(c) = 0
     assert klapper.tally_l3l_ranks(gf.get_field(p, 2), 1) == {0: p ** 3, 2: p ** 4 - p ** 3}

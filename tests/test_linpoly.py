@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qfcodes import gf
-from qfcodes.linpoly import (FamilySpec, LinearizedPoly, elements_zech_order,
+from qfcodes.linpoly import (FamilySpec, LinearizedPoly, elements_log_order,
                              family_coeffs, lin_eval, lin_eval_table)
 
 
@@ -78,9 +78,9 @@ def test_family_coeffs_two_exponents():
     all_members = members(F, fam)
     assert len(all_members) == 256
     assert len({R.coeffs for R in all_members}) == 256
-    # lexicographic in Zech order: the last coefficient runs fastest
-    zech = elements_zech_order(F).tolist()
-    assert [R.coeffs for R in all_members] == [(a, b) for a in zech for b in zech]
+    # lexicographic in log order: the last coefficient runs fastest
+    order = elements_log_order(F).tolist()
+    assert [R.coeffs for R in all_members] == [(a, b) for a in order for b in order]
     # any window is the same slice of the whole enumeration
     assert members(F, fam, 37, 101) == all_members[37:101]
 
@@ -94,9 +94,9 @@ def test_empty_family():
         family_coeffs(gf.get_field(2, 6), fam, 0, 1)
 
 
-def test_zech_order():
+def test_log_order():
     F = gf.get_field(2, 4)
-    order = elements_zech_order(F)
+    order = elements_log_order(F)
     assert order[0] == 0 and order[1] == 1
     assert len(order) == 16
 
