@@ -109,43 +109,28 @@ def _measured_distribution(ctx, fam: FamilySpec, budget: int) -> RankDistributio
     return dist
 
 
-def _predicted(kind, args, fam) -> spectra.MonomialPrediction:
-    """The closed-form prediction of a mono or l3l family."""
+def _predicted(kind, args, ctx, fam, spec) -> spectra.Prediction:
+    """A family's prediction: closed form for mono and l3l, measured distribution for span."""
     if kind == "l3l":
         return spectra.predict_l3l(args.p, args.m, fam.exponents[0], args.variant)
-    q = args.p ** args.s
-    if args.variant in ("base", "0"):
-        return spectra.predict_monomial(q, args.m, fam.exponents[0], args.variant)
-    return spectra.predict_monomial_long(q, args.m, fam.exponents[0], args.variant)
+    if kind == "mono":
+        predict = spectra.predict_monomial if spec.shortened else spectra.predict_monomial_long
+        return predict(fam.q, args.m, fam.exponents[0], args.variant)
+    if args.method == "predict":
+        raise FieldError("span families have no closed-form prediction; use --method brute "
+                         "or --method both")
+    # the tally rejects a family that is not even-rank before brute force runs
+    spectra.brute_size(ctx, spec, args.budget)
+    return spectra.predict(_measured_distribution(ctx, fam, args.budget), args.variant)
 
 
 def cmd_spectrum(args) -> int:
     kind, _, ctx, fam = _family_and_ctx(args)
-    if kind == "span" and args.method == "predict":
-        raise FieldError("span families have no closed-form prediction; use --method brute "
-                         "or --method both")
-    budget = args.budget
-    shortened = kind == "mono" and args.variant in ("base", "0")
-    spec = CodeSpec(fam, args.variant, shortened=shortened)
+    spec = CodeSpec(fam, args.variant, shortened=kind == "mono" and args.variant in ("base", "0"))
+    predicted = None if args.method == "brute" else _predicted(kind, args, ctx, fam, spec)
+    brute = None if args.method == "predict" else spectra.brute_spectrum(ctx, spec, args.budget)
 
-    predicted = None
-    if args.method in ("predict", "both") and kind != "span":
-        predicted = _predicted(kind, args, fam)
-    brute = None
-    if args.method in ("brute", "both"):
-        if kind == "span" and args.method == "both":
-            # the tally rejects a family that is not even-rank before brute force runs
-            spectra.brute_size(ctx, spec, budget)
-            dist = _measured_distribution(ctx, fam, budget)
-            pred_spec = spectra.predict_general(dist, args.variant)
-            predicted = spectra.MonomialPrediction(
-                params=spectra.CodeParams(pred_spec.n, pred_spec.dim(),
-                                          pred_spec.min_distance()),
-                spectrum=pred_spec, full_spectrum=pred_spec, D=1)
-        brute = spectra.brute_spectrum(ctx, spec, budget=budget)
-
-    chosen = brute.spectrum if brute else predicted.spectrum
-    params = brute.params if brute else predicted.params
+    chosen = predicted if brute is None else brute
     match = None
     if predicted is not None and brute is not None:
         match = (predicted.spectrum.weights == brute.spectrum.weights
@@ -154,8 +139,8 @@ def cmd_spectrum(args) -> int:
     payload = {
         "field": _field_block(ctx, args.s, args.m),
         "code": {"family": args.family, "variant": args.variant,
-                 "n": params.n, "k": params.k, "d": params.d},
-        "spectrum": [{"w": int(w), "A": int(a)} for w, a in chosen.sorted_items()],
+                 "n": chosen.params.n, "k": chosen.params.k, "d": chosen.params.d},
+        "spectrum": [{"w": int(w), "A": int(a)} for w, a in chosen.spectrum.sorted_items()],
         "method": args.method,
         "match": match,
     }
@@ -169,7 +154,7 @@ def cmd_spectrum(args) -> int:
     if brute is not None:
         payload["distinct_words"] = brute.distinct_words
         payload["expected_words"] = brute.expected_words
-    _emit(payload, args.format, args.out, spectrum_items=chosen.sorted_items())
+    _emit(payload, args.format, args.out, spectrum_items=chosen.spectrum.sorted_items())
     return EXIT_MISMATCH if match is False else EXIT_OK
 
 

@@ -150,6 +150,7 @@ def optimality_status(spec: CurveSpec, prof: QuadFormProfile | None = None) -> C
     when optimal_betas of its form's profile (or prof) puts no beta there."""
     pts = count_points(spec)
     lo, hi = hasse_weil(spec)
+    g = genus(spec)  # the bounds hold only where the genus formula does
     if not lo <= pts <= hi:
         raise CurveCountError(f"count {pts} escapes the genus bounds ({lo}, {hi})")
     status = "maximal" if pts == hi else "minimal" if pts == lo else "interior"
@@ -159,7 +160,7 @@ def optimality_status(spec: CurveSpec, prof: QuadFormProfile | None = None) -> C
         if not optimal_betas(spec.p, spec.m, spec.v(), prof.rank, prof.type)[pts == hi]:
             raise CurveCountError(f"{status} count {pts}, but no beta reaches it "
                                   f"at rank {prof.rank}, eps {prof.type}")
-    return CurveReport(points=pts, genus=genus(spec), hw_lo=lo, hw_hi=hi, status=status)
+    return CurveReport(points=pts, genus=g, hw_lo=lo, hw_hi=hi, status=status)
 
 
 # -- family sweeps ----------------------------------------------------------------
@@ -260,14 +261,16 @@ def l3l_optimal_witness(ctx: FieldCtx, ell: int,
     eps_form = -eps_ell(m, ell)  # rank m-6l carries type (-1)^3 eps_l
     n_min, n_max = optimal_betas(p, m, 3 * ell, target_rank, eps_form)  # deg R = p^{3l}
     status_target = "maximal" if n_max else "minimal"
+    # g1 = 0 leaves the monomial g2 x^{p^l}, of rank m or m - 2(m,l) and never m - 6l
+    g1s = [int(v) for v in ctx.exp[: ctx.mult_order]]
     if pair_budget is None:
-        pair_budget = ctx.order ** 2
+        pair_budget = ctx.order * len(g1s)
     if pair_budget < 0:
         raise ValueError(f"pair_budget must be >= 0, got {pair_budget}")
     g2s = np.arange(ctx.order, dtype=np.int64)
     checked = 0
     hit = None
-    for g1 in [0] + [int(v) for v in ctx.exp[: ctx.mult_order]]:
+    for g1 in g1s:
         if checked >= pair_budget:
             break
         take = min(ctx.order, pair_budget - checked)
@@ -279,7 +282,7 @@ def l3l_optimal_witness(ctx: FieldCtx, ell: int,
             hit = (g1, int(hits[0]))
             break
     if hit is None:
-        if checked >= ctx.order ** 2:
+        if checked >= ctx.order * len(g1s):
             raise CurveCountError("no rank m-6l pair exists: contradicts the existence result")
         return WitnessReport(found=False, pairs_checked=checked)
     g1, g2 = hit

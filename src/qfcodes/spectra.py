@@ -7,15 +7,17 @@ Codes are indexed by coordinates x = alpha^0, alpha^1, .., alpha^{q^m-2}
   "1"     plus a linear term tr(beta x)
   "2"     plus both
 All table rows are generated by one shared routine driven by a rank
-distribution, so the single- and two-monomial instantiations cannot drift
-from the general tables.  Codewords, and the brute oracle's words a block
+distribution (predict_general), and every prediction, single-monomial,
+two-monomial or measured, is built by predict: the table, its view at the
+shortened length and the check of a closed-form distance, returned as a
+Prediction.  Codewords, and the brute oracle's words a block
 of forms at a time, are assembled by quadform.form_symbols.  Everything is
 exact integer arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import gcd
 
@@ -156,27 +158,42 @@ def predict_general(dist: RankDistribution, variant: str) -> Spectrum:
     return spec
 
 
-# -- single-monomial codes ------------------------------------------------------
+# -- predictions ------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MonomialPrediction:
+class Prediction:
     params: CodeParams
-    spectrum: Spectrum          # shortened view for base/0, full length for 1/2
-    full_spectrum: Spectrum     # length q^m - 1 view
+    spectrum: Spectrum          # length (q^m - 1)/D
+    full_spectrum: Spectrum     # length q^m - 1
     D: int
     notes: tuple[str, ...] = ()
 
 
-def predict_monomial(q: int, m: int, ell: int, variant: str) -> MonomialPrediction:
+def predict(dist: RankDistribution, variant: str, d: int | None = None,
+            D: int = 1) -> Prediction:
+    """The one prediction route: predict_general's spectrum viewed at length (q^m - 1)/D.
+
+    A closed-form distance d must equal the table minimum; without one, d is
+    the table minimum.
+    """
+    full = predict_general(dist, variant)
+    spec = full.scaled_down(D)
+    dmin = spec.min_distance()
+    if d is not None and d != dmin:
+        raise HypothesisError(f"distance formula {d} disagrees with table minimum {dmin}")
+    notes = () if D == 1 else (f"full-length weights are {D} x the shortened weights "
+                               f"(the full word is {D} concatenated copies)",)
+    return Prediction(params=CodeParams(spec.n, full.dim(), dmin), spectrum=spec,
+                      full_spectrum=full, D=D, notes=notes)
+
+
+def predict_monomial(q: int, m: int, ell: int, variant: str) -> Prediction:
     """Shortened codes from x^{q^l+1}: length (q^m-1)/D, D = q^{(m,l)}+1."""
     if variant not in ("base", "0"):
         raise ValueError("shortened predictions cover variants base and 0")
     dist = rank_distribution_monomial(q, m, ell)
-    full = predict_general(dist, variant)
-    delta = gcd(m, ell)
+    half, delta = m // 2, gcd(m, ell)
     D = q ** delta + 1
-    short = full.scaled_down(D)
-    half = m // 2
     e_half_even = eps_ell(m, ell) == 1
     if variant == "base":
         dprime = q ** half - 1 if e_half_even else q ** half - q ** delta
@@ -184,51 +201,31 @@ def predict_monomial(q: int, m: int, ell: int, variant: str) -> MonomialPredicti
     else:
         dbar = q ** (half + delta - 1) + 1 if e_half_even else q ** (half + delta - 1) * (q - 1)
         d = (q ** (m - 1) * (q - 1) - dbar) // D
-    if d != short.min_distance():
-        raise HypothesisError(f"distance formula {d} disagrees with table minimum "
-                              f"{short.min_distance()}")
-    note = (f"full-length weights are {D} x the shortened weights "
-            f"(the full word is {D} concatenated copies)",)
-    return MonomialPrediction(params=CodeParams(short.n, full.dim(), d), spectrum=short,
-                              full_spectrum=full, D=D, notes=note)
+    return predict(dist, variant, d, D)
 
 
-def predict_monomial_long(q: int, m: int, ell: int, variant: str) -> MonomialPrediction:
-    """Full-length codes from x^{q^l+1} with the linear/constant terms added."""
+def predict_monomial_long(q: int, m: int, ell: int, variant: str) -> Prediction:
+    """Full-length codes from x^{q^l+1} with the linear/constant terms added; D is reported."""
     if variant not in ("1", "2"):
         raise ValueError("long predictions cover variants 1 and 2")
     dist = rank_distribution_monomial(q, m, ell)
-    full = predict_general(dist, variant)
-    delta = gcd(m, ell)
-    half = m // 2
+    half, delta = m // 2, gcd(m, ell)
     dprime = q ** (half + delta - 1) if eps_ell(m, ell) == 1 else (q - 1) * q ** (half + delta - 1)
-    d = q ** (m - 1) * (q - 1) - dprime
-    if variant == "2":
-        d -= 1
-    if d != full.min_distance():
-        raise HypothesisError(f"distance formula {d} disagrees with table minimum "
-                              f"{full.min_distance()}")
-    return MonomialPrediction(params=CodeParams(full.n, full.dim(), d), spectrum=full,
-                              full_spectrum=full, D=q ** delta + 1)
+    d = q ** (m - 1) * (q - 1) - dprime - (variant == "2")
+    return replace(predict(dist, variant, d), D=q ** delta + 1)
 
 
-def predict_l3l(p: int, m: int, ell: int, variant: str) -> MonomialPrediction:
+def predict_l3l(p: int, m: int, ell: int, variant: str) -> Prediction:
     """Full-length codes of the two-monomial family <x^{p^l}, x^{p^{3l}}>, p odd."""
     dist = rank_distribution_l3l(p, m, ell)
-    full = predict_general(dist, variant)
-    d = full.min_distance()
+    if variant not in ("0", "2"):
+        return predict(dist, variant)
     half, delta = m // 2, gcd(m, ell)
-    if variant in ("0", "2"):
-        if eps_ell(m, ell) == 1:
-            dprime = p ** (half + 3 * delta - 1) + 1
-            d0 = p ** (m - 1) * (p - 1) - dprime
-        else:
-            d0 = p ** (m - 1) * (p - 1) - (p - 1) * p ** (half + 3 * delta - 1)
-        dhat = d0 if (variant == "0" or eps_ell(m, ell) == 1) else d0 - 1
-        if dhat != d:
-            raise HypothesisError(f"distance formula {dhat} disagrees with table minimum {d}")
-    return MonomialPrediction(params=CodeParams(full.n, full.dim(), d), spectrum=full,
-                              full_spectrum=full, D=1)
+    if eps_ell(m, ell) == 1:  # d-hat = d
+        d = p ** (m - 1) * (p - 1) - p ** (half + 3 * delta - 1) - 1
+    else:
+        d = p ** (m - 1) * (p - 1) - (p - 1) * p ** (half + 3 * delta - 1) - (variant == "2")
+    return predict(dist, variant, d)
 
 
 # -- brute force ----------------------------------------------------------------
@@ -330,9 +327,7 @@ def brute_spectrum(ctx: FieldCtx, spec: CodeSpec, budget: int = DEFAULT_BUDGET,
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     n, n_words = brute_size(ctx, spec, budget)
-    n_forms = ctx.order ** len(fam.exponents)
-
-    weight_hist, comp_counts = _brute_chunk(ctx, spec, collect_compositions, 0, n_forms)
+    weight_hist, comp_counts = _brute_chunk(ctx, spec, collect_compositions)
     weights = {int(w): int(c) for w, c in enumerate(weight_hist) if c}
     spectrum = Spectrum(n=n, q=fam.q, weights=weights)
     distinct, rest = divmod(n_words, weights[0])
@@ -344,8 +339,8 @@ def brute_spectrum(ctx: FieldCtx, spec: CodeSpec, budget: int = DEFAULT_BUDGET,
                        compositions=comp_counts if collect_compositions else None)
 
 
-def _brute_chunk(ctx: FieldCtx, spec: CodeSpec, collect: bool, lo: int, hi: int):
-    """Weight histogram (and compositions) over coefficient indices [lo, hi).
+def _brute_chunk(ctx: FieldCtx, spec: CodeSpec, collect: bool):
+    """Weight histogram (and compositions) over every coefficient index.
 
     Index i names row i of linpoly.family_coeffs; each index covers every
     beta and b of the variant.  A block of indices is enumerated at once:
@@ -364,10 +359,11 @@ def _brute_chunk(ctx: FieldCtx, spec: CodeSpec, collect: bool, lo: int, hi: int)
     n_z = q if collect or with_b else 1
     words_per_form = ctx.order if with_beta else 1
     block = max(1, min(_BLOCK_CELLS // n, _BLOCK_CELLS // (words_per_form * n_z)))
+    n_forms = ctx.order ** len(fam.exponents)
     weight_hist = np.zeros(n + 1, dtype=np.int64)
     comp_counts: dict[tuple[int, ...], int] = {}
-    for start in range(lo, hi, block):
-        coeffs = family_coeffs(ctx, fam, start, min(start + block, hi))
+    for start in range(0, n_forms, block):
+        coeffs = family_coeffs(ctx, fam, start, min(start + block, n_forms))
         base = form_symbols(ctx, fam.s, coeffs, exps, slice(0, n))
         if with_beta:
             comp = _beta_compositions(ctx, sy, base, n_z)

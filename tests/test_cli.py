@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -126,8 +127,7 @@ def test_mismatch_exit_2(capsys, monkeypatch):
         weights = dict(pred.spectrum.weights)
         weights[40] = weights.get(40, 0) + 1  # one injected table-row error
         broken = spectra.Spectrum(n=pred.spectrum.n, q=pred.spectrum.q, weights=weights)
-        return spectra.MonomialPrediction(params=pred.params, spectrum=broken,
-                                          full_spectrum=pred.full_spectrum, D=pred.D)
+        return dataclasses.replace(pred, spectrum=broken)
 
     monkeypatch.setattr(cli.spectra, "predict_monomial", perturbed)
     code, _, _ = run(["spectrum", "--p", "2", "--m", "8", "--family", "mono:1",
@@ -287,6 +287,19 @@ def test_curves_past_symbol_table_bound_exit_1():
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and "symbol table" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_curves_even_degree_is_a_genus_error_exit_1(capsys):
+    # p = 2, l = 0: xR(x) + beta x has even degree, so the genus bounds do not
+    # apply; a count outside them is a hypothesis error, not a mismatch
+    argvs = [["curves", "--p", "2", "--m", str(m), "--ell", "0",
+              "--gamma", str(gamma), "--beta", str(beta)]
+             for m in (2, 4) for gamma in range(1, 2 ** m) for beta in range(2 ** m)]
+    assert len(argvs) == 252
+    for argv in argvs:
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (cli.EXIT_USAGE, ""), argv
+        assert err.startswith("error:") and "prime to p" in err, argv
 
 
 def test_curves_scan(capsys):

@@ -215,10 +215,19 @@ def test_witness_not_found_with_zero_budget():
     assert not rep.found and rep.pairs_checked == 0
 
 
+def test_witness_skips_the_monomial_row():
+    # g1 = 0 leaves a monomial, never of rank m - 6l: the search starts at g1 = 1,
+    # so two pairs reach the witness (1, 1)
+    ctx = gf.get_field(3, 8)
+    rep = curves.l3l_optimal_witness(ctx, 1, pair_budget=2)
+    assert rep.found and rep.pairs_checked == 2
+    assert (rep.gamma1, rep.gamma2, rep.beta) == (1, 1, 0)
+
+
 def test_witness_full_search():
     ctx = gf.get_field(3, 8)
     rep = curves.l3l_optimal_witness(ctx, 1)
-    assert rep.found
+    assert rep.found and rep.pairs_checked == ctx.order
     assert rep.report.status == "minimal"
     assert rep.report.points == 2188 == rep.solution_count
     assert rep.report.hw_lo == 2188

@@ -449,8 +449,7 @@ def test_value_histograms_match_brute_oracle(p, s, m):
     # its symbol compositions are the kernel's histograms less the x = 0 entry
     ctx = gf.get_field(p, s * m)
     q = p ** s
-    _, comps = spectra._brute_chunk(ctx, CodeSpec(FamilySpec(p, s, m, (1,)), "1"), True,
-                                    0, ctx.order)
+    _, comps = spectra._brute_chunk(ctx, CodeSpec(FamilySpec(p, s, m, (1,)), "1"), True)
     gammas = np.arange(ctx.order, dtype=np.int64)
     powers = ctx.power_table(q + 1)[ctx.exp[: ctx.mult_order]]  # x^{q+1} at x = alpha^k
     f = ctx.symbols(s).trace_sym[ctx.v_mul(gammas[:, None], powers[None, :])]

@@ -183,19 +183,15 @@ def test_block_kernel_matches_per_word_reference(monkeypatch, p, s, m, exponents
     ctx = gf.get_field(p, s * m)
     spec = CodeSpec(FamilySpec(p, s, m, exponents), variant, shortened=shortened)
     # on the full-length codes, caps this small give blocks of 7 or 7q forms and
-    # x-tiles of 7 coordinates, which divide neither the form count nor n; the
-    # split point falls mid-block
+    # x-tiles of 7 coordinates, which divide neither the form count nor n, so
+    # the last block and the last tile are partial
     monkeypatch.setattr(spectra, "_BLOCK_CELLS", 7 * ctx.order * p ** s)
-    n_forms = ctx.order ** len(exponents)
-    mid = n_forms // 2 + 1
-    parts = [spectra._brute_chunk(ctx, spec, True, lo, hi)
-             for lo, hi in ((0, mid), (mid, n_forms))]
     hist_b0, hist_all, want_comps = _per_word_tally(p, s, m, exponents,
                                                     variant in ("1", "2"), shortened)
     want_hist = hist_all if variant in ("0", "2") else hist_b0
-    assert np.array_equal(parts[0][0] + parts[1][0], want_hist)
-    assert Counter(parts[0][1]) + Counter(parts[1][1]) == want_comps
-    hist, comps = spectra._brute_chunk(ctx, spec, False, 0, n_forms)
+    hist, comps = spectra._brute_chunk(ctx, spec, True)
+    assert np.array_equal(hist, want_hist) and Counter(comps) == want_comps
+    hist, comps = spectra._brute_chunk(ctx, spec, False)
     assert np.array_equal(hist, want_hist) and comps == {}
 
 
@@ -500,15 +496,19 @@ def test_l3l_dimension_oracle():
             assert predict_l3l(p, m, ell, variant).params.k == k, (p, m, ell, variant)
 
 
-@pytest.mark.parametrize("variant", ["0", "2"])
-def test_predict_l3l_distance_disagreement_raises(monkeypatch, variant):
-    # a stated distance that misses the table minimum raises, as for the
-    # monomial predictors, and warns nothing
+@pytest.mark.parametrize("predictor,q,m,variant", [
+    (predict_l3l, 3, 8, "0"), (predict_l3l, 3, 8, "2"),
+    (predict_monomial, 3, 4, "base"), (predict_monomial, 3, 4, "0"),
+    (predict_monomial_long, 3, 4, "1"), (predict_monomial_long, 3, 4, "2"),
+], ids=["0", "2", "mono-base", "mono-0", "long-1", "long-2"])
+def test_predict_l3l_distance_disagreement_raises(monkeypatch, predictor, q, m, variant):
+    # every stated distance, the monomial ones too, is checked in spectra.predict:
+    # one that misses the table minimum raises, and warns nothing
     monkeypatch.setattr(spectra, "eps_ell", lambda m, ell: -klapper.eps_ell(m, ell))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(HypothesisError, match="disagrees with table minimum"):
-            predict_l3l(3, 8, 1, variant)
+            predictor(q, m, 1, variant)
 
 
 def test_predict_l3l_row_counts():
