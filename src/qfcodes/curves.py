@@ -14,7 +14,8 @@ a batch of gammas at a time, the witness search through QuadForm.histogram).
 Every rank and type (the witness search's pair ranks included) comes
 from quadform.form_profiles.  count_points_by_solutions stays an
 independent (x, y) enumeration in element order through lin_eval_table and
-the digit tables, and never goes through either.
+the digit tables, and never goes through either: it evaluates the right-hand
+side as x (R(x) + beta), one v_add and one v_mul per curve.
 """
 
 from __future__ import annotations
@@ -89,13 +90,15 @@ def _artin_schreier_counts(ctx: FieldCtx) -> np.ndarray:
 
 
 def count_points_by_solutions(spec: CurveSpec) -> int:
-    """Independent oracle: enumerate (x, y) solutions of y^p - y = xR(x) + beta x."""
+    """Independent oracle: enumerate (x, y) solutions of y^p - y = x (R(x) + beta).
+
+    The right-hand side is one product per x in element order, of x and
+    lin_eval_table(R) + beta; the number of y per value is a table lookup.
+    """
     ctx = spec.ctx
     hist = _artin_schreier_counts(ctx)
     xs = np.arange(ctx.order, dtype=np.int64)
-    rhs = ctx.v_mul(xs, lin_eval_table(ctx, spec.R))
-    if spec.beta:
-        rhs = ctx.v_add(rhs, ctx.v_mul(np.full(ctx.order, spec.beta, dtype=np.int64), xs))
+    rhs = ctx.v_mul(xs, ctx.v_add(lin_eval_table(ctx, spec.R), spec.beta))
     return int(hist[rhs].sum()) + 1
 
 

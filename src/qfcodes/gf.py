@@ -22,7 +22,12 @@ exp/log tables (-a = alpha^{log a + N/2}); add adds the base-p digits of a
 and b without carry (XOR for p = 2).  The scalar ops index the tables
 through memoryviews, which give Python ints without a numpy scalar.
 The v_* methods operate on numpy arrays of element indices through the
-digit tables and back every bulk sweep in the package.  FieldCtx is
+digit tables and back every bulk sweep in the package.  Digit rows are
+read with np.take(..., axis=0), never by fancy row indexing of the (order,
+n) table, which is several times slower for rows only n wide; v_add and
+v_neg pack digit rows back into indices by one float64 product with the
+place values, exact because every index is below SIZE_LIMIT = 2^22 < 2^53,
+and v_mul adds logs.  FieldCtx is
 immutable after construction apart from its lazy tables; it cannot be
 pickled (a memoryview cannot be), and nothing in the package needs to.
 """
@@ -156,6 +161,9 @@ class FieldCtx:
         self._digmat = self._digit_table()
         self.modulus = self._find_modulus()
         self._sum_dtype = int_dtype(2 * p - 2)
+        # p in the digit-sum dtype, so a digit correction makes no int64 temporary
+        self._p_sum = self._sum_dtype(p)
+        self._pvec_f = self.pvec.astype(np.float64)
         self.alpha = self._find_alpha()
         self._build_tables()
         self._frob_tables: dict[int, np.ndarray] = {}
@@ -201,7 +209,7 @@ class FieldCtx:
         """
         p, n = self.p, self.n
         C = _companion(np.array(self.modulus[:n]), p)
-        col = self._digmat[elems].astype(np.float64)
+        col = np.take(self._digmat, elems, axis=0).astype(np.float64)
         cols = [col]
         for _ in range(n - 1):
             col = _mod_p(col @ C.T, p)
@@ -233,7 +241,6 @@ class FieldCtx:
         exp = np.empty(2 * N, dtype=np.int64)
         exp[0] = 1
         m_alpha = self._mult_matrices(np.array([self.alpha]))[0]
-        pv = self.pvec.astype(np.float64)
         rows = max(1, BUILD_CELLS // n)
         step, size = m_alpha, 1
         while size < N:
@@ -241,7 +248,7 @@ class FieldCtx:
             for lo in range(size, top, rows):
                 hi = min(lo + rows, top)
                 d = np.take(self._digmat, exp[lo - size:hi - size], axis=0).astype(np.float64)
-                exp[lo:hi] = _mod_p(d @ step.T, p) @ pv
+                exp[lo:hi] = _mod_p(d @ step.T, p) @ self._pvec_f
             step = _mod_p(step @ step, p)
             size *= 2
         last = self._digmat[exp[N - 1]].astype(np.float64)
@@ -302,18 +309,25 @@ class FieldCtx:
     # -- bulk arithmetic on arrays of element indices -------------------------
 
     def v_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a + b elementwise; a and b broadcast, and either may be an int.
+
+        The digit rows are summed into a new array, never into a's rows in
+        place, since those need not have the broadcast shape.  Packing them
+        by a float64 product is exact: indices stay below SIZE_LIMIT < 2^53.
+        """
         if self.p == 2:
             return a ^ b
-        d = self._digmat[a].astype(self._sum_dtype) + self._digmat[b]
-        d -= self.p * (d >= self.p)
-        return (d @ self.pvec.astype(np.int64)).astype(np.int64)
+        d = (np.take(self._digmat, a, axis=0).astype(self._sum_dtype)
+             + np.take(self._digmat, b, axis=0))
+        d -= self._p_sum * (d >= self._p_sum)
+        return (d @ self._pvec_f).astype(np.int64)
 
     def v_neg(self, a: np.ndarray) -> np.ndarray:
         if self.p == 2:
             return np.array(a, dtype=np.int64)
-        d = -self._digmat[a].astype(self._sum_dtype)
-        d += self.p * (d < 0)
-        return d @ self.pvec
+        d = -np.take(self._digmat, a, axis=0).astype(self._sum_dtype)
+        d += self._p_sum * (d < 0)
+        return (d @ self._pvec_f).astype(np.int64)
 
     def v_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         out = self.exp[self.log[a] + self.log[b]]

@@ -10,9 +10,13 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qfcodes import cli, spectra, verify
+from qfcodes import cli, curves, spectra, verify
+from qfcodes.gf import get_field
+from qfcodes.linpoly import LinearizedPoly
+from qfcodes.quadform import QuadForm
 
 
 def run(argv, capsys):
@@ -300,6 +304,51 @@ def test_curves_even_degree_is_a_genus_error_exit_1(capsys):
         code, out, err = run(argv, capsys)
         assert (code, out) == (cli.EXIT_USAGE, ""), argv
         assert err.startswith("error:") and "prime to p" in err, argv
+
+
+# endpoint betas taken per gamma and endpoint, first in element order
+ENDPOINT_BETAS = 3
+
+
+def _single_curve_argvs():
+    """curves argvs over p in {2, 3, 5, 7}, m <= 6, 0 <= l <= m: gamma in {1, a, a^{N-1}},
+    beta in {0, 1, a, a^{N-1}} and the first betas at each Hasse-Weil endpoint."""
+    for p in (2, 3, 5, 7):
+        for m in range(1, 7):
+            ctx = get_field(p, m)
+            last = ctx.alpha_pow(ctx.mult_order - 1)
+            for ell in range(m + 1):
+                for gamma in sorted({1, ctx.alpha, last}):
+                    R = LinearizedPoly((ell,), (gamma,), 1)
+                    betas = {0, 1, ctx.alpha, last}
+                    if m % 2 == 0 and not (p == 2 and ell == 0):
+                        # points over every beta from the sweep route, not the recount
+                        points = 1 + p * QuadForm(ctx, 1, m, R).histogram[:, 0]
+                        for end in curves.hasse_weil(curves.CurveSpec(ctx, R, 0)):
+                            betas.update(np.flatnonzero(points == end)[:ENDPOINT_BETAS].tolist())
+                    for beta in sorted(betas):
+                        yield ["curves", "--p", str(p), "--m", str(m), "--ell", str(ell),
+                               "--gamma", str(gamma), "--beta", str(beta)]
+
+
+@pytest.mark.slow
+def test_single_curve_exit_codes_and_recount(capsys):
+    # a single curve is a result (0) or a hypothesis error (1), never a
+    # mismatch (2): exactly odd m and (p, l) = (2, 0) are out of scope.  Every
+    # result's (x, y) recount equals its trace count
+    codes = {}
+    for argv in _single_curve_argvs():
+        code, out, err = run(argv, capsys)
+        codes[code] = codes.get(code, 0) + 1
+        p, m, ell = (int(argv[i]) for i in (2, 4, 6))
+        if m % 2 or (p, ell) == (2, 0):
+            assert (code, out) == (cli.EXIT_USAGE, ""), argv
+            assert err.startswith("error:") and ("even extension" in err or "prime to p" in err)
+        else:
+            assert code == cli.EXIT_OK, (argv, err)
+            payload = json.loads(out)
+            assert payload["independent_recount"] == payload["points"], argv
+    assert codes == {cli.EXIT_OK: 722, cli.EXIT_USAGE: 580}
 
 
 def test_curves_scan(capsys):

@@ -240,6 +240,45 @@ def test_scalar_add_sub_on_random_pairs(p, n):
     assert [F.add(x, y) for x, y in pairs] == F.v_add(a, b).tolist()
 
 
+def _kernel_sample(F, k, seed):
+    # the extremes of the digit range, then random elements
+    rng = np.random.default_rng(seed)
+    return np.concatenate([[0, 1, F.p - 1, F.order - 1], rng.integers(0, F.order, k)])
+
+
+# odd p with int8 digit sums, p = 2, and int16 digit sums at p >= 65
+KERNEL_FIELDS = [(3, 4), (5, 2), (2, 6), (67, 2), (79, 2)]
+
+
+@pytest.mark.parametrize("p,n", KERNEL_FIELDS)
+def test_v_add_v_neg_broadcast(p, n):
+    # (rows, 1) against (1, q) with rows != q, as SymbolSystem._table calls
+    # v_add: the digit sum cannot be formed in place in a's rows
+    F = gf.get_field(p, n)
+    assert F._sum_dtype == (np.int16 if p >= 65 else np.int8)
+    a, b = _kernel_sample(F, 30, 1), _kernel_sample(F, 70, 2)
+    expect = [[F.add(x, y) for y in b.tolist()] for x in a.tolist()]
+    for grid in (F.v_add(a[:, None], b[None, :]), F.v_add(b[None, :], a[:, None])):
+        assert grid.shape == (len(a), len(b)) and grid.dtype == np.int64
+        assert grid.tolist() == expect
+    neg = F.v_neg(grid)
+    assert neg.shape == grid.shape and neg.dtype == np.int64
+    assert neg.tolist() == [[F.neg(x) for x in row] for row in expect]
+
+
+@pytest.mark.parametrize("p,n", KERNEL_FIELDS)
+def test_v_add_v_neg_int_operands(p, n):
+    # a Python int on either side of v_add, 0 included, and as v_neg's operand
+    F = gf.get_field(p, n)
+    b = _kernel_sample(F, 70, 3)
+    for c in (0, 1, p - 1, F.order - 1, F.alpha):
+        expect = [F.add(c, y) for y in b.tolist()]
+        assert F.v_add(c, b).tolist() == expect
+        assert F.v_add(b, c).tolist() == expect
+        assert int(F.v_add(c, F.order - 1)) == F.add(c, F.order - 1)
+        assert int(F.v_neg(c)) == F.neg(c)
+
+
 def _digit_add(F, x, y):
     # integer digit arithmetic: add base-p digits modulo p
     return sum((x // F.p ** i % F.p + y // F.p ** i % F.p) % F.p * F.p ** i for i in range(F.n))
