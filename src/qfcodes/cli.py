@@ -24,6 +24,9 @@ EXIT_OK, EXIT_USAGE, EXIT_MISMATCH, EXIT_BUDGET = 0, 1, 2, 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, allow_abbrev=False, **kwargs):  # subparsers inherit it
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
+
     def error(self, message):  # argparse defaults to exit code 2; the CLI reserves 2
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)

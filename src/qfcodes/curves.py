@@ -29,7 +29,7 @@ from .gf import FieldCtx, FieldError
 from .klapper import (HypothesisError, MonomialClassification, classify_monomial, eps_ell,
                       l3l_poly, l3l_pair_profile)
 from .linpoly import LinearizedPoly, lin_eval_table
-from .quadform import (QuadForm, QuadFormProfile, expected_sum_distribution, form_profiles,
+from .quadform import (QuadForm, QuadFormProfile, expected_count_distribution, form_profiles,
                        form_symbols, form_terms, frequencies, profile as qf_profile,
                        value_histograms)
 
@@ -127,13 +127,9 @@ def _endpoints(p: int, m: int, v: int) -> tuple[int, int]:
 
 
 def expected_point_multiset(p: int, m: int, r: int, eps: int) -> dict[int, int]:
-    """Point-count -> number of betas, from the rank/type profile of the form.
-
-    #C = p^m + 1 + S_{Q,0}(beta), so this is quadform.expected_sum_distribution
-    at b = 0 mapped value by value; the zero form is rank 0, type +1.
-    """
-    table = expected_sum_distribution(p, m, r, eps, b_zero=True)
-    return {p ** m + 1 + S: c for S, c in table.items()}
+    """Point-count -> number of betas for a form of rank r, type eps: #C = 1 + p N_{Q,beta}(0)
+    over column 0 of quadform.value_rows (expected_count_distribution at xi = 0)."""
+    return {1 + p * n: c for n, c in expected_count_distribution(p, m, r, eps, True).items()}
 
 
 def optimal_betas(p: int, m: int, v: int, r: int, eps: int) -> tuple[int, int]:

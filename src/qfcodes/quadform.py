@@ -25,8 +25,8 @@ at x = 0), and every Gram term from gram_exponents, one gather in the digit
 basis t^i = p^i.  lin_eval and lin_eval_table stay the independent routes
 of R, in element order.
 
-Every closed-form sweep table (counts here, curve points, code weights) is an
-affine image of expected_sum_distribution, the one closed form of S over beta.
+Every closed-form sweep table (counts, curve points, code weights, enumerators)
+is a projection of value_rows, the one closed form of the rows of H[beta, c].
 
 Every sweep over all beta goes through value_histograms, which reads
 form_symbols rows: an exact additive-character transform in the group ring
@@ -308,78 +308,49 @@ def frequencies(values: np.ndarray) -> dict[int, int]:
     return {int(v): int(c) for v, c in zip(*np.unique(values, return_counts=True))}
 
 
-def _sum_frequencies(Q: QuadForm, b_sym: int) -> dict[int, int]:
-    """S_{Q,b}(beta) = q N_{Q,beta}(-b) - q^m, tallied over beta."""
-    target = int(Q.ctx.symbols(Q.s).neg[b_sym])
-    return frequencies(Q.q * Q.histogram[:, target] - Q.ctx.order)
-
-
 def n_distribution(Q: QuadForm, xi_sym: int) -> dict[int, int]:
     """Value -> frequency of N_{Q,beta}(xi) over all beta, for one xi symbol."""
     return frequencies(Q.histogram[:, xi_sym])
 
 
-# -- closed-form beta-sweep distributions --------------------------------------
+# -- the closed form of every beta sweep -------------------------------------------
 
-def _require_even_rank(r: int):
-    if r < 0 or r % 2 != 0:
-        raise RankError(f"even nonnegative rank required, got {r}")
+@lru_cache(maxsize=256)
+def value_rows(q: int, m: int, r: int, eps: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(row, count) pairs of the rows of H[beta, c] = N_{Q,beta}(c) for rank r, type eps.
 
-
-def beta_class_counts(q: int, m: int, r: int, eps: int, b_zero: bool) -> dict[str, int]:
-    """How many beta fall in each exponential-sum class, for fixed b (=0 or !=0).
-
-    Evaluated as q times each count, in integers, so the degenerate r = 0
-    instance (zero form, eps treated as +1) comes out right.
+    The q^m - q^r rows of beta outside W^perp (W the radical) are flat at
+    q^{m-1}.  For beta in W^perp, Q(x) + tr(beta x) = Q(x + u) - Q(u): the row
+    is X = q^{m-1} + eps (q-1) h at c = -Q(u) and Y = q^{m-1} - eps h
+    elsewhere, h = q^{m-1-r/2} (Lidl-Niederreiter, Thm 6.26-6.27).  Counts
+    are found q times over, so r = 0 (type +1) needs no branch.  beta = 0's
+    row (its peak at symbol 0) comes first, then the flat row and the peaks
+    at c0 = 1 .. q-1; rows of count 0 are left out.  RankError on odd r,
+    r > m, or counts that are not integers (at least 1 for beta = 0's row).
     """
-    _require_even_rank(r)
-    h = q ** (r // 2)
-    rows = {
-        "null": q ** (m + 1) - q ** (r + 1),
-        "major": q ** r + eps * (q - 1) * h if b_zero else q ** r - eps * h,
-        "minor": (q ** r - eps * h) * (q - 1) if b_zero else q ** (r + 1) - q ** r + eps * h,
-    }
-    out: dict[str, int] = {}
-    for name, scaled in rows.items():
-        cnt, rest = divmod(scaled, q)
-        if rest or cnt < 0:
-            raise RankError(f"non-integral class count for r={r}")
-        out[name] = cnt
-    return out
-
-
-def exp_sum_class_value(q: int, m: int, r: int, eps: int, beta_class: str) -> int:
-    """The S_{Q,b} value attached to a beta class (independent of b)."""
-    _require_even_rank(r)
-    if r > 2 * m:
-        raise RankError(f"rank {r} exceeds 2m = {2 * m}")
-    if beta_class == "null":
-        return 0
-    dev = q ** (m - r // 2)
-    if beta_class == "major":
-        return eps * (q - 1) * dev
-    if beta_class == "minor":
-        return -eps * dev
-    raise ValueError(f"unknown beta class {beta_class!r}")
-
-
-def expected_sum_distribution(q: int, m: int, r: int, eps: int, b_zero: bool) -> dict[int, int]:
-    """Closed-form S-value -> frequency table over beta for one b: the BETA_CLASSES
-    values exp_sum_class_value, each with beta_class_counts betas."""
-    counts = beta_class_counts(q, m, r, eps, b_zero)
-    out: dict[int, int] = {}
-    for cls in BETA_CLASSES:
-        if counts[cls]:
-            value = exp_sum_class_value(q, m, r, eps, cls)
-            out[value] = out.get(value, 0) + counts[cls]
-    return out
+    if r % 2 or not 0 <= r <= m or eps not in (1, -1):
+        raise RankError(f"even rank 0 <= r <= m = {m} and type +-1 required, got ({r}, {eps})")
+    scaled = (q ** r + eps * (q - 1) * q ** (r // 2), q ** (m + 1) - q ** (r + 1),
+              q ** r - eps * q ** (r // 2))
+    counts = [divmod(v, q) for v in scaled]
+    if any(rest or cnt < (k == 0) for k, (cnt, rest) in enumerate(counts)):
+        raise RankError(f"no integral beta counts at q = {q}, m = {m}, r = {r}, eps = {eps}")
+    base, h = q ** (m - 1), q ** (m - 1 - r // 2)
+    X, Y = base + eps * (q - 1) * h, base - eps * h
+    peaks = [(Y,) * c0 + (X,) + (Y,) * (q - 1 - c0) for c0 in range(q)]
+    (major, _), (flat, _), (minor, _) = counts
+    pairs = [(peaks[0], major), ((base,) * q, flat)] + [(row, minor) for row in peaks[1:]]
+    return tuple((row, cnt) for row, cnt in pairs if cnt)
 
 
 def expected_count_distribution(q: int, m: int, r: int, eps: int, xi_is_zero: bool) -> dict[int, int]:
-    """Closed-form N_{Q,beta}(xi) value -> frequency over beta, for one xi:
-    N_{Q,beta}(xi) = (S_{Q,-xi}(beta) + q^m) / q over the sum table of b = -xi."""
-    table = expected_sum_distribution(q, m, r, eps, b_zero=xi_is_zero)
-    return {(S + q ** m) // q: c for S, c in table.items()}
+    """Closed-form N_{Q,beta}(xi) value -> frequency over beta: column xi of value_rows
+    (every nonzero xi reads alike)."""
+    out: dict[int, int] = {}
+    for row, cnt in value_rows(q, m, r, eps):
+        v = row[0 if xi_is_zero else 1]
+        out[v] = out.get(v, 0) + cnt
+    return out
 
 
 @dataclass
@@ -391,15 +362,21 @@ class SumDistributionReport:
 
 
 def verify_sum_distribution(Q: QuadForm) -> SumDistributionReport:
-    """Tally all beta for b = 0 and each b != 0 from one histogram; compare with the closed forms."""
+    """Compare the multiset of Q's histogram rows, and its beta = 0 row, with value_rows.
+
+    The row multiset is the joint over all c of every per-b sum table; at
+    q = 2 it is the same for both types, and the beta = 0 row tells them apart.
+    """
     prof = profile(Q)
     r, eps = prof.rank, prof.type
-    q, m = Q.q, Q.m
+    H = Q.histogram
+    expected = value_rows(Q.q, Q.m, r, eps)
+    keys, counts = np.unique(H, axis=0, return_counts=True)
+    observed = set(zip(map(tuple, keys.tolist()), counts.tolist()))
     mismatches = []
-    for b_sym in range(q):
-        observed = _sum_frequencies(Q, b_sym)
-        expected = expected_sum_distribution(q, m, r, eps, b_zero=(b_sym == 0))
-        if observed != expected:
-            mismatches.append(f"b_sym={b_sym}: observed {sorted(observed.items())}, "
-                              f"expected {sorted(expected.items())}")
+    if observed != set(expected):
+        mismatches.append(f"rows: observed only {sorted(observed - set(expected))}, "
+                          f"expected only {sorted(set(expected) - observed)}")
+    if tuple(H[0].tolist()) != expected[0][0]:
+        mismatches.append(f"beta = 0: observed {H[0].tolist()}, expected {list(expected[0][0])}")
     return SumDistributionReport(ok=not mismatches, rank=r, type=eps, mismatches=mismatches)

@@ -26,8 +26,7 @@ import numpy as np
 from .gf import FieldCtx, FieldError, SymbolSystem, int_log
 from .klapper import HypothesisError, eps_ell, rank_distribution_l3l, rank_distribution_monomial
 from .linpoly import FamilySpec, LinearizedPoly, family_coeffs
-from .quadform import (RankDistribution, exp_sum_class_value, expected_sum_distribution,
-                       form_symbols, form_terms)
+from .quadform import BETA_CLASSES, RankDistribution, form_symbols, form_terms, value_rows
 
 VARIANTS = ("base", "0", "1", "2")
 DEFAULT_BUDGET = 1 << 32
@@ -96,19 +95,16 @@ class CodeParams:
 
 # -- the shared table rows -----------------------------------------------------
 
-def _weight(q: int, m: int, S: int, b_zero: bool) -> int:
-    """Weight q^m - q^{m-1} - [b != 0] - S/q of a full-length word whose exponential sum is S."""
-    if S % q:
-        raise HypothesisError(f"exponential sum {S} is not a multiple of q = {q}")
-    return q ** m - q ** (m - 1) - (0 if b_zero else 1) - S // q
-
-
 def weight_from_profile(q: int, m: int, r: int, eps: int, b_zero: bool,
                         beta_class: str) -> int:
-    """Codeword weight for a rank-r type-eps form, given the b and beta case."""
+    """Codeword weight q^m - 1 - N + [b = 0] for a rank-r type-eps form, N the beta
+    class's value in value_rows: q^{m-1} (null), X (major) or Y (minor)."""
     if r <= 0 or r % 2 != 0:
         raise HypothesisError(f"closed-form weights need positive even rank, got {r}")
-    return _weight(q, m, exp_sum_class_value(q, m, r, eps, beta_class), b_zero)
+    if beta_class not in BETA_CLASSES:
+        raise ValueError(f"unknown beta class {beta_class!r}")
+    X, Y = value_rows(q, m, r, eps)[0][0][:2]
+    return q ** m - 1 - (q ** (m - 1), X, Y)[BETA_CLASSES.index(beta_class)] + b_zero
 
 
 def _add_row(weights: dict[int, int], w: int, count: int):
@@ -127,25 +123,24 @@ def _rows(dist: RankDistribution) -> tuple[tuple[int, int, int], ...]:
 def predict_general(dist: RankDistribution, variant: str) -> Spectrum:
     """Assemble the spectrum of a full-length variant from a rank distribution.
 
-    Each b case (b = 0; the q - 1 alike b != 0 for 0 and 2) reads every row of
-    dist, the zero form's (0, +1, 1) among them: its whole
-    expected_sum_distribution for variants 1 and 2, its beta = 0 value for
-    base and 0.  Frequencies must total q^{ms(+1)} per the dimension claims;
-    that is asserted before returning.
+    Every row of dist, the zero form's (0, +1, 1) among them, adds the
+    weight q^m - 1 - row(-b) + [b = 0] of each of its value_rows: all of them
+    for variants 1 and 2, the beta = 0 row alone for base and 0.  As b runs
+    over F_q, -b runs over every symbol, so variants 0 and 2 read every
+    column, and base and 1 column 0.  Frequencies must total q^{ms(+1)} per
+    the dimension claims; that is asserted before returning.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     q, m = dist.q, dist.m
     rows = _rows(dist)
+    cols = range(q) if variant in ("0", "2") else (0,)
     weights: dict[int, int] = {}
-    for b_zero in (True, False) if variant in ("0", "2") else (True,):
-        for r, e, cnt in rows:
-            if variant in ("1", "2"):
-                table = expected_sum_distribution(q, m, r, e, b_zero)
-            else:  # beta = 0 is in the major class for b = 0, the minor one for b != 0
-                table = {exp_sum_class_value(q, m, r, e, "major" if b_zero else "minor"): 1}
-            for S, c in table.items():
-                _add_row(weights, _weight(q, m, S, b_zero), cnt * c * (1 if b_zero else q - 1))
+    for r, e, cnt in rows:
+        table = value_rows(q, m, r, e)
+        for row, c in table if variant in ("1", "2") else ((table[0][0], 1),):
+            for col in cols:
+                _add_row(weights, q ** m - 1 - row[col] + (col == 0), cnt * c)
 
     spec = Spectrum(n=q ** m - 1, q=q, weights=weights)
     size = sum(cnt for _, _, cnt in rows)
@@ -430,18 +425,16 @@ class CweResult:
 
 
 def cwe_predicted(dist: RankDistribution, D: int = 1) -> list[CweTerm]:
-    """Compressed enumerator terms from a rank distribution (shortened by D)."""
+    """Compressed enumerator terms from a rank distribution (shortened by D): a base
+    word has X - 1 zeros and Y of each nonzero symbol, X, Y from value_rows' beta = 0 row."""
     q, m = dist.q, dist.m
     terms = []
     for r, e, cnt in _rows(dist):
-        w_full = _weight(q, m, exp_sum_class_value(q, m, r, e, "major"), True)
-        if w_full % D or (q ** m - 1 - w_full) % D:
-            raise HypothesisError(f"weight {w_full} does not shorten by {D}")
-        a = (q ** m - 1 - w_full) // D
-        b_num = w_full // D
-        if b_num % (q - 1) != 0:
-            raise HypothesisError("weight not divisible by q-1: composition not balanced")
-        terms.append(CweTerm(coeff=cnt, z0_exp=a, zrest_exp=b_num // (q - 1)))
+        row = value_rows(q, m, r, e)[0][0]
+        z0, zrest = row[0] - 1, row[1]
+        if z0 % D or zrest % D:
+            raise HypothesisError(f"composition ({z0}, {zrest}) does not shorten by {D}")
+        terms.append(CweTerm(coeff=cnt, z0_exp=z0 // D, zrest_exp=zrest // D))
     return sorted(terms, key=lambda t: (-t.z0_exp, t.zrest_exp))
 
 

@@ -436,6 +436,21 @@ def test_removed_options_exit_1(capsys, monkeypatch):
         assert f"qfcodes {argv[0]}: error: unrecognized arguments: {' '.join(argv[-2:])}" in err
 
 
+def test_abbreviated_options_exit_1(capsys, monkeypatch):
+    # an option is spelt out in full: --s is not --scan, nor --fam --family
+    def no_command(*args, **kwargs):
+        raise AssertionError("an abbreviated argv must not start a command")
+
+    monkeypatch.setattr(cli.curves, "scan_monomial", no_command)
+    monkeypatch.setattr(cli.spectra, "predict_monomial_long", no_command)
+    for argv in (["curves", "--p", "3", "--m", "4", "--ell", "1", "--s"],
+                 ["spectrum", "--p", "3", "--m", "4", "--fam", "mono:1", "--meth", "predict",
+                  "--var", "2"]):
+        code, out, err = run(argv, capsys)
+        assert code == cli.EXIT_USAGE and out == "", argv
+        assert err.startswith(f"usage: qfcodes {argv[0]} "), argv
+
+
 def test_curves_scan_and_witness_exclusive(capsys, monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("a rejected argv must not start a sweep")

@@ -78,7 +78,7 @@ from qfcodes.klapper import HypothesisError
 from qfcodes.linpoly import LinearizedPoly, lin_eval_table
 calls = (lambda: curves.genus(CurveSpec(gf.get_field(2, 4), LinearizedPoly((0,), (1,), 1), 0)),
          lambda: curves.optimal_betas(3, 3, 1, 2, 1),
-         lambda: spectra._weight(3, 4, 5, True))
+         lambda: spectra.weight_from_profile(3, 4, 3, 1, True, "major"))
 for call in calls:
     try:
         call()

@@ -243,16 +243,22 @@ def test_count_and_sum_values():
     assert H[5].sum() == 16
 
 
+def sum_frequencies(Q, b_sym):
+    """S_{Q,b}(beta) = q N_{Q,beta}(-b) - q^m tallied over beta, straight from the histogram."""
+    target = Q.ctx.symbols(Q.s).neg[b_sym]
+    return quadform.frequencies(Q.q * Q.histogram[:, target] - Q.ctx.order)
+
+
 def test_exp_sum_distribution_example():
     Q = form(2, 1, 4, (1,), (1,))
-    dist = quadform._sum_frequencies(Q, 0)
+    dist = sum_frequencies(Q, 0)
     assert dist == {0: 12, -8: 1, 8: 3}
 
 
 def test_full_rank_no_zero_sum():
     ctx = gf.get_field(2, 4)
     Q = form(2, 1, 4, (1,), (ctx.alpha,))
-    dist = quadform._sum_frequencies(Q, 0)
+    dist = sum_frequencies(Q, 0)
     assert 0 not in dist  # q^m - q^r = 0 at full rank
 
 
@@ -349,35 +355,87 @@ def test_rank0_is_type_plus_one_on_every_route():
         assert (0, 1) in {(c.rank, c.type) for c in classes}
 
 
-def test_beta_class_counts_rank0():
-    # zero form: only the "major" class with the single beta = 0
-    counts = quadform.beta_class_counts(3, 2, 0, 1, b_zero=True)
-    assert counts == {"null": 8, "major": 1, "minor": 0}
+def test_value_rows_rank0():
+    # the zero form: beta = 0 puts all q^m values at 0, every other beta is flat
+    assert quadform.value_rows(3, 2, 0, 1) == (((9, 0, 0), 1), ((3, 3, 3), 8))
 
 
-def exp_sum_class_value_fraction(q, m, r, eps, beta_class):
-    """Independent route: the class value evaluated in Fraction arithmetic."""
-    if beta_class == "null":
-        return 0
-    dev = Fraction(q) ** (m - r // 2)
-    return int(eps * (q - 1) * dev) if beta_class == "major" else int(-eps * dev)
+def value_rows_fraction(q, m, r, eps):
+    """Independent route: {row: count} from N-bar in Fraction arithmetic, beta = 0's row apart.
+
+    For beta in W^perp the row is c -> q^{m-r} N-bar(c + a), a taking each
+    value N-bar(a) times; N-bar(c) = q^{r-1} + eps nu(c) q^{r/2-1} depends
+    only on whether c = 0, so the row peaking at c0 = -a stands for N-bar(c0).
+    """
+    def nbar(c_is_zero):
+        return Fraction(q) ** (r - 1) + eps * (q - 1 if c_is_zero else -1) * Fraction(q) ** (r // 2 - 1)
+
+    rows = Counter({(Fraction(q) ** (m - 1),) * q: q ** m - q ** r})
+    for c0 in range(q):
+        rows[tuple(q ** (m - r) * nbar(c == c0) for c in range(q))] += nbar(c0 == 0)
+    beta0 = tuple(q ** (m - r) * nbar(c == 0) for c in range(q))
+    assert all(v.denominator == 1 for row, cnt in rows.items() for v in (*row, cnt))
+    return {tuple(map(int, row)): int(cnt) for row, cnt in rows.items() if cnt}, tuple(map(int, beta0))
 
 
-def test_exp_sum_class_value_matches_fraction_route():
+def test_value_rows_matches_fraction_route():
     n = 0
-    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
+    qs = (2, 3, 4, 5, 7, 8, 9, 11, 13)
+    for q in qs:
         for m in range(1, 11):
-            for r in range(0, 2 * m + 1, 2):
-                for eps in (1, -1):
-                    for cls in quadform.BETA_CLASSES:
-                        value = quadform.exp_sum_class_value(q, m, r, eps, cls)
-                        assert type(value) is int
-                        assert value == exp_sum_class_value_fraction(q, m, r, eps, cls)
-                        n += 1
-    assert n == 3510
-    # past r = 2m the value would need a negative power of q
-    with pytest.raises(RankError):
-        quadform.exp_sum_class_value(3, 2, 6, 1, "major")
+            for r in range(0, m + 1, 2):
+                for eps in (1, -1) if r else (1,):
+                    rows = quadform.value_rows(q, m, r, eps)
+                    assert all(type(v) is int for row, cnt in rows for v in (*row, cnt))
+                    assert sum(cnt for _, cnt in rows) == q ** m
+                    assert all(sum(row) == q ** m for row, _ in rows)
+                    assert (dict(rows), rows[0][0]) == value_rows_fraction(q, m, r, eps)
+                    n += 1
+    assert n == 540
+    for q in qs:
+        # odd rank, rank past m, and a rank-0 form of type -1 have no rows
+        for args in [(q, 4, 3, 1), (q, 4, 1, -1), (q, 2, 4, 1), (q, 3, 4, -1), (q, 4, 0, -1)]:
+            with pytest.raises(RankError):
+                quadform.value_rows(*args)
+
+
+@pytest.mark.parametrize("p,s", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2)])
+def test_value_rows_match_histogram_rows(p, s):
+    # random one- and two-term spans: the histogram's row multiset is
+    # value_rows of the form's (rank, type), and its beta = 0 row comes first
+    q = p ** s
+    rng = np.random.default_rng(3100 + 10 * p + s)
+    matched = 0
+    for m in range(2, 7):
+        if q ** (m + 1) > 1 << 17:
+            break
+        ctx = gf.get_field(p, s * m)
+        for _ in range(8):
+            exps = tuple(sorted(rng.choice(m, size=int(rng.integers(1, 3)), replace=False).tolist()))
+            Q = form(p, s, m, exps, tuple(int(c) for c in rng.integers(1, ctx.order, len(exps))))
+            try:
+                prof = quadform.profile(Q)
+            except RankError:  # odd rank
+                continue
+            rows = quadform.value_rows(q, m, prof.rank, prof.type)
+            keys, counts = np.unique(Q.histogram, axis=0, return_counts=True)
+            assert dict(zip(map(tuple, keys.tolist()), counts.tolist())) == dict(rows)
+            assert tuple(Q.histogram[0].tolist()) == rows[0][0]
+            matched += 1
+    assert matched >= 4
+
+
+@pytest.mark.parametrize("p,s,m,ell", [(2, 1, 4, 1), (2, 1, 8, 1), (2, 2, 4, 1), (3, 1, 4, 1)])
+def test_sum_distribution_sees_a_flipped_type(p, s, m, ell, monkeypatch):
+    # at q = 2 the row multisets of both types agree; the beta = 0 row tells them apart
+    real = quadform.profile
+    monkeypatch.setattr(quadform, "profile",
+                        lambda Q: QuadFormProfile(real(Q).rank, -real(Q).type))
+    ctx = gf.get_field(p, s * m)
+    branches = {klapper.classify_monomial(ctx, s, m, int(g), ell).branch: int(g)
+                for g in ctx.exp[: ctx.mult_order]}
+    for g in branches.values():
+        assert not quadform.verify_sum_distribution(form(p, s, m, (ell,), (g,))).ok
 
 
 def test_exp_sum_identity_random():
@@ -396,7 +454,7 @@ def test_exp_sum_identity_random():
         n = int(np.count_nonzero(sy.add[values, tr_b] == sy.neg[b_sym]))
         assert H[beta, sy.neg[b_sym]] == n
         s = 3 * n - 81
-        assert s in quadform._sum_frequencies(Q, b_sym)
+        assert s in sum_frequencies(Q, b_sym)
 
 
 def element_tables(ctx, f):

@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qfcodes"
@@ -14,34 +15,42 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-def _names_outside(tree: ast.AST, skip: ast.AST) -> set[str]:
-    """Identifiers a module's code uses (names, attributes, imports), skipping one subtree."""
-    out, stack = set(), [tree]
-    while stack:
-        node = stack.pop()
-        if node is skip:
-            continue
+def _names(tree: ast.AST) -> Counter:
+    """Occurrences of each identifier a subtree uses (names, attributes, imports)."""
+    out = Counter()
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            out[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            out[node.attr] += 1
         elif isinstance(node, ast.alias):
-            out.add(node.name.rpartition(".")[2])
-        stack.extend(ast.iter_child_nodes(node))
+            out[node.name.rpartition(".")[2]] += 1
     return out
 
 
+def _defined_names(node: ast.stmt) -> list[str]:
+    """Names a module-level statement defines: a function, a class or assigned constants."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else (
+        [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
 def test_every_public_name_has_a_caller():
-    # a public function or class that neither the package nor the benchmark
-    # names is reached by tests only; cmd_* are dispatched by name from main
+    # a public function, class or constant that neither the package nor the
+    # benchmark names is reached by tests only; cmd_* are dispatched by name
+    # from main
     root = SRC.parents[1]
     files = sorted((root / "src").rglob("*.py")) + sorted((root / "perfbench").rglob("*.py"))
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in files}
-    unused = [f"{path.name}:{node.name}"
-              for path in sorted(SRC.glob("*.py"))
-              for node in trees[path].body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith(("_", "cmd_"))
-              and not any(node.name in _names_outside(tree, node) for tree in trees.values())]
+    defined = [(path, node, name)
+               for path in sorted(SRC.glob("*.py"))
+               for node in trees[path].body
+               for name in _defined_names(node)]
+    used = sum(map(_names, trees.values()), Counter())
+    unused = [f"{path.name}:{name}" for path, node, name in defined
+              if not name.startswith(("_", "cmd_")) and used[name] == _names(node)[name]]
     assert sorted(SRC.glob("*.py")), SRC
+    assert {"BETA_CLASSES", "COUNT_LIMIT", "VARIANTS"} <= {name for _, _, name in defined}
     assert unused == []

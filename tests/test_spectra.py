@@ -403,12 +403,6 @@ def test_variant_argument_gates():
 
 # -- the shared row machinery ------------------------------------------------------
 
-def test_weight_needs_sum_multiple_of_q():
-    with pytest.raises(HypothesisError, match="not a multiple of q"):
-        spectra._weight(3, 4, 5, True)
-    assert spectra._weight(3, 4, 9, True) == 81 - 27 - 3
-
-
 def test_weight_from_profile_values():
     assert weight_from_profile(2, 4, 2, -1, True, "major") == 12
     assert weight_from_profile(2, 4, 2, -1, True, "null") == 8
