@@ -30,6 +30,15 @@ place values, exact because every index is below SIZE_LIMIT = 2^22 < 2^53,
 and v_mul adds logs.  FieldCtx is
 immutable after construction apart from its lazy tables; it cannot be
 pickled (a memoryview cannot be), and nothing in the package needs to.
+
+A subfield F_q, q = p^d, is an F_p-subspace of the digit space.  Its
+symbols 0..q-1 number its elements in ascending order, and in reduced
+echelon form, most significant digit first, that order is lexicographic
+on the d echelon coordinates: a symbol is the base-p number of its
+coordinates, so symbols add as base-p digits without carry.
+SymbolSystem.plus therefore adds by XOR at p = 2 and by a + b - p [a + b >= p]
+at q = p, and only odd p with d > 1 reads the addition table; construction
+checks the table against the digit rule once.
 """
 
 from __future__ import annotations
@@ -382,10 +391,13 @@ class SymbolSystem:
     zero element).  trace_sym[e] is the symbol of tr_{p^n/p^d}(e), indexed by
     element; trace_pow and the x half of coordinates are indexed by log, the
     order x = alpha^k of every trace-form table in the package.  add/neg are
-    symbol-level tables used by the codeword engines, and plus adds arrays of
-    symbols through the flat add table.  The product table, the traces of the
-    powers of alpha and the trace coordinates are built on first use only.
-    Past SYMBOL_CELLS q x q cells (q > 4096) construction raises FieldError.
+    symbol-level tables, built from v_add and v_neg.  plus adds arrays of
+    symbols by their base-p digits (see the module docstring): XOR at p = 2,
+    a + b - p [a + b >= p] at q = p, and the flat add table at odd p with
+    d > 1.  Construction raises FieldError if add differs from the digit
+    rule where plus uses it.  The product table, the traces of the powers
+    of alpha and the trace coordinates are built on first use only.  Past
+    SYMBOL_CELLS q x q cells (q > 4096) construction raises FieldError.
     """
 
     def __init__(self, ctx: FieldCtx, d: int):
@@ -410,23 +422,43 @@ class SymbolSystem:
         if not np.all(ctx.frob_table(d)[acc] == acc):
             raise FieldError("trace values escaped the subfield")
         self.trace_sym = self.index_of[acc].astype(np.int16)
+        self._q16 = np.uint16(self.q)
         self.add = self._table(ctx.v_add)
+        if ctx.p == 2 or d == 1:  # plus adds digits: check the rule against the table once
+            sym = np.arange(self.q, dtype=np.int16)
+            if any(not np.array_equal(self.add[rows], self.plus(sym[rows, None], sym))
+                   for rows in self._row_blocks()):
+                raise FieldError("symbol addition table is not digit addition")
         self.neg = self.index_of[ctx.v_neg(self.elements)].astype(np.int16)
+
+    def _row_blocks(self):
+        """Slices of table rows covering about SYMBOL_BLOCK cells each."""
+        rows = max(1, SYMBOL_BLOCK // self.q)
+        return [slice(lo, lo + rows) for lo in range(0, self.q, rows)]
 
     def _table(self, op) -> np.ndarray:
         """int16 q x q symbol table of a vectorised field op, filled SYMBOL_BLOCK cells at a time."""
         out = np.empty((self.q, self.q), dtype=np.int16)
-        rows = max(1, SYMBOL_BLOCK // self.q)
-        for lo in range(0, self.q, rows):
-            out[lo:lo + rows] = self.index_of[op(self.elements[lo:lo + rows, None],
-                                                 self.elements[None, :])]
+        for rows in self._row_blocks():
+            out[rows] = self.index_of[op(self.elements[rows, None], self.elements[None, :])]
         return out
 
-    def plus(self, a: np.ndarray, b) -> np.ndarray:
-        """a + b over F_q symbols: row b of the addition table for a scalar b, else the flat one."""
+    def plus(self, a, b) -> np.ndarray:
+        """a + b over F_q symbols, as int16; a and b broadcast, and one may be a scalar.
+
+        Digit addition without carry: XOR at p = 2, a + b - p [a + b >= p] at
+        q = p, taken as min(a + b, a + b - p) in uint16: below p, a + b - p
+        wraps to at least 2^16 - p > 2p - 2, as q <= 4096.  Otherwise row b
+        of the addition table for a scalar b, else the flat table.
+        """
+        if self.ctx.p == 2:
+            return np.bitwise_xor(a, b, dtype=np.int16)
+        if self.d == 1:
+            s = np.add(a, b, dtype=np.int16).view(np.uint16)
+            return np.minimum(s, s - self._q16).view(np.int16)
         if np.ndim(b) == 0:
             return self.add[b].take(a)
-        return self.add.ravel()[a.astype(np.intp) * self.q + b]
+        return self.add.ravel()[np.asarray(a, dtype=np.intp) * self.q + b]
 
     @cached_property
     def mul(self) -> np.ndarray:

@@ -18,7 +18,10 @@ update spans [-2(p-1)^2, p), so the working dtype is chosen from p.
 A stack of one matrix (a single form's profile, an l3l pair query) is
 reduced in Python integers by the same pivots and updates, so it returns its
 row of a batched call exactly: per pivot the batched loop makes about 20
-numpy calls, which cost more than the arithmetic of one small matrix.
+numpy calls, which cost more than the arithmetic of one small matrix.  That
+route keeps only the live (never pivoted) rows and columns and updates them
+in place: the batched update zeroes a pivot's rows and columns, and no later
+pivot reads them, so each pivot drops its own.
 """
 
 from __future__ import annotations
@@ -128,36 +131,60 @@ def reduce_symmetric(mats: np.ndarray, p: int, kernel: bool = False) -> Reductio
 def _reduce_one(a: list, p: int, dt, kernel: bool) -> Reduction:
     """reduce_symmetric on one matrix in Python integers: the same pivots, updates and P.
 
-    As A is symmetric, the pivot (u, v) takes row x of A to row x - A_ux r
-    and column x of P to column x - r_x (column u of P), with r = row v / piv.
-    Rows whose multiplier is 0, among them every pivoted row, are kept as they are.
+    a keeps only the live rows and columns, those never pivoted, in index
+    order (live[k] is the index of position k): the batched loop zeroes a
+    pivot's rows and columns and never reads them again, so each pivot pops
+    them here.  As A is symmetric, a 1x1 pivot i takes live row x to
+    row x - A_xi r and live column y of P to column y - r_y (column i of P),
+    with r = row i / piv; a hyperbolic pivot (i, j) subtracts the terms of
+    (i, row j / piv) and (j, row i / piv) alike.  Rows whose multipliers are
+    0 are kept, and the pivot's columns of P end at zero, as the batched
+    update leaves them.
     """
     n = len(a)
     pt = np.eye(n, dtype=np.int64).tolist() if kernel else None  # the columns of P
+    live = list(range(n))
     rank, disc = 0, 1
-    while rank < n:
-        i = j = next((k for k in range(n) if a[k][k]), None)
+    while a:
+        i = j = next((k for k, row in enumerate(a) if row[k]), None)
         if i is None:  # the first nonzero entry in row-major order, as a hyperbolic pair
             i = next((k for k, row in enumerate(a) if any(row)), None)
             if i is None:
                 break
-            j = next(k for k, v in enumerate(a[i]) if v)
+            j = next(k for k, v in enumerate(a[i]) if v)  # j > i: rows before i are zero
         piv = a[i][j]
         c = pow(piv, -1, p)
-        steps = [(i, i)] if i == j else [(i, j), (j, i)]
-        a0, pt0 = a, pt
-        for u, v in steps:
-            r = [x * c % p for x in a0[v]]
-            a = _minus_outer(a, a0[u], r, p)
+        if i == j:
+            ri = a.pop(i)
+            del ri[i]
+            r = [x * c % p for x in ri]
+            for row in a:
+                x = row.pop(i)
+                if x:
+                    row[:] = [(w - x * t) % p for w, t in zip(row, r)]
             if kernel:
-                pt = _minus_outer(pt, r, pt0[u], p)
-        rank += len(steps)
-        disc = disc * (piv if i == j else -piv * piv) % p
+                col, pt[live[i]] = pt[live[i]], [0] * n
+                del live[i]
+                for y, t in zip(live, r):
+                    if t:
+                        pt[y] = [(w - t * z) % p for w, z in zip(pt[y], col)]
+            rank, disc = rank + 1, disc * piv % p
+            continue
+        rj, ri = a.pop(j), a.pop(i)
+        del ri[j], ri[i], rj[j], rj[i]
+        r, s = [x * c % p for x in rj], [x * c % p for x in ri]
+        for row in a:
+            y, x = row.pop(j), row.pop(i)
+            if x or y:
+                row[:] = [(w - x * t - y * u) % p for w, t, u in zip(row, r, s)]
+        if kernel:
+            col, cor = pt[live[i]], pt[live[j]]
+            pt[live[i]] = pt[live[j]] = [0] * n
+            del live[j], live[i]
+            for y, t, u in zip(live, r, s):
+                if t or u:
+                    pt[y] = [(w - t * z - u * v) % p for w, z, v in zip(pt[y], col, cor)]
+        rank, disc = rank + 2, disc * -piv * piv % p
     basis = np.array(pt, dtype=dt).T.reshape(1, n, n) if kernel else None
     return Reduction(p=p, rank=np.array([rank], dtype=np.int64),
                      disc=np.array([disc], dtype=np.int64), basis=basis)
-
-
-def _minus_outer(rows: list, s: list, r: list, p: int) -> list:
-    """rows - s r^T mod p, keeping each row whose s entry is 0."""
-    return [[(w - x * t) % p for w, t in zip(row, r)] if x else row for row, x in zip(rows, s)]

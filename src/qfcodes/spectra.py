@@ -134,13 +134,15 @@ def predict_general(dist: RankDistribution, variant: str) -> Spectrum:
         raise ValueError(f"unknown variant {variant!r}")
     q, m = dist.q, dist.m
     rows = _rows(dist)
-    cols = range(q) if variant in ("0", "2") else (0,)
     weights: dict[int, int] = {}
     for r, e, cnt in rows:
         table = value_rows(q, m, r, e)
         for row, c in table if variant in ("1", "2") else ((table[0][0], 1),):
-            for col in cols:
-                _add_row(weights, q ** m - 1 - row[col] + (col == 0), cnt * c)
+            _add_row(weights, q ** m - row[0], cnt * c)
+            if variant in ("0", "2"):  # a row holds at most two values: tally them, not cells
+                rest = row[1:]
+                for v in dict.fromkeys(rest):
+                    _add_row(weights, q ** m - 1 - v, cnt * c * rest.count(v))
 
     spec = Spectrum(n=q ** m - 1, q=q, weights=weights)
     size = sum(cnt for _, _, cnt in rows)

@@ -169,6 +169,42 @@ def test_power_residue():
     assert cubes == 85
 
 
+# q = p adds digits mod p, p = 2 by XOR, and odd p with d > 1 through the table
+PLUS_PATHS = [(3, 8, 1), (5, 4, 1), (79, 2, 1), (2, 6, 1), (2, 6, 2), (2, 6, 3),
+              (3, 4, 2), (5, 4, 2)]
+
+
+@pytest.mark.parametrize("p,n,d", PLUS_PATHS)
+def test_symbol_plus_matches_field_addition(p, n, d):
+    F = gf.get_field(p, n)
+    sy = F.symbols(d)
+    sym = np.arange(sy.q, dtype=np.int16)
+    rows = sym[::2, None]  # fewer rows than q
+    cases = [(sym.repeat(sy.q), np.tile(sym, sy.q)), (rows, sym[None, :]), (sym[None, :], rows)]
+    for c in (0, 1, sy.q - 1):
+        for scalar in (c, np.int16(c), np.int64(c)):
+            cases += [(sym, scalar), (scalar, sym), (rows, scalar), (scalar, rows.T)]
+    for a, b in cases:
+        out = sy.plus(a, b)
+        assert out.dtype == np.int16
+        assert np.array_equal(out, sy.index_of[F.v_add(sy.elements[a], sy.elements[b])])
+
+
+@pytest.mark.parametrize("p,n,d", [(3, 4, 1), (79, 2, 1), (2, 6, 1), (2, 6, 2), (2, 6, 3)])
+def test_symbol_add_table_must_match_digit_addition(monkeypatch, p, n, d):
+    table = gf.SymbolSystem._table
+
+    def corrupted(self, op):
+        out = table(self, op)
+        if op == self.ctx.v_add:
+            out[-1, 1] = (out[-1, 1] + 1) % self.q
+        return out
+
+    monkeypatch.setattr(gf.SymbolSystem, "_table", corrupted)
+    with pytest.raises(gf.FieldError, match="digit addition"):
+        gf.FieldCtx(p, n).symbols(d)
+
+
 def test_symbol_system():
     F = gf.get_field(2, 8)
     sy = F.symbols(2)  # F_4 symbols inside F_{2^8}

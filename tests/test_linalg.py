@@ -94,16 +94,34 @@ def test_one_matrix_route_equals_its_batched_row(p, n, count, density, alternati
                 int(alternating))
     mats = u + np.triu(u, 1).transpose(0, 2, 1)
     for kernel in (False, True):
-        batch = reduce_symmetric(mats, p, kernel=kernel)
-        for b in range(count):
-            one = reduce_symmetric(mats[b:b + 1], p, kernel=kernel)
-            assert one.rank.dtype == one.disc.dtype == batch.rank.dtype == batch.disc.dtype
-            assert (one.rank.tolist(), one.disc.tolist()) == ([batch.rank[b]], [batch.disc[b]])
-            if kernel:
-                assert one.basis.dtype == batch.basis.dtype
-                assert np.array_equal(one.basis[0], batch.basis[b])
-            else:
-                assert one.basis is None
+        assert_one_matrix_route_equals_batch(mats, p, kernel)
+
+
+def assert_one_matrix_route_equals_batch(mats, p, kernel):
+    batch = reduce_symmetric(mats, p, kernel=kernel)
+    for b in range(len(mats)):
+        one = reduce_symmetric(mats[b:b + 1], p, kernel=kernel)
+        assert one.rank.dtype == one.disc.dtype == batch.rank.dtype == batch.disc.dtype
+        assert (one.rank.tolist(), one.disc.tolist()) == ([batch.rank[b]], [batch.disc[b]])
+        if kernel:
+            assert one.basis.dtype == batch.basis.dtype
+            assert np.array_equal(one.basis[0], batch.basis[b])
+        else:
+            assert one.basis is None
+
+
+@pytest.mark.parametrize("p,m,count", [(3, 8, 2000), (2, 8, 300)])
+def test_one_matrix_route_on_form_grams(p, m, count):
+    # the Grams of the l3l pair queries at (3, 8, 1), and of p = 2 forms,
+    # whose profiles read the kernel (all hyperbolic pivots): seeded pairs of
+    # <x^p, x^{p^3}>, zeros included
+    ctx = gf.get_field(p, m)
+    coeffs = np.random.default_rng(m * p).integers(0, ctx.order, (count, 2))
+    coeffs[:4] = [[0, 0], [0, 1], [1, 0], [1, 1]]
+    grams = quadform.form_grams(ctx, 1, coeffs, (1, 3))
+    assert len(np.unique(reduce_symmetric(grams, p).rank)) > 2
+    for kernel in (False, True):
+        assert_one_matrix_route_equals_batch(grams, p, kernel)
 
 
 def test_one_form_profile_builds_no_inverse_table():
