@@ -99,8 +99,8 @@ def factorize(n: int) -> dict[int, int]:
 
 def int_dtype(bound: int):
     """The smallest signed numpy integer type that holds -bound..bound."""
-    for dt in (np.int8, np.int16, np.int32):
-        if bound <= np.iinfo(dt).max:
+    for dt, top in ((np.int8, 127), (np.int16, 32767), (np.int32, 2 ** 31 - 1)):
+        if bound <= top:
             return dt
     return np.int64
 
@@ -448,16 +448,14 @@ class SymbolSystem:
 
         Digit addition without carry: XOR at p = 2, a + b - p [a + b >= p] at
         q = p, taken as min(a + b, a + b - p) in uint16: below p, a + b - p
-        wraps to at least 2^16 - p > 2p - 2, as q <= 4096.  Otherwise row b
-        of the addition table for a scalar b, else the flat table.
+        wraps to at least 2^16 - p > 2p - 2, as q <= 4096.  Otherwise a
+        gather from the flat addition table.
         """
         if self.ctx.p == 2:
             return np.bitwise_xor(a, b, dtype=np.int16)
         if self.d == 1:
             s = np.add(a, b, dtype=np.int16).view(np.uint16)
             return np.minimum(s, s - self._q16).view(np.int16)
-        if np.ndim(b) == 0:
-            return self.add[b].take(a)
         return self.add.ravel()[np.asarray(a, dtype=np.intp) * self.q + b]
 
     @cached_property

@@ -62,11 +62,7 @@ def classify_monomial(ctx: FieldCtx, s: int, m: int, gamma: int, ell: int) -> Mo
     _check_m_ell_even(m, ell)
     q = ctx.p ** s
     delta = gcd(m, ell)
-    L = q ** delta + 1
-    N = ctx.mult_order
-    if N % L != 0:
-        raise HypothesisError("q^{(m,l)}+1 must divide q^m-1")
-    pr = ctx.pow(gamma, N // L)
+    pr = ctx.pow(gamma, ctx.mult_order // (q ** delta + 1))
     e = eps_ell(m, ell)
     if ctx.p == 2:
         special = pr == 1
@@ -85,10 +81,7 @@ def classify_monomial(ctx: FieldCtx, s: int, m: int, gamma: int, ell: int) -> Mo
 def m_counts(q: int, m: int, ell: int) -> tuple[int, int]:
     """(M, M') = (#powers / #power-class members, complement size)."""
     _check_m_ell_even(m, ell)
-    L = q ** gcd(m, ell) + 1
-    if (q ** m - 1) % L != 0:
-        raise HypothesisError("q^{(m,l)}+1 must divide q^m-1")
-    M = (q ** m - 1) // L
+    M = (q ** m - 1) // (q ** gcd(m, ell) + 1)
     return M, q ** gcd(m, ell) * M
 
 

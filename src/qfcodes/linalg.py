@@ -15,13 +15,15 @@ the product of the d's and the (-a^2)'s, and the columns of P at indices
 never pivoted span the kernel.  Entries stay in [0, p) between steps and an
 update spans [-2(p-1)^2, p), so the working dtype is chosen from p.
 
-A stack of one matrix (a single form's profile, an l3l pair query) is
-reduced in Python integers by the same pivots and updates, so it returns its
-row of a batched call exactly: per pivot the batched loop makes about 20
-numpy calls, which cost more than the arithmetic of one small matrix.  That
-route keeps only the live (never pivoted) rows and columns and updates them
-in place: the batched update zeroes a pivot's rows and columns, and no later
-pivot reads them, so each pivot drops its own.
+A stack of one matrix with no kernel asked (a form's profile at odd p, as
+each l3l pair query makes) is reduced in Python integers by the same pivots and updates, so it
+returns the rank and discriminant of its row in a batched call exactly: per
+pivot the batched loop makes about 20 numpy calls, which cost more than the
+arithmetic of one small matrix.  That route keeps only the live (never
+pivoted) rows and columns and updates them in place: the batched update
+zeroes a pivot's rows and columns, and no later pivot reads them, so each
+pivot drops its own.  P and the kernel come from the batched loop alone,
+one matrix or many.
 """
 
 from __future__ import annotations
@@ -84,8 +86,8 @@ def reduce_symmetric(mats: np.ndarray, p: int, kernel: bool = False) -> Reductio
     """Congruence-reduce a (B, n, n) stack of symmetric integer matrices mod p."""
     dt = int_dtype(2 * p * p + p)
     a = np.asarray(mats).astype(dt) % p
-    if len(a) == 1:
-        return _reduce_one(a[0].tolist(), p, dt, kernel)
+    if len(a) == 1 and not kernel:
+        return _reduce_one(a[0].tolist(), p)
     inv = _inv_table(p)
     B, n, _ = a.shape
     bs = np.arange(B)
@@ -128,22 +130,16 @@ def reduce_symmetric(mats: np.ndarray, p: int, kernel: bool = False) -> Reductio
     return Reduction(p=p, rank=rank, disc=disc, basis=P)
 
 
-def _reduce_one(a: list, p: int, dt, kernel: bool) -> Reduction:
-    """reduce_symmetric on one matrix in Python integers: the same pivots, updates and P.
+def _reduce_one(a: list, p: int) -> Reduction:
+    """The rank and discriminant of one matrix in Python integers, by reduce_symmetric's pivots.
 
     a keeps only the live rows and columns, those never pivoted, in index
-    order (live[k] is the index of position k): the batched loop zeroes a
-    pivot's rows and columns and never reads them again, so each pivot pops
-    them here.  As A is symmetric, a 1x1 pivot i takes live row x to
-    row x - A_xi r and live column y of P to column y - r_y (column i of P),
-    with r = row i / piv; a hyperbolic pivot (i, j) subtracts the terms of
-    (i, row j / piv) and (j, row i / piv) alike.  Rows whose multipliers are
-    0 are kept, and the pivot's columns of P end at zero, as the batched
-    update leaves them.
+    order: the batched loop zeroes a pivot's rows and columns and never
+    reads them again, so each pivot pops them here.  As A is symmetric, a
+    1x1 pivot i takes live row x to row x - A_xi r, with r = row i / piv; a
+    hyperbolic pivot (i, j) subtracts the terms of (i, row j / piv) and
+    (j, row i / piv) alike.
     """
-    n = len(a)
-    pt = np.eye(n, dtype=np.int64).tolist() if kernel else None  # the columns of P
-    live = list(range(n))
     rank, disc = 0, 1
     while a:
         i = j = next((k for k, row in enumerate(a) if row[k]), None)
@@ -162,12 +158,6 @@ def _reduce_one(a: list, p: int, dt, kernel: bool) -> Reduction:
                 x = row.pop(i)
                 if x:
                     row[:] = [(w - x * t) % p for w, t in zip(row, r)]
-            if kernel:
-                col, pt[live[i]] = pt[live[i]], [0] * n
-                del live[i]
-                for y, t in zip(live, r):
-                    if t:
-                        pt[y] = [(w - t * z) % p for w, z in zip(pt[y], col)]
             rank, disc = rank + 1, disc * piv % p
             continue
         rj, ri = a.pop(j), a.pop(i)
@@ -177,14 +167,6 @@ def _reduce_one(a: list, p: int, dt, kernel: bool) -> Reduction:
             y, x = row.pop(j), row.pop(i)
             if x or y:
                 row[:] = [(w - x * t - y * u) % p for w, t, u in zip(row, r, s)]
-        if kernel:
-            col, cor = pt[live[i]], pt[live[j]]
-            pt[live[i]] = pt[live[j]] = [0] * n
-            del live[j], live[i]
-            for y, t, u in zip(live, r, s):
-                if t or u:
-                    pt[y] = [(w - t * z - u * v) % p for w, z, v in zip(pt[y], col, cor)]
         rank, disc = rank + 2, disc * -piv * piv % p
-    basis = np.array(pt, dtype=dt).T.reshape(1, n, n) if kernel else None
     return Reduction(p=p, rank=np.array([rank], dtype=np.int64),
-                     disc=np.array([disc], dtype=np.int64), basis=basis)
+                     disc=np.array([disc], dtype=np.int64))

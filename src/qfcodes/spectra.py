@@ -127,24 +127,26 @@ def predict_general(dist: RankDistribution, variant: str) -> Spectrum:
     weight q^m - 1 - row(-b) + [b = 0] of each of its value_rows: all of them
     for variants 1 and 2, the beta = 0 row alone for base and 0.  As b runs
     over F_q, -b runs over every symbol, so variants 0 and 2 read every
-    column, and base and 1 column 0.  Frequencies must total q^{ms(+1)} per
-    the dimension claims; that is asserted before returning.
+    column, and base and 1 column 0.  Summed over value_rows with their
+    counts, every nonzero column holds Y (major + (q-2) minor) times,
+    q^{m-1} flat times and X minor times, and the beta = 0 row is Y in
+    each, so column 1, read q - 1 times, stands for them all.  Frequencies must total
+    q^{ms(+1)} per the dimension claims; that is asserted before returning.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     q, m = dist.q, dist.m
+    n = q ** m - 1
     rows = _rows(dist)
     weights: dict[int, int] = {}
     for r, e, cnt in rows:
         table = value_rows(q, m, r, e)
         for row, c in table if variant in ("1", "2") else ((table[0][0], 1),):
-            _add_row(weights, q ** m - row[0], cnt * c)
-            if variant in ("0", "2"):  # a row holds at most two values: tally them, not cells
-                rest = row[1:]
-                for v in dict.fromkeys(rest):
-                    _add_row(weights, q ** m - 1 - v, cnt * c * rest.count(v))
+            _add_row(weights, n + 1 - row[0], cnt * c)
+            if variant in ("0", "2"):
+                _add_row(weights, n - row[1], cnt * c * (q - 1))
 
-    spec = Spectrum(n=q ** m - 1, q=q, weights=weights)
+    spec = Spectrum(n=n, q=q, weights=weights)
     size = sum(cnt for _, _, cnt in rows)
     ms = int_log(size, q)
     if ms is None or ms % m != 0:

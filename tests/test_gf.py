@@ -552,3 +552,12 @@ def test_construction_checks(monkeypatch):
     monkeypatch.setattr(gf.FieldCtx, "_find_alpha", lambda self: 8)  # t^3, of order 5
     with pytest.raises(gf.FieldError, match="not distinct"):
         gf.FieldCtx(2, 4)
+
+
+def test_int_dtype_boundaries():
+    # the smallest signed type holding -bound..bound, at each type's edge
+    want = {0: np.int8, 127: np.int8, 128: np.int16, 32767: np.int16, 32768: np.int32,
+            2 ** 31 - 1: np.int32, 2 ** 31: np.int64, 2 ** 40: np.int64}
+    for bound, dt in want.items():
+        assert gf.int_dtype(bound) is dt
+        assert bound <= np.iinfo(dt).max

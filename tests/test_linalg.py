@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfcodes import gf, linalg, quadform
+from qfcodes.linpoly import LinearizedPoly, lin_eval_table
 from qfcodes.linalg import reduce_symmetric
 
 
@@ -82,13 +83,75 @@ def test_inverse_table_built_once_per_p():
     assert linalg._inv_table(65521).tolist() == [0] + [pow(v, -1, 65521) for v in range(1, 65521)]
 
 
+def refuse_one_matrix_route(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a kernel reduction reached the one-matrix route")
+    monkeypatch.setattr(linalg, "_reduce_one", refuse)
+
+
+def test_one_matrix_route_only_without_kernel(monkeypatch):
+    # the Python route gives rank and disc; P and the kernel come from the batched loop
+    rng = np.random.default_rng(9)
+    mats, ranks, _ = known_rank_stack(5, 6, 1, rng)
+    calls = []
+    reduce_one = linalg._reduce_one
+    monkeypatch.setattr(linalg, "_reduce_one", lambda *a: calls.append(a) or reduce_one(*a))
+    red = reduce_symmetric(mats, 5)
+    assert len(calls) == 1 and red.rank.tolist() == ranks.tolist() and red.basis is None
+    refuse_one_matrix_route(monkeypatch)
+    red = reduce_symmetric(mats, 5, kernel=True)
+    assert red.rank.tolist() == ranks.tolist() and red.basis.shape == (1, 6, 6)
+    assert not (mats[0] @ red.kernel().astype(np.int64) % 5).any()
+
+
+def counted_profile(Q):
+    """(rank, type) of a p = 2 form by brute force, no reduction: the radical is
+    {y : Q(y) = 0, Q(x + y) = Q(x) for all x}, the type solved from N_Q(0)."""
+    ctx, q, m = Q.ctx, Q.q, Q.m
+    xs = np.arange(ctx.order, dtype=np.int64)
+    values = ctx.symbols(Q.s).trace_sym[ctx.v_mul(xs, lin_eval_table(ctx, Q.R))]
+    shifted = values[ctx.v_add(xs[:, None], xs[None, :])]  # [x, y] -> Q(x + y)
+    radical = int(np.count_nonzero((values == 0) & (shifted == values[:, None]).all(axis=0)))
+    r = m - round(np.log(radical) / np.log(q))
+    assert q ** (m - r) == radical
+    if r % 2:
+        return r, 0
+    eps = (int(np.count_nonzero(values == 0)) - q ** (m - 1)) // ((q - 1) * q ** (m - r // 2 - 1))
+    return r, eps
+
+
+@pytest.mark.parametrize("p,s,m", [(2, 1, 4), (2, 2, 4), (2, 1, 6)])
+def test_p2_one_form_profiles_take_the_batched_loop(p, s, m, monkeypatch):
+    # a p = 2 profile reads the kernel, so one form is a one-matrix kernel stack:
+    # the zero form, tr(x^3), tr(alpha x^3) and seeded one- to three-term forms
+    refuse_one_matrix_route(monkeypatch)
+    ctx = gf.get_field(p, s * m)
+    rng = np.random.default_rng(13 * s + m)
+    cases = [((1,), (0,)), ((1,), (1,)), ((1,), (ctx.alpha,))]
+    for k in (1, 2, 2, 3, 3, 3):
+        exps = tuple(sorted(rng.choice(m, min(k, m), replace=False).tolist()))
+        cases.append((exps, tuple(rng.integers(0, ctx.order, len(exps)).tolist())))
+    seen = set()
+    for exps, coeffs in cases:
+        Q = quadform.QuadForm(ctx, s, m, LinearizedPoly(exps, coeffs, s))
+        r, eps = counted_profile(Q)
+        if r % 2:
+            with pytest.raises(quadform.RankError, match=f"got {r}$"):
+                quadform.profile(Q)
+            continue
+        assert quadform.profile(Q) == quadform.QuadFormProfile(rank=r, type=eps)
+        seen.add((r, eps))
+    assert len(seen) >= 3
+
+
 @settings(max_examples=80, deadline=None)
 @given(p=st.sampled_from([2, 3, 5, 7, 191]), n=st.integers(0, 10), count=st.integers(2, 4),
        density=st.sampled_from([0.0, 0.2, 0.6, 1.0]), alternating=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_one_matrix_route_equals_its_batched_row(p, n, count, density, alternating, seed):
-    # a one-matrix stack is reduced in Python integers, a longer one by the
-    # batched loop; density 0 gives zero matrices, a zero diagonal hyperbolic pivots
+    # a one-matrix stack is reduced in Python integers without a kernel, by the
+    # batched loop with one; density 0 gives zero matrices, a zero diagonal
+    # hyperbolic pivots
     rng = np.random.default_rng(seed)
     u = np.triu(rng.integers(0, p, (count, n, n)) * (rng.random((count, n, n)) < density),
                 int(alternating))

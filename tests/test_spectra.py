@@ -434,6 +434,39 @@ def test_predict_general_rank0_row_is_the_zero_form(row):
         predict_general(dist, "base")
 
 
+def reference_general(dist, variant):
+    """predict_general's weights cell by cell: q^m - 1 - row[k] + [k = 0] for every
+    column k read (all for variants 0 and 2, column 0 for base and 1) of every
+    value_rows row read (all for variants 1 and 2, beta = 0's for base and 0)."""
+    q, m = dist.q, dist.m
+    weights = {}
+    for r, e, cnt in dist.counts:
+        table = quadform.value_rows(q, m, r, e)
+        for row, c in table if variant in ("1", "2") else ((table[0][0], 1),):
+            for k, v in enumerate(row if variant in ("0", "2") else row[:1]):
+                w = q ** m - 1 - v + (k == 0)
+                weights[w] = weights.get(w, 0) + cnt * c
+    return weights
+
+
+GENERAL_DISTS = ([(q, m, ell) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 43)
+                  for m in range(2, 9, 2) for ell in range(1, m // 2)
+                  if (m // gcd(m, ell)) % 2 == 0]
+                 + [("l3l", p, m, ell) for p, m, ell in ((3, 8, 1), (5, 8, 1), (3, 10, 1))])
+
+
+@pytest.mark.parametrize("case", GENERAL_DISTS, ids=str)
+def test_predict_general_equals_the_cell_tally(case):
+    # column 1 stands for every nonzero column: same weights, same key order
+    if case[0] == "l3l":
+        dist = klapper.rank_distribution_l3l(*case[1:])
+    else:
+        dist = klapper.rank_distribution_monomial(*case)
+    for variant in spectra.VARIANTS:
+        want = reference_general(dist, variant)
+        assert list(predict_general(dist, variant).weights.items()) == list(want.items())
+
+
 def test_symmetric_spectra_q2():
     # variants 0 and 2 contain the all-ones word for q = 2
     for variant in ("0", "2"):
