@@ -31,7 +31,8 @@ is a projection of value_rows, the one closed form of the rows of H[beta, c].
 Every sweep over all beta goes through value_histograms, which reads
 form_symbols rows: an exact additive-character transform in the group ring
 Z[F_q] that returns N_{Q,beta}(c) for all beta and c at once, at m q^{m+2}
-integer additions per form instead of the q^{2m} of a (beta, x) grid.
+integer additions per form instead of the q^{2m} of a (beta, x) grid,
+gathering whole blocks along a leading symbol axis in int_dtype(q^m) counts.
 spectra's brute enumeration keeps the direct grid as the oracle the
 transform is checked against.
 """
@@ -273,13 +274,17 @@ def value_histograms(ctx: FieldCtx, s: int, f: np.ndarray) -> np.ndarray:
     f is a (B, q^m - 1) stack of F_q symbol rows in the log order of
     form_symbols: column k holds f_b(alpha^k), and f_b(0) = 0, as for every
     trace form.  Any rows work, not just quadratic ones.  With the coordinates
-    c_i(x) = tr(alpha^i x) and beta = sum_i b_i alpha^i, the histograms
-    A[c(x), f(x)] += 1 (x = 0 adding 1 to A[0, 0]) become H by one
+    c_i(x) = tr(alpha^i x) and beta = sum_i b_i alpha^i, one bincount of
+    (f_b(x), c(x), b) (x = 0 adding 1 at c = 0) becomes H by one
     additive-character stage per coordinate in the group ring Z[F_q]
-    (MacWilliams-Sloane ch. 5): A'[.., t, .., c] = sum_y A[.., y, .., c - y t].
-    That is m q^{m+2} exact integer additions per table instead of q^{2m},
-    in O(B q^{m+1}) memory; callers bound B.  Returns int64 counts of shape
-    (B, q^m, q), beta indexed by field element.
+    (MacWilliams-Sloane ch. 5): A'[c, t, ..] = sum_y A[c - y t, .., y, b],
+    each stage taking the coordinate before the form axis to the place after
+    the symbol axis c.  With c leading, each y gathers q^2 whole blocks of
+    q^{k-1} B counts: m q^{m+2} integer additions per table instead of the
+    q^{2m} of a (beta, x) grid, in O(B q^{m+1}) memory; callers bound B.  A
+    count never exceeds q^m, so the stages run in int_dtype(q^m), which is
+    int32 only from q^m = 2^15.  Returns int64 counts of shape (B, q^m, q),
+    beta indexed by field element.
     """
     q, k = ctx.p ** s, ctx.n // s
     cells = ctx.order * q
@@ -288,19 +293,19 @@ def value_histograms(ctx: FieldCtx, s: int, f: np.ndarray) -> np.ndarray:
     sy = ctx.symbols(s)
     x_index, beta_index = sy.coordinates
     B = f.shape[0]
-    flat = np.arange(B, dtype=np.int64)[:, None] * cells + x_index * q + f
-    a = np.bincount(flat.ravel(), minlength=B * cells).astype(np.int32)
-    a[::cells] += 1  # x = 0: every coordinate and f vanish there
-    # shift[y, t, c] = c - y t
-    shift = sy.add[np.arange(q)[None, None, :], sy.neg[sy.mul][:, :, None]]
+    flat = np.multiply(f, ctx.order * B, dtype=np.int64) + (x_index * B + np.arange(B)[:, None])
+    a = np.bincount(flat.ravel(), minlength=B * cells).astype(int_dtype(ctx.order))
+    a[:B] += 1  # x = 0: every coordinate and f vanish there
+    # shift[y, c, t] = c - y t
+    shift = sy.add[np.arange(q)[None, :, None], sy.neg[sy.mul][:, None, :]]
     for _ in range(k):
-        # transform the leading coordinate and rotate it to the back
-        a = a.reshape(B, q, -1, q)
-        out = np.zeros((B, a.shape[2], q, q), dtype=np.int32)
-        for y in range(q):
-            out += np.take(a[:, y], shift[y], axis=-1)
+        a = a.reshape(q, -1, q, B)
+        out = np.take(a[:, :, 0], shift[0], axis=0)
+        for y in range(1, q):
+            out += np.take(a[:, :, y], shift[y], axis=0)
         a = out
-    return a.reshape(B, ctx.order, q)[:, beta_index, :].astype(np.int64)
+    H = a.reshape(q, ctx.order, B)[:, beta_index].transpose(2, 1, 0)
+    return H.astype(np.int64, order="C")
 
 
 def frequencies(values: np.ndarray) -> dict[int, int]:

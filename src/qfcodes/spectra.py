@@ -315,7 +315,9 @@ def brute_spectrum(ctx: FieldCtx, spec: CodeSpec, budget: int = DEFAULT_BUDGET,
 
     Work is counted in symbol evaluations and refused above `budget`.  The map
     index -> word is F_q-linear, so every word is hit A_0 times (A_0 = the
-    indices giving the zero word) and the image holds expected/A_0 words.
+    indices giving the zero word) and the image holds expected/A_0 words:
+    the spectrum is the code's, every index count divided by A_0, and its
+    dimension is log_q of the distinct words.
     The enumeration runs in this process, a block of forms at a time;
     `workers` is validated (at least 1) and starts no process.  The argument
     stays because the benchmark workloads pass it.
@@ -327,11 +329,12 @@ def brute_spectrum(ctx: FieldCtx, spec: CodeSpec, budget: int = DEFAULT_BUDGET,
         raise ValueError(f"workers must be at least 1, got {workers}")
     n, n_words = brute_size(ctx, spec, budget)
     weight_hist, comp_counts = _brute_chunk(ctx, spec, collect_compositions)
-    weights = {int(w): int(c) for w, c in enumerate(weight_hist) if c}
-    spectrum = Spectrum(n=n, q=fam.q, weights=weights)
-    distinct, rest = divmod(n_words, weights[0])
-    if rest:
+    a0 = int(weight_hist[0])
+    distinct, rest = divmod(n_words, a0)
+    if rest or (weight_hist % a0).any():
         raise HypothesisError("a linear map hits every word of its image equally often")
+    weights = {int(w): int(c) // a0 for w, c in enumerate(weight_hist) if c}
+    spectrum = Spectrum(n=n, q=fam.q, weights=weights)
     params = CodeParams(n=n, k=spectrum.dim(), d=spectrum.min_distance())
     return BruteResult(params=params, spectrum=spectrum, expected_words=n_words,
                        distinct_words=distinct,

@@ -148,6 +148,24 @@ def test_spectrum_brute_non_injective_span(capsys):
     assert payload["expected_words"] == 256
 
 
+@pytest.mark.parametrize("p,m,family", [
+    (2, 4, "span:1,3"), (3, 4, "span:1,3"), (3, 4, "span:1,5"), (2, 6, "span:1,5"),
+    (2, 6, "span:2,4"),
+], ids=["2-4-span13", "3-4-span13", "3-4-span15", "2-6-span15", "2-6-span24"])
+def test_spectrum_brute_non_injective_counts_words(capsys, p, m, family):
+    # tr(b x^{q^{m-l}+1}) = tr(b' x^{q^l+1}), so these spans hit each word A_0 > 1 times;
+    # the spectrum is the code's own, of dimension m
+    code, out, _ = run(["spectrum", "--p", str(p), "--m", str(m), "--family", family,
+                        "--variant", "base", "--method", "brute"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    A = {t["w"]: t["A"] for t in payload["spectrum"]}
+    assert payload["code"]["k"] == m
+    assert A[0] == 1
+    assert sum(A.values()) == p ** m == payload["distinct_words"]
+    assert payload["expected_words"] == p ** (2 * m)
+
+
 def pinned(out):
     """(byte length, sha256) of a command's stdout."""
     return len(out.encode()), hashlib.sha256(out.encode()).hexdigest()
@@ -357,6 +375,19 @@ def test_curves_scan(capsys):
     payload = json.loads(out)
     assert payload["classes"]["residue"]["minimal_betas"] == [1]
     assert payload["classes"]["residue"]["maximal_betas"] == [3]
+
+
+@pytest.mark.parametrize("p,m,size,sha", [
+    (3, 4, 337, "c128535257cda1631894dfb3fb8ebcc31b7526e32084a7ab8886686b2d9081fc"),
+    (5, 4, 348, "7f5f6cff07dbe5c80d520e85373ec627c4492a5bb7fe36502175fca18bebe30e"),
+    (3, 6, 361, "17ed5fb31475040a4f78f4750ee04d937e73146c02df9bf56098108bcb86b198"),
+    (2, 8, 373, "7b9607c43bcc90306be2ea6b9366faee56e9ae5b85e8bf6d73d0cb3c832769de"),
+    (7, 2, 320, "0b10f60e74ac5bce29da6d2246f38d31560d2f9a1cd032784d856af282f3cf5d"),
+], ids=["3-4", "5-4", "3-6", "2-8", "7-2"])
+def test_curves_scan_bytes_pinned(capsys, p, m, size, sha):
+    code, out, _ = run(["curves", "--p", str(p), "--m", str(m), "--ell", "1", "--scan"], capsys)
+    assert code == 0
+    assert pinned(out) == (size, sha)
 
 
 def test_verify_exit_codes(capsys, monkeypatch):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfcodes import curves, gf, klapper
+from qfcodes import curves, gf, klapper, quadform
 from qfcodes.curves import CurveSpec
 from qfcodes.klapper import HypothesisError
 from qfcodes.linalg import reduce_symmetric
@@ -287,6 +287,58 @@ def test_scan_checks_every_gamma(monkeypatch):
     with pytest.raises(curves.CurveCountError, match=f"gamma={gammas[-1]} "):
         curves.scan_monomial(ctx, 1, gammas=gammas)
     assert len(seen) == len(gammas)
+
+
+def fault_histograms(monkeypatch, faults):
+    """Make value_histograms add 1 to cell (beta, c = 0) of the gammas at the given
+    positions of the scan, counting rows across batches."""
+    real = curves.value_histograms
+    seen = [0]
+
+    def faulty(ctx, s, f):
+        H = real(ctx, s, f)
+        for pos, beta in faults:
+            if seen[0] <= pos < seen[0] + len(f):
+                H[pos - seen[0], beta, 0] += 1
+        seen[0] += len(f)
+        return H
+
+    monkeypatch.setattr(curves, "value_histograms", faulty)
+
+
+def test_scan_observed_fault_names_last_gamma(monkeypatch):
+    # one wrong histogram cell on the last gamma of the last batch still raises
+    ctx = gf.get_field(3, 6)
+    gammas = [int(g) for g in ctx.exp[: ctx.mult_order]]
+    monkeypatch.setattr(curves, "SCAN_CELLS", 3 ** 7 * 100)  # several batches
+    fault_histograms(monkeypatch, [(len(gammas) - 1, 17)])
+    with pytest.raises(curves.CurveCountError, match=f"^gamma={gammas[-1]} "):
+        curves.scan_monomial(ctx, 1, gammas=gammas)
+
+
+def test_scan_observed_faults_name_first_gamma(monkeypatch):
+    # two faulty gammas in one batch: the scan names the earlier one
+    ctx = gf.get_field(5, 4)
+    gammas = [int(g) for g in ctx.exp[: ctx.mult_order]]
+    fault_histograms(monkeypatch, [(40, 0), (9, ctx.order - 1)])
+    with pytest.raises(curves.CurveCountError, match=f"^gamma={gammas[9]} "):
+        curves.scan_monomial(ctx, 1, gammas=gammas)
+
+
+@pytest.mark.parametrize("p,m,ell", [(2, 4, 1), (3, 4, 1), (2, 6, 1), (5, 4, 1), (3, 6, 1)])
+def test_scan_tallies_match_per_gamma_histograms(monkeypatch, p, m, ell):
+    # the batched check against a per-gamma tally of each gamma's own histogram
+    ctx = gf.get_field(p, m)
+    monkeypatch.setattr(curves, "SCAN_CELLS", ctx.order * p * 7)  # batches of 7
+    scan = curves.scan_monomial(ctx, ell)
+    assert [s.gamma for s in scan.scans] == [int(g) for g in ctx.exp[: ctx.mult_order]]
+    lo, hi = curves.hasse_weil(curve(p, m, ell, 1))
+    for s in scan.scans:
+        Q = QuadForm(ctx, 1, m, LinearizedPoly((ell,), (s.gamma,), 1))
+        tally = quadform.frequencies(1 + p * Q.histogram[:, 0])
+        assert s.point_tally == tally
+        assert list(s.point_tally) == sorted(tally)
+        assert (s.n_minimal, s.n_maximal) == (tally.get(lo, 0), tally.get(hi, 0))
 
 
 def test_witness_rejects_bad_parameters():

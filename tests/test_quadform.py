@@ -528,6 +528,62 @@ def test_value_histograms_property(p, s, m, rows, seed):
     assert np.array_equal(quadform.value_histograms(ctx, s, f), direct_histograms(ctx, s, f))
 
 
+def assert_sampled_rows_exact(ctx, s, f, H, n_betas):
+    """H's rows at beta = 0 and n_betas sampled betas, recounted exactly for every form."""
+    sy = ctx.symbols(s)
+    q = sy.q
+    tables = element_tables(ctx, f)
+    xs = np.arange(ctx.order, dtype=np.int64)
+    rng = np.random.default_rng(ctx.order * len(f))
+    betas = np.union1d([0], rng.choice(ctx.order, min(n_betas, ctx.order), replace=False))
+    offsets = np.arange(len(f))[:, None] * q
+    for beta in betas:
+        tr_b = sy.trace_sym[ctx.v_mul(np.full(ctx.order, beta, dtype=np.int64), xs)]
+        want = np.bincount((offsets + sy.plus(tables, tr_b)).ravel(), minlength=len(f) * q)
+        assert np.array_equal(H[:, beta], want.reshape(-1, q)), beta
+    assert H.shape == (len(f), ctx.order, q)
+    assert (H.sum(axis=2) == ctx.order).all()
+
+
+def histogram_rows(ctx, q, B, seed):
+    """B symbol rows: the zero form (a count of q^m at beta = 0), then random rows."""
+    f = np.random.default_rng(seed).integers(0, q, size=(B, ctx.mult_order)).astype(np.int16)
+    f[0] = 0
+    return f
+
+
+# every batch size whose B q^{m+1} histogram cells stay within 2^23: all but B = 300 at
+# (43, 1, 2), which would hold 2^24.5
+BATCH_CASES = [(p, s, m, B) for p, s, m in sorted({(p, s, m) for p, s, m, _ in GRID}
+                                                  | {(3, 2, 2), (2, 3, 2), (5, 2, 2), (43, 1, 2)})
+               for B in (1, 5, 300) if B * p ** (s * m + s) <= 1 << 23]
+
+
+@pytest.mark.parametrize("p,s,m,B", BATCH_CASES)
+def test_value_histograms_batches_match_recount(p, s, m, B):
+    ctx = gf.get_field(p, s * m)
+    q = p ** s
+    f = histogram_rows(ctx, q, B, p * 1000 + s * 100 + m + B)
+    H = quadform.value_histograms(ctx, s, f)
+    if ctx.order <= 64 and B <= 5:
+        assert np.array_equal(H, direct_histograms(ctx, s, f))
+    else:
+        assert_sampled_rows_exact(ctx, s, f, H, 24)
+    # each form's histograms do not depend on the batch around it
+    assert np.array_equal(H[-1:], quadform.value_histograms(ctx, s, f[-1:]))
+
+
+@pytest.mark.parametrize("p,n", [(3, 9), (2, 15)], ids=["int16-19683", "int32-32768"])
+def test_value_histograms_count_dtype_edge(p, n):
+    # q^m = 19683 < 2^15 counts in int16, q^m = 2^15 in int32; the zero form's
+    # beta = 0 row holds q^m, the largest count, at c = 0
+    ctx = gf.get_field(p, n)
+    f = histogram_rows(ctx, p, 3, n)
+    H = quadform.value_histograms(ctx, 1, f)
+    assert H[0, 0, 0] == ctx.order
+    assert_sampled_rows_exact(ctx, 1, f, H, 6)
+
+
 def test_value_histograms_rejects_oversized_tables():
     ctx = gf.get_field(2, 16)
     with pytest.raises(ValueError):

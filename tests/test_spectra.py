@@ -196,12 +196,14 @@ def test_block_kernel_matches_per_word_reference(monkeypatch, p, s, m, exponents
 
 
 def test_block_kernel_keeps_the_non_injective_span_count(monkeypatch):
-    # span:1,3 at (2,1,4) counts coefficient indices, not codewords: k = 8, A_0 = 16
+    # span:1,3 at (2,1,4) hits each of its 16 codewords from 16 coefficient indices;
+    # the spectrum counts codewords: k = 4, A_0 = 1
     monkeypatch.setattr(spectra, "_BLOCK_CELLS", 7 * 16 * 2)
     res = brute_spectrum(gf.get_field(2, 4), CodeSpec(FamilySpec(2, 1, 4, (1, 3)), "base"))
-    assert res.params.k == 8
-    assert res.spectrum.weights[0] == 16
-    assert res.distinct_words == 16
+    assert res.params.k == 4
+    assert res.spectrum.weights[0] == 1
+    assert res.spectrum.total() == res.distinct_words == 16
+    assert res.expected_words == 256
 
 
 def test_brute_working_set_is_capped_at_large_q():
@@ -228,7 +230,10 @@ def test_brute_working_set_is_capped_at_large_q():
     orbit = np.array([1] + [30] * 32)[:, None]
     want = np.bincount((n - (H[:, :, 0] - 1)).ravel(),
                        weights=np.broadcast_to(orbit, H.shape[:2]).ravel(), minlength=n + 1)
-    assert res.spectrum.weights == {w: int(c) for w, c in enumerate(want) if c}
+    # tr(gamma x^32) = N(x) tr(gamma) vanishes for the 31 gammas of trace 0: each word
+    # has 31 indices, and the spectrum counts words
+    assert want[0] == 31 and not (want % 31).any()
+    assert res.spectrum.weights == {w: int(c) // 31 for w, c in enumerate(want) if c}
 
 
 def test_float_exactness_guard_raises(monkeypatch):
@@ -251,7 +256,10 @@ def test_brute_non_injective(p, m, exponents, variant, expected, distinct):
     assert res.injective is False
     assert res.expected_words == expected
     assert res.distinct_words == distinct
-    assert res.spectrum.weights[0] == expected // distinct
+    # every word is hit expected // distinct times; the spectrum counts each once
+    assert res.spectrum.weights[0] == 1
+    assert res.spectrum.total() == distinct
+    assert p ** res.params.k == distinct
 
 
 @pytest.mark.parametrize("exponents,variant", [((1, 3), "base"), ((1, 3), "2"), ((1,), "2")])
