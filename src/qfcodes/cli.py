@@ -98,18 +98,19 @@ def _family_and_ctx(args) -> tuple[str, list[int], FieldCtx, FamilySpec]:
 
 
 def _measured_distribution(ctx, fam: FamilySpec, budget: int) -> RankDistribution:
-    """Rank distribution of an arbitrary family by exhaustive classification.
+    """Rank distribution of the code of an arbitrary family by exhaustive classification.
 
-    quadform.tally_profiles covers every coefficient row; a rank-0 form other
-    than R = 0 raises HypothesisError, an odd-rank one RankError.
+    quadform.tally_profiles covers every coefficient row (odd rank raises RankError);
+    R -> Q_R is F_q-linear, so every count is divided by A_0, the rank-0 count.
     """
     n_forms = ctx.order ** len(fam.exponents)
     if n_forms * (fam.m ** 3) > budget:
         raise BudgetError(f"{n_forms} forms exceed the classification budget")
     dist = tally_profiles(ctx, fam)
-    if dist.as_dict()[0, 1] != 1:
-        raise HypothesisError("family is not an even-rank family (rank 0)")
-    return dist
+    a0 = dist.as_dict()[0, 1]
+    if any(c % a0 for _, _, c in dist.counts):
+        raise HypothesisError(f"a linear map hits every form of its image {a0} times")
+    return RankDistribution(dist.q, dist.m, tuple((r, e, c // a0) for r, e, c in dist.counts))
 
 
 def _predicted(kind, args, ctx, fam, spec) -> spectra.Prediction:
@@ -122,7 +123,7 @@ def _predicted(kind, args, ctx, fam, spec) -> spectra.Prediction:
     if args.method == "predict":
         raise FieldError("span families have no closed-form prediction; use --method brute "
                          "or --method both")
-    # the tally rejects a family that is not even-rank before brute force runs
+    # the tally rejects an odd-rank family before brute force runs
     spectra.brute_size(ctx, spec, args.budget)
     return spectra.predict(_measured_distribution(ctx, fam, args.budget), args.variant)
 

@@ -3,8 +3,9 @@
 Point counts ride on the additive Hilbert-90 criterion: the affine points
 over x lie p-to-1 over {x : tr_{p^m/p}(xR(x) + beta x) = 0}, plus one point
 at infinity.  A count at a Hasse-Weil endpoint is optimal; optimal_betas
-reads the betas at each endpoint off the closed-form point multiset, and
-optimality_status profiles only a curve at an endpoint, against it.
+reads the betas at each endpoint off the closed-form point multiset, the one
+place optimality is decided: optimality_status profiles only a curve at an
+endpoint, against it, and l3l_optimal_witness reads its target from it.
 
 Every trace-form table here is a quadform.form_symbols row, one log-domain
 gather per term over x = alpha^k: the single-curve trace count reads it
@@ -60,7 +61,7 @@ class CurveSpec:
 
     def v(self) -> int:
         """p-adic valuation of deg R (deg R = p^v)."""
-        return self.R.degree_exponent(self.ctx.p)
+        return self.R.degree_exponent()
 
 
 @dataclass(frozen=True)
@@ -252,65 +253,50 @@ def l3l_optimal_witness(ctx: FieldCtx, ell: int,
                         pair_budget: int | None = None) -> WitnessReport:
     """Search <x^{p^l}, x^{p^{3l}}> for an optimal curve via a rank-(m-6l) form.
 
-    Scans (gamma1, gamma2) in deterministic order, finds the beta realizing
-    the extreme weight class, and returns the curve with its point count
-    verified independently by (x, y) solution enumeration.
+    optimal_betas at rank m - 6l, type -eps_l gives the endpoint and its beta
+    count.  gamma1-major rows of every gamma2 are profiled up to pair_budget
+    pairs; the first hit is re-profiled, swept over beta and recounted by (x, y).
     """
     p, m = ctx.p, ctx.n
     if p == 2:
         raise HypothesisError("the two-monomial witness search targets odd p")
     if m % ell != 0 or (m // ell) % 2 != 0 or m <= 6 * ell:
         raise HypothesisError("need l | m, m/l even and m > 6l")
-    target_rank = m - 6 * ell
-    eps_form = -eps_ell(m, ell)  # rank m-6l carries type (-1)^3 eps_l
-    n_min, n_max = optimal_betas(p, m, 3 * ell, target_rank, eps_form)  # deg R = p^{3l}
-    status_target = "maximal" if n_max else "minimal"
-    # g1 = 0 leaves the monomial g2 x^{p^l}, of rank m or m - 2(m,l) and never m - 6l
-    g1s = [int(v) for v in ctx.exp[: ctx.mult_order]]
-    if pair_budget is None:
-        pair_budget = ctx.order * len(g1s)
-    if pair_budget < 0:
-        raise ValueError(f"pair_budget must be >= 0, got {pair_budget}")
-    g2s = np.arange(ctx.order, dtype=np.int64)
-    checked = 0
-    hit = None
-    for g1 in g1s:
-        if checked >= pair_budget:
-            break
-        take = min(ctx.order, pair_budget - checked)
-        rows = np.column_stack([g2s[:take], np.full(take, g1)])
+    target = (m - 6 * ell, -eps_ell(m, ell))  # rank m-6l carries type (-1)^3 eps_l
+    n_min, n_max = optimal_betas(p, m, 3 * ell, *target)  # deg R = p^{3l}
+    points = _endpoints(p, m, 3 * ell)[n_max > 0]
+    # gamma1 = 0 leaves the monomial gamma2 x^{p^l}, of rank m or m - 2(m,l), never m - 6l
+    total = ctx.order * ctx.mult_order
+    budget = total if pair_budget is None else pair_budget
+    if budget < 0:
+        raise ValueError(f"pair_budget must be >= 0, got {budget}")
+    for lo in range(0, min(budget, total), ctx.order):
+        g1, take = int(ctx.exp[lo // ctx.order]), min(ctx.order, budget - lo)
+        rows = np.column_stack([np.arange(take), np.full(take, g1)])
         ranks, _ = form_profiles(ctx, 1, rows, (ell, 3 * ell), count=False)
-        checked += take
-        hits = np.flatnonzero(ranks == target_rank)
+        hits = np.flatnonzero(ranks == target[0])
         if len(hits):
-            hit = (g1, int(hits[0]))
+            g2 = int(hits[0])
             break
-    if hit is None:
-        if checked >= ctx.order * len(g1s):
+    else:
+        if budget >= total:
             raise CurveCountError("no rank m-6l pair exists: contradicts the existence result")
-        return WitnessReport(found=False, pairs_checked=checked)
-    g1, g2 = hit
+        return WitnessReport(found=False, pairs_checked=budget)
     prof = l3l_pair_profile(ctx, ell, g1, g2)
-    if (prof.rank, prof.type) != (target_rank, eps_form):
+    if (prof.rank, prof.type) != target:
         raise CurveCountError(f"profile {prof} disagrees with the predicted class")
     R = l3l_poly(ctx, ell, g1, g2)
-    # sweep beta for the extreme class
-    points = 1 + p * QuadForm(ctx, 1, m, R).histogram[:, 0]
-    lo, hi = hasse_weil(CurveSpec(ctx, R, 0))
-    target_points = hi if status_target == "maximal" else lo
-    hits = np.nonzero(points == target_points)[0]
-    expected = n_max or n_min
-    if len(hits) != expected:
-        raise CurveCountError(f"{len(hits)} optimal betas, predicted {expected}")
-    beta = int(hits[0])
-    curve = CurveSpec(ctx, R, beta)
+    betas = np.flatnonzero(1 + p * QuadForm(ctx, 1, m, R).histogram[:, 0] == points)
+    if len(betas) != n_min + n_max:
+        raise CurveCountError(f"{len(betas)} optimal betas, predicted {n_min + n_max}")
+    curve = CurveSpec(ctx, R, int(betas[0]))
     report = optimality_status(curve, prof)
-    if report.status != status_target or report.points != target_points:
+    if report.points != points:
         raise CurveCountError("witness verification failed")
     independent = count_points_by_solutions(curve)
-    if independent != report.points:
+    if independent != points:
         raise CurveCountError("solution enumeration disagrees with the trace count")
-    return WitnessReport(found=True, pairs_checked=checked, curve=curve, report=report,
-                         gamma1=g1, gamma2=g2, beta=beta,
-                         expected_betas=expected, observed_betas=int(len(hits)),
+    return WitnessReport(found=True, pairs_checked=lo + take, curve=curve, report=report,
+                         gamma1=g1, gamma2=g2, beta=curve.beta,
+                         expected_betas=n_min + n_max, observed_betas=len(betas),
                          solution_count=independent)

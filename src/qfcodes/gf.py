@@ -44,7 +44,6 @@ checks the table against the digit rule once.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from math import gcd
 
 import numpy as np
 
@@ -501,10 +500,3 @@ def get_field(p: int, n: int) -> FieldCtx:
     """Cached FieldCtx(p, n) (contexts are immutable)."""
     return FieldCtx(p, n)
 
-
-def power_residue_test(ctx: FieldCtx, gamma: int, e: int) -> bool:
-    """True iff gamma is an e-th power in F_{p^n}^*, via gamma^{(p^n-1)/gcd(p^n-1, e)} = 1."""
-    if gamma == 0:
-        raise FieldError("power residue test needs gamma != 0")
-    g = gcd(ctx.mult_order, e)
-    return ctx.pow(gamma, ctx.mult_order // g) == 1

@@ -57,7 +57,7 @@ class LinearizedPoly:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def degree_exponent(self, p: int) -> int:
+    def degree_exponent(self) -> int:
         """l_max over nonzero coefficients: deg R = q^{l_max} = p^{s*l_max}."""
         nz = [l for l, c in zip(self.q_exponents, self.coeffs) if c != 0]
         if not nz:

@@ -131,7 +131,7 @@ def predict_general(dist: RankDistribution, variant: str) -> Spectrum:
     counts, every nonzero column holds Y (major + (q-2) minor) times,
     q^{m-1} flat times and X minor times, and the beta = 0 row is Y in
     each, so column 1, read q - 1 times, stands for them all.  Frequencies must total
-    q^{ms(+1)} per the dimension claims; that is asserted before returning.
+    q^{k(+1)(+m)} by variant, q^k the family size; that is asserted before returning.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -148,10 +148,10 @@ def predict_general(dist: RankDistribution, variant: str) -> Spectrum:
 
     spec = Spectrum(n=n, q=q, weights=weights)
     size = sum(cnt for _, _, cnt in rows)
-    ms = int_log(size, q)
-    if ms is None or ms % m != 0:
-        raise HypothesisError("family size is not q^{ms}")
-    expected_dim = {"base": ms, "0": ms + 1, "1": ms + m, "2": ms + m + 1}[variant]
+    k = int_log(size, q)
+    if k is None:
+        raise HypothesisError("family size is not a power of q")
+    expected_dim = {"base": k, "0": k + 1, "1": k + m, "2": k + m + 1}[variant]
     if spec.dim() != expected_dim:
         raise HypothesisError(f"frequency sum gives dimension {spec.dim()}, expected {expected_dim}")
     return spec
@@ -316,8 +316,8 @@ def brute_spectrum(ctx: FieldCtx, spec: CodeSpec, budget: int = DEFAULT_BUDGET,
     Work is counted in symbol evaluations and refused above `budget`.  The map
     index -> word is F_q-linear, so every word is hit A_0 times (A_0 = the
     indices giving the zero word) and the image holds expected/A_0 words:
-    the spectrum is the code's, every index count divided by A_0, and its
-    dimension is log_q of the distinct words.
+    the spectrum and the compositions are the code's, every index count
+    divided by A_0, and its dimension is log_q of the distinct words.
     The enumeration runs in this process, a block of forms at a time;
     `workers` is validated (at least 1) and starts no process.  The argument
     stays because the benchmark workloads pass it.
@@ -331,14 +331,15 @@ def brute_spectrum(ctx: FieldCtx, spec: CodeSpec, budget: int = DEFAULT_BUDGET,
     weight_hist, comp_counts = _brute_chunk(ctx, spec, collect_compositions)
     a0 = int(weight_hist[0])
     distinct, rest = divmod(n_words, a0)
-    if rest or (weight_hist % a0).any():
+    if rest or (weight_hist % a0).any() or any(c % a0 for c in comp_counts.values()):
         raise HypothesisError("a linear map hits every word of its image equally often")
     weights = {int(w): int(c) // a0 for w, c in enumerate(weight_hist) if c}
+    compositions = {key: c // a0 for key, c in comp_counts.items()}
     spectrum = Spectrum(n=n, q=fam.q, weights=weights)
     params = CodeParams(n=n, k=spectrum.dim(), d=spectrum.min_distance())
     return BruteResult(params=params, spectrum=spectrum, expected_words=n_words,
                        distinct_words=distinct,
-                       compositions=comp_counts if collect_compositions else None)
+                       compositions=compositions if collect_compositions else None)
 
 
 def _brute_chunk(ctx: FieldCtx, spec: CodeSpec, collect: bool):

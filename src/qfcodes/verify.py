@@ -16,7 +16,7 @@ from math import gcd
 import numpy as np
 
 from . import curves, klapper, linalg, quadform, spectra
-from .gf import get_field, power_residue_test
+from .gf import get_field
 from .linpoly import FamilySpec, LinearizedPoly
 from .quadform import QuadForm
 from .spectra import CodeSpec, DEFAULT_BUDGET
@@ -344,7 +344,7 @@ def criterion_8(budget: int) -> CriterionResult:
         details["plain_cubic"] = 9
         details["with_linear_term"] = maximal_pts
         cubes = [int(g) for g in ctx.exp[: ctx.mult_order]
-                 if power_residue_test(ctx, int(g), 3)]
+                 if klapper.classify_monomial(ctx, 1, 4, int(g), 1).branch == "residue"]
         scan = curves.scan_monomial(ctx, 1, gammas=cubes)
         per_gamma = {(s.n_minimal, s.n_maximal) for s in scan.scans}
         ok &= per_gamma == {(1, 3)}

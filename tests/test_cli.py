@@ -206,16 +206,38 @@ def test_cwe_measured_span_bytes_pinned(capsys, argv, size, sha):
     assert pinned(out) == (size, sha)
 
 
-@pytest.mark.parametrize("p,family,message", [
-    (3, "span:0,2", "not an even-rank family (rank 0)"),
-    (2, "span:0,1", "even rank only, got 1"),
-    (3, "span:0,1", "even rank only, got 3"),
-], ids=["3-span02-rank0", "2-span01-odd", "3-span01-odd"])
-def test_spectrum_measured_span_not_even_rank_exit_1(capsys, p, family, message):
-    code, out, err = run(["spectrum", "--p", str(p), "--m", "4", "--family", family,
+@pytest.mark.parametrize("p,m,family,message", [
+    (2, 4, "span:0,1", "even rank only, got 1"),
+    (3, 4, "span:0,1", "even rank only, got 3"),
+    (2, 6, "span:2,4", "even rank only, got 5"),
+], ids=["2-span01-odd", "3-span01-odd", "2-6-span24-odd"])
+def test_spectrum_measured_span_not_even_rank_exit_1(capsys, p, m, family, message):
+    code, out, err = run(["spectrum", "--p", str(p), "--m", str(m), "--family", family,
                           "--method", "both"], capsys)
     assert code == cli.EXIT_USAGE and out == ""
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("p,m,family,k", [
+    (2, 4, "span:1,3", 4), (3, 4, "span:1,3", 4), (3, 4, "span:1,5", 4),
+    (2, 6, "span:1,5", 6), (3, 4, "span:0,2", 6),
+], ids=["2-4-span13", "3-4-span13", "3-4-span15", "2-6-span15", "3-4-span02"])
+def test_spectrum_measured_span_divides_by_a0(capsys, p, m, family, k):
+    # A_0 > 1 coefficient rows give the zero form; the measured distribution and the
+    # brute spectrum both count codewords, so they agree in every variant and in cwe
+    argv = ["--p", str(p), "--m", str(m), "--family", family, "--method", "both"]
+    for variant, dim in zip(spectra.VARIANTS, (k, k + 1, k + m, k + m + 1)):
+        code, out, err = run(["spectrum", *argv, "--variant", variant], capsys)
+        assert code == cli.EXIT_OK, (variant, err)
+        payload = json.loads(out)
+        assert payload["match"] is True and payload["code"]["k"] == dim, variant
+        assert payload["distinct_words"] == p ** dim
+        assert payload["spectrum"][0] == {"w": 0, "A": 1}
+    code, out, _ = run(["cwe", *argv], capsys)
+    assert code == cli.EXIT_OK
+    payload = json.loads(out)
+    assert payload["match"] is True and payload["balanced_verified"] is True
+    assert sum(t["coeff"] for t in payload["cwe"]) == p ** k
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -246,13 +268,13 @@ def test_nonpositive_s_or_m_exit_1(capsys, argv):
 
 
 def test_spectrum_span_not_even_rank_exits_before_brute(capsys):
-    # the tally rejects the family before the 5^8-form brute enumeration runs
-    argv = ["spectrum", "--p", "5", "--m", "4", "--family", "span:0,2", "--method", "both"]
+    # the tally rejects the odd-rank family before the 5^8-form brute enumeration runs
+    argv = ["spectrum", "--p", "5", "--m", "4", "--family", "span:0,1", "--method", "both"]
     start = time.perf_counter()
     code, out, err = run(argv, capsys)
     assert time.perf_counter() - start < 1.0
     assert code == cli.EXIT_USAGE and out == ""
-    assert "not an even-rank family (rank 0)" in err
+    assert "even rank only, got 3" in err
     # an over-budget brute run is still refused first, with exit 3
     code, out, err = run([*argv, "--budget", "1000"], capsys)
     assert code == cli.EXIT_BUDGET and out == "" and "exceeds budget" in err
@@ -539,6 +561,78 @@ def test_curves_negative_pair_budget_exit_1(capsys, monkeypatch):
         code, out, err = run(argv + ["--pair-budget", bad], capsys)
         assert code == cli.EXIT_USAGE and out == "" and "pair-budget" in err
     assert cli.build_parser().parse_args(argv + ["--pair-budget", "0"]).pair_budget == 0
+
+
+@pytest.mark.parametrize("budget,found,checked", [
+    (0, False, 0), (1, False, 1), (2, True, 2), (5000, True, 5000), (6560, True, 6560),
+    (6561, True, 6561), (6562, True, 6561),
+])
+def test_curves_witness_pair_budget_pinned(capsys, budget, found, checked):
+    # one gamma1 row of 3^8 pairs is profiled at a time, cut at the budget; the
+    # witness (1, 1) is the second pair of the first row
+    code, out, _ = run(["curves", "--p", "3", "--m", "8", "--ell", "1", "--witness",
+                        "--pair-budget", str(budget)], capsys)
+    payload = json.loads(out)
+    assert (payload["found"], payload["pairs_checked"]) == (found, checked)
+    assert code == (cli.EXIT_OK if found else cli.EXIT_MISMATCH)
+    if found:
+        assert payload["points"] == payload["independent_recount"] == 2188
+
+
+SINGLE_CURVE = ["curves", "--p", "3", "--m", "4", "--ell", "1", "--gamma", "a^3", "--beta", "5"]
+
+
+def test_out_writes_the_stdout_bytes(capsys, tmp_path):
+    for argv in (SINGLE_CURVE, ["spectrum", "--p", "2", "--m", "4", "--family", "mono:1",
+                                "--format", "csv"]):
+        code, out, _ = run(argv, capsys)
+        assert code == cli.EXIT_OK
+        path = tmp_path / "out.txt"
+        code, out_with_file, err = run([*argv, "--out", str(path)], capsys)
+        assert (code, out_with_file, err) == (cli.EXIT_OK, "", "")
+        assert path.read_bytes() == out.encode()
+
+
+def test_text_format_is_one_line_per_key(capsys):
+    _, out, _ = run(SINGLE_CURVE, capsys)
+    payload = json.loads(out)
+    code, text, _ = run([*SINGLE_CURVE, "--format", "text"], capsys)
+    assert code == cli.EXIT_OK
+    assert text.splitlines() == [f"{k}: {json.dumps(v, sort_keys=True)}"
+                                 for k, v in sorted(payload.items())]
+
+
+def test_cwe_l3l_predict(capsys):
+    # the closed-form distribution, with no budget for brute verification
+    code, out, _ = run(["cwe", "--p", "3", "--m", "8", "--family", "l3l:1"], capsys)
+    assert code == cli.EXIT_OK
+    payload = json.loads(out)
+    assert payload["balanced_verified"] is None and payload["match"] is None
+    assert sum(t["coeff"] for t in payload["cwe"]) == 3 ** 16
+    assert payload["code"]["n"] == 3 ** 8 - 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("spectrum --p 3 --m 4 --family mono1",
+     "family must look like mono:1, l3l:1 or span:1,2 (got 'mono1')"),
+    ("curves --p 3 --m 4 --ell 1 --gamma 81", "element index 81 out of range"),
+    ("spectrum --p 3 --m 4 --family mono:1,2", "mono takes a single exponent"),
+    ("spectrum --p 3 --m 8 --family l3l:1,2", "l3l takes a single exponent"),
+    ("spectrum --p 3 --s 2 --m 2 --family l3l:1",
+     "the two-monomial family is defined over prime base fields"),
+], ids=["family", "gamma", "mono", "l3l", "l3l-s2"])
+def test_malformed_input_exit_1(capsys, argv, message):
+    code, out, err = run(argv.split(), capsys)
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_curve_count_error_exit_2(capsys, monkeypatch):
+    # a count outside the genus bounds is a verification mismatch
+    monkeypatch.setattr(cli.curves, "count_points", lambda spec: 0)
+    code, out, err = run(SINGLE_CURVE, capsys)
+    assert code == cli.EXIT_MISMATCH and out == ""
+    assert err == "verification mismatch: count 0 escapes the genus bounds (28, 136)\n"
 
 
 ROOT = Path(__file__).resolve().parents[1]

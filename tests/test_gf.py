@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfcodes import gf, verify
+from qfcodes import gf, klapper, verify
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -159,14 +159,17 @@ def test_trace_onto_with_equal_fibers(p, n, d):
 
 
 def test_power_residue():
+    # at p = 2, l = 1 the residue branch is gamma^{(2^m-1)/3} = 1: gamma is a cube
+    def cube(F, gamma):
+        return klapper.classify_monomial(F, 1, F.n, gamma, 1).branch == "residue"
+
     F = gf.get_field(2, 4)
-    assert gf.power_residue_test(F, 1, 3)
-    assert not gf.power_residue_test(F, F.alpha, 3)
-    with pytest.raises(gf.FieldError):
-        gf.power_residue_test(F, 0, 3)
+    assert cube(F, 1)
+    assert not cube(F, F.alpha)
+    with pytest.raises(klapper.HypothesisError):
+        cube(F, 0)
     F256 = gf.get_field(2, 8)
-    cubes = sum(gf.power_residue_test(F256, g, 3) for g in range(1, 256))
-    assert cubes == 85
+    assert sum(cube(F256, g) for g in range(1, 256)) == 85
 
 
 # q = p adds digits mod p, p = 2 by XOR, and odd p with d > 1 through the table

@@ -113,11 +113,11 @@ def test_validation():
         LinearizedPoly((1,), (1, 2), 1)
     R = LinearizedPoly((1,), (0,), 1)
     with pytest.raises(Exception):
-        R.degree_exponent(2)
+        R.degree_exponent()
 
 
 def test_degree_exponent():
     R = LinearizedPoly((1, 3), (5, 7), 1)
-    assert R.degree_exponent(3) == 3
+    assert R.degree_exponent() == 3
     R2 = LinearizedPoly((1, 3), (5, 0), 1)
-    assert R2.degree_exponent(3) == 1
+    assert R2.degree_exponent() == 1

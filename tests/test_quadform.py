@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfcodes import gf, klapper, quadform, spectra
-from qfcodes.linalg import reduce_symmetric
+from qfcodes.linalg import Reduction, reduce_symmetric
 from qfcodes.klapper import rank_distribution_monomial
 from qfcodes.linpoly import FamilySpec, family_coeffs
 from qfcodes.spectra import CodeSpec
@@ -159,6 +159,34 @@ def test_form_profiles_report_the_first_failing_row(monkeypatch):
         monkeypatch.setattr(quadform, "PROFILE_CELLS", cells)
         with pytest.raises(RankError, match="got 3$"):
             quadform.form_profiles(ctx, 1, rows, (0, 1))
+
+
+def test_form_profiles_refuses_char_2_past_count_limit(monkeypatch):
+    # p = 2 reads the type from the zero count alone, so a field past the limit is refused
+    monkeypatch.setattr(quadform, "COUNT_LIMIT", 8)
+    with pytest.raises(RankError, match="too large for the characteristic-2 counting route"):
+        quadform.profile(form(2, 1, 4, (1,), (1,)))
+
+
+def test_form_profiles_refuses_a_zero_count_of_neither_type(monkeypatch):
+    # tr(x^4) over F_81 has rank 2, type -1: 9 zeros; one zero less fits neither type
+    real = quadform.form_symbols
+
+    def one_zero_less(*args, **kwargs):
+        syms = real(*args, **kwargs)
+        syms[0, np.flatnonzero(syms[0] == 0)[0]] = 1
+        return syms
+
+    monkeypatch.setattr(quadform, "form_symbols", one_zero_less)
+    with pytest.raises(RankError, match="zero count 8 matches neither type at rank 2"):
+        quadform.profile(form(3, 1, 4, (1,), (1,)))
+
+
+def test_form_profiles_refuses_disagreeing_routes(monkeypatch):
+    real = Reduction.etas
+    monkeypatch.setattr(Reduction, "etas", lambda red: -real(red))
+    with pytest.raises(RankError, match="discriminant route disagrees with counting route"):
+        quadform.profile(form(3, 1, 4, (1,), (1,)))
 
 
 def direct_tally(ctx, fam, count):
