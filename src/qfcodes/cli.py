@@ -100,13 +100,17 @@ def _family_and_ctx(args) -> tuple[str, list[int], FieldCtx, FamilySpec]:
 def _measured_distribution(ctx, fam: FamilySpec, budget: int) -> RankDistribution:
     """Rank distribution of the code of an arbitrary family by exhaustive classification.
 
-    quadform.tally_profiles covers every coefficient row (odd rank raises RankError);
+    tr(b x^{q^{m-l}+1}) = tr(b^{q^l} x^{q^l+1}), so exponents reduced to
+    min(l, -l) mod m span the same forms, and quadform.tally_profiles covers
+    every coefficient row of that family (odd rank raises RankError).
     R -> Q_R is F_q-linear, so every count is divided by A_0, the rank-0 count.
+    The budget is charged for the family as given.
     """
     n_forms = ctx.order ** len(fam.exponents)
     if n_forms * (fam.m ** 3) > budget:
         raise BudgetError(f"{n_forms} forms exceed the classification budget")
-    dist = tally_profiles(ctx, fam)
+    ls = tuple(sorted({min(l % fam.m, -l % fam.m) for l in fam.exponents}))
+    dist = tally_profiles(ctx, FamilySpec(fam.p, fam.s, fam.m, ls))
     a0 = dist.as_dict()[0, 1]
     if any(c % a0 for _, _, c in dist.counts):
         raise HypothesisError(f"a linear map hits every form of its image {a0} times")

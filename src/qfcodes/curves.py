@@ -11,9 +11,9 @@ Every trace-form table here is a quadform.form_symbols row, one log-domain
 gather per term over x = alpha^k: the single-curve trace count reads it
 directly, and the sweeps over all beta pass the rows to
 quadform.value_histograms, one exhaustive histogram per form (scan_monomial
-a batch of gammas at a time, whose point rows it sorts once and compares,
-per predicted multiset, with that multiset's sorted row; the witness search
-through QuadForm.histogram).
+a batch of gammas at a time, whose zero-count rows it sorts once in the
+kernel's compact counts and compares, per predicted multiset, with that
+multiset's sorted row; the witness search through QuadForm.histogram).
 Every rank and type (the witness search's pair ranks included) comes
 from quadform.form_profiles.  count_points_by_solutions stays an
 independent (x, y) enumeration in element order through lin_eval_table and
@@ -189,17 +189,19 @@ class ScanReport:
 
 
 # histogram cells (gammas x p^m x p) one scan_monomial batch may hold
-SCAN_CELLS = 1 << 20
+SCAN_CELLS = 1 << 19
 
 
 def scan_monomial(ctx: FieldCtx, ell: int, gammas: list[int] | None = None) -> ScanReport:
     """Sweep beta for each gamma-class of y^p - y = gamma x^{p^l+1} + beta x.
 
     Every gamma gets its own exhaustive histogram over all beta, in batches
-    of value_histograms calls.  Each batch's point rows are sorted once; the
-    gammas whose profiles predict the same point-count multiset are checked
-    together against its sorted row, and a matching gamma's point_tally is
-    that multiset.  Any mismatch raises with the first offending gamma.
+    of value_histograms calls.  Each batch's zero counts N_{Q,beta}(0) are
+    sorted once, in the kernel's compact dtype; the gammas whose profiles
+    predict the same point-count multiset are checked together against its
+    sorted row of counts (#C = 1 + p N), and a matching gamma's point_tally
+    is that multiset.  Any mismatch raises with the first offending gamma,
+    whose points alone are widened for the message.
     """
     p, m = ctx.p, ctx.n
     ends = _endpoints(p, m, ell)  # raises for odd m
@@ -212,22 +214,23 @@ def scan_monomial(ctx: FieldCtx, ell: int, gammas: list[int] | None = None) -> S
     for lo in range(0, len(gammas), batch):
         chunk = gammas[lo: lo + batch]
         forms = form_symbols(ctx, 1, np.array(chunk)[:, None], (p ** ell + 1,))
-        # points = 1 + p #{x : tr(gamma x^{p^l+1} + beta x) = 0}, one row per gamma
-        points = np.sort(1 + p * value_histograms(ctx, 1, forms)[:, :, 0], axis=1)
+        # N = #{x : tr(gamma x^{p^l+1} + beta x) = 0} for every beta, one sorted row per gamma
+        zeros = np.sort(value_histograms(ctx, 1, forms)[:, :, 0], axis=1)
         classes = [classify_monomial(ctx, 1, m, g, ell) for g in chunk]
         tallies = [tuple(sorted(expected_point_multiset(p, m, c.rank, c.type).items()))
                    for c in classes]
         ok = np.zeros(len(chunk), dtype=bool)
         for tally in set(tallies):
             rows = [i for i, t in enumerate(tallies) if t == tally]
-            want = np.repeat([v for v, _ in tally], [c for _, c in tally])
+            want = np.repeat([(v - 1) // p for v, _ in tally], [c for _, c in tally])
             if len(want) == ctx.order:
-                ok[rows] = (points[rows] == want).all(axis=1)
+                ok[rows] = (zeros[rows] == want).all(axis=1)
         if not ok.all():
             i = int(np.argmin(ok))
+            points = 1 + p * zeros[i].astype(np.int64)
             raise CurveCountError(
                 f"gamma={chunk[i]} (branch {classes[i].branch}): observed "
-                f"{sorted(frequencies(points[i]).items())}, expected {list(tallies[i])}")
+                f"{sorted(frequencies(points).items())}, expected {list(tallies[i])}")
         for gamma, cls, tally in zip(chunk, classes, map(dict, tallies)):
             scans.append(GammaScan(gamma=gamma, classification=cls, point_tally=tally,
                                    n_maximal=tally.get(ends[1], 0),

@@ -32,7 +32,10 @@ Every sweep over all beta goes through value_histograms, which reads
 form_symbols rows: an exact additive-character transform in the group ring
 Z[F_q] that returns N_{Q,beta}(c) for all beta and c at once, at m q^{m+2}
 integer additions per form instead of the q^{2m} of a (beta, x) grid,
-gathering whole blocks along a leading symbol axis in int_dtype(q^m) counts.
+gathering whole blocks along a leading symbol axis.  Its counts are
+int_dtype(q^m) from the first write to the returned array, and a batch of B
+forms works in three buffers of B q^{m+1} counts; QuadForm.histogram
+widens its one row to int64.
 spectra's brute enumeration keeps the direct grid as the oracle the
 transform is checked against.
 """
@@ -95,9 +98,10 @@ class QuadForm:
 
     @cached_property
     def histogram(self) -> np.ndarray:
-        """H[beta, c] = N_{Q,beta}(c) for every beta and every symbol c, built once per form."""
+        """int64 H[beta, c] = N_{Q,beta}(c) for every beta and symbol c, built once per form."""
         coeffs, exps = form_terms(self.R, self.q)
-        return value_histograms(self.ctx, self.s, form_symbols(self.ctx, self.s, [coeffs], exps))[0]
+        H = value_histograms(self.ctx, self.s, form_symbols(self.ctx, self.s, [coeffs], exps))
+        return H[0].astype(np.int64, order="C")
 
 
 def form_terms(R: LinearizedPoly, q: int, beta: int = 0) -> tuple[list[int], tuple[int, ...]]:
@@ -266,6 +270,8 @@ def profile(Q: QuadForm) -> QuadFormProfile:
 
 # largest q^m * q cells one symbol table may spread over in value_histograms
 HISTOGRAM_CELLS = 1 << 26
+# (form, x) entries one value_histograms scatter writes at a time
+SCATTER_CELLS = 1 << 16
 
 
 def value_histograms(ctx: FieldCtx, s: int, f: np.ndarray) -> np.ndarray:
@@ -274,17 +280,22 @@ def value_histograms(ctx: FieldCtx, s: int, f: np.ndarray) -> np.ndarray:
     f is a (B, q^m - 1) stack of F_q symbol rows in the log order of
     form_symbols: column k holds f_b(alpha^k), and f_b(0) = 0, as for every
     trace form.  Any rows work, not just quadratic ones.  With the coordinates
-    c_i(x) = tr(alpha^i x) and beta = sum_i b_i alpha^i, one bincount of
-    (f_b(x), c(x), b) (x = 0 adding 1 at c = 0) becomes H by one
-    additive-character stage per coordinate in the group ring Z[F_q]
-    (MacWilliams-Sloane ch. 5): A'[c, t, ..] = sum_y A[c - y t, .., y, b],
-    each stage taking the coordinate before the form axis to the place after
-    the symbol axis c.  With c leading, each y gathers q^2 whole blocks of
-    q^{k-1} B counts: m q^{m+2} integer additions per table instead of the
-    q^{2m} of a (beta, x) grid, in O(B q^{m+1}) memory; callers bound B.  A
-    count never exceeds q^m, so the stages run in int_dtype(q^m), which is
-    int32 only from q^m = 2^15.  Returns int64 counts of shape (B, q^m, q),
-    beta indexed by field element.
+    c_i(x) = tr(alpha^i x) and beta = sum_i b_i alpha^i, the histogram of
+    (f_b(x), c(x), b) holds only 0 and 1, as c(x) determines x: it is written
+    as ones, SCATTER_CELLS (form, x) entries at a time (x = 0 at c = 0).  It
+    becomes H by one additive-character stage per coordinate in the group
+    ring Z[F_q] (MacWilliams-Sloane ch. 5): A'[c, t, ..] = sum_y
+    A[c - y t, .., y, b], each stage taking the coordinate before the form
+    axis to the place after the symbol axis c.  With c leading, each y
+    gathers q^2 whole blocks of q^{k-1} B counts: m q^{m+2} integer
+    additions per table instead of the q^{2m} of a (beta, x) grid.  A count
+    never exceeds q^m, so every count is int_dtype(q^m) (int8 below 128,
+    int16 below 2^15, int32 from q^m = 2^15), and a stage runs between two
+    preallocated buffers of B q^{m+1} counts and one scratch buffer, with
+    mode="clip" so that np.take writes its out= directly: callers bound B.
+    Returns the counts in int_dtype(q^m), shape (B, q^m, q), beta indexed by
+    field element: a transposed view of one (q, q^m, B) array, so H[:, :, c]
+    is contiguous.
     """
     q, k = ctx.p ** s, ctx.n // s
     cells = ctx.order * q
@@ -293,19 +304,26 @@ def value_histograms(ctx: FieldCtx, s: int, f: np.ndarray) -> np.ndarray:
     sy = ctx.symbols(s)
     x_index, beta_index = sy.coordinates
     B = f.shape[0]
-    flat = np.multiply(f, ctx.order * B, dtype=np.int64) + (x_index * B + np.arange(B)[:, None])
-    a = np.bincount(flat.ravel(), minlength=B * cells).astype(int_dtype(ctx.order))
-    a[:B] += 1  # x = 0: every coordinate and f vanish there
-    # shift[y, c, t] = c - y t
+    a = np.zeros((cells, B), dtype=int_dtype(ctx.order))
+    step = max(1, SCATTER_CELLS // ctx.mult_order)
+    for lo in range(0, B, step):
+        rows = f[lo: lo + step]
+        flat = np.multiply(rows, ctx.order * B, dtype=np.int64)
+        flat += x_index * B + np.arange(lo, lo + len(rows))[:, None]
+        a.ravel()[flat.ravel()] = 1
+    a[0] = 1  # x = 0: every coordinate and f vanish there
+    # shift[y, c, t] = c - y t, always in range, so mode="clip" moves no index
     shift = sy.add[np.arange(q)[None, :, None], sy.neg[sy.mul][:, None, :]]
+    out, term = np.empty_like(a), np.empty_like(a).reshape(q, q, -1, B)
     for _ in range(k):
-        a = a.reshape(q, -1, q, B)
-        out = np.take(a[:, :, 0], shift[0], axis=0)
+        src, dst = a.reshape(q, -1, q, B), out.reshape(q, q, -1, B)
+        np.take(src[:, :, 0], shift[0], axis=0, out=dst, mode="clip")
         for y in range(1, q):
-            out += np.take(a[:, :, y], shift[y], axis=0)
-        a = out
-    H = a.reshape(q, ctx.order, B)[:, beta_index].transpose(2, 1, 0)
-    return H.astype(np.int64, order="C")
+            np.take(src[:, :, y], shift[y], axis=0, out=term, mode="clip")
+            dst += term
+        a, out = out, a
+    del out, term, src, dst
+    return a.reshape(q, ctx.order, B)[:, beta_index].transpose(2, 1, 0)
 
 
 def frequencies(values: np.ndarray) -> dict[int, int]:

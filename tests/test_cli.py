@@ -206,11 +206,39 @@ def test_cwe_measured_span_bytes_pinned(capsys, argv, size, sha):
     assert pinned(out) == (size, sha)
 
 
+@pytest.mark.parametrize("cmd,m,family,size,sha", [
+    ("spectrum", 8, "span:1,7", 289,
+     "e1831613a7ee7d95d3f9d7baf69b1b15f2437347e4f996e3a547e9fbdf9fc13f"),
+    ("cwe", 8, "span:1,7", 286, "222a96f5bb47a06605cb8debb703a520f342f7869024ca076fcbb16921b71d0a"),
+    ("spectrum", 4, "span:1,3,5", 265,
+     "857e4c14179a5bf5f36021adb25caa369baf037f0fbcb5c60e226c7c15717950"),
+    ("cwe", 4, "span:1,3,5", 261, "51e0c5ce77af3b4396ae427c0ab58c06f25061dcf7b0919c43527a5103595f83"),
+], ids=["spectrum-2-8-span17", "cwe-2-8-span17", "spectrum-2-4-span135", "cwe-2-4-span135"])
+def test_measured_span_tallies_the_reduced_family(capsys, monkeypatch, cmd, m, family, size, sha):
+    # x^{2^{m-l}+1} is a Frobenius power of x^{2^l+1}, and 5 = 1 mod 4, so only
+    # exponent 1 is tallied: 2^m rows, not 2^m per exponent given; the stdout bytes
+    # are pinned to those of the tally over every coefficient row
+    real = cli.tally_profiles
+    rows = []
+
+    def spy(ctx, fam, count=True):
+        rows.append(ctx.order ** len(fam.exponents))
+        return real(ctx, fam, count)
+
+    monkeypatch.setattr(cli, "tally_profiles", spy)
+    code, out, _ = run([cmd, "--p", "2", "--m", str(m), "--family", family, "--method", "both"],
+                       capsys)
+    assert code == cli.EXIT_OK
+    assert rows == [2 ** m]
+    assert pinned(out) == (size, sha)
+
+
 @pytest.mark.parametrize("p,m,family,message", [
     (2, 4, "span:0,1", "even rank only, got 1"),
     (3, 4, "span:0,1", "even rank only, got 3"),
     (2, 6, "span:2,4", "even rank only, got 5"),
-], ids=["2-span01-odd", "3-span01-odd", "2-6-span24-odd"])
+    (2, 6, "span:2", "even rank only, got 5"),
+], ids=["2-span01-odd", "3-span01-odd", "2-6-span24-odd", "2-6-span2-odd"])
 def test_spectrum_measured_span_not_even_rank_exit_1(capsys, p, m, family, message):
     code, out, err = run(["spectrum", "--p", str(p), "--m", str(m), "--family", family,
                           "--method", "both"], capsys)

@@ -341,6 +341,51 @@ def test_scan_tallies_match_per_gamma_histograms(monkeypatch, p, m, ell):
         assert (s.n_minimal, s.n_maximal) == (tally.get(lo, 0), tally.get(hi, 0))
 
 
+def test_scan_compact_counts_at_43_2(monkeypatch):
+    # q^m = 1849 counts in int16, while a thalf gamma (the zero form) reaches
+    # #C = 1 + 43 * 1849 = 79508 at beta = 0, past int16: a seeded subset of gammas
+    # from both branches against a per-gamma tally of each gamma's own histogram
+    ctx = gf.get_field(43, 2)
+    by_branch = {}
+    for g in ctx.exp[: ctx.mult_order].tolist():
+        by_branch.setdefault(klapper.classify_monomial(ctx, 1, 2, g, 1).branch, []).append(g)
+    assert sorted(by_branch) == ["generic", "thalf"]
+    rng = np.random.default_rng(4302)
+    gammas = sorted(int(g) for gs in by_branch.values() for g in rng.choice(gs, 6, replace=False))
+    real = curves.value_histograms
+    dtypes = []
+
+    def spy(ctx, s, f):
+        H = real(ctx, s, f)
+        dtypes.append(H.dtype)
+        return H
+
+    monkeypatch.setattr(curves, "value_histograms", spy)
+    monkeypatch.setattr(curves, "SCAN_CELLS", ctx.order * 43 * 5)  # batches of 5
+    scan = curves.scan_monomial(ctx, 1, gammas=gammas)
+    assert dtypes == [np.int16] * 3
+    assert [s.gamma for s in scan.scans] == gammas
+    for s in scan.scans:
+        Q = QuadForm(ctx, 1, 2, LinearizedPoly((1,), (s.gamma,), 1))
+        assert s.point_tally == quadform.frequencies(1 + 43 * Q.histogram[:, 0])
+    assert max(max(s.point_tally) for s in scan.scans) == 1 + 43 * 1849
+
+
+@pytest.mark.parametrize("p,m", [(5, 4), (3, 6)])
+def test_scan_working_set_is_bounded(p, m):
+    # a batch holds three compact-count buffers, not an int64 bincount and int64 counts
+    ctx = gf.get_field(p, m)
+    curves.scan_monomial(ctx, 1, gammas=[1])  # the field's lazy tables
+    tracemalloc.start()
+    try:
+        scan = curves.scan_monomial(ctx, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(scan.scans) == ctx.mult_order
+    assert peak < 8 * 2 ** 20
+
+
 def test_witness_rejects_bad_parameters():
     with pytest.raises(HypothesisError):
         curves.l3l_optimal_witness(gf.get_field(3, 6), 1)  # m > 6l fails

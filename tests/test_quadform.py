@@ -601,15 +601,21 @@ def test_value_histograms_batches_match_recount(p, s, m, B):
     assert np.array_equal(H[-1:], quadform.value_histograms(ctx, s, f[-1:]))
 
 
-@pytest.mark.parametrize("p,n", [(3, 9), (2, 15)], ids=["int16-19683", "int32-32768"])
-def test_value_histograms_count_dtype_edge(p, n):
-    # q^m = 19683 < 2^15 counts in int16, q^m = 2^15 in int32; the zero form's
-    # beta = 0 row holds q^m, the largest count, at c = 0
+@pytest.mark.parametrize("p,n,dtype", [(3, 4, np.int8), (3, 9, np.int16), (2, 15, np.int32)],
+                         ids=["int8-81", "int16-19683", "int32-32768"])
+def test_value_histograms_count_dtype_edge(p, n, dtype):
+    # q^m = 81 counts in int8, 19683 < 2^15 in int16, 2^15 in int32, from the first
+    # write to the returned array; the zero form's beta = 0 row holds q^m, the largest
+    # count, at c = 0, and QuadForm.histogram widens its one row to int64
     ctx = gf.get_field(p, n)
     f = histogram_rows(ctx, p, 3, n)
     H = quadform.value_histograms(ctx, 1, f)
+    assert H.dtype == dtype
     assert H[0, 0, 0] == ctx.order
     assert_sampled_rows_exact(ctx, 1, f, H, 6)
+    Q = QuadForm(ctx, 1, n, LinearizedPoly((0,), (0,), 1))
+    assert Q.histogram.dtype == np.int64 and Q.histogram.flags.c_contiguous
+    assert np.array_equal(Q.histogram, H[0])
 
 
 def test_value_histograms_rejects_oversized_tables():
