@@ -12,6 +12,7 @@ import functools
 import json
 import os
 import sys
+from collections import Counter
 
 from . import curves, klapper, spectra, verify
 from .gf import FieldCtx, FieldError, get_field
@@ -210,15 +211,11 @@ def cmd_curves(args) -> int:
         report = curves.scan_monomial(ctx, args.ell)
         by_branch = {}
         for branch, scans in sorted(report.by_branch().items()):
-            agg = {}
-            for s in scans:
-                key = json.dumps(sorted(s.point_tally.items()))
-                agg.setdefault(key, 0)
-                agg[key] += 1
+            tallies = Counter(tuple(s.point_tally.items()) for s in scans)
             by_branch[branch] = {
                 "gammas": len(scans),
-                "point_tallies": [{"tally": json.loads(k), "gammas": v}
-                                  for k, v in sorted(agg.items())],
+                "point_tallies": [{"tally": k, "gammas": v}
+                                  for k, v in sorted(tallies.items())],
                 "minimal_betas": sorted({s.n_minimal for s in scans}),
                 "maximal_betas": sorted({s.n_maximal for s in scans}),
             }

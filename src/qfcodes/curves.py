@@ -5,15 +5,17 @@ over x lie p-to-1 over {x : tr_{p^m/p}(xR(x) + beta x) = 0}, plus one point
 at infinity.  A count at a Hasse-Weil endpoint is optimal; optimal_betas
 reads the betas at each endpoint off the closed-form point multiset, the one
 place optimality is decided: optimality_status profiles only a curve at an
-endpoint, against it, and l3l_optimal_witness reads its target from it.
+endpoint, against it, l3l_optimal_witness reads its target from it, and
+scan_monomial reads it once per (rank, type) class.
 
 Every trace-form table here is a quadform.form_symbols row, one log-domain
 gather per term over x = alpha^k: the single-curve trace count reads it
 directly, and the sweeps over all beta pass the rows to
 quadform.value_histograms, one exhaustive histogram per form (scan_monomial
 a batch of gammas at a time, whose zero-count rows it sorts once in the
-kernel's compact counts and compares, per predicted multiset, with that
-multiset's sorted row; the witness search through QuadForm.histogram).
+kernel's compact counts and compares with its class's sorted row, one
+prediction per class shared by all of that class's gammas; the witness
+search through QuadForm.histogram).
 Every rank and type (the witness search's pair ranks included) comes
 from quadform.form_profiles.  count_points_by_solutions stays an
 independent (x, y) enumeration in element order through lin_eval_table and
@@ -196,19 +198,21 @@ def scan_monomial(ctx: FieldCtx, ell: int, gammas: list[int] | None = None) -> S
     """Sweep beta for each gamma-class of y^p - y = gamma x^{p^l+1} + beta x.
 
     Every gamma gets its own exhaustive histogram over all beta, in batches
-    of value_histograms calls.  Each batch's zero counts N_{Q,beta}(0) are
-    sorted once, in the kernel's compact dtype; the gammas whose profiles
-    predict the same point-count multiset are checked together against its
-    sorted row of counts (#C = 1 + p N), and a matching gamma's point_tally
-    is that multiset.  Any mismatch raises with the first offending gamma,
-    whose points alone are widened for the message.
+    of value_histograms calls, and each batch's zero counts N_{Q,beta}(0) are
+    sorted once, in the kernel's compact dtype.  Everything predicted depends
+    only on the (rank, type) of gamma's class, so each class's point-count
+    multiset, its sorted row of counts (#C = 1 + p N) and its optimal_betas
+    are computed once per scan, and every GammaScan of the class shares them.
+    A gamma whose sorted row differs raises, the first one in order, with
+    its points widened for the message.
     """
     p, m = ctx.p, ctx.n
-    ends = _endpoints(p, m, ell)  # raises for odd m
+    _endpoints(p, m, ell)  # raises for odd m
     if ell < 1:
         raise HypothesisError("l must be >= 1")
     if gammas is None:
         gammas = [int(g) for g in ctx.exp[: ctx.mult_order]]
+    predicted = {}  # (rank, type) -> (point tally, its sorted row of N, optimal_betas)
     scans = []
     batch = max(1, SCAN_CELLS // (ctx.order * p))
     for lo in range(0, len(gammas), batch):
@@ -216,25 +220,21 @@ def scan_monomial(ctx: FieldCtx, ell: int, gammas: list[int] | None = None) -> S
         forms = form_symbols(ctx, 1, np.array(chunk)[:, None], (p ** ell + 1,))
         # N = #{x : tr(gamma x^{p^l+1} + beta x) = 0} for every beta, one sorted row per gamma
         zeros = np.sort(value_histograms(ctx, 1, forms)[:, :, 0], axis=1)
-        classes = [classify_monomial(ctx, 1, m, g, ell) for g in chunk]
-        tallies = [tuple(sorted(expected_point_multiset(p, m, c.rank, c.type).items()))
-                   for c in classes]
-        ok = np.zeros(len(chunk), dtype=bool)
-        for tally in set(tallies):
-            rows = [i for i, t in enumerate(tallies) if t == tally]
-            want = np.repeat([(v - 1) // p for v, _ in tally], [c for _, c in tally])
-            if len(want) == ctx.order:
-                ok[rows] = (zeros[rows] == want).all(axis=1)
-        if not ok.all():
-            i = int(np.argmin(ok))
-            points = 1 + p * zeros[i].astype(np.int64)
-            raise CurveCountError(
-                f"gamma={chunk[i]} (branch {classes[i].branch}): observed "
-                f"{sorted(frequencies(points).items())}, expected {list(tallies[i])}")
-        for gamma, cls, tally in zip(chunk, classes, map(dict, tallies)):
+        for gamma, row in zip(chunk, zeros):
+            cls = classify_monomial(ctx, 1, m, gamma, ell)
+            key = cls.rank, cls.type
+            if key not in predicted:
+                tally = dict(sorted(expected_point_multiset(p, m, *key).items()))
+                want = np.repeat([(v - 1) // p for v in tally], list(tally.values()))
+                predicted[key] = tally, want, optimal_betas(p, m, ell, *key)
+            tally, want, (n_min, n_max) = predicted[key]
+            if not np.array_equal(row, want):
+                points = 1 + p * row.astype(np.int64)
+                raise CurveCountError(
+                    f"gamma={gamma} (branch {cls.branch}): observed "
+                    f"{sorted(frequencies(points).items())}, expected {list(tally.items())}")
             scans.append(GammaScan(gamma=gamma, classification=cls, point_tally=tally,
-                                   n_maximal=tally.get(ends[1], 0),
-                                   n_minimal=tally.get(ends[0], 0)))
+                                   n_maximal=n_max, n_minimal=n_min))
     return ScanReport(ell=ell, scans=scans)
 
 
@@ -263,6 +263,8 @@ def l3l_optimal_witness(ctx: FieldCtx, ell: int,
     p, m = ctx.p, ctx.n
     if p == 2:
         raise HypothesisError("the two-monomial witness search targets odd p")
+    if ell < 1:
+        raise HypothesisError("l must be >= 1")
     if m % ell != 0 or (m // ell) % 2 != 0 or m <= 6 * ell:
         raise HypothesisError("need l | m, m/l even and m > 6l")
     target = (m - 6 * ell, -eps_ell(m, ell))  # rank m-6l carries type (-1)^3 eps_l

@@ -293,6 +293,8 @@ def value_histograms(ctx: FieldCtx, s: int, f: np.ndarray) -> np.ndarray:
     int16 below 2^15, int32 from q^m = 2^15), and a stage runs between two
     preallocated buffers of B q^{m+1} counts and one scratch buffer, with
     mode="clip" so that np.take writes its out= directly: callers bound B.
+    Each y gathers its own (q, q) shift slice c - y t from the addition
+    table, so no q^3 table is built, whatever q.
     Returns the counts in int_dtype(q^m), shape (B, q^m, q), beta indexed by
     field element: a transposed view of one (q, q^m, B) array, so H[:, :, c]
     is contiguous.
@@ -312,14 +314,14 @@ def value_histograms(ctx: FieldCtx, s: int, f: np.ndarray) -> np.ndarray:
         flat += x_index * B + np.arange(lo, lo + len(rows))[:, None]
         a.ravel()[flat.ravel()] = 1
     a[0] = 1  # x = 0: every coordinate and f vanish there
-    # shift[y, c, t] = c - y t, always in range, so mode="clip" moves no index
-    shift = sy.add[np.arange(q)[None, :, None], sy.neg[sy.mul][:, None, :]]
+    # sy.add[:, minus[y]][c, t] = c - y t, always in range, so mode="clip" moves no index
+    minus = sy.neg[sy.mul]
     out, term = np.empty_like(a), np.empty_like(a).reshape(q, q, -1, B)
     for _ in range(k):
         src, dst = a.reshape(q, -1, q, B), out.reshape(q, q, -1, B)
-        np.take(src[:, :, 0], shift[0], axis=0, out=dst, mode="clip")
+        np.take(src[:, :, 0], sy.add[:, minus[0]], axis=0, out=dst, mode="clip")
         for y in range(1, q):
-            np.take(src[:, :, y], shift[y], axis=0, out=term, mode="clip")
+            np.take(src[:, :, y], sy.add[:, minus[y]], axis=0, out=term, mode="clip")
             dst += term
         a, out = out, a
     del out, term, src, dst

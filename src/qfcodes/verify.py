@@ -343,10 +343,8 @@ def criterion_8(budget: int) -> CriterionResult:
         ok &= maximal_pts == [25, 25, 25]
         details["plain_cubic"] = 9
         details["with_linear_term"] = maximal_pts
-        cubes = [int(g) for g in ctx.exp[: ctx.mult_order]
-                 if klapper.classify_monomial(ctx, 1, 4, int(g), 1).branch == "residue"]
-        scan = curves.scan_monomial(ctx, 1, gammas=cubes)
-        per_gamma = {(s.n_minimal, s.n_maximal) for s in scan.scans}
+        cubes = curves.scan_monomial(ctx, 1).by_branch()["residue"]
+        per_gamma = {(s.n_minimal, s.n_maximal) for s in cubes}
         ok &= per_gamma == {(1, 3)}
         details["beta_sweep_per_cube"] = {"minimal": 1, "maximal": 3, "ok": per_gamma == {(1, 3)}}
         return ok, "full", details
@@ -366,20 +364,10 @@ def criterion_9(budget: int) -> CriterionResult:
 
 def criterion_10(budget: int) -> CriterionResult:
     def run():
-        def agree(scans, m) -> bool:
-            """Every gamma's observed (minimal, maximal) is optimal_betas of its class."""
-            return all((s.n_minimal, s.n_maximal) == curves.optimal_betas(
-                3, m, 1, s.classification.rank, s.classification.type) for s in scans)
-
-        scan4 = curves.scan_monomial(get_field(3, 4), 1).scans
-        t0 = [(s.n_minimal, s.n_maximal) for s in scan4 if s.classification.branch == "t0"]
-        ok4 = agree(scan4, 4) and set(t0) == {(1, 0)}
-
-        ctx6 = get_field(3, 6)
-        qual = [int(g) for g in ctx6.exp[: ctx6.mult_order]
-                if klapper.classify_monomial(ctx6, 1, 6, int(g), 1).branch == "thalf"]
-        scan6 = curves.scan_monomial(ctx6, 1, gammas=qual).scans
-        ok6 = agree(scan6, 6) and {(s.n_minimal, s.n_maximal) for s in scan6} == {(0, 33)}
+        t0 = curves.scan_monomial(get_field(3, 4), 1).by_branch()["t0"]
+        ok4 = {(s.n_minimal, s.n_maximal) for s in t0} == {(1, 0)}
+        qual = curves.scan_monomial(get_field(3, 6), 1).by_branch()["thalf"]
+        ok6 = {(s.n_minimal, s.n_maximal) for s in qual} == {(0, 33)}
         return ok4 and ok6, "full", {
             "p3m4": {"qualifying_gammas": len(t0), "minimal_each": 1, "ok": ok4},
             "p3m6": {"qualifying_gammas": len(qual), "maximal_each": 33, "ok": ok6}}

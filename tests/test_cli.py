@@ -271,12 +271,18 @@ def test_spectrum_measured_span_divides_by_a0(capsys, p, m, family, k):
 @pytest.mark.parametrize("argv,message", [
     ("curves --p 3 --m 4 --ell -1", "q-exponents must be >= 0"),
     ("curves --p 3 --m 4 --ell -1 --scan", "l must be >= 1"),
+    ("curves --p 3 --m 8 --ell 0 --scan", "l must be >= 1"),
+    ("curves --p 3 --m 8 --ell -1 --witness", "l must be >= 1"),
+    ("curves --p 3 --m 8 --ell 0 --witness", "l must be >= 1"),
     ("spectrum --p 3 --m 4 --family span:-1,1 --method brute", "exponents must be >= 0"),
     ("cwe --p 3 --m 4 --family span:0,-2", "exponents must be >= 0"),
     ("spectrum --p 3 --m 4 --family l3l:-1", "exponents must be >= 0"),
-], ids=["curves", "curves-scan", "spectrum-span", "cwe-span", "spectrum-l3l"])
+], ids=["curves", "curves-scan", "curves-scan-0", "curves-witness", "curves-witness-0",
+        "spectrum-span", "cwe-span", "spectrum-l3l"])
 def test_negative_exponent_exit_1(capsys, argv, message):
-    # a clean error, not an uncaught IndexError or TypeError deep in the kernels
+    # a clean error, not an uncaught IndexError, TypeError or ZeroDivisionError deep in
+    # the kernels; the scan and the witness search also refuse l = 0, while a single
+    # curve at l = 0, y^p - y = gamma x^2 + beta x, is a result for odd p
     code, out, err = run(argv.split(), capsys)
     assert code == cli.EXIT_USAGE and out == ""
     assert err.startswith("error:") and message in err and "Traceback" not in err

@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -616,6 +617,26 @@ def test_value_histograms_count_dtype_edge(p, n, dtype):
     Q = QuadForm(ctx, 1, n, LinearizedPoly((0,), (0,), 1))
     assert Q.histogram.dtype == np.int64 and Q.histogram.flags.c_contiguous
     assert np.array_equal(Q.histogram, H[0])
+
+
+def test_value_histograms_m1_builds_no_cubic_shift_table():
+    # at m = 1, q^2 = 65536 histogram cells pass the cell bound, but a q x q x q
+    # shift table would hold 2^24 entries: each y gathers its own (q, q) slice
+    ctx = gf.get_field(2, 8)
+    Q = form(2, 8, 1, (0,), (ctx.alpha_pow(5),))  # Q(x) = alpha^5 x^2
+    sy = ctx.symbols(8)
+    tracemalloc.start()
+    try:
+        H = Q.histogram
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    xs = np.arange(ctx.order, dtype=np.int64)
+    values = sy.trace_sym[ctx.v_mul(xs, lin_eval_table(ctx, Q.R))]  # Q in element order
+    for beta in range(ctx.order):
+        tr_b = sy.trace_sym[ctx.v_mul(np.full(ctx.order, beta, dtype=np.int64), xs)]
+        assert np.array_equal(H[beta], np.bincount(sy.add[values, tr_b], minlength=sy.q)), beta
 
 
 def test_value_histograms_rejects_oversized_tables():
