@@ -6,14 +6,14 @@ at infinity.  A count at a Hasse-Weil endpoint is optimal; optimal_betas
 reads the betas at each endpoint off the closed-form point multiset, the one
 place optimality is decided: optimality_status profiles only a curve at an
 endpoint, against it, l3l_optimal_witness reads its target from it, and
-scan_monomial reads it once per (rank, type) class.
+scan_monomial reads each (rank, type) class's multiset at the same endpoints.
 
 Every trace-form table here is a quadform.form_symbols row, one log-domain
 gather per term over x = alpha^k: the single-curve trace count reads it
 directly, and the sweeps over all beta pass the rows to
 quadform.value_histograms, one exhaustive histogram per form (scan_monomial
 a batch of gammas at a time, whose zero-count rows it sorts once in the
-kernel's compact counts and compares with its class's sorted row, one
+kernel's compact counts and compares with their classes' rows at once, one
 prediction per class shared by all of that class's gammas; the witness
 search through QuadForm.histogram).
 Every rank and type (the witness search's pair ranks included) comes
@@ -144,8 +144,12 @@ def optimal_betas(p: int, m: int, v: int, r: int, eps: int) -> tuple[int, int]:
     The major class reaches one of them exactly when r = m - 2v (eps gives
     which), and for p = 2 the minor class the other; otherwise both are 0.
     """
+    return _endpoint_betas(p, m, v, expected_point_multiset(p, m, r, eps))
+
+
+def _endpoint_betas(p: int, m: int, v: int, points: dict[int, int]) -> tuple[int, int]:
+    """(minimal, maximal) beta counts of a point multiset: its counts at the endpoints."""
     lo, hi = _endpoints(p, m, v)
-    points = expected_point_multiset(p, m, r, eps)
     return points.get(lo, 0), points.get(hi, 0)
 
 
@@ -201,10 +205,10 @@ def scan_monomial(ctx: FieldCtx, ell: int, gammas: list[int] | None = None) -> S
     of value_histograms calls, and each batch's zero counts N_{Q,beta}(0) are
     sorted once, in the kernel's compact dtype.  Everything predicted depends
     only on the (rank, type) of gamma's class, so each class's point-count
-    multiset, its sorted row of counts (#C = 1 + p N) and its optimal_betas
-    are computed once per scan, and every GammaScan of the class shares them.
-    A gamma whose sorted row differs raises, the first one in order, with
-    its points widened for the message.
+    multiset, its sorted row of counts (#C = 1 + p N) and its counts at the
+    endpoints are computed once per scan, and every GammaScan of the class
+    shares them.  A batch is compared with its class rows at once; a gamma
+    whose sorted row differs raises, the first in order, points widened.
     """
     p, m = ctx.p, ctx.n
     _endpoints(p, m, ell)  # raises for odd m
@@ -212,7 +216,7 @@ def scan_monomial(ctx: FieldCtx, ell: int, gammas: list[int] | None = None) -> S
         raise HypothesisError("l must be >= 1")
     if gammas is None:
         gammas = [int(g) for g in ctx.exp[: ctx.mult_order]]
-    predicted = {}  # (rank, type) -> (point tally, its sorted row of N, optimal_betas)
+    predicted = {}  # (rank, type) -> (point tally, its sorted row of N, endpoint beta counts)
     scans = []
     batch = max(1, SCAN_CELLS // (ctx.order * p))
     for lo in range(0, len(gammas), batch):
@@ -220,21 +224,22 @@ def scan_monomial(ctx: FieldCtx, ell: int, gammas: list[int] | None = None) -> S
         forms = form_symbols(ctx, 1, np.array(chunk)[:, None], (p ** ell + 1,))
         # N = #{x : tr(gamma x^{p^l+1} + beta x) = 0} for every beta, one sorted row per gamma
         zeros = np.sort(value_histograms(ctx, 1, forms)[:, :, 0], axis=1)
-        for gamma, row in zip(chunk, zeros):
-            cls = classify_monomial(ctx, 1, m, gamma, ell)
-            key = cls.rank, cls.type
-            if key not in predicted:
-                tally = dict(sorted(expected_point_multiset(p, m, *key).items()))
-                want = np.repeat([(v - 1) // p for v in tally], list(tally.values()))
-                predicted[key] = tally, want, optimal_betas(p, m, ell, *key)
-            tally, want, (n_min, n_max) = predicted[key]
-            if not np.array_equal(row, want):
-                points = 1 + p * row.astype(np.int64)
-                raise CurveCountError(
-                    f"gamma={gamma} (branch {cls.branch}): observed "
-                    f"{sorted(frequencies(points).items())}, expected {list(tally.items())}")
-            scans.append(GammaScan(gamma=gamma, classification=cls, point_tally=tally,
-                                   n_maximal=n_max, n_minimal=n_min))
+        classes = [classify_monomial(ctx, 1, m, gamma, ell) for gamma in chunk]
+        for key in {(cls.rank, cls.type) for cls in classes} - predicted.keys():
+            tally = dict(sorted(expected_point_multiset(p, m, *key).items()))
+            want = np.repeat([(v - 1) // p for v in tally], list(tally.values()))
+            predicted[key] = tally, want.astype(zeros.dtype), _endpoint_betas(p, m, ell, tally)
+        rows = [predicted[cls.rank, cls.type] for cls in classes]
+        bad = (zeros != np.stack([want for _, want, _ in rows])).any(axis=1)
+        if bad.any():
+            i = int(bad.argmax())
+            points = 1 + p * zeros[i].astype(np.int64)
+            raise CurveCountError(
+                f"gamma={chunk[i]} (branch {classes[i].branch}): observed "
+                f"{sorted(frequencies(points).items())}, expected {list(rows[i][0].items())}")
+        scans += [GammaScan(gamma=gamma, classification=cls, point_tally=tally,
+                            n_maximal=n_max, n_minimal=n_min)
+                  for gamma, cls, (tally, _, (n_min, n_max)) in zip(chunk, classes, rows)]
     return ScanReport(ell=ell, scans=scans)
 
 

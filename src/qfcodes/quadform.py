@@ -35,9 +35,9 @@ integer additions per form instead of the q^{2m} of a (beta, x) grid,
 gathering whole blocks along a leading symbol axis.  Its counts are
 int_dtype(q^m) from the first write to the returned array, and a batch of B
 forms works in three buffers of B q^{m+1} counts; QuadForm.histogram
-widens its one row to int64.
-spectra's brute enumeration keeps the direct grid as the oracle the
-transform is checked against.
+widens its one row to int64.  spectra's brute oracle reads the compositions
+of its beta-variant words from it too; the transform's own reference is a
+direct count over every (beta, x), in the tests.
 """
 
 from __future__ import annotations
@@ -154,15 +154,17 @@ def form_grams(ctx: FieldCtx, s: int, coeffs, ls: tuple[int, ...]) -> np.ndarray
     coeffs is a (B, len(ls)) array of field elements, one form per row.
     Entry (a, b) is tr(t^a R(t^b)) + tr(t^b R(t^a)) in the digit basis
     t^a = p^a, and a term c x^{q^l} contributes tr(alpha^{log c + e[a, b]}),
-    e = gram_exponents(ctx, s l): one gather per term, c = 0 giving a zero term.
+    e = gram_exponents(ctx, s l): one gather per term, c = 0 giving a zero term,
+    and one n x n gather for a column constant over the block (a tally's lead).
     """
     p, n = ctx.p, ctx.n
     tp = ctx.symbols(1).trace_pow
     logs = ctx.log[np.asarray(coeffs, dtype=np.int64)]
-    live = (logs >= 0)[:, :, None, None]
     t = np.zeros((len(logs), n, n), dtype=int_dtype(2 * p * max(1, len(ls))))
-    for k, l in enumerate(ls):
-        t += tp[logs[:, k, None, None] + gram_exponents(ctx, s * l)] * live[:, k]
+    for col, l in zip(logs.T, ls):
+        if len(col) > 1 and (col == col[0]).all():
+            col = col[:1]  # one term, broadcast over the block
+        t += tp[col[:, None, None] + gram_exponents(ctx, s * l)] * (col >= 0)[:, None, None]
     return (t + t.transpose(0, 2, 1)) % p
 
 
@@ -274,6 +276,14 @@ HISTOGRAM_CELLS = 1 << 26
 SCATTER_CELLS = 1 << 16
 
 
+def histogram_cells(ctx: FieldCtx, s: int) -> int:
+    """The q^m q cells of one value_histograms table; ValueError past HISTOGRAM_CELLS."""
+    cells = ctx.order * ctx.p ** s
+    if cells > HISTOGRAM_CELLS:
+        raise ValueError(f"{cells} histogram cells per table exceed {HISTOGRAM_CELLS}")
+    return cells
+
+
 def value_histograms(ctx: FieldCtx, s: int, f: np.ndarray) -> np.ndarray:
     """H[b, beta, c] = #{x in F_{q^m} : f_b(x) + tr_{q^m/q}(beta x) = c}, for every beta and c.
 
@@ -300,9 +310,7 @@ def value_histograms(ctx: FieldCtx, s: int, f: np.ndarray) -> np.ndarray:
     is contiguous.
     """
     q, k = ctx.p ** s, ctx.n // s
-    cells = ctx.order * q
-    if cells > HISTOGRAM_CELLS:
-        raise ValueError(f"{cells} histogram cells per table exceed {HISTOGRAM_CELLS}")
+    cells = histogram_cells(ctx, s)
     sy = ctx.symbols(s)
     x_index, beta_index = sy.coordinates
     B = f.shape[0]

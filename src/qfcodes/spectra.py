@@ -10,9 +10,11 @@ All table rows are generated by one shared routine driven by a rank
 distribution (predict_general), and every prediction, single-monomial,
 two-monomial or measured, is built by predict: the table, its view at the
 shortened length and the check of a closed-form distance, returned as a
-Prediction.  Codewords, and the brute oracle's words a block
-of forms at a time, are assembled by quadform.form_symbols.  Everything is
-exact integer arithmetic.
+Prediction.  Codewords, and the brute oracle's base words a block of forms
+at a time, are assembled by quadform.form_symbols; the oracle counts every
+word's symbols, by one bincount per block, or for variants 1 and 2 over
+every beta by quadform.value_histograms.  Everything is exact integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -23,10 +25,11 @@ from math import gcd
 
 import numpy as np
 
-from .gf import FieldCtx, FieldError, SymbolSystem, int_log
+from .gf import FieldCtx, FieldError, int_log
 from .klapper import HypothesisError, eps_ell, rank_distribution_l3l, rank_distribution_monomial
 from .linpoly import FamilySpec, LinearizedPoly, family_coeffs
-from .quadform import BETA_CLASSES, RankDistribution, form_symbols, form_terms, value_rows
+from .quadform import (BETA_CLASSES, RankDistribution, form_symbols, form_terms, histogram_cells,
+                       value_histograms, value_rows)
 
 VARIANTS = ("base", "0", "1", "2")
 DEFAULT_BUDGET = 1 << 32
@@ -255,12 +258,8 @@ def _length(ctx: FieldCtx, spec: CodeSpec) -> int:
     return N
 
 
-# A block of forms and an x-tile of the indicator matrices hold at most this
-# many cells per array (at least one form and one x per step).
+# A block of forms holds at most this many word or histogram cells (at least one form).
 _BLOCK_CELLS = 1 << 18
-# Every partial sum of the indicator products is an integer at most n, which
-# float32 holds exactly while n < 2^24.
-_F32_EXACT = 1 << 24
 
 
 def build_codeword(ctx: FieldCtx, spec: CodeSpec, R: LinearizedPoly,
@@ -348,20 +347,24 @@ def _brute_chunk(ctx: FieldCtx, spec: CodeSpec, collect: bool):
     Index i names row i of linpoly.family_coeffs; each index covers every
     beta and b of the variant.  A block of indices is enumerated at once:
     its base words take one gather per term, and their symbol compositions
-    one bincount, or over every beta one indicator product per x-tile
-    (`_beta_compositions`).  Returns (counts by weight 0..n, {composition: count}).
+    one bincount, or, over every beta, one quadform.value_histograms call:
+    variants 1 and 2 are never shortened, so the base words are full rows in
+    the kernel's log order, and word (R, beta) has the composition
+    H[R, beta] less the x = 0 entry at symbol 0.  A beta block holds at most
+    _BLOCK_CELLS kernel cells (q^m q per form), and a kernel table past
+    quadform.HISTOGRAM_CELLS is refused (ValueError) before the first block.
+    Returns (counts by weight 0..n, {composition: count}).
     """
     fam = spec.family
     q = fam.q
     n = _length(ctx, spec)
-    sy = ctx.symbols(fam.s)
     exps = tuple(q ** l + 1 for l in fam.exponents)
     with_beta = spec.variant in ("1", "2")
     # word + b over all b has the weights n - #{word = z} over all symbols z
     with_b = spec.variant in ("0", "2")
     n_z = q if collect or with_b else 1
-    words_per_form = ctx.order if with_beta else 1
-    block = max(1, min(_BLOCK_CELLS // n, _BLOCK_CELLS // (words_per_form * n_z)))
+    per_form = histogram_cells(ctx, fam.s) if with_beta else max(n, n_z)
+    block = max(1, _BLOCK_CELLS // per_form)
     n_forms = ctx.order ** len(fam.exponents)
     weight_hist = np.zeros(n + 1, dtype=np.int64)
     comp_counts: dict[tuple[int, ...], int] = {}
@@ -369,7 +372,8 @@ def _brute_chunk(ctx: FieldCtx, spec: CodeSpec, collect: bool):
         coeffs = family_coeffs(ctx, fam, start, min(start + block, n_forms))
         base = form_symbols(ctx, fam.s, coeffs, exps, slice(0, n))
         if with_beta:
-            comp = _beta_compositions(ctx, sy, base, n_z)
+            comp = value_histograms(ctx, fam.s, base)[:, :, :n_z].reshape(-1, n_z)
+            comp[:, 0] -= 1  # x = 0 is not a coordinate
         else:
             cells = (np.arange(len(coeffs))[:, None] * q + base).ravel()
             comp = np.bincount(cells, minlength=len(coeffs) * q).reshape(-1, q)
@@ -380,38 +384,6 @@ def _brute_chunk(ctx: FieldCtx, spec: CodeSpec, collect: bool):
             for key, c in zip(map(tuple, keys.tolist()), counts.tolist()):
                 comp_counts[key] = comp_counts.get(key, 0) + c
     return weight_hist, comp_counts
-
-
-def _beta_compositions(ctx: FieldCtx, sy: SymbolSystem, base: np.ndarray,
-                       n_z: int) -> np.ndarray:
-    """comp[(beta, f), z] = #{k : tr(beta alpha^k) + base[f, k] = z} for every beta, z < n_z.
-
-    One exact product of indicator matrices per x-tile, built in the loop:
-    comp[beta, (f, z)] = sum_{k, t} [tr(beta alpha^k) = t] [t + base[f, k] = z].
-    """
-    n_forms, n = base.shape
-    q, order = sy.q, ctx.order
-    if n >= _F32_EXACT:
-        raise OverflowError(f"length {n} is past exact float32 counting ({_F32_EXACT})")
-    tile = max(1, min(n, _BLOCK_CELLS // (order * q), _BLOCK_CELLS // (q * n_forms * n_z)))
-    betas = np.arange(order, dtype=np.int64)
-    z = np.arange(n_z, dtype=np.int16)
-    cols = np.arange(n_forms)[:, None, None] * n_z + z
-    neg_base = sy.neg[base]
-    acc = np.zeros((order, n_forms * n_z), dtype=np.float32)
-    for x0 in range(0, n, tile):
-        xs = slice(x0, min(x0 + tile, n))
-        w = xs.stop - x0
-        x_rows = np.arange(w) * q
-        u = np.zeros(order * w * q, dtype=np.float32)
-        traces = form_symbols(ctx, sy.d, betas[:, None], (1,), xs)
-        u[(betas * (w * q))[:, None] + x_rows + traces] = 1
-        # the t with t + base = z is z - base
-        t = sy.plus(neg_base[:, xs, None], z)
-        v = np.zeros(w * q * n_forms * n_z, dtype=np.float32)
-        v[(x_rows[:, None] + t) * (n_forms * n_z) + cols] = 1
-        acc += u.reshape(order, w * q) @ v.reshape(w * q, n_forms * n_z)
-    return acc.astype(np.int64).reshape(order * n_forms, n_z)
 
 
 # -- complete weight enumerator --------------------------------------------------

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfcodes import cli, curves, spectra, verify
+from qfcodes import cli, curves, quadform, spectra, verify
 from qfcodes.gf import get_field
 from qfcodes.linpoly import LinearizedPoly
 from qfcodes.quadform import QuadForm
@@ -299,6 +299,18 @@ def test_nonpositive_s_or_m_exit_1(capsys, argv):
     code, out, err = run(argv.split(), capsys)
     assert code == cli.EXIT_USAGE and out == ""
     assert err.startswith("error: s and m must be >= 1") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("variant", ["1", "2"])
+def test_beta_brute_past_the_kernel_cap_exit_1(capsys, monkeypatch, variant):
+    # a (2,1,4) kernel table holds 32 cells: under a cap of 31 the beta brute is
+    # refused with an error line, not a traceback, and the prediction alone still runs
+    monkeypatch.setattr(quadform, "HISTOGRAM_CELLS", 31)
+    argv = ["spectrum", "--p", "2", "--m", "4", "--family", "mono:1", "--variant", variant]
+    code, out, err = run([*argv, "--method", "both"], capsys)
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.startswith("error:") and "exceed 31" in err and "Traceback" not in err
+    assert run([*argv, "--method", "predict"], capsys)[0] == cli.EXIT_OK
 
 
 def test_spectrum_span_not_even_rank_exits_before_brute(capsys):
@@ -735,6 +747,18 @@ def test_usage_error_then_spectrum_matches_fresh_process(capsys, monkeypatch):
                           capture_output=True, timeout=120)
     assert code == proc.returncode == cli.EXIT_OK
     assert out.encode() == proc.stdout
+
+
+def test_package_runs_as_a_module(tmp_path):
+    # `python -m qfcodes` from a checkout: verify exits 0 and writes the pinned report
+    env = {k: v for k, v in os.environ.items() if k != "QFCODES_BUDGET"}
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    path = tmp_path / "verify.json"
+    proc = subprocess.run([sys.executable, "-m", "qfcodes", "verify", "--json", str(path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    payload = path.read_bytes()
+    assert hashlib.sha256(payload).hexdigest().startswith("0e947eae")
 
 
 def test_benchmark_cli_configs_repeat_identically(capsys, monkeypatch):

@@ -94,6 +94,25 @@ def test_gram_and_table_match_scalar_evaluation(p, s, m):
         assert Q.value_sym(0) == 0
 
 
+@pytest.mark.parametrize("p,s,m", [(3, 1, 4), (2, 2, 4), (5, 1, 4)])
+def test_form_grams_constant_column_block_matches_rows(p, s, m):
+    # a block whose lead (or tail) coefficient is constant, as on tally orbit rows and
+    # witness rows, or a zero constant: the block equals its rows' form_grams one by one
+    ctx = gf.get_field(p, s * m)
+    ls = (1, 2)
+    rng = np.random.default_rng(p + s * m)
+    varying = rng.integers(0, ctx.order, 9)
+    for const in (ctx.alpha_pow(5), 0):
+        for rows in (np.column_stack([np.full(9, const), varying]),
+                     np.column_stack([varying, np.full(9, const)]),
+                     np.full((9, 2), const)):
+            grams = quadform.form_grams(ctx, s, rows, ls)
+            for row, gram in zip(rows, grams):
+                assert np.array_equal(gram, quadform.form_grams(ctx, s, row[None, :], ls)[0])
+                Q = form(p, s, m, ls, tuple(row.tolist()))
+                assert np.array_equal(gram, scalar_gram(Q))
+
+
 def reference_profile(ctx, s, exps, coeffs):
     """(rank, type) of one form from scalar evaluations: the rank from the radical
     {y in ker B : Q(y) = 0} counted over ker B of scalar_gram, the type from the
@@ -532,11 +551,15 @@ def test_value_histograms_match_direct_count(p, s, m):
 
 @pytest.mark.parametrize("p,s,m", [(3, 1, 4), (2, 2, 4), (2, 1, 6)])
 def test_value_histograms_match_brute_oracle(p, s, m):
-    # the brute chunk enumerates every (gamma, beta) word of variant 1 directly;
+    # build_codeword gives every (gamma, beta) word of variant 1 one word at a time;
     # its symbol compositions are the kernel's histograms less the x = 0 entry
     ctx = gf.get_field(p, s * m)
     q = p ** s
-    _, comps = spectra._brute_chunk(ctx, CodeSpec(FamilySpec(p, s, m, (1,)), "1"), True)
+    spec = CodeSpec(FamilySpec(p, s, m, (1,)), "1")
+    comps = Counter(tuple(np.bincount(spectra.build_codeword(ctx, spec, R, beta),
+                                      minlength=q).tolist())
+                    for R in (LinearizedPoly((1,), (gamma,), s) for gamma in range(ctx.order))
+                    for beta in range(ctx.order))
     gammas = np.arange(ctx.order, dtype=np.int64)
     powers = ctx.power_table(q + 1)[ctx.exp[: ctx.mult_order]]  # x^{q+1} at x = alpha^k
     f = ctx.symbols(s).trace_sym[ctx.v_mul(gammas[:, None], powers[None, :])]

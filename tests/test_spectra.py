@@ -171,10 +171,19 @@ def _per_word_tally(p, s, m, exponents, with_beta, shortened):
     return hist_b0, hist_all, comps
 
 
-KERNEL_FIELDS = [(2, 1, 4, (1,)), (3, 1, 4, (1,)), (2, 2, 4, (1,))]
-KERNEL_CASES = ([(*f, v, False) for f in KERNEL_FIELDS for v in spectra.VARIANTS]
-                + [(*f, v, True) for f in KERNEL_FIELDS for v in ("base", "0")]
-                + [(2, 1, 4, (1, 3), v, False) for v in spectra.VARIANTS])
+KERNEL_FIELDS = [(2, 1, 4, (1,)), (3, 1, 4, (1,)), (2, 2, 4, (1,)), (5, 1, 2, (1,))]
+
+
+def kernel_cases(fields):
+    return ([(*f, v, False) for f in fields for v in spectra.VARIANTS]
+            + [(*f, v, True) for f in fields for v in ("base", "0")])
+
+
+# (5,1,2), an odd q >= 5 whose kernel counts are int8 (q^m = 25), comes after the
+# two-exponent family, so that the earlier cases keep their ids
+KERNEL_CASES = (kernel_cases(KERNEL_FIELDS[:3])
+                + [(2, 1, 4, (1, 3), v, False) for v in spectra.VARIANTS]
+                + kernel_cases(KERNEL_FIELDS[3:]))
 
 
 @pytest.mark.parametrize("p,s,m,exponents,variant,shortened", KERNEL_CASES)
@@ -182,9 +191,8 @@ def test_block_kernel_matches_per_word_reference(monkeypatch, p, s, m, exponents
                                                  shortened):
     ctx = gf.get_field(p, s * m)
     spec = CodeSpec(FamilySpec(p, s, m, exponents), variant, shortened=shortened)
-    # on the full-length codes, caps this small give blocks of 7 or 7q forms and
-    # x-tiles of 7 coordinates, which divide neither the form count nor n, so
-    # the last block and the last tile are partial
+    # a cap this small gives the beta variants blocks of 7 forms (7 kernel tables
+    # of q^m q cells), which do not divide the form count, so the last block is partial
     monkeypatch.setattr(spectra, "_BLOCK_CELLS", 7 * ctx.order * p ** s)
     hist_b0, hist_all, want_comps = _per_word_tally(p, s, m, exponents,
                                                     variant in ("1", "2"), shortened)
@@ -236,15 +244,42 @@ def test_brute_working_set_is_capped_at_large_q():
     assert res.spectrum.weights == {w: int(c) // 31 for w, c in enumerate(want) if c}
 
 
-def test_float_exactness_guard_raises(monkeypatch):
-    monkeypatch.setattr(spectra, "_F32_EXACT", 15)
+def test_beta_brute_refuses_a_kernel_table_past_the_cap(monkeypatch):
+    # a (2,1,4) kernel table holds 16 x 2 = 32 cells: the beta variants are refused
+    # under a cap of 31 before the first block is enumerated, and run at 32
     ctx = gf.get_field(2, 4)
+    blocks = []
+    real = spectra.family_coeffs
+    monkeypatch.setattr(spectra, "family_coeffs", lambda *a: blocks.append(a) or real(*a))
+    monkeypatch.setattr(quadform, "HISTOGRAM_CELLS", 31)
     for variant in ("1", "2"):
-        with pytest.raises(OverflowError):
+        with pytest.raises(ValueError, match="32 histogram cells per table exceed 31"):
             brute_spectrum(ctx, CodeSpec(fam_of(2, 1, 4, 1), variant))
-    monkeypatch.setattr(spectra, "_F32_EXACT", 16)
-    res = brute_spectrum(ctx, CodeSpec(fam_of(2, 1, 4, 1), "1"))
-    assert res.spectrum.weights == predict_monomial_long(2, 4, 1, "1").spectrum.weights
+    assert blocks == []
+    # the base/0 bincount path never builds a kernel table
+    res = brute_spectrum(ctx, CodeSpec(fam_of(2, 1, 4, 1), "0", shortened=True))
+    assert res.spectrum.weights == predict_monomial(2, 4, 1, "0").spectrum.weights
+    monkeypatch.setattr(quadform, "HISTOGRAM_CELLS", 32)
+    for variant in ("1", "2"):
+        res = brute_spectrum(ctx, CodeSpec(fam_of(2, 1, 4, 1), variant))
+        assert res.spectrum.weights == predict_monomial_long(2, 4, 1, variant).spectrum.weights
+
+
+def test_beta_brute_working_set_at_5_4():
+    # (5,1,4) variant 2: the beta blocks hold kernel tables in int16 counts
+    ctx = gf.get_field(5, 4)
+    spec = CodeSpec(fam_of(5, 1, 4, 1), "2")
+    # the field's lazy tables, the kernel's among them
+    build_codeword(ctx, spec, LinearizedPoly((1,), (1,), 1), beta=1)
+    quadform.value_histograms(ctx, 1, np.zeros((1, ctx.mult_order), dtype=np.int8))
+    tracemalloc.start()
+    try:
+        res = brute_spectrum(ctx, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    assert res.spectrum.weights == predict_monomial_long(5, 4, 1, "2").spectrum.weights
 
 
 @pytest.mark.parametrize("p,m,exponents,variant,expected,distinct", [
