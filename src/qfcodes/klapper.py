@@ -5,9 +5,9 @@ L = q^{(m,l)}+1 equals 1 exactly on the t = 0 (mod L) power class and -1 on
 the t = L/2 class, so no discrete logarithm is ever computed.  The module
 also carries the rank distributions of the one- and two-monomial families
 (zero form included), and an exhaustive (rank, type) tally over all
-(gamma_1, gamma_2) pairs, quadform.tally_profiles on x -> cx orbit rows, that
-verifies the two-monomial distribution in full, types included.  Every
-single pair's rank and type comes from quadform.form_profiles.
+(gamma_1, gamma_2) pairs, quadform.tally_profiles on one row per Frobenius x
+(x -> cx) orbit, that verifies the two-monomial distribution in full, types
+included.  Every single pair's rank and type comes from quadform.form_profiles.
 """
 
 from __future__ import annotations
@@ -17,12 +17,8 @@ from math import gcd
 
 from .gf import FieldCtx, FieldError, is_prime
 from .linpoly import FamilySpec, LinearizedPoly
-from .quadform import (QuadForm, QuadFormProfile, RankDistribution, form_profiles,
+from .quadform import (HypothesisError, QuadForm, QuadFormProfile, RankDistribution, form_profiles,
                        profile as qf_profile, tally_profiles)
-
-
-class HypothesisError(ValueError):
-    """Raised when parameters fall outside a result's hypotheses."""
 
 
 def _check_m_ell_even(m: int, ell: int):
@@ -171,9 +167,9 @@ def l3l_pair_profile_fast(ctx: FieldCtx, ell: int, g1: int, g2: int) -> QuadForm
 def tally_l3l_profiles(ctx: FieldCtx, ell: int) -> RankDistribution:
     """Exhaustive (rank, type) tally over all (g1, g2) in F_{p^m}^2, by the discriminant route.
 
-    quadform.tally_profiles on <x^{p^l}, x^{p^{3l}}>: one row per x -> cx
-    orbit class of g2.  The distribution covers all p^{2m} pairs, ranks
-    descending; the zero pair is counted in (0, +1).
+    quadform.tally_profiles on <x^{p^l}, x^{p^{3l}}>: one pair per orbit of
+    (g1, g2) -> (g1^p, g2^p) and x -> cx (c^{p^l+1} = 1 forces c^{p^{3l}+1} = 1).
+    All p^{2m} pairs, ranks descending; the zero pair is counted in (0, +1).
     """
     if ctx.p == 2:
         raise HypothesisError("the two-monomial family sweep targets odd p")

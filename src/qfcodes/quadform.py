@@ -14,16 +14,16 @@ type is also solved from the zero count of a value table, and the two
 routes must agree.  Exponential sums are integers
 (S_{Q,b}(beta) = q N_{Q,beta}(-b) - q^m); no complex arithmetic appears.
 Every (rank, type) tally of a whole family comes from tally_profiles, which
-profiles one row per x -> cx orbit class of the leading coefficient into a
-RankDistribution.  Rank 0 has type +1 on every route, with no branch:
-N_Q(0) = q^m is the type +1 count at r = 0.
+profiles one row per orbit of the Frobenius and x -> cx (orbit_rows), each
+with its exact int64 weight, into a RankDistribution.  Rank 0 has type +1 on
+every route, with no branch: N_Q(0) = q^m is the type +1 count at r = 0.
 
 Every trace-form symbol table in the package (Q's values, codewords, curve
 counts, scans and the beta sweeps) comes from form_symbols, one log-domain
 gather per term, in the one layout x = alpha^k, k < q^m - 1 (the form is 0
 at x = 0), and every Gram term from gram_exponents, one gather in the digit
-basis t^i = p^i.  lin_eval and lin_eval_table stay the independent routes
-of R, in element order.
+basis t^i = p^i; one form's read-only word is kept (form_word).  lin_eval
+and lin_eval_table stay the independent routes of R, in element order.
 
 Every closed-form sweep table (counts, curve points, code weights, enumerators)
 is a projection of value_rows, the one closed form of the rows of H[beta, c].
@@ -44,13 +44,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
 from .gf import FieldCtx, FieldError, int_dtype
 from .linalg import reduce_symmetric
-from .linpoly import FamilySpec, LinearizedPoly, family_coeffs, lin_eval
+from .linpoly import FamilySpec, LinearizedPoly, elements_log_order, lin_eval
 
 BETA_CLASSES = ("null", "major", "minor")
 # largest field on which form_profiles counts zeros (and cross-checks the discriminant)
@@ -59,6 +59,10 @@ COUNT_LIMIT = 1 << 16
 
 class RankError(ValueError):
     pass
+
+
+class HypothesisError(ValueError):
+    """Raised when parameters fall outside a result's hypotheses."""
 
 
 @dataclass(frozen=True)
@@ -99,9 +103,8 @@ class QuadForm:
     @cached_property
     def histogram(self) -> np.ndarray:
         """int64 H[beta, c] = N_{Q,beta}(c) for every beta and symbol c, built once per form."""
-        coeffs, exps = form_terms(self.R, self.q)
-        H = value_histograms(self.ctx, self.s, form_symbols(self.ctx, self.s, [coeffs], exps))
-        return H[0].astype(np.int64, order="C")
+        word = form_word(self.ctx, self.s, self.R.coeffs, self.R.q_exponents, form_symbols)
+        return value_histograms(self.ctx, self.s, word[None])[0].astype(np.int64, order="C")
 
 
 def form_terms(R: LinearizedPoly, q: int, beta: int = 0) -> tuple[list[int], tuple[int, ...]]:
@@ -132,6 +135,18 @@ def form_symbols(ctx: FieldCtx, s: int, coeffs, exps: tuple[int, ...],
     if out is None:
         out = np.zeros((len(coeffs), len(range(ctx.mult_order)[xs])), dtype=sy.trace_pow.dtype)
     return out
+
+
+@lru_cache(maxsize=1)
+def form_word(ctx: FieldCtx, s: int, coeffs: tuple, ls: tuple, symbols) -> np.ndarray:
+    """Read-only symbols of tr(xR(x)), R = sum_i c_i x^{q^{l_i}}, at x = alpha^k: the last kept.
+
+    So one form's zero count (form_profiles on one row) and its codeword draws
+    build it once.  `symbols`, the caller's form_symbols, is in the key.
+    """
+    word = symbols(ctx, s, [coeffs], tuple(ctx.p ** (s * l) + 1 for l in ls))[0]
+    word.flags.writeable = False
+    return word
 
 
 @lru_cache(maxsize=256)
@@ -210,7 +225,8 @@ def form_profiles(ctx: FieldCtx, s: int, coeffs, ls: tuple[int, ...],
             r, e = red.rank // s, red.etas()
         odd = r % 2
         if counting:
-            syms = form_symbols(ctx, s, rows, tuple(q ** l + 1 for l in ls))
+            syms = (form_symbols(ctx, s, rows, tuple(q ** l + 1 for l in ls)) if len(rows) > 1
+                    else form_word(ctx, s, tuple(rows[0].tolist()), ls, form_symbols)[None])
             n0 = 1 + np.count_nonzero(syms == 0, axis=1)  # 1 for x = 0
             base, dev = q ** (m - 1), (q - 1) * q ** (m - 1 - r // 2)
             if p == 2:
@@ -232,33 +248,70 @@ def form_profiles(ctx: FieldCtx, s: int, coeffs, ls: tuple[int, ...],
     return rank, eps
 
 
+def _lead_orbits(p: int, n: int, N: int, E: list[int]):
+    """(r, lead rows, G_r) per orbit of r -> rp mod d = gcd(N, E[0]), r its least member:
+    (t, u) fixes alpha^r iff r (p^t - 1) = 0 (mod d), for the d u with u E[0] = r (1 - p^t)
+    (mod N), and G_r is their distinct actions (p^t, (u E_i)_{i>0}) mod N on the tails: u and
+    u + w N/d act alike, w the least with w N/d E_i = 0 (mod N) for every i > 0."""
+    d = gcd(N, E[0])
+    w = lcm(*(N // gcd(N, N // d * e) for e in E[1:]))
+    for r in sorted({min(x * pow(p, t, d) % d for t in range(n)) for x in range(d)}):
+        acts = set()
+        for P in {pow(p, t, N) for t in range(n) if r * (pow(p, t, d) - 1) % d == 0}:
+            u0 = r * (1 - P) // d * pow(E[0] // d, -1, N // d) % (N // d)
+            acts |= {(P, tuple(u * e % N for e in E[1:])) for u in range(u0, N, N // d)[:w]}
+        yield (r, len({r * pow(p, t, d) % d for t in range(n)}) * (N // d),
+               [(P, np.array(U, dtype=np.int64)) for P, U in sorted(acts)])
+
+
+def orbit_rows(ctx: FieldCtx, fam: FamilySpec):
+    """Chunks (rows, weights): one row per orbit of the family's rows and its int64 size.
+
+    The group is x -> cx (c_i -> c_i c^{E_i}, E_i = q^{l_i}+1) and the Frobenius
+    (c_i -> c_i^p, as Q_{c^p}(x^p) = Q_c(x)^p), in logs a_i -> a_i p^t + u E_i mod N:
+    both keep rank and type.  Per lead position j and lead orbit (_lead_orbits), a
+    tail stands for its G_r-orbit when its family_coeffs index is the least of its
+    images, and weighs (lead rows) |G_r| / #{g in G_r fixing it}.  At most
+    PROFILE_CELLS tails a chunk, the zero row first, then more leading zeros first.
+    HypothesisError if a lead's weights do not add up to its rows.
+    """
+    N, k, E = ctx.mult_order, len(fam.exponents), [fam.q ** l + 1 for l in fam.exponents]
+    yield np.zeros((1, k), dtype=np.int64), np.ones(1, dtype=np.int64)
+    for j in reversed(range(k)):
+        n_tails, places = ctx.order ** (k - 1 - j), ctx.order ** np.arange(k - 1 - j)[::-1]
+        leads = list(_lead_orbits(ctx.p, ctx.n, N, E[j:]))
+        totals = [0] * len(leads)
+        for lo in range(0, n_tails, PROFILE_CELLS):
+            i = np.arange(lo, min(lo + PROFILE_CELLS, n_tails), dtype=np.int64)
+            logs = i[:, None] // places % ctx.order - 1  # -1 for a zero coefficient
+            tails = elements_log_order(ctx)[logs + 1]
+            for at, (r, lead_rows, acts) in enumerate(leads):
+                least, fixed = np.ones(len(i), dtype=bool), np.zeros(len(i), dtype=np.int64)
+                for P, U in acts:
+                    image = np.where(logs < 0, 0, (logs * P + U) % N + 1) @ places
+                    least &= image >= i
+                    fixed += image == i
+                weights = lead_rows * len(acts) // fixed[least]
+                totals[at] += int(weights.sum())
+                yield np.column_stack([np.zeros((len(weights), j), dtype=np.int64),
+                                       np.full(len(weights), ctx.exp[r]),
+                                       tails[least]]), weights
+        for (r, lead_rows, _), total in zip(leads, totals):
+            if total != lead_rows * n_tails:
+                raise HypothesisError(f"lead alpha^{r} at position {j}: orbit weights add up to "
+                                      f"{total}, not {lead_rows * n_tails}")
+
+
 def tally_profiles(ctx: FieldCtx, fam: FamilySpec, count: bool = True) -> RankDistribution:
     """The (rank, type) multiplicities over all (q^m)^k coefficient rows of a family.
 
-    x -> cx is an invertible change of variables, so it keeps rank and type,
-    and it carries each c_i to c_i c^{q^{l_i}+1}.  With d = gcd(q^m-1, q^{l_j}+1)
-    it carries any nonzero c_j to some alpha^r, r < d, scaling each later
-    coefficient by a nonzero constant: a bijection of tails.  So among the
-    rows whose first nonzero coefficient is c_j, the row c_j = alpha^r with
-    every tail from family_coeffs stands for (q^m-1)/d rows.  Tails go to
-    form_profiles (with count) in chunks of PROFILE_CELLS rows, the rows
-    with more leading zeros first, as in row order.  Ranks descending, type
-    +1 before -1; the zero row is counted in (0, +1).
+    form_profiles (with count) profiles each orbit_rows row, which adds its int64
+    weight.  Ranks descending, type +1 before -1; the zero row is counted in (0, +1).
     """
-    N = ctx.mult_order
     hist = np.zeros(2 * (fam.m + 1), dtype=np.int64)  # index 2 rank + (type == +1)
-    hist[1] = 1  # the zero row
-    for j in reversed(range(len(fam.exponents))):
-        ls = fam.exponents[j:]
-        tail = FamilySpec(fam.p, fam.s, fam.m, ls[1:])
-        d = gcd(N, fam.q ** ls[0] + 1)
-        n_tails = ctx.order ** len(tail.exponents)
-        for lo in range(0, n_tails, PROFILE_CELLS):
-            tails = family_coeffs(ctx, tail, lo, min(lo + PROFILE_CELLS, n_tails))
-            for lead in ctx.exp[:d].tolist():
-                rows = np.column_stack([np.full(len(tails), lead), tails])
-                rank, eps = form_profiles(ctx, fam.s, rows, ls, count)
-                hist += N // d * np.bincount(2 * rank + (eps > 0), minlength=len(hist))
+    for rows, weights in orbit_rows(ctx, fam):
+        rank, eps = form_profiles(ctx, fam.s, rows, fam.exponents, count)
+        np.add.at(hist, 2 * rank + (eps > 0), weights)
     return RankDistribution(fam.q, fam.m, tuple((k // 2, 1 if k % 2 else -1, int(hist[k]))
                                                 for k in np.flatnonzero(hist)[::-1].tolist()))
 

@@ -189,7 +189,6 @@ def test_orbit_tally_matches_direct_nullity(p, m):
     assert klapper.tally_l3l_ranks(ctx, 1) == dict(ranks)
 
 
-@pytest.mark.slow
 def test_tally_reaches_beyond_the_old_sweep():
     # 3^20 pairs; checks the closed-form multiplicities and types at (3,10,1),
     # holding one block of Gram matrices at a time
@@ -203,6 +202,14 @@ def test_tally_reaches_beyond_the_old_sweep():
         tracemalloc.stop()
     assert profiles == klapper.rank_distribution_l3l(3, 10, 1)
     assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p,m", [(5, 8), (3, 12)])
+def test_orbit_tally_reaches_the_closed_form(p, m):
+    # 5^16 and 3^24 pairs, out of reach of the x -> cx orbit classes alone
+    tally = klapper.tally_l3l_profiles(gf.get_field(p, m), 1)
+    assert tally == klapper.rank_distribution_l3l(p, m, 1)
 
 
 @pytest.mark.parametrize("p", [3, 67, 131, pytest.param(191, marks=pytest.mark.slow)])

@@ -220,7 +220,10 @@ def direct_tally(ctx, fam, count):
 # route alone, as the two-monomial tally does
 TALLY_FAMILIES = ([(FamilySpec(p, s, m, (ell,)), True) for p, s, m, ell in GRID]
                   + [(FamilySpec(2, 1, 4, (1, 3)), True), (FamilySpec(2, 1, 6, (1, 3)), True),
-                     (FamilySpec(3, 1, 4, (0, 2)), True), (FamilySpec(5, 1, 4, (0, 2)), False)])
+                     (FamilySpec(3, 1, 4, (0, 2)), True), (FamilySpec(5, 1, 4, (0, 2)), False),
+                     (FamilySpec(2, 2, 4, (1, 3)), True), (FamilySpec(2, 1, 8, (1, 3)), True),
+                     pytest.param(FamilySpec(2, 1, 6, (1, 3, 5)), True, marks=pytest.mark.slow),
+                     (FamilySpec(43, 1, 2, (1,)), True)])
 
 
 @pytest.mark.parametrize("fam,count", TALLY_FAMILIES, ids=str)
@@ -275,6 +278,46 @@ def test_tally_profiles_chunks_tails(monkeypatch):
     whole = quadform.tally_profiles(ctx, fam)
     monkeypatch.setattr(quadform, "PROFILE_CELLS", 5)
     assert quadform.tally_profiles(ctx, fam) == whole
+
+
+@pytest.mark.parametrize("fam", [FamilySpec(3, 1, 4, (1, 3)), FamilySpec(2, 2, 4, (1, 3)),
+                                 FamilySpec(2, 1, 6, (1, 3, 5)), FamilySpec(43, 1, 2, (1,))],
+                         ids=str)
+def test_orbit_rows_weigh_every_row_once_in_int64(fam):
+    ctx = gf.get_field(fam.p, fam.n)
+    chunks = list(quadform.orbit_rows(ctx, fam))
+    rows = np.vstack([r for r, _ in chunks])
+    assert all(w.dtype == np.int64 and len(w) == len(r) and (w > 0).all() for r, w in chunks)
+    assert sum(int(w.sum()) for _, w in chunks) == ctx.order ** len(fam.exponents)
+    assert len(np.unique(rows, axis=0)) == len(rows)
+    assert rows[0].tolist() == [0] * len(fam.exponents)  # the zero row, weight 1, comes first
+    assert chunks[0][1].tolist() == [1]
+
+
+def test_orbit_rows_refuse_weights_that_miss_the_rows(monkeypatch):
+    # one action dropped from each lead's group: the orbit-stabiliser weights
+    # no longer add up to the lead's rows, and the tally stops before returning
+    real = quadform._lead_orbits
+    monkeypatch.setattr(quadform, "_lead_orbits", lambda *args: [
+        (r, rows, acts[:-1] or acts) for r, rows, acts in real(*args)])
+    with pytest.raises(klapper.HypothesisError, match="orbit weights add up to"):
+        quadform.tally_profiles(gf.get_field(3, 4), FamilySpec(3, 1, 4, (1, 3)), count=False)
+
+
+def test_tally_profiles_profiles_one_row_per_frobenius_orbit(monkeypatch):
+    # (3,8,1): 3 336 nonzero rows, one per Frobenius x (x -> cx) orbit, and the
+    # zero row, where the x -> cx orbit classes alone took 26 248
+    real, seen = quadform.form_profiles, []
+
+    def spy(ctx, s, coeffs, ls, count=True):
+        seen.extend(map(tuple, np.asarray(coeffs).tolist()))
+        return real(ctx, s, coeffs, ls, count)
+
+    monkeypatch.setattr(quadform, "form_profiles", spy)
+    tally = klapper.tally_l3l_profiles(gf.get_field(3, 8), 1)
+    assert tally == klapper.rank_distribution_l3l(3, 8, 1)
+    assert len(seen) == len(set(seen)) == 3337
+    assert (0, 0) in seen
 
 
 def test_tally_profiles_empty_family_is_the_zero_form():
