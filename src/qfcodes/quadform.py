@@ -22,8 +22,8 @@ Every trace-form symbol table in the package (Q's values, codewords, curve
 counts, scans and the beta sweeps) comes from form_symbols, one log-domain
 gather per term, in the one layout x = alpha^k, k < q^m - 1 (the form is 0
 at x = 0), and every Gram term from gram_exponents, one gather in the digit
-basis t^i = p^i; one form's read-only word is kept (form_word).  lin_eval
-and lin_eval_table stay the independent routes of R, in element order.
+basis t^i = p^i.  lin_eval and lin_eval_table stay the independent routes
+of R, in element order.
 
 Every closed-form sweep table (counts, curve points, code weights, enumerators)
 is a projection of value_rows, the one closed form of the rows of H[beta, c].
@@ -50,7 +50,7 @@ import numpy as np
 
 from .gf import FieldCtx, FieldError, int_dtype
 from .linalg import reduce_symmetric
-from .linpoly import FamilySpec, LinearizedPoly, elements_log_order, lin_eval
+from .linpoly import FamilySpec, LinearizedPoly, family_coeffs, lin_eval
 
 BETA_CLASSES = ("null", "major", "minor")
 # largest field on which form_profiles counts zeros (and cross-checks the discriminant)
@@ -103,8 +103,9 @@ class QuadForm:
     @cached_property
     def histogram(self) -> np.ndarray:
         """int64 H[beta, c] = N_{Q,beta}(c) for every beta and symbol c, built once per form."""
-        word = form_word(self.ctx, self.s, self.R.coeffs, self.R.q_exponents, form_symbols)
-        return value_histograms(self.ctx, self.s, word[None])[0].astype(np.int64, order="C")
+        coeffs, exps = form_terms(self.R, self.q)
+        H = value_histograms(self.ctx, self.s, form_symbols(self.ctx, self.s, [coeffs], exps))
+        return H[0].astype(np.int64, order="C")
 
 
 def form_terms(R: LinearizedPoly, q: int, beta: int = 0) -> tuple[list[int], tuple[int, ...]]:
@@ -135,18 +136,6 @@ def form_symbols(ctx: FieldCtx, s: int, coeffs, exps: tuple[int, ...],
     if out is None:
         out = np.zeros((len(coeffs), len(range(ctx.mult_order)[xs])), dtype=sy.trace_pow.dtype)
     return out
-
-
-@lru_cache(maxsize=1)
-def form_word(ctx: FieldCtx, s: int, coeffs: tuple, ls: tuple, symbols) -> np.ndarray:
-    """Read-only symbols of tr(xR(x)), R = sum_i c_i x^{q^{l_i}}, at x = alpha^k: the last kept.
-
-    So one form's zero count (form_profiles on one row) and its codeword draws
-    build it once.  `symbols`, the caller's form_symbols, is in the key.
-    """
-    word = symbols(ctx, s, [coeffs], tuple(ctx.p ** (s * l) + 1 for l in ls))[0]
-    word.flags.writeable = False
-    return word
 
 
 @lru_cache(maxsize=256)
@@ -225,8 +214,7 @@ def form_profiles(ctx: FieldCtx, s: int, coeffs, ls: tuple[int, ...],
             r, e = red.rank // s, red.etas()
         odd = r % 2
         if counting:
-            syms = (form_symbols(ctx, s, rows, tuple(q ** l + 1 for l in ls)) if len(rows) > 1
-                    else form_word(ctx, s, tuple(rows[0].tolist()), ls, form_symbols)[None])
+            syms = form_symbols(ctx, s, rows, tuple(q ** l + 1 for l in ls))
             n0 = 1 + np.count_nonzero(syms == 0, axis=1)  # 1 for x = 0
             base, dev = q ** (m - 1), (q - 1) * q ** (m - 1 - r // 2)
             if p == 2:
@@ -251,13 +239,14 @@ def form_profiles(ctx: FieldCtx, s: int, coeffs, ls: tuple[int, ...],
 def _lead_orbits(p: int, n: int, N: int, E: list[int]):
     """(r, lead rows, G_r) per orbit of r -> rp mod d = gcd(N, E[0]), r its least member:
     (t, u) fixes alpha^r iff r (p^t - 1) = 0 (mod d), for the d u with u E[0] = r (1 - p^t)
-    (mod N), and G_r is their distinct actions (p^t, (u E_i)_{i>0}) mod N on the tails: u and
-    u + w N/d act alike, w the least with w N/d E_i = 0 (mod N) for every i > 0."""
+    (mod N), and G_r is their distinct actions (p^t, (u E_i)_{i>0}) mod N on the tails (one if
+    none): u and u + w N/d act alike, w the least with w N/d E_i = 0 (mod N), all i > 0."""
     d = gcd(N, E[0])
     w = lcm(*(N // gcd(N, N // d * e) for e in E[1:]))
     for r in sorted({min(x * pow(p, t, d) % d for t in range(n)) for x in range(d)}):
         acts = set()
-        for P in {pow(p, t, N) for t in range(n) if r * (pow(p, t, d) - 1) % d == 0}:
+        fixing = [t for t in range(n) if r * (pow(p, t, d) - 1) % d == 0]
+        for P in {pow(p, t, N) for t in fixing} if E[1:] else {1}:
             u0 = r * (1 - P) // d * pow(E[0] // d, -1, N // d) % (N // d)
             acts |= {(P, tuple(u * e % N for e in E[1:])) for u in range(u0, N, N // d)[:w]}
         yield (r, len({r * pow(p, t, d) % d for t in range(n)}) * (N // d),
@@ -265,37 +254,38 @@ def _lead_orbits(p: int, n: int, N: int, E: list[int]):
 
 
 def orbit_rows(ctx: FieldCtx, fam: FamilySpec):
-    """Chunks (rows, weights): one row per orbit of the family's rows and its int64 size.
+    """Chunks (rows, weights): one row per orbit of the family's nonzero rows and its int64 size.
 
     The group is x -> cx (c_i -> c_i c^{E_i}, E_i = q^{l_i}+1) and the Frobenius
     (c_i -> c_i^p, as Q_{c^p}(x^p) = Q_c(x)^p), in logs a_i -> a_i p^t + u E_i mod N:
     both keep rank and type.  Per lead position j and lead orbit (_lead_orbits), a
     tail stands for its G_r-orbit when its family_coeffs index is the least of its
-    images, and weighs (lead rows) |G_r| / #{g in G_r fixing it}.  At most
-    PROFILE_CELLS tails a chunk, the zero row first, then more leading zeros first.
+    images, and weighs (lead rows) |G_r| / #{g in G_r fixing it}.  One chunk per
+    PROFILE_CELLS tails, every lead orbit's rows, more leading zeros first.
     HypothesisError if a lead's weights do not add up to its rows.
     """
     N, k, E = ctx.mult_order, len(fam.exponents), [fam.q ** l + 1 for l in fam.exponents]
-    yield np.zeros((1, k), dtype=np.int64), np.ones(1, dtype=np.int64)
     for j in reversed(range(k)):
+        tail = FamilySpec(fam.p, fam.s, fam.m, fam.exponents[j + 1:])
         n_tails, places = ctx.order ** (k - 1 - j), ctx.order ** np.arange(k - 1 - j)[::-1]
         leads = list(_lead_orbits(ctx.p, ctx.n, N, E[j:]))
         totals = [0] * len(leads)
         for lo in range(0, n_tails, PROFILE_CELLS):
-            i = np.arange(lo, min(lo + PROFILE_CELLS, n_tails), dtype=np.int64)
-            logs = i[:, None] // places % ctx.order - 1  # -1 for a zero coefficient
-            tails = elements_log_order(ctx)[logs + 1]
+            tails = family_coeffs(ctx, tail, lo, min(lo + PROFILE_CELLS, n_tails))
+            i, logs = np.arange(lo, lo + len(tails)), ctx.log[tails]  # -1 for a zero coefficient
+            rows, weights = [], []
             for at, (r, lead_rows, acts) in enumerate(leads):
                 least, fixed = np.ones(len(i), dtype=bool), np.zeros(len(i), dtype=np.int64)
                 for P, U in acts:
                     image = np.where(logs < 0, 0, (logs * P + U) % N + 1) @ places
                     least &= image >= i
                     fixed += image == i
-                weights = lead_rows * len(acts) // fixed[least]
-                totals[at] += int(weights.sum())
-                yield np.column_stack([np.zeros((len(weights), j), dtype=np.int64),
-                                       np.full(len(weights), ctx.exp[r]),
-                                       tails[least]]), weights
+                w = lead_rows * len(acts) // fixed[least]
+                totals[at] += int(w.sum())
+                weights.append(w)
+                rows.append(np.column_stack([np.zeros((len(w), j), dtype=np.int64),
+                                             np.full(len(w), ctx.exp[r]), tails[least]]))
+            yield np.vstack(rows), np.concatenate(weights)
         for (r, lead_rows, _), total in zip(leads, totals):
             if total != lead_rows * n_tails:
                 raise HypothesisError(f"lead alpha^{r} at position {j}: orbit weights add up to "
@@ -309,6 +299,7 @@ def tally_profiles(ctx: FieldCtx, fam: FamilySpec, count: bool = True) -> RankDi
     weight.  Ranks descending, type +1 before -1; the zero row is counted in (0, +1).
     """
     hist = np.zeros(2 * (fam.m + 1), dtype=np.int64)  # index 2 rank + (type == +1)
+    hist[1] = 1  # the zero row
     for rows, weights in orbit_rows(ctx, fam):
         rank, eps = form_profiles(ctx, fam.s, rows, fam.exponents, count)
         np.add.at(hist, 2 * rank + (eps > 0), weights)

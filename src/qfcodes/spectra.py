@@ -20,6 +20,7 @@ arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -27,7 +28,7 @@ import numpy as np
 from .gf import FieldCtx, FieldError, int_log
 from .klapper import HypothesisError, eps_ell, rank_distribution_l3l, rank_distribution_monomial
 from .linpoly import FamilySpec, LinearizedPoly, family_coeffs
-from .quadform import (BETA_CLASSES, RankDistribution, form_symbols, form_word, histogram_cells,
+from .quadform import (BETA_CLASSES, RankDistribution, form_symbols, form_terms, histogram_cells,
                        value_histograms, value_rows)
 
 VARIANTS = ("base", "0", "1", "2")
@@ -265,8 +266,8 @@ def build_codeword(ctx: FieldCtx, spec: CodeSpec, R: LinearizedPoly,
                    beta: int = 0, b_sym: int = 0) -> np.ndarray:
     """Symbol vector of one codeword (canonical F_q symbols), a fresh writable array.
 
-    The tr(xR(x)) part is the read-only quadform.form_word, so the (beta, b)
-    draws of one R, and its zero count in a profile, evaluate its terms once.
+    The tr(xR(x)) part comes from _form_word, so the (beta, b) draws of one R
+    evaluate its terms once.
     """
     fam = spec.family
     if beta != 0 and spec.variant not in ("1", "2"):
@@ -275,13 +276,22 @@ def build_codeword(ctx: FieldCtx, spec: CodeSpec, R: LinearizedPoly,
         raise ValueError(f"variant {spec.variant} has no constant term")
     sy = ctx.symbols(fam.s)
     n = _length(ctx, spec)
-    syms = form_word(ctx, fam.s, R.coeffs, R.q_exponents, form_symbols)[:n]
+    syms = _form_word(ctx, fam.s, R, n)
     if beta:  # tr(beta alpha^k) = tr(alpha^{log beta + k}): a slice, trace_pow holds 2N
         lb = int(ctx.log[beta])
         syms = sy.plus(sy.trace_pow[lb: lb + n], syms)
     if b_sym:
         syms = sy.plus(syms, b_sym)
     return syms if beta or b_sym else syms.copy()
+
+
+@lru_cache(maxsize=1)
+def _form_word(ctx: FieldCtx, s: int, R: LinearizedPoly, n: int) -> np.ndarray:
+    """Read-only symbols of tr(xR(x)) at x = alpha^k, k < n, kept for the next draw of R."""
+    coeffs, exps = form_terms(R, ctx.p ** s)
+    word = form_symbols(ctx, s, [coeffs], exps, slice(0, n))[0]
+    word.flags.writeable = False
+    return word
 
 
 def brute_size(ctx: FieldCtx, spec: CodeSpec, budget: int) -> tuple[int, int]:

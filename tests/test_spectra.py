@@ -410,7 +410,7 @@ def test_words_of_one_form_evaluate_its_terms_once(monkeypatch):
         return quadform.form_symbols(*args, **kwargs)
 
     monkeypatch.setattr(spectra, "form_symbols", counted)
-    quadform.form_word.cache_clear()
+    spectra._form_word.cache_clear()
     ctx = gf.get_field(3, 8)
     spec = CodeSpec(FamilySpec(3, 1, 8, (1, 3)), "2")
     R = klapper.l3l_poly(ctx, 1, 5, 7)
@@ -419,27 +419,6 @@ def test_words_of_one_form_evaluate_its_terms_once(monkeypatch):
     assert len(calls) == 1
     build_codeword(ctx, spec, klapper.l3l_poly(ctx, 1, 7, 5))
     assert len(calls) == 2
-
-
-def test_pair_profile_and_its_draws_share_one_word(monkeypatch):
-    # an l3l pair query: the zero count of l3l_pair_profile and the codeword
-    # draws of the same pair read one read-only word
-    real, calls = quadform.form_symbols, []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(quadform, "form_symbols", counted)
-    monkeypatch.setattr(spectra, "form_symbols", counted)
-    quadform.form_word.cache_clear()
-    ctx = gf.get_field(3, 8)
-    klapper.l3l_pair_profile(ctx, 1, 5, 7)
-    R, spec = klapper.l3l_poly(ctx, 1, 5, 7), CodeSpec(FamilySpec(3, 1, 8, (1, 3)), "2")
-    words = [build_codeword(ctx, spec, R, beta, b) for beta, b in [(0, 0), (11, 1), (0, 2)]]
-    assert len(calls) == 1
-    assert not quadform.form_word(ctx, 1, R.coeffs, R.q_exponents, counted).flags.writeable
-    assert len(calls) == 1 and all(w.flags.writeable for w in words)
 
 
 def test_shortened_word_concatenates_to_full():
