@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from collections import Counter
+from math import gcd
 
 from . import curves, klapper, spectra, verify
 from .gf import FieldCtx, FieldError, get_field
@@ -208,13 +209,18 @@ def cmd_curves(args) -> int:
         _emit(payload, args.format, args.out)
         return EXIT_OK if wit.found else EXIT_MISMATCH
     if args.scan:
-        report = curves.scan_monomial(ctx, args.ell)
+        # gamma = alpha^k has the branch and beta sweep of alpha^{k mod L},
+        # L = p^{(m,l)} + 1 (x -> cx takes gamma to gamma c^{p^l+1}), so the scan
+        # sweeps the L representatives and each stands for M = (p^m - 1)/L gammas
+        L = args.p ** gcd(args.m, args.ell) + 1
+        report = curves.scan_monomial(ctx, args.ell, gammas=[int(g) for g in ctx.exp[:L]])
+        M, _ = klapper.m_counts(args.p, args.m, args.ell)  # after the scan's own checks
         by_branch = {}
         for branch, scans in sorted(report.by_branch().items()):
             tallies = Counter(tuple(s.point_tally.items()) for s in scans)
             by_branch[branch] = {
-                "gammas": len(scans),
-                "point_tallies": [{"tally": k, "gammas": v}
+                "gammas": len(scans) * M,
+                "point_tallies": [{"tally": k, "gammas": v * M}
                                   for k, v in sorted(tallies.items())],
                 "minimal_betas": sorted({s.n_minimal for s in scans}),
                 "maximal_betas": sorted({s.n_maximal for s in scans}),

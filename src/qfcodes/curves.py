@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf import FieldCtx, FieldError
+from .gf import FieldCtx, FieldError, block_rows
 from .klapper import (HypothesisError, MonomialClassification, classify_monomial, eps_ell,
                       l3l_poly, l3l_pair_profile)
 from .linpoly import LinearizedPoly, lin_eval_table
@@ -194,16 +194,13 @@ class ScanReport:
         return out
 
 
-# histogram cells (gammas x p^m x p) one scan_monomial batch may hold
-SCAN_CELLS = 1 << 19
-
-
 def scan_monomial(ctx: FieldCtx, ell: int, gammas: list[int] | None = None) -> ScanReport:
     """Sweep beta for each gamma-class of y^p - y = gamma x^{p^l+1} + beta x.
 
     Every gamma gets its own exhaustive histogram over all beta, in batches
-    of value_histograms calls, and each batch's zero counts N_{Q,beta}(0) are
-    sorted once, in the kernel's compact dtype.  Everything predicted depends
+    of value_histograms calls of at most gf.BLOCK_CELLS cells, and each
+    batch's zero counts N_{Q,beta}(0) are sorted once, in the kernel's
+    compact dtype.  Everything predicted depends
     only on the (rank, type) of gamma's class, so each class's point-count
     multiset, its sorted row of counts (#C = 1 + p N) and its counts at the
     endpoints are computed once per scan, and every GammaScan of the class
@@ -218,7 +215,7 @@ def scan_monomial(ctx: FieldCtx, ell: int, gammas: list[int] | None = None) -> S
         gammas = [int(g) for g in ctx.exp[: ctx.mult_order]]
     predicted = {}  # (rank, type) -> (point tally, its sorted row of N, endpoint beta counts)
     scans = []
-    batch = max(1, SCAN_CELLS // (ctx.order * p))
+    batch = block_rows(ctx.order * p)
     for lo in range(0, len(gammas), batch):
         chunk = gammas[lo: lo + batch]
         forms = form_symbols(ctx, 1, np.array(chunk)[:, None], (p ** ell + 1,))

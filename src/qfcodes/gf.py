@@ -50,27 +50,22 @@ import numpy as np
 SIZE_LIMIT = 1 << 22
 # q x q cells a symbol addition or product table may hold (q <= 4096)
 SYMBOL_CELLS = 1 << 24
-# q x q table cells one block of field arithmetic fills at a time (2 MiB as int64)
-SYMBOL_BLOCK = 1 << 18
-# (element, digit) cells one block of table construction handles at a time
-BUILD_CELLS = 1 << 18
+# cells one block of a blocked loop may hold, in every module (2 MiB as int64)
+BLOCK_CELLS = 1 << 18
 # candidates for the modulus or for alpha that are tested together
 CANDIDATE_BATCH = 32
 
 
+def block_rows(cells_per_row: int) -> int:
+    """Rows of cells_per_row cells each that one block of BLOCK_CELLS cells holds (at least one).
+
+    Reads BLOCK_CELLS at call time, so a patched bound reaches every blocked loop.
+    """
+    return max(1, BLOCK_CELLS // cells_per_row)
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and factorize(n) == {n: 1}
 
 
 def int_log(n: int, base: int) -> int | None:
@@ -149,7 +144,8 @@ class FieldCtx:
     """
 
     def __init__(self, p: int, n: int):
-        if not is_prime(p):
+        # a p past SIZE_LIMIT fails the size test below without a trial division
+        if p <= SIZE_LIMIT and not is_prime(p):
             raise FieldError(f"p must be prime, got {p}")
         if n < 1:
             raise FieldError(f"extension degree must be >= 1, got {n}")
@@ -244,12 +240,12 @@ class FieldCtx:
 
     def _build_tables(self):
         # doubling: exp[2^j : 2^{j+1}] = exp[: 2^j] * alpha^{2^j}, one digit
-        # product with M_{alpha^{2^j}} per block of BUILD_CELLS cells
+        # product with M_{alpha^{2^j}} per block of BLOCK_CELLS cells
         N, p, n = self.mult_order, self.p, self.n
         exp = np.empty(2 * N, dtype=np.int64)
         exp[0] = 1
         m_alpha = self._mult_matrices(np.array([self.alpha]))[0]
-        rows = max(1, BUILD_CELLS // n)
+        rows = block_rows(n)
         step, size = m_alpha, 1
         while size < N:
             top = min(2 * size, N)
@@ -431,12 +427,12 @@ class SymbolSystem:
         self.neg = self.index_of[ctx.v_neg(self.elements)].astype(np.int16)
 
     def _row_blocks(self):
-        """Slices of table rows covering about SYMBOL_BLOCK cells each."""
-        rows = max(1, SYMBOL_BLOCK // self.q)
+        """Slices of table rows covering about BLOCK_CELLS cells each."""
+        rows = block_rows(self.q)
         return [slice(lo, lo + rows) for lo in range(0, self.q, rows)]
 
     def _table(self, op) -> np.ndarray:
-        """int16 q x q symbol table of a vectorised field op, filled SYMBOL_BLOCK cells at a time."""
+        """int16 q x q symbol table of a vectorised field op, filled BLOCK_CELLS cells at a time."""
         out = np.empty((self.q, self.q), dtype=np.int16)
         for rows in self._row_blocks():
             out[rows] = self.index_of[op(self.elements[rows, None], self.elements[None, :])]

@@ -48,7 +48,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .gf import FieldCtx, FieldError, int_dtype
+from .gf import FieldCtx, FieldError, block_rows, int_dtype
 from .linalg import reduce_symmetric
 from .linpoly import FamilySpec, LinearizedPoly, family_coeffs, lin_eval
 
@@ -172,16 +172,13 @@ def form_grams(ctx: FieldCtx, s: int, coeffs, ls: tuple[int, ...]) -> np.ndarray
     return (t + t.transpose(0, 2, 1)) % p
 
 
-# Gram and value-table cells one form_profiles block may hold
-PROFILE_CELLS = 1 << 16
-
-
 def form_profiles(ctx: FieldCtx, s: int, coeffs, ls: tuple[int, ...],
                   count: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """(rank, type) of Q_R for R = sum_i c_i x^{q^{l_i}}, one per row of a (B, len(ls)) coeffs.
 
-    Each block of forms under PROFILE_CELLS gets one congruence reduction of
-    its form_grams.  Odd p: the rank is r_p / s and the type eta_p((-1)^{r_p/2} disc).
+    Each block of forms under gf.BLOCK_CELLS Gram and value-table cells gets
+    one congruence reduction of its form_grams.  Odd p: the rank is r_p / s
+    and the type eta_p((-1)^{r_p/2} disc).
     p = 2: ker B is read off the reduction and the radical is ker B or a
     hyperplane of it as Q vanishes on a kernel basis or not (Q by scalar
     lin_eval).  With count (always for p = 2), on fields of order up to
@@ -196,7 +193,7 @@ def form_profiles(ctx: FieldCtx, s: int, coeffs, ls: tuple[int, ...],
     m, q = n // s, p ** s
     coeffs = np.asarray(coeffs, dtype=np.int64)
     counting = (count or p == 2) and ctx.order <= COUNT_LIMIT
-    block = max(1, PROFILE_CELLS // (n * n + ctx.order * counting))
+    block = block_rows(n * n + ctx.order * counting)
     rank = np.empty(len(coeffs), dtype=np.int64)
     eps = np.empty(len(coeffs), dtype=np.int64)
     for lo in range(0, len(coeffs), block):
@@ -261,7 +258,7 @@ def orbit_rows(ctx: FieldCtx, fam: FamilySpec):
     both keep rank and type.  Per lead position j and lead orbit (_lead_orbits), a
     tail stands for its G_r-orbit when its family_coeffs index is the least of its
     images, and weighs (lead rows) |G_r| / #{g in G_r fixing it}.  One chunk per
-    PROFILE_CELLS tails, every lead orbit's rows, more leading zeros first.
+    gf.BLOCK_CELLS tail coefficients, every lead orbit's rows, more leading zeros first.
     HypothesisError if a lead's weights do not add up to its rows.
     """
     N, k, E = ctx.mult_order, len(fam.exponents), [fam.q ** l + 1 for l in fam.exponents]
@@ -269,9 +266,9 @@ def orbit_rows(ctx: FieldCtx, fam: FamilySpec):
         tail = FamilySpec(fam.p, fam.s, fam.m, fam.exponents[j + 1:])
         n_tails, places = ctx.order ** (k - 1 - j), ctx.order ** np.arange(k - 1 - j)[::-1]
         leads = list(_lead_orbits(ctx.p, ctx.n, N, E[j:]))
-        totals = [0] * len(leads)
-        for lo in range(0, n_tails, PROFILE_CELLS):
-            tails = family_coeffs(ctx, tail, lo, min(lo + PROFILE_CELLS, n_tails))
+        totals, chunk = [0] * len(leads), block_rows(max(1, k - 1 - j))
+        for lo in range(0, n_tails, chunk):
+            tails = family_coeffs(ctx, tail, lo, min(lo + chunk, n_tails))
             i, logs = np.arange(lo, lo + len(tails)), ctx.log[tails]  # -1 for a zero coefficient
             rows, weights = [], []
             for at, (r, lead_rows, acts) in enumerate(leads):
@@ -316,8 +313,6 @@ def profile(Q: QuadForm) -> QuadFormProfile:
 
 # largest q^m * q cells one symbol table may spread over in value_histograms
 HISTOGRAM_CELLS = 1 << 26
-# (form, x) entries one value_histograms scatter writes at a time
-SCATTER_CELLS = 1 << 16
 
 
 def histogram_cells(ctx: FieldCtx, s: int) -> int:
@@ -336,7 +331,7 @@ def value_histograms(ctx: FieldCtx, s: int, f: np.ndarray) -> np.ndarray:
     trace form.  Any rows work, not just quadratic ones.  With the coordinates
     c_i(x) = tr(alpha^i x) and beta = sum_i b_i alpha^i, the histogram of
     (f_b(x), c(x), b) holds only 0 and 1, as c(x) determines x: it is written
-    as ones, SCATTER_CELLS (form, x) entries at a time (x = 0 at c = 0).  It
+    as ones, gf.BLOCK_CELLS (form, x) entries at a time (x = 0 at c = 0).  It
     becomes H by one additive-character stage per coordinate in the group
     ring Z[F_q] (MacWilliams-Sloane ch. 5): A'[c, t, ..] = sum_y
     A[c - y t, .., y, b], each stage taking the coordinate before the form
@@ -359,7 +354,7 @@ def value_histograms(ctx: FieldCtx, s: int, f: np.ndarray) -> np.ndarray:
     x_index, beta_index = sy.coordinates
     B = f.shape[0]
     a = np.zeros((cells, B), dtype=int_dtype(ctx.order))
-    step = max(1, SCATTER_CELLS // ctx.mult_order)
+    step = block_rows(ctx.mult_order)
     for lo in range(0, B, step):
         rows = f[lo: lo + step]
         flat = np.multiply(rows, ctx.order * B, dtype=np.int64)

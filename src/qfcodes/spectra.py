@@ -25,7 +25,7 @@ from math import gcd
 
 import numpy as np
 
-from .gf import FieldCtx, FieldError, int_log
+from .gf import FieldCtx, FieldError, block_rows, int_log
 from .klapper import HypothesisError, eps_ell, rank_distribution_l3l, rank_distribution_monomial
 from .linpoly import FamilySpec, LinearizedPoly, family_coeffs
 from .quadform import (BETA_CLASSES, RankDistribution, form_symbols, form_terms, histogram_cells,
@@ -258,10 +258,6 @@ def _length(ctx: FieldCtx, spec: CodeSpec) -> int:
     return N
 
 
-# A block of forms holds at most this many word or histogram cells (at least one form).
-_BLOCK_CELLS = 1 << 18
-
-
 def build_codeword(ctx: FieldCtx, spec: CodeSpec, R: LinearizedPoly,
                    beta: int = 0, b_sym: int = 0) -> np.ndarray:
     """Symbol vector of one codeword (canonical F_q symbols), a fresh writable array.
@@ -351,7 +347,7 @@ def _brute_chunk(ctx: FieldCtx, spec: CodeSpec, collect: bool):
     variants 1 and 2 are never shortened, so the base words are full rows in
     the kernel's log order, and word (R, beta) has the composition
     H[R, beta] less the x = 0 entry at symbol 0.  A beta block holds at most
-    _BLOCK_CELLS kernel cells (q^m q per form), and a kernel table past
+    gf.BLOCK_CELLS kernel cells (q^m q per form), and a kernel table past
     quadform.HISTOGRAM_CELLS is refused (ValueError) before the first block.
     Returns (counts by weight 0..n, {composition: count}).
     """
@@ -364,7 +360,7 @@ def _brute_chunk(ctx: FieldCtx, spec: CodeSpec, collect: bool):
     with_b = spec.variant in ("0", "2")
     n_z = q if collect or with_b else 1
     per_form = histogram_cells(ctx, fam.s) if with_beta else max(n, n_z)
-    block = max(1, _BLOCK_CELLS // per_form)
+    block = block_rows(per_form)
     n_forms = ctx.order ** len(fam.exponents)
     weight_hist = np.zeros(n + 1, dtype=np.int64)
     comp_counts: dict[tuple[int, ...], int] = {}

@@ -16,7 +16,7 @@ from math import gcd
 import numpy as np
 
 from . import curves, klapper, linalg, quadform, spectra
-from .gf import get_field
+from .gf import block_rows, get_field
 from .linpoly import FamilySpec, LinearizedPoly
 from .quadform import QuadForm
 from .spectra import CodeSpec, DEFAULT_BUDGET
@@ -25,8 +25,6 @@ GRID = ((2, 1, 4, 1), (2, 1, 6, 1), (2, 1, 8, 1), (2, 1, 8, 2),
         (3, 1, 4, 1), (2, 2, 4, 1), (5, 1, 4, 1))  # (p, s, m, ell)
 
 SAMPLE_SEED = 0x5EED_C0DE
-# word cells one block of criterion 6's sampled codewords may hold
-SAMPLE_CELLS = 1 << 20
 
 
 @dataclass
@@ -268,15 +266,18 @@ def criterion_6(budget: int) -> CriterionResult:
 
 def _sampled_weights(ctx, ell: int, pairs: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Weights of the words tr(Q(x) + beta x) + b over x = alpha^k: Q of R = g2 x^{p^l} +
-    g1 x^{p^{3l}} per (g2, g1) row of pairs, one (beta, b) draw per column of draws."""
+    g1 x^{p^{3l}} per (g2, g1) row of pairs, one (beta, b) draw per column of draws.
+    tr(beta alpha^k) = tr(alpha^{log beta + k}), so each beta's row is a slice of trace_pow."""
     sy, exps = ctx.symbols(1), (ctx.p ** ell + 1, ctx.p ** (3 * ell) + 1)
+    slices = np.lib.stride_tricks.sliding_window_view(sy.trace_pow, ctx.mult_order)
     weights = np.empty(draws.shape[:2], dtype=np.int64)
-    block = max(1, SAMPLE_CELLS // (draws.shape[1] * ctx.mult_order))
+    block = block_rows(draws.shape[1] * ctx.mult_order)
     for lo in range(0, len(pairs), block):
-        beta, b = draws[lo: lo + block, :, :1], draws[lo: lo + block, :, 1:]
+        logs, b = ctx.log[draws[lo: lo + block, :, 0]], draws[lo: lo + block, :, 1:]
         base = quadform.form_symbols(ctx, 1, pairs[lo: lo + block], exps)
-        traces = quadform.form_symbols(ctx, 1, beta.reshape(-1, 1), (1,))
-        words = sy.plus(base[:, None, :], traces.reshape(*b.shape[:2], -1))
+        traces = slices[logs]
+        traces[logs < 0] = 0  # beta = 0
+        words = sy.plus(base[:, None, :], traces)
         weights[lo: lo + block] = np.count_nonzero(words != sy.neg[b], axis=2)  # word + b != 0
     return weights
 

@@ -1,4 +1,5 @@
 import argparse
+import collections
 import dataclasses
 import hashlib
 import json
@@ -456,6 +457,36 @@ def test_curves_scan_bytes_pinned(capsys, p, m, size, sha):
     code, out, _ = run(["curves", "--p", str(p), "--m", str(m), "--ell", "1", "--scan"], capsys)
     assert code == 0
     assert pinned(out) == (size, sha)
+
+
+@pytest.mark.parametrize("p,m,ell", [
+    (3, 4, 1), (5, 4, 1), (3, 6, 1), (2, 8, 1), (7, 2, 1), (3, 2, 1), (2, 4, 1), (3, 4, 2),
+    (2, 6, 1), (5, 2, 3), pytest.param(43, 2, 1, marks=pytest.mark.slow),
+], ids=lambda v: str(v))
+def test_curves_scan_classes_equal_the_per_gamma_scan(capsys, p, m, ell):
+    # the CLI sweeps one gamma per class alpha^k, k mod p^{(m,l)}+1, and weighs it by
+    # M; the library's default sweeps every gamma on its own
+    code, out, _ = run(["curves", "--p", str(p), "--m", str(m), "--ell", str(ell), "--scan"],
+                       capsys)
+    assert code == cli.EXIT_OK
+    want = {}
+    for branch, scans in curves.scan_monomial(get_field(p, m), ell).by_branch().items():
+        tallies = collections.Counter(tuple(s.point_tally.items()) for s in scans)
+        want[branch] = {"gammas": len(scans),
+                        "point_tallies": [{"tally": [list(kv) for kv in k], "gammas": v}
+                                          for k, v in sorted(tallies.items())],
+                        "minimal_betas": sorted({s.n_minimal for s in scans}),
+                        "maximal_betas": sorted({s.n_maximal for s in scans})}
+    assert json.loads(out)["classes"] == want
+
+
+@pytest.mark.slow
+def test_curves_scan_reaches_3_12(capsys):
+    # 3^12 - 1 gammas, past any per-gamma sweep; the 4 representatives take about 2 s
+    code, out, _ = run(["curves", "--p", "3", "--m", "12", "--ell", "1", "--scan"], capsys)
+    assert code == cli.EXIT_OK
+    classes = json.loads(out)["classes"]
+    assert sum(c["gammas"] for c in classes.values()) == 3 ** 12 - 1
 
 
 def test_verify_exit_codes(capsys, monkeypatch):

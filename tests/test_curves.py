@@ -293,7 +293,7 @@ def test_scan_checks_every_gamma(monkeypatch):
             points[lo + p] = points.get(lo + p, 0) + 1
         return points
 
-    monkeypatch.setattr(curves, "SCAN_CELLS", 3 ** 7 * 100)  # several batches
+    monkeypatch.setattr(gf, "BLOCK_CELLS", 3 ** 7 * 100)  # several batches
     monkeypatch.setattr(curves, "expected_point_multiset", spy)
     with pytest.raises(curves.CurveCountError, match=f"^gamma={first} "):
         curves.scan_monomial(ctx, 1, gammas=gammas)
@@ -342,7 +342,7 @@ def test_scan_observed_fault_names_last_gamma(monkeypatch):
     # one wrong histogram cell on the last gamma of the last batch still raises
     ctx = gf.get_field(3, 6)
     gammas = [int(g) for g in ctx.exp[: ctx.mult_order]]
-    monkeypatch.setattr(curves, "SCAN_CELLS", 3 ** 7 * 100)  # several batches
+    monkeypatch.setattr(gf, "BLOCK_CELLS", 3 ** 7 * 100)  # several batches
     fault_histograms(monkeypatch, [(len(gammas) - 1, 17)])
     with pytest.raises(curves.CurveCountError, match=f"^gamma={gammas[-1]} "):
         curves.scan_monomial(ctx, 1, gammas=gammas)
@@ -361,7 +361,7 @@ def test_scan_observed_faults_name_first_gamma(monkeypatch):
 def test_scan_tallies_match_per_gamma_histograms(monkeypatch, p, m, ell):
     # the batched check against a per-gamma tally of each gamma's own histogram
     ctx = gf.get_field(p, m)
-    monkeypatch.setattr(curves, "SCAN_CELLS", ctx.order * p * 7)  # batches of 7
+    monkeypatch.setattr(gf, "BLOCK_CELLS", ctx.order * p * 7)  # batches of 7
     scan = curves.scan_monomial(ctx, ell)
     assert [s.gamma for s in scan.scans] == [int(g) for g in ctx.exp[: ctx.mult_order]]
     lo, hi = curves.hasse_weil(curve(p, m, ell, 1))
@@ -393,7 +393,7 @@ def test_scan_compact_counts_at_43_2(monkeypatch):
         return H
 
     monkeypatch.setattr(curves, "value_histograms", spy)
-    monkeypatch.setattr(curves, "SCAN_CELLS", ctx.order * 43 * 5)  # batches of 5
+    monkeypatch.setattr(gf, "BLOCK_CELLS", ctx.order * 43 * 5)  # batches of 5
     scan = curves.scan_monomial(ctx, 1, gammas=gammas)
     assert dtypes == [np.int16] * 3
     assert [s.gamma for s in scan.scans] == gammas

@@ -48,6 +48,18 @@ def test_make_field_errors():
         gf.FieldCtx(2, 30)  # above the size bound
     with pytest.raises(gf.FieldError):
         gf.FieldCtx(2, 0)
+    # a p past the size bound is refused by size, before a trial division up to 10^9
+    for p in (10 ** 18 + 3, 2 * (10 ** 18 + 3)):
+        with pytest.raises(gf.FieldError, match="exceeds size bound"):
+            gf.FieldCtx(p, 1)
+
+
+def test_is_prime_matches_a_sieve():
+    sieve = np.ones(2000, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, 45):
+        sieve[d * d::d] = False
+    assert [n for n in range(-5, 2000) if gf.is_prime(n)] == np.flatnonzero(sieve).tolist()
 
 
 @pytest.mark.parametrize("p,n", FIELDS)
@@ -234,7 +246,7 @@ def test_symbol_tables_bounded(monkeypatch):
 def test_symbol_tables_filled_in_blocks(monkeypatch):
     # blocks of one row and of several rows with a short last block give the
     # tables of one whole-grid evaluation
-    monkeypatch.setattr(gf, "SYMBOL_BLOCK", 7)
+    monkeypatch.setattr(gf, "BLOCK_CELLS", 7)
     for p, n, d in ((3, 2, 1), (2, 4, 1), (5, 2, 1), (3, 4, 2), (2, 6, 3), (7, 2, 2)):
         F = gf.FieldCtx(p, n)
         sy = F.symbols(d)
@@ -525,7 +537,7 @@ def test_moduli_pinned():
 
 
 def test_construction_peak_memory():
-    # blocks of BUILD_CELLS cells: no order x n int64 temporary beside the kept tables
+    # blocks of gf.BLOCK_CELLS cells: no order x n int64 temporary beside the kept tables
     tracemalloc.start()
     try:
         F = gf.FieldCtx(2, 20)
@@ -539,7 +551,7 @@ def test_construction_peak_memory():
 def test_construction_blocks_and_batches(monkeypatch):
     # one-row blocks, ragged last blocks and one-candidate modulus and alpha
     # batches give the same tables
-    monkeypatch.setattr(gf, "BUILD_CELLS", 7)
+    monkeypatch.setattr(gf, "BLOCK_CELLS", 7)
     monkeypatch.setattr(gf, "CANDIDATE_BATCH", 1)
     for p, n in ((2, 4), (3, 5), (7, 2), (13, 1)):
         _assert_matches_oracle(p, n)

@@ -166,7 +166,7 @@ def test_form_profiles_blocks_split_mid_stack(p, s, m, monkeypatch):
     gammas = ctx.exp[: ctx.mult_order, None]
     whole = quadform.form_profiles(ctx, s, gammas, (1,))
     # three forms per block, so the last block is partial
-    monkeypatch.setattr(quadform, "PROFILE_CELLS", 3 * (ctx.n ** 2 + ctx.order))
+    monkeypatch.setattr(gf, "BLOCK_CELLS", 3 * (ctx.n ** 2 + ctx.order))
     split = quadform.form_profiles(ctx, s, gammas, (1,))
     assert np.array_equal(whole[0], split[0]) and np.array_equal(whole[1], split[1])
 
@@ -175,8 +175,8 @@ def test_form_profiles_report_the_first_failing_row(monkeypatch):
     # tr(a x^2 + b x^3) at rows of rank 4, 3 and 1; one block, or one row per block
     ctx = gf.get_field(2, 4)
     rows = [[0, ctx.alpha], [2, 1], [1, 0]]
-    for cells in (quadform.PROFILE_CELLS, ctx.n ** 2 + ctx.order):
-        monkeypatch.setattr(quadform, "PROFILE_CELLS", cells)
+    for cells in (gf.BLOCK_CELLS, ctx.n ** 2 + ctx.order):
+        monkeypatch.setattr(gf, "BLOCK_CELLS", cells)
         with pytest.raises(RankError, match="got 3$"):
             quadform.form_profiles(ctx, 1, rows, (0, 1))
 
@@ -276,7 +276,7 @@ def test_tally_profiles_chunks_tails(monkeypatch):
     fam = FamilySpec(2, 1, 4, (1, 3))
     ctx = gf.get_field(2, 4)
     whole = quadform.tally_profiles(ctx, fam)
-    monkeypatch.setattr(quadform, "PROFILE_CELLS", 5)
+    monkeypatch.setattr(gf, "BLOCK_CELLS", 5)
     assert quadform.tally_profiles(ctx, fam) == whole
 
 

@@ -193,7 +193,7 @@ def test_block_kernel_matches_per_word_reference(monkeypatch, p, s, m, exponents
     spec = CodeSpec(FamilySpec(p, s, m, exponents), variant, shortened=shortened)
     # a cap this small gives the beta variants blocks of 7 forms (7 kernel tables
     # of q^m q cells), which do not divide the form count, so the last block is partial
-    monkeypatch.setattr(spectra, "_BLOCK_CELLS", 7 * ctx.order * p ** s)
+    monkeypatch.setattr(gf, "BLOCK_CELLS", 7 * ctx.order * p ** s)
     hist_b0, hist_all, want_comps = _per_word_tally(p, s, m, exponents,
                                                     variant in ("1", "2"), shortened)
     want_hist = hist_all if variant in ("0", "2") else hist_b0
@@ -206,7 +206,7 @@ def test_block_kernel_matches_per_word_reference(monkeypatch, p, s, m, exponents
 def test_block_kernel_keeps_the_non_injective_span_count(monkeypatch):
     # span:1,3 at (2,1,4) hits each of its 16 codewords from 16 coefficient indices;
     # the spectrum counts codewords: k = 4, A_0 = 1
-    monkeypatch.setattr(spectra, "_BLOCK_CELLS", 7 * 16 * 2)
+    monkeypatch.setattr(gf, "BLOCK_CELLS", 7 * 16 * 2)
     res = brute_spectrum(gf.get_field(2, 4), CodeSpec(FamilySpec(2, 1, 4, (1, 3)), "base"))
     assert res.params.k == 4
     assert res.spectrum.weights[0] == 1
