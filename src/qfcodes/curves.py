@@ -18,22 +18,22 @@ prediction per class shared by all of that class's gammas; the witness
 search through QuadForm.histogram).
 Every rank and type (the witness search's pair ranks included) comes
 from quadform.form_profiles.  count_points_by_solutions stays an
-independent (x, y) enumeration in element order through lin_eval_table and
-the digit tables, and never goes through either: it evaluates the right-hand
-side as x (R(x) + beta), one v_add and one v_mul per curve.
+independent (x, y) enumeration that reads no trace and goes through
+neither: it sums the monomials of xR(x) + beta x at x = alpha^k by exp
+gathers and digit additions and reads the y per value off a y^p - y table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .gf import FieldCtx, FieldError, block_rows
 from .klapper import (HypothesisError, MonomialClassification, classify_monomial, eps_ell,
                       l3l_poly, l3l_pair_profile)
-from .linpoly import LinearizedPoly, lin_eval_table
+from .linpoly import LinearizedPoly
 from .quadform import (QuadForm, QuadFormProfile, expected_count_distribution, form_profiles,
                        form_symbols, form_terms, frequencies, profile as qf_profile,
                        value_histograms)
@@ -80,8 +80,12 @@ def count_points(spec: CurveSpec) -> int:
 
     count_points_by_solutions checks it independently.
     """
-    coeffs, exps = form_terms(spec.R, spec.p, spec.beta)
-    syms = form_symbols(spec.ctx, 1, [coeffs], exps)  # over x = alpha^k; x = 0 adds 1
+    ctx, N = spec.ctx, spec.ctx.mult_order
+    coeffs, exps = form_terms(spec.R, spec.p)
+    syms = form_symbols(ctx, 1, [coeffs], exps)[0]  # over x = alpha^k; x = 0 adds 1
+    if spec.beta:  # tr(beta alpha^k) = tr(alpha^{log beta + k}): a slice, trace_pow holds 2N
+        sy, lb = ctx.symbols(1), int(ctx.log[spec.beta])
+        syms = sy.plus(sy.trace_pow[lb: lb + N], syms)
     return 1 + spec.p * (1 + int(np.count_nonzero(syms == 0)))
 
 
@@ -95,16 +99,20 @@ def _artin_schreier_counts(ctx: FieldCtx) -> np.ndarray:
 
 
 def count_points_by_solutions(spec: CurveSpec) -> int:
-    """Independent oracle: enumerate (x, y) solutions of y^p - y = x (R(x) + beta).
+    """Independent oracle: enumerate (x, y) solutions of y^p - y = x R(x) + beta x.
 
-    The right-hand side is one product per x in element order, of x and
-    lin_eval_table(R) + beta; the number of y per value is a table lookup.
+    At x = alpha^k a term c x^e is exp[log c + (k e mod N)], one gather from a
+    slice of exp, and beta x is the slice exp[log beta : log beta + N]; the
+    terms add by digits, and x = 0 (right-hand side 0) adds hist[0].
     """
-    ctx = spec.ctx
+    ctx, N = spec.ctx, spec.ctx.mult_order
     hist = _artin_schreier_counts(ctx)
-    xs = np.arange(ctx.order, dtype=np.int64)
-    rhs = ctx.v_mul(xs, ctx.v_add(lin_eval_table(ctx, spec.R), spec.beta))
-    return int(hist[rhs].sum()) + 1
+    terms = [ctx.exp[ctx.log[c]:][ctx.log_power_table(spec.p ** l + 1)]
+             for l, c in zip(spec.R.q_exponents, spec.R.coeffs) if c]
+    if spec.beta:
+        terms.append(ctx.exp[ctx.log[spec.beta]:][:N])
+    rhs = reduce(ctx.v_add, terms) if terms else np.zeros(N, dtype=np.int64)
+    return int(hist[rhs].sum()) + int(hist[0]) + 1
 
 
 def genus(spec: CurveSpec) -> int:

@@ -149,9 +149,10 @@ class FieldCtx:
             raise FieldError(f"p must be prime, got {p}")
         if n < 1:
             raise FieldError(f"extension degree must be >= 1, got {n}")
+        # n against the largest exponent that fits, so a huge p^n is never built
+        if n > max(e for e in range(SIZE_LIMIT.bit_length()) if p ** e <= SIZE_LIMIT):
+            raise FieldError(f"p^n = {p}^{n} exceeds size bound {SIZE_LIMIT}")
         order = p ** n
-        if order > SIZE_LIMIT:
-            raise FieldError(f"p^n = {order} exceeds size bound {SIZE_LIMIT}")
         # float64 is exact below 2^53: a digit product sums n (p-1)^2, and its
         # reduction mod p needs that sum plus p below 2^53 too
         if n * p * p >= 1 << 53:
@@ -473,20 +474,27 @@ class SymbolSystem:
         beta_index[beta] has the digits b_i of beta = sum_i b_i alpha^i, for
         every element beta in element order.  x_index is a bijection onto
         [1, q^k) and beta_index onto [0, q^k), and tr(beta x) = sum_i b_i c_i(x).
+        Its inverse doubles like exp, least significant digit first, one digit
+        addition per element: beta_of[b q^{k-1-i} + j] = beta_of[j] + b alpha^i.
         """
         ctx, q, k = self.ctx, self.q, self.ctx.n // self.d
         N = ctx.mult_order
         all_e = np.arange(ctx.order, dtype=np.int64)
         x_index = np.zeros(N, dtype=np.int64)
-        beta_of = np.zeros(ctx.order, dtype=np.int64)
         for i in range(k):
             x_index = x_index * q + self.trace_pow[i: i + N]
-            a_i = np.full(ctx.order, ctx.alpha_pow(i), dtype=np.int64)
-            digit = (all_e // q ** (k - 1 - i)) % q
-            beta_of = ctx.v_add(beta_of, ctx.v_mul(a_i, self.elements[digit]))
+        beta_of = np.zeros(ctx.order, dtype=np.int64)
+        rows, size = block_rows(ctx.n), 1
+        for i in reversed(range(k)):
+            steps = ctx.v_mul(self.elements, ctx.alpha_pow(i))  # b alpha^i for every digit b
+            for lo in range(size, q * size, rows):
+                idx = all_e[lo: min(lo + rows, q * size)]
+                beta_of[idx] = ctx.v_add(beta_of[idx % size], steps[idx // size])
+            size *= q
         beta_index = np.full(ctx.order, -1, dtype=np.int64)
         beta_index[beta_of] = all_e
-        if (beta_index < 0).any() or (x_index == 0).any() or len(np.unique(x_index)) != N:
+        # x_index hits every index but 0 once, checked by count rather than by sort
+        if (beta_index < 0).any() or not np.array_equal(np.bincount(x_index), all_e > 0):
             raise FieldError("alpha^0..alpha^{k-1} is not a basis over the subfield")
         return x_index, beta_index
 

@@ -75,22 +75,6 @@ def lin_eval(ctx: FieldCtx, R: LinearizedPoly, x: int) -> int:
     return acc
 
 
-def lin_eval_table(ctx: FieldCtx, R: LinearizedPoly) -> np.ndarray:
-    """R over every field element at once.
-
-    A term c x^{p^{sl}} at x = alpha^k is alpha^{log c + k p^{sl}}: one gather
-    over k, written to the elements alpha^k, with 0 -> 0.
-    """
-    s, N = R.base_q_degree, ctx.mult_order
-    acc = None
-    for l, c in zip(R.q_exponents, R.coeffs):
-        if c:
-            term = np.zeros(ctx.order, dtype=np.int64)
-            term[ctx.exp[:N]] = ctx.exp[ctx.log[c] + ctx.log_power_table(ctx.p ** (s * l))]
-            acc = term if acc is None else ctx.v_add(acc, term)
-    return np.zeros(ctx.order, dtype=np.int64) if acc is None else acc
-
-
 def elements_log_order(ctx: FieldCtx) -> np.ndarray:
     """0 first, then alpha^0, alpha^1, ...: the enumeration order for families."""
     return np.concatenate([[0], ctx.exp[: ctx.mult_order]]).astype(np.int64)

@@ -22,8 +22,8 @@ Every trace-form symbol table in the package (Q's values, codewords, curve
 counts, scans and the beta sweeps) comes from form_symbols, one log-domain
 gather per term, in the one layout x = alpha^k, k < q^m - 1 (the form is 0
 at x = 0), and every Gram term from gram_exponents, one gather in the digit
-basis t^i = p^i.  lin_eval and lin_eval_table stay the independent routes
-of R, in element order.
+basis t^i = p^i.  lin_eval stays the independent scalar route of R, and
+curves.count_points_by_solutions sums x R(x) by exp gathers, with no trace.
 
 Every closed-form sweep table (counts, curve points, code weights, enumerators)
 is a projection of value_rows, the one closed form of the rows of H[beta, c].
@@ -108,11 +108,9 @@ class QuadForm:
         return H[0].astype(np.int64, order="C")
 
 
-def form_terms(R: LinearizedPoly, q: int, beta: int = 0) -> tuple[list[int], tuple[int, ...]]:
-    """(coeffs, exps) with x R(x) + beta x = sum_i c_i x^{e_i}, zero coefficients dropped."""
+def form_terms(R: LinearizedPoly, q: int) -> tuple[list[int], tuple[int, ...]]:
+    """(coeffs, exps) with x R(x) = sum_i c_i x^{e_i}, zero coefficients dropped."""
     terms = [(c, q ** l + 1) for l, c in zip(R.q_exponents, R.coeffs) if c]
-    if beta:
-        terms.append((beta, 1))
     return [c for c, _ in terms], tuple(e for _, e in terms)
 
 

@@ -13,9 +13,11 @@ from qfcodes import curves, gf, klapper, quadform
 from qfcodes.curves import CurveSpec
 from qfcodes.klapper import HypothesisError
 from qfcodes.linalg import reduce_symmetric
-from qfcodes.linpoly import LinearizedPoly, lin_eval_table
+from qfcodes.linpoly import LinearizedPoly
 from qfcodes.quadform import QuadForm, QuadFormProfile
 from qfcodes.verify import GRID
+
+from element_order import count_points_element_order, lin_eval_table
 
 
 def curve(p, m, ell, gamma, beta=0):
@@ -76,7 +78,7 @@ def test_closed_form_checks_hold_under_optimize():
 from qfcodes import curves, gf, spectra
 from qfcodes.curves import CurveSpec
 from qfcodes.klapper import HypothesisError
-from qfcodes.linpoly import LinearizedPoly, lin_eval_table
+from qfcodes.linpoly import LinearizedPoly
 calls = (lambda: curves.genus(CurveSpec(gf.get_field(2, 4), LinearizedPoly((0,), (1,), 1), 0)),
          lambda: curves.optimal_betas(3, 3, 1, 2, 1),
          lambda: spectra.weight_from_profile(3, 4, 3, 1, True, "major"))
@@ -117,18 +119,53 @@ def test_hasse_weil_values():
     assert curves.hasse_weil(curve(2, 8, 1, 1)) == (225, 289)
 
 
+def _assert_point_routes_agree(spec):
+    # the trace count, the (x, y) recount over x = alpha^k and the element-order
+    # formula x (lin_eval_table(R) + beta)
+    want = count_points_element_order(spec.ctx, spec.R, spec.beta)
+    assert curves.count_points(spec) == want, spec
+    assert curves.count_points_by_solutions(spec) == want, spec
+
+
 def test_point_routes_agree_random():
-    # one- and two-term R (a coefficient may be 0), beta = 0 included
+    # one- and two-term R (a coefficient may be 0), beta = 0 and R = 0 included, on
+    # every field of the benchmark's curve point set and two of characteristic 2
     rng = np.random.default_rng(17)
-    for p, m in ((3, 4), (2, 6), (79, 2)):
+    fields = ((3, 4), (2, 6), (79, 2), (17, 2), (23, 2), (31, 2), (37, 2), (43, 2), (7, 4),
+              (53, 2), (59, 2), (61, 2), (67, 2), (71, 2), (73, 2), (3, 8), (2, 8))
+    for p, m in fields:
         ctx = gf.get_field(p, m)
         for i in range(15):
             g1, g2 = (int(v) for v in rng.integers(1, ctx.order, 2))
             beta = 0 if i == 0 else int(rng.integers(0, ctx.order))
             R = LinearizedPoly((1,), (g1,), 1) if i % 2 else \
                 LinearizedPoly((0, 1), (g2 * (i % 3 != 0), g1), 1)
-            spec = CurveSpec(ctx, R, beta)
-            assert curves.count_points(spec) == curves.count_points_by_solutions(spec)
+            _assert_point_routes_agree(CurveSpec(ctx, R, beta))
+        zero = LinearizedPoly((1,), (0,), 1)
+        _assert_point_routes_agree(CurveSpec(ctx, zero, int(rng.integers(1, ctx.order))))
+        # one gamma per power class (gamma and gamma c^{p+1} share one), each with
+        # beta = 0, a random beta and the first beta at each Hasse-Weil endpoint it reaches
+        reps = {}
+        for j in range(p + 1):
+            g = ctx.alpha_pow(j)
+            reps.setdefault(klapper.classify_monomial(ctx, 1, m, g, 1).branch, g)
+        lo, hi = curves.hasse_weil(curve(p, m, 1, 1))
+        reached = set()
+        for g in reps.values():
+            R = LinearizedPoly((1,), (g,), 1)
+            points = 1 + p * QuadForm(ctx, 1, m, R).histogram[:, 0]
+            ends = [int(np.argmax(points == end)) for end in (lo, hi) if (points == end).any()]
+            reached |= {int(points[b]) for b in ends}
+            for beta in [0, int(rng.integers(1, ctx.order))] + ends:
+                _assert_point_routes_agree(CurveSpec(ctx, R, beta))
+        assert reached, (p, m)  # every one of these fields has an optimal monomial curve
+    # the two-term witness pair x^{3} + x^{27} at (3,8,1), at its optimal betas and others
+    wit = curves.l3l_optimal_witness(gf.get_field(3, 8), 1)
+    ctx, R = wit.curve.ctx, wit.curve.R
+    points = 1 + 3 * QuadForm(ctx, 1, 8, R).histogram[:, 0]
+    betas = np.flatnonzero(points == wit.report.points)
+    for beta in list(betas[:: max(1, len(betas) // 8)]) + list(rng.integers(0, ctx.order, 4)):
+        _assert_point_routes_agree(CurveSpec(ctx, R, int(beta)))
 
 
 def test_scan_f16():

@@ -1,5 +1,6 @@
 import hashlib
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfcodes import gf, klapper, verify
+from qfcodes import cli, gf, klapper, verify
+
+from element_order import beta_of_k_pass
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -52,6 +55,18 @@ def test_make_field_errors():
     for p in (10 ** 18 + 3, 2 * (10 ** 18 + 3)):
         with pytest.raises(gf.FieldError, match="exceeds size bound"):
             gf.FieldCtx(p, 1)
+
+
+@pytest.mark.parametrize("m", [30_000_000, 100_000])
+def test_huge_degree_is_refused_before_p_to_the_n(capsys, m):
+    # the degree is compared with the largest exponent that fits, so p^n is never
+    # built (3^30000000 took seconds) nor formatted (past 4300 digits it cannot be)
+    start = time.perf_counter()
+    code = cli.main(["curves", "--p", "3", "--m", str(m), "--ell", "1"])
+    err = capsys.readouterr().err
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert f"p^n = 3^{m} exceeds size bound {gf.SIZE_LIMIT}" in err
 
 
 def test_is_prime_matches_a_sieve():
@@ -254,6 +269,27 @@ def test_symbol_tables_filled_in_blocks(monkeypatch):
         assert sy.add.dtype == sy.mul.dtype == np.int16
         assert np.array_equal(sy.add, sy.index_of[F.v_add(el[:, None], el[None, :])])
         assert np.array_equal(sy.mul, sy.index_of[F.v_mul(el[:, None], el[None, :])])
+
+
+@pytest.mark.parametrize("cells", [gf.BLOCK_CELLS, 7])
+def test_beta_coordinates_match_the_k_pass_construction(monkeypatch, cells):
+    # the doubling build of beta_index, in whole blocks and in blocks of a few
+    # rows with a short last one, inverts the k-pass map sum_i b_i alpha^i
+    monkeypatch.setattr(gf, "BLOCK_CELLS", cells)
+    for p, n, d in ((3, 6, 1), (2, 8, 2), (5, 4, 1), (2, 8, 1), (3, 4, 2), (7, 2, 1),
+                    (2, 12, 3), (2, 10, 1), (13, 2, 2)):
+        F = gf.FieldCtx(p, n)
+        x_index, beta_index = F.symbols(d).coordinates
+        assert np.array_equal(beta_index[beta_of_k_pass(F, d)], np.arange(F.order))
+        assert sorted(x_index.tolist()) == list(range(1, F.order))
+
+
+def test_beta_coordinates_check_the_basis(monkeypatch):
+    # 1, 1, .. is no basis: beta_of is not a bijection, and construction says so
+    F = gf.FieldCtx(3, 4)
+    monkeypatch.setattr(F, "alpha_pow", lambda k: 1)
+    with pytest.raises(gf.FieldError, match="not a basis"):
+        F.symbols(1).coordinates
 
 
 def test_symbol_table_peak_memory():

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfcodes import gf, linalg, quadform
-from qfcodes.linpoly import LinearizedPoly, lin_eval_table
+from qfcodes.linpoly import LinearizedPoly
 from qfcodes.linalg import reduce_symmetric
+
+from element_order import lin_eval_table
 
 
 def known_rank_stack(p, n, count, rng):

@@ -12,8 +12,10 @@ from qfcodes.klapper import rank_distribution_monomial
 from qfcodes.linpoly import FamilySpec, family_coeffs
 from qfcodes.spectra import CodeSpec
 from qfcodes.verify import GRID
-from qfcodes.linpoly import LinearizedPoly, lin_eval, lin_eval_table
+from qfcodes.linpoly import LinearizedPoly, lin_eval
 from qfcodes.quadform import QuadForm, QuadFormProfile, RankError
+
+from element_order import lin_eval_table
 
 
 def form(p, s, m, exps, coeffs):

@@ -54,3 +54,15 @@ def test_every_public_name_has_a_caller():
     assert sorted(SRC.glob("*.py")), SRC
     assert {"BETA_CLASSES", "COUNT_LIMIT", "VARIANTS"} <= {name for _, _, name in defined}
     assert unused == []
+
+
+def test_point_recount_reads_no_trace():
+    # count_points_by_solutions is the independent check of the trace count: it
+    # and its y^p - y table must not reach the trace tables or the form kernels
+    tree = ast.parse((SRC / "curves.py").read_text())
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    forbidden = {"form_symbols", "form_terms", "trace_pow", "trace_sym", "symbols", "plus",
+                 "value_histograms"}
+    for name in ("count_points_by_solutions", "_artin_schreier_counts"):
+        assert set(_names(funcs[name])) & forbidden == set(), name
+    assert set(_names(funcs["count_points"])) & forbidden  # the check can see a trace route
