@@ -8,10 +8,11 @@ place optimality is decided: optimality_status profiles only a curve at an
 endpoint, against it, l3l_optimal_witness reads its target from it, and
 scan_monomial reads each (rank, type) class's multiset at the same endpoints.
 
-Every trace-form table here is a quadform.form_symbols row, one log-domain
-gather per term over x = alpha^k: the single-curve trace count reads it
-directly, and the sweeps over all beta pass the rows to
-quadform.value_histograms, one exhaustive histogram per form (scan_monomial
+Every trace-form table here is one log-domain gather per term over
+x = alpha^k: the single-curve trace count reads quadform.form_word, the word
+its form's profile reads too, and the sweeps over all beta pass
+quadform.form_symbols rows to quadform.value_histograms, one exhaustive
+histogram per form (scan_monomial
 a batch of gammas at a time, whose zero-count rows it sorts once in the
 kernel's compact counts and compares with their classes' rows at once, one
 prediction per class shared by all of that class's gammas; the witness
@@ -35,7 +36,7 @@ from .klapper import (HypothesisError, MonomialClassification, classify_monomial
                       l3l_poly, l3l_pair_profile)
 from .linpoly import LinearizedPoly
 from .quadform import (QuadForm, QuadFormProfile, expected_count_distribution, form_profiles,
-                       form_symbols, form_terms, frequencies, profile as qf_profile,
+                       form_symbols, form_word, frequencies, profile as qf_profile,
                        value_histograms)
 
 
@@ -52,6 +53,10 @@ class CurveSpec:
     def __post_init__(self):
         if self.R.base_q_degree != 1:
             raise FieldError("curves are defined over prime base fields (s = 1)")
+        field = f"F_{self.ctx.p}^{self.ctx.n}"
+        for name, c in [("beta", self.beta)] + [("coefficient", c) for c in self.R.coeffs]:
+            if not 0 <= c < self.ctx.order:
+                raise FieldError(f"{name} {c} is not an element of {field}")
 
     @property
     def p(self) -> int:
@@ -81,8 +86,7 @@ def count_points(spec: CurveSpec) -> int:
     count_points_by_solutions checks it independently.
     """
     ctx, N = spec.ctx, spec.ctx.mult_order
-    coeffs, exps = form_terms(spec.R, spec.p)
-    syms = form_symbols(ctx, 1, [coeffs], exps)[0]  # over x = alpha^k; x = 0 adds 1
+    syms = form_word(ctx, 1, spec.R)  # over x = alpha^k; x = 0 adds 1
     if spec.beta:  # tr(beta alpha^k) = tr(alpha^{log beta + k}): a slice, trace_pow holds 2N
         sy, lb = ctx.symbols(1), int(ctx.log[spec.beta])
         syms = sy.plus(sy.trace_pow[lb: lb + N], syms)

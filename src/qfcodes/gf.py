@@ -386,7 +386,8 @@ class SymbolSystem:
     Symbols are 0..q-1 in ascending element-index order (so symbol 0 is the
     zero element).  trace_sym[e] is the symbol of tr_{p^n/p^d}(e), indexed by
     element; trace_pow and the x half of coordinates are indexed by log, the
-    order x = alpha^k of every trace-form table in the package.  add/neg are
+    order x = alpha^k of every trace-form table in the package; trace_sym
+    doubles over the digits of the element (_trace_symbols).  add/neg are
     symbol-level tables, built from v_add and v_neg.  plus adds arrays of
     symbols by their base-p digits (see the module docstring): XOR at p = 2,
     a + b - p [a + b >= p] at q = p, and the flat add table at odd p with
@@ -402,7 +403,6 @@ class SymbolSystem:
         self.q = ctx.p ** d
         if self.q ** 2 > SYMBOL_CELLS:
             raise FieldError(f"q^2 = {self.q ** 2} symbol table cells exceed {SYMBOL_CELLS}")
-        k = ctx.n // d
         all_e = np.arange(ctx.order, dtype=np.int64)
         # F_q is the set of fixed points of x -> x^q, in ascending element order
         self.elements = all_e[ctx.frob_table(d) == all_e]
@@ -410,14 +410,6 @@ class SymbolSystem:
             raise FieldError("subfield size check failed")
         self.index_of = np.full(ctx.order, -1, dtype=np.int64)
         self.index_of[self.elements] = np.arange(self.q)
-        acc = all_e.copy()
-        x = all_e
-        for _ in range(k - 1):
-            x = ctx.frob_table(d)[x]
-            acc = ctx.v_add(acc, x)
-        if not np.all(ctx.frob_table(d)[acc] == acc):
-            raise FieldError("trace values escaped the subfield")
-        self.trace_sym = self.index_of[acc].astype(np.int16)
         self._q16 = np.uint16(self.q)
         self.add = self._table(ctx.v_add)
         if ctx.p == 2 or d == 1:  # plus adds digits: check the rule against the table once
@@ -426,6 +418,30 @@ class SymbolSystem:
                    for rows in self._row_blocks()):
                 raise FieldError("symbol addition table is not digit addition")
         self.neg = self.index_of[ctx.v_neg(self.elements)].astype(np.int16)
+        self.trace_sym = self._trace_symbols()
+
+    def _trace_symbols(self) -> np.ndarray:
+        """trace_sym by doubling over the digits of the element index.
+
+        The trace is F_p-linear, so with e = j + b p^i, j < p^i, its symbol is
+        T[e] = T[j] + b tr(t^i): the traces of the n basis elements t^i = p^i
+        (k Frobenius powers each, in scalars) fill the table one plus per
+        digit, with no pass over the whole field.  FieldError if a tr(t^i),
+        and so any trace, lies outside the subfield.
+        """
+        ctx, p = self.ctx, self.ctx.p
+        out = np.zeros(ctx.order, dtype=np.int16)
+        size = 1
+        for t_i in ctx.pvec.tolist():
+            tr = 0
+            for j in range(0, ctx.n, self.d):
+                tr = ctx.add(tr, ctx.frob(t_i, j))
+            if ctx.frob(tr, self.d) != tr:
+                raise FieldError("trace values escaped the subfield")
+            steps = self.index_of[ctx.v_mul(np.arange(1, p), np.full(p - 1, tr))]  # b tr, b > 0
+            out[size: p * size] = self.plus(steps.astype(np.int16)[:, None], out[:size]).ravel()
+            size *= p
+        return out
 
     def _row_blocks(self):
         """Slices of table rows covering about BLOCK_CELLS cells each."""
@@ -444,14 +460,15 @@ class SymbolSystem:
 
         Digit addition without carry: XOR at p = 2, a + b - p [a + b >= p] at
         q = p, taken as min(a + b, a + b - p) in uint16: below p, a + b - p
-        wraps to at least 2^16 - p > 2p - 2, as q <= 4096.  Otherwise a
+        wraps to at least 2^16 - p > 2p - 2, as q <= 4096.  The minimum is
+        written over the fresh sum, one array being an operand.  Otherwise a
         gather from the flat addition table.
         """
         if self.ctx.p == 2:
             return np.bitwise_xor(a, b, dtype=np.int16)
         if self.d == 1:
             s = np.add(a, b, dtype=np.int16).view(np.uint16)
-            return np.minimum(s, s - self._q16).view(np.int16)
+            return np.minimum(s, s - self._q16, out=s).view(np.int16)
         return self.add.ravel()[np.asarray(a, dtype=np.intp) * self.q + b]
 
     @cached_property

@@ -1,7 +1,8 @@
 """Congruence reduction of stacks of symmetric matrices over a prime field F_p.
 
-Every rank, type and kernel in the package comes from reduce_symmetric,
-through quadform.form_profiles and verify's bordered forms.  A symmetric
+Every rank, type and kernel in the package comes from reduce_symmetric or
+its one-matrix route _reduce_one, through quadform.form_profiles and
+verify's bordered forms.  A symmetric
 A is carried to a block-diagonal P^T A P one pivot at a time: a nonzero
 diagonal entry d gives a 1x1 block, and when the whole remaining diagonal
 is zero a nonzero A_ij gives the hyperbolic block [[0, a], [a, 0]].
@@ -15,11 +16,13 @@ the product of the d's and the (-a^2)'s, and the columns of P at indices
 never pivoted span the kernel.  Entries stay in [0, p) between steps and an
 update spans [-2(p-1)^2, p), so the working dtype is chosen from p.
 
-A stack of one matrix with no kernel asked (a form's profile at odd p, as
-each l3l pair query makes) is reduced in Python integers by the same pivots and updates, so it
-returns the rank and discriminant of its row in a batched call exactly: per
-pivot the batched loop makes about 20 numpy calls, which cost more than the
-arithmetic of one small matrix.  That route keeps only the live (never
+One matrix with no kernel asked is reduced by _reduce_one, in Python
+integers by the same pivots and updates, so it returns the rank and
+discriminant of its row in a batched call exactly: per pivot the batched
+loop makes about 20 numpy calls, which cost more than the arithmetic of one
+small matrix.  reduce_symmetric takes that route for a stack of one, and
+quadform's one-form profile at odd p calls it directly on a Gram matrix it
+has already reduced mod p.  That route keeps only the live (never
 pivoted) rows and columns and updates them in place: the batched update
 zeroes a pivot's rows and columns, and no later pivot reads them, so each
 pivot drops its own.  P and the kernel come from the batched loop alone,
@@ -133,6 +136,8 @@ def reduce_symmetric(mats: np.ndarray, p: int, kernel: bool = False) -> Reductio
 def _reduce_one(a: list, p: int) -> Reduction:
     """The rank and discriminant of one matrix in Python integers, by reduce_symmetric's pivots.
 
+    a is a list of rows with entries in [0, p), consumed in place.
+
     a keeps only the live rows and columns, those never pivoted, in index
     order: the batched loop zeroes a pivot's rows and columns and never
     reads them again, so each pivot pops them here.  As A is symmetric, a
@@ -142,12 +147,17 @@ def _reduce_one(a: list, p: int) -> Reduction:
     """
     rank, disc = 0, 1
     while a:
-        i = j = next((k for k, row in enumerate(a) if row[k]), None)
-        if i is None:  # the first nonzero entry in row-major order, as a hyperbolic pair
-            i = next((k for k, row in enumerate(a) if any(row)), None)
-            if i is None:
+        for i, row in enumerate(a):  # plain loops: a generator per pivot costs more than the scan
+            if row[i]:
+                j = i
                 break
-            j = next(k for k, v in enumerate(a[i]) if v)  # j > i: rows before i are zero
+        else:  # the first nonzero entry in row-major order, as a hyperbolic pair
+            for i, row in enumerate(a):
+                if any(row):
+                    break
+            else:
+                break
+            j = next(k for k, v in enumerate(row) if v)  # j > i: rows before i are zero
         piv = a[i][j]
         c = pow(piv, -1, p)
         if i == j:

@@ -3,7 +3,9 @@
 Every rank and type in the package comes from form_profiles, which takes a
 stack of forms and gives each block of them one congruence reduction
 (linalg.reduce_symmetric) of their Gram matrices over F_p of tr_{q/p} B
-(form_grams), where B(x,y) = Q(x+y) - Q(x) - Q(y)
+(form_grams); one form at odd p is reduced alone, its Gram gathered term by
+term and handed to the one-matrix reduction with no batch staging.  Here
+B(x,y) = Q(x+y) - Q(x) - Q(y)
 and tr_{q/p} B(x, y) = tr_{q^m/p}(x R(y) + y R(x)).  Three exact facts move
 the work from F_q to F_p: tr_{q/p} B has s times the F_q rank of B; for odd p
 the type is eta_p((-1)^{r_p/2} disc), because Q and tr_{q/p} Q have the same
@@ -18,11 +20,14 @@ profiles one row per orbit of the Frobenius and x -> cx (orbit_rows), each
 with its exact int64 weight, into a RankDistribution.  Rank 0 has type +1 on
 every route, with no branch: N_Q(0) = q^m is the type +1 count at r = 0.
 
-Every trace-form symbol table in the package (Q's values, codewords, curve
-counts, scans and the beta sweeps) comes from form_symbols, one log-domain
-gather per term, in the one layout x = alpha^k, k < q^m - 1 (the form is 0
-at x = 0), and every Gram term from gram_exponents, one gather in the digit
-basis t^i = p^i.  lin_eval stays the independent scalar route of R, and
+Every trace-form symbol table in the package is one log-domain gather per
+term, in the one layout x = alpha^k, k < q^m - 1 (the form is 0 at x = 0).
+form_symbols builds the rows of a stack of forms (a stack's zero counts, the
+brute oracle's words, scans and the beta sweeps); form_word builds the
+read-only word of one form, kept for the next reader, so that one form's
+zero count, codewords, curve trace count and beta histogram evaluate its
+terms once.  Every Gram term comes from gram_exponents, one gather in the
+digit basis t^i = p^i.  lin_eval stays the independent scalar route of R, and
 curves.count_points_by_solutions sums x R(x) by exp gathers, with no trace.
 
 Every closed-form sweep table (counts, curve points, code weights, enumerators)
@@ -35,7 +40,7 @@ integer additions per form instead of the q^{2m} of a (beta, x) grid,
 gathering whole blocks along a leading symbol axis.  Its counts are
 int_dtype(q^m) from the first write to the returned array, and a batch of B
 forms works in three buffers of B q^{m+1} counts; QuadForm.histogram
-widens its one row to int64.  spectra's brute oracle reads the compositions
+widens the one row of its form_word to int64.  spectra's brute oracle reads the compositions
 of its beta-variant words from it too; the transform's own reference is a
 direct count over every (beta, x), in the tests.
 """
@@ -49,7 +54,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .gf import FieldCtx, FieldError, block_rows, int_dtype
-from .linalg import reduce_symmetric
+from .linalg import _reduce_one, reduce_symmetric
 from .linpoly import FamilySpec, LinearizedPoly, family_coeffs, lin_eval
 
 BETA_CLASSES = ("null", "major", "minor")
@@ -103,15 +108,31 @@ class QuadForm:
     @cached_property
     def histogram(self) -> np.ndarray:
         """int64 H[beta, c] = N_{Q,beta}(c) for every beta and symbol c, built once per form."""
-        coeffs, exps = form_terms(self.R, self.q)
-        H = value_histograms(self.ctx, self.s, form_symbols(self.ctx, self.s, [coeffs], exps))
+        H = value_histograms(self.ctx, self.s, form_word(self.ctx, self.s, self.R)[None])
         return H[0].astype(np.int64, order="C")
 
 
-def form_terms(R: LinearizedPoly, q: int) -> tuple[list[int], tuple[int, ...]]:
-    """(coeffs, exps) with x R(x) = sum_i c_i x^{e_i}, zero coefficients dropped."""
-    terms = [(c, q ** l + 1) for l, c in zip(R.q_exponents, R.coeffs) if c]
-    return [c for c, _ in terms], tuple(e for _, e in terms)
+@lru_cache(maxsize=1)
+def form_word(ctx: FieldCtx, s: int, R: LinearizedPoly) -> np.ndarray:
+    """Read-only symbols of tr_{q^m/q}(x R(x)) at x = alpha^k, k < N, kept for the next call.
+
+    A single form's zero count in form_profiles, its codewords, its curve's
+    trace count and its histogram read it, so one form's queries evaluate its
+    terms once.  A term c x^{q^l+1} is one slice-gather
+    trace_pow[log c:][log_power_table(q^l + 1)], the terms adding by
+    SymbolSystem.plus.  FieldError if a coefficient is not a field element.
+    """
+    sy, q, word = ctx.symbols(s), ctx.p ** s, None
+    for l, c in zip(R.q_exponents, R.coeffs):
+        if not 0 <= c < ctx.order:
+            raise FieldError(f"coefficient {c} is not an element of F_{ctx.p}^{ctx.n}")
+        if c:
+            term = sy.trace_pow[ctx.log[c]:][ctx.log_power_table(q ** l + 1)]
+            word = term if word is None else sy.plus(word, term)
+    if word is None:
+        word = np.zeros(ctx.mult_order, dtype=sy.trace_pow.dtype)
+    word.flags.writeable = False
+    return word
 
 
 def form_symbols(ctx: FieldCtx, s: int, coeffs, exps: tuple[int, ...],
@@ -186,11 +207,16 @@ def form_profiles(ctx: FieldCtx, s: int, coeffs, ls: tuple[int, ...],
     where N_Q(0) = q^m and the discriminant is 1.
     The first failing row raises RankError: odd rank, a zero count of
     neither type, disagreeing routes, or p = 2 past COUNT_LIMIT.
+    One row at odd p (a single form's profile) takes _profile_one, the same
+    checks with no batch staging.
     """
     p, n = ctx.p, ctx.n
     m, q = n // s, p ** s
-    coeffs = np.asarray(coeffs, dtype=np.int64)
     counting = (count or p == 2) and ctx.order <= COUNT_LIMIT
+    if p != 2 and len(coeffs) == 1:
+        r, e = _profile_one(ctx, s, ls, np.ravel(coeffs).tolist(), counting)
+        return np.array([r]), np.array([e])
+    coeffs = np.asarray(coeffs, dtype=np.int64)
     block = block_rows(n * n + ctx.order * counting)
     rank = np.empty(len(coeffs), dtype=np.int64)
     eps = np.empty(len(coeffs), dtype=np.int64)
@@ -219,16 +245,51 @@ def form_profiles(ctx: FieldCtx, s: int, coeffs, ls: tuple[int, ...],
             bad = odd | (r > 0) if p == 2 else odd
         if bad.any():
             i = int(bad.argmax())
-            if odd[i]:
-                raise RankError(f"type is defined for even rank only, got {r[i]}")
             if not counting:
-                raise RankError("field too large for the characteristic-2 counting route")
-            if abs(n0[i] - base) != dev[i]:
-                raise RankError(f"zero count {n0[i]} matches neither type at rank {r[i]}")
-            raise RankError("discriminant route disagrees with counting route")
+                raise _refusal(int(r[i]), False)
+            raise _refusal(int(r[i]), True, n0[i], base, dev[i])
         rank[lo: lo + block] = r
         eps[lo: lo + block] = e
     return rank, eps
+
+
+def _profile_one(ctx: FieldCtx, s: int, ls: tuple[int, ...], coeffs: list[int],
+                 counting: bool) -> tuple[int, int]:
+    """form_profiles of one form at odd p: (rank, type) as ints.
+
+    The Gram matrix is one gram_exponents gather per nonzero term, already
+    reduced mod p, and goes straight to the one-matrix reduction; the zero
+    count reads form_word, the word the form's codewords and curve count
+    read too.  The same RankError checks and messages as a stack.
+    """
+    p, n, m, q = ctx.p, ctx.n, ctx.n // s, ctx.p ** s
+    n0 = None
+    if counting:  # x = 0 and the word's zero symbols; the word refuses a non-element coefficient
+        word = form_word(ctx, s, LinearizedPoly(ls, tuple(coeffs), s))
+        n0 = 1 + ctx.mult_order - np.count_nonzero(word)
+    tp = ctx.symbols(1).trace_pow
+    t = np.zeros((n, n), dtype=np.int64)
+    for l, c in zip(ls, coeffs):
+        if c:
+            t += tp[ctx.log[c] + gram_exponents(ctx, s * l)]
+    red = _reduce_one(((t + t.T) % p).tolist(), p)
+    r, e = int(red.rank[0]) // s, int(red.etas()[0])
+    base, dev = q ** (m - 1), (q - 1) * q ** (m - 1 - r // 2)
+    if r % 2 or (counting and n0 != base + e * dev):
+        raise _refusal(r, counting, n0, base, dev)
+    return r, e
+
+
+def _refusal(r: int, counting: bool, n0=None, base=None, dev=None) -> RankError:
+    """The RankError of a form that fails a profile check: odd rank, p = 2 past
+    COUNT_LIMIT, a zero count of neither type, or disagreeing routes."""
+    if r % 2:
+        return RankError(f"type is defined for even rank only, got {r}")
+    if not counting:
+        return RankError("field too large for the characteristic-2 counting route")
+    if abs(n0 - base) != dev:
+        return RankError(f"zero count {n0} matches neither type at rank {r}")
+    return RankError("discriminant route disagrees with counting route")
 
 
 def _lead_orbits(p: int, n: int, N: int, E: list[int]):

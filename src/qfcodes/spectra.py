@@ -10,7 +10,8 @@ All table rows are generated by one shared routine driven by a rank
 distribution (predict_general), and every prediction, single-monomial,
 two-monomial or measured, is built by predict: the table, its view at the
 shortened length and the check of a closed-form distance, returned as a
-Prediction.  Codewords, and the brute oracle's base words a block of forms
+Prediction.  A codeword's tr(xR(x)) part is quadform.form_word, the word
+R's profile reads too, and the brute oracle's base words, a block of forms
 at a time, are assembled by quadform.form_symbols; the oracle counts every
 word's symbols, by one bincount per block, or for variants 1 and 2 over
 every beta by quadform.value_histograms.  Everything is exact integer
@@ -20,7 +21,6 @@ arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -28,7 +28,7 @@ import numpy as np
 from .gf import FieldCtx, FieldError, block_rows, int_log
 from .klapper import HypothesisError, eps_ell, rank_distribution_l3l, rank_distribution_monomial
 from .linpoly import FamilySpec, LinearizedPoly, family_coeffs
-from .quadform import (BETA_CLASSES, RankDistribution, form_symbols, form_terms, histogram_cells,
+from .quadform import (BETA_CLASSES, RankDistribution, form_symbols, form_word, histogram_cells,
                        value_histograms, value_rows)
 
 VARIANTS = ("base", "0", "1", "2")
@@ -262,32 +262,28 @@ def build_codeword(ctx: FieldCtx, spec: CodeSpec, R: LinearizedPoly,
                    beta: int = 0, b_sym: int = 0) -> np.ndarray:
     """Symbol vector of one codeword (canonical F_q symbols), a fresh writable array.
 
-    The tr(xR(x)) part comes from _form_word, so the (beta, b) draws of one R
-    evaluate its terms once.
+    The tr(xR(x)) part is the first n symbols of quadform.form_word, so the
+    (beta, b) draws of one R, and its profile before them, evaluate its terms
+    once.  FieldError if beta is not a field element or b_sym not a symbol.
     """
     fam = spec.family
     if beta != 0 and spec.variant not in ("1", "2"):
         raise ValueError(f"variant {spec.variant} has no beta term")
     if b_sym != 0 and spec.variant not in ("0", "2"):
         raise ValueError(f"variant {spec.variant} has no constant term")
+    if not 0 <= beta < ctx.order:
+        raise FieldError(f"beta = {beta} is not an element of F_{ctx.p}^{ctx.n}")
+    if not 0 <= b_sym < fam.q:
+        raise FieldError(f"b = {b_sym} is not a symbol of F_{fam.q}")
     sy = ctx.symbols(fam.s)
     n = _length(ctx, spec)
-    syms = _form_word(ctx, fam.s, R, n)
+    syms = form_word(ctx, fam.s, R)[:n]
     if beta:  # tr(beta alpha^k) = tr(alpha^{log beta + k}): a slice, trace_pow holds 2N
         lb = int(ctx.log[beta])
         syms = sy.plus(sy.trace_pow[lb: lb + n], syms)
     if b_sym:
         syms = sy.plus(syms, b_sym)
     return syms if beta or b_sym else syms.copy()
-
-
-@lru_cache(maxsize=1)
-def _form_word(ctx: FieldCtx, s: int, R: LinearizedPoly, n: int) -> np.ndarray:
-    """Read-only symbols of tr(xR(x)) at x = alpha^k, k < n, kept for the next draw of R."""
-    coeffs, exps = form_terms(R, ctx.p ** s)
-    word = form_symbols(ctx, s, [coeffs], exps, slice(0, n))[0]
-    word.flags.writeable = False
-    return word
 
 
 def brute_size(ctx: FieldCtx, spec: CodeSpec, budget: int) -> tuple[int, int]:

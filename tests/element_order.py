@@ -49,3 +49,13 @@ def beta_of_k_pass(ctx: FieldCtx, d: int) -> np.ndarray:
         digit = (all_e // q ** (k - 1 - i)) % q
         beta_of = ctx.v_add(beta_of, ctx.v_mul(a_i, sy.elements[digit]))
     return beta_of
+
+
+def trace_sym_k_pass(ctx: FieldCtx, d: int) -> np.ndarray:
+    """Symbol of tr_{p^n/p^d}(e) for every element e, by k - 1 full-order Frobenius gathers."""
+    sy, all_e = ctx.symbols(d), np.arange(ctx.order, dtype=np.int64)
+    acc, x = all_e.copy(), all_e
+    for _ in range(ctx.n // d - 1):
+        x = ctx.frob_table(d)[x]
+        acc = ctx.v_add(acc, x)
+    return sy.index_of[acc].astype(np.int16)

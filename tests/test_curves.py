@@ -98,7 +98,7 @@ for call in calls:
 
 @pytest.mark.parametrize("p,s,m,ell", GRID)
 def test_trace_zero_count_matches_form_table(p, s, m, ell):
-    # count_points reads the zero symbols of form_symbols (x = 0 adding 1); an
+    # count_points reads the zero symbols of form_word (x = 0 adding 1); an
     # element-indexed table from lin_eval_table must count the same
     ctx = gf.get_field(p, s * m)
     rng = np.random.default_rng(p * 1000 + s * 100 + m * 10 + ell)
@@ -112,6 +112,26 @@ def test_trace_zero_count_matches_form_table(p, s, m, ell):
         values = ctx.v_add(ctx.v_mul(xs, lin_eval_table(ctx, spec.R)),
                            ctx.v_mul(np.full(ctx.order, beta, dtype=np.int64), xs))
         assert curves.count_points(spec) == 1 + p * np.count_nonzero(tr[values] == 0)
+
+
+@pytest.mark.parametrize("p,m,gamma,beta,message", [
+    (3, 4, 1, -3, "beta -3 is not an element of F_3"),
+    (3, 4, -2, 0, "coefficient -2 is not an element of F_3"),
+    (3, 4, 81, 0, "coefficient 81 is not an element of F_3"),
+    (3, 4, 1, 81, "beta 81 is not an element of F_3"),
+])
+def test_curve_refuses_out_of_range_elements(p, m, gamma, beta, message):
+    # unchecked, both point routes agree on the element a negative index wraps
+    # to, so no count check catches it, and 81 runs past the log table
+    with pytest.raises(gf.FieldError, match=message):
+        curve(p, m, 1, gamma, beta)
+
+
+def test_form_word_refuses_out_of_range_coefficients():
+    ctx = gf.get_field(3, 4)
+    for c in (-2, 81):
+        with pytest.raises(gf.FieldError, match=f"coefficient {c} is not an element of F_3"):
+            quadform.form_word(ctx, 1, LinearizedPoly((1, 3), (1, c), 1))
 
 
 def test_hasse_weil_values():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from qfcodes import cli, gf, klapper, verify
 
-from element_order import beta_of_k_pass
+from element_order import beta_of_k_pass, trace_sym_k_pass
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -167,6 +167,25 @@ def test_rel_trace_values():
     assert sy81.elements[sy81.trace_sym][a] == acc
     with pytest.raises(gf.FieldError):
         F.symbols(3)
+
+
+@pytest.mark.parametrize("p,n,d", [pytest.param(3, 13, 1, marks=pytest.mark.slow),
+                                   pytest.param(2, 22, 1, marks=pytest.mark.slow),
+                                   (2, 20, 1), (3, 8, 1), (5, 6, 1), (2, 8, 2), (3, 6, 2)])
+def test_trace_symbols_match_the_k_pass_construction(p, n, d):
+    # trace_sym doubles over the digits of the element index; the reference
+    # takes k - 1 Frobenius gathers over the whole field (a fresh field, so
+    # the largest tables are freed after the test)
+    F = gf.FieldCtx(p, n)
+    assert np.array_equal(F.symbols(d).trace_sym, trace_sym_k_pass(F, d))
+
+
+def test_trace_symbols_check_the_subfield(monkeypatch):
+    # a trace sum that keeps only its last term, t^{i 27}, leaves F_3 at i = 1
+    F = gf.FieldCtx(3, 4)
+    monkeypatch.setattr(F, "add", lambda a, b: b)
+    with pytest.raises(gf.FieldError, match="escaped the subfield"):
+        F.symbols(1)
 
 
 @pytest.mark.parametrize("p,n,d", [(2, 4, 1), (2, 4, 2), (3, 4, 1), (2, 8, 4), (2, 8, 2)])

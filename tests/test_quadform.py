@@ -89,10 +89,10 @@ def test_gram_and_table_match_scalar_evaluation(p, s, m):
     for exps, coeffs in cases:
         Q = form(p, s, m, exps, coeffs)
         assert np.array_equal(quadform.form_grams(ctx, s, [coeffs], exps)[0], scalar_gram(Q))
-        # the form_symbols row, column k at alpha^k; the form is 0 at x = 0
-        terms, powers = quadform.form_terms(Q.R, p ** s)
-        row = quadform.form_symbols(ctx, s, [terms], powers)[0]
+        # the form_symbols row and form_word, column k at alpha^k; the form is 0 at x = 0
+        row = quadform.form_symbols(ctx, s, [coeffs], tuple(p ** (s * l) + 1 for l in exps))[0]
         assert row.tolist() == [Q.value_sym(ctx.alpha_pow(k)) for k in range(ctx.mult_order)]
+        assert np.array_equal(quadform.form_word(ctx, s, Q.R), row)
         assert Q.value_sym(0) == 0
 
 
@@ -162,6 +162,37 @@ def test_form_profiles_match_scalar_reference(p, s, m):
             assert np.array_equal(no_count[0], rank) and np.array_equal(no_count[1], eps)
 
 
+@pytest.mark.parametrize("p,s,m,exps", [(3, 1, 4, (0, 1)), (3, 1, 8, (1, 3)), (5, 1, 4, (0, 2)),
+                                          (3, 2, 2, (0, 1)), (3, 2, 4, (0, 1)), (7, 1, 2, (0, 1))])
+def test_stack_profiles_equal_one_row_profiles(p, s, m, exps):
+    # odd p: a one-row stack takes its own route (_profile_one), a stack of B rows the
+    # batched reduction; with zero coefficients, the zero row (rank 0) and odd ranks
+    ctx = gf.get_field(p, s * m)
+    rng = np.random.default_rng(13 * p + s * m)
+    rows = rng.integers(0, ctx.order, (24, len(exps)))
+    rows[rng.random(rows.shape) < 0.25] = 0
+    rows[0] = 0
+    for count in (True, False):
+        alone = []
+        for row in rows:
+            try:
+                rank, eps = quadform.form_profiles(ctx, s, [row], exps, count)
+                alone.append((int(rank[0]), int(eps[0])))
+            except RankError as exc:
+                alone.append(str(exc))
+        even = [i for i, a in enumerate(alone) if isinstance(a, tuple)]
+        assert alone[0] == (0, 1)
+        rank, eps = quadform.form_profiles(ctx, s, rows[even], exps, count)
+        assert list(zip(rank.tolist(), eps.tolist())) == [alone[i] for i in even]
+        for i in sorted(set(range(len(rows))) - set(even)):
+            assert alone[i].startswith("type is defined for even rank only, got ")
+            with pytest.raises(RankError) as exc:
+                quadform.form_profiles(ctx, s, rows[[0, i]], exps, count)
+            assert str(exc.value) == alone[i]
+    if (p, exps) == (3, (0, 1)):  # these rows of x^2 + x^{q+1} have odd ranks too
+        assert len(even) < len(rows)
+
+
 @pytest.mark.parametrize("p,s,m", [(2, 1, 6), (3, 1, 4)])
 def test_form_profiles_blocks_split_mid_stack(p, s, m, monkeypatch):
     ctx = gf.get_field(p, s * m)
@@ -191,17 +222,28 @@ def test_form_profiles_refuses_char_2_past_count_limit(monkeypatch):
 
 
 def test_form_profiles_refuses_a_zero_count_of_neither_type(monkeypatch):
-    # tr(x^4) over F_81 has rank 2, type -1: 9 zeros; one zero less fits neither type
-    real = quadform.form_symbols
+    # tr(x^4) over F_81 has rank 2, type -1: 9 zeros; one zero less fits neither type.
+    # One form's zero count reads form_word, a stack's form_symbols
+    real = quadform.form_word
 
-    def one_zero_less(*args, **kwargs):
-        syms = real(*args, **kwargs)
+    def one_zero_less(*args):
+        word = real(*args).copy()
+        word[np.flatnonzero(word == 0)[0]] = 1
+        return word
+
+    monkeypatch.setattr(quadform, "form_word", one_zero_less)
+    with pytest.raises(RankError, match="zero count 8 matches neither type at rank 2"):
+        quadform.profile(form(3, 1, 4, (1,), (1,)))
+    real_rows = quadform.form_symbols
+
+    def first_row_one_zero_less(*args, **kwargs):
+        syms = real_rows(*args, **kwargs)
         syms[0, np.flatnonzero(syms[0] == 0)[0]] = 1
         return syms
 
-    monkeypatch.setattr(quadform, "form_symbols", one_zero_less)
+    monkeypatch.setattr(quadform, "form_symbols", first_row_one_zero_less)
     with pytest.raises(RankError, match="zero count 8 matches neither type at rank 2"):
-        quadform.profile(form(3, 1, 4, (1,), (1,)))
+        quadform.form_profiles(gf.get_field(3, 4), 1, [[1], [1]], (1,))
 
 
 def test_form_profiles_refuses_disagreeing_routes(monkeypatch):
@@ -209,6 +251,8 @@ def test_form_profiles_refuses_disagreeing_routes(monkeypatch):
     monkeypatch.setattr(Reduction, "etas", lambda red: -real(red))
     with pytest.raises(RankError, match="discriminant route disagrees with counting route"):
         quadform.profile(form(3, 1, 4, (1,), (1,)))
+    with pytest.raises(RankError, match="discriminant route disagrees with counting route"):
+        quadform.form_profiles(gf.get_field(3, 4), 1, [[1], [1]], (1,))
 
 
 def direct_tally(ctx, fam, count):

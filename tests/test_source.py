@@ -61,8 +61,36 @@ def test_point_recount_reads_no_trace():
     # and its y^p - y table must not reach the trace tables or the form kernels
     tree = ast.parse((SRC / "curves.py").read_text())
     funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    forbidden = {"form_symbols", "form_terms", "trace_pow", "trace_sym", "symbols", "plus",
+    forbidden = {"form_symbols", "form_word", "trace_pow", "trace_sym", "symbols", "plus",
                  "value_histograms"}
     for name in ("count_points_by_solutions", "_artin_schreier_counts"):
         assert set(_names(funcs[name])) & forbidden == set(), name
     assert set(_names(funcs["count_points"])) & forbidden  # the check can see a trace route
+
+
+def _functions(module: str) -> dict[str, ast.AST]:
+    """Module-level functions and class methods (as Class.method) of one package module."""
+    tree = ast.parse((SRC / module).read_text())
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            out[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            out.update({f"{node.name}.{f.name}": f for f in node.body
+                        if isinstance(f, ast.FunctionDef)})
+    return out
+
+
+def test_one_form_word_serves_every_reader():
+    # the codewords, the single-curve trace count and a form's beta histogram read
+    # quadform.form_word, the word its profile's zero count reads, and build no word
+    # of their own; spectra keeps no cached word beside it
+    readers = [("spectra.py", "build_codeword"), ("curves.py", "count_points"),
+               ("quadform.py", "QuadForm.histogram"), ("quadform.py", "_profile_one")]
+    for module, name in readers:
+        names = _names(_functions(module)[name])
+        assert names["form_word"] and not names["form_symbols"], name
+    caches = {"lru_cache", "cache", "cached_property"}
+    decorated = [name for name, node in _functions("spectra.py").items()
+                 if any(caches & set(_names(d)) for d in node.decorator_list)]
+    assert decorated == []

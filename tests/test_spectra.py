@@ -403,22 +403,29 @@ def test_cached_form_word_is_safe_to_reuse(p, s, m, exponents, variant, shortene
 
 
 def test_words_of_one_form_evaluate_its_terms_once(monkeypatch):
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return quadform.form_symbols(*args, **kwargs)
-
-    monkeypatch.setattr(spectra, "form_symbols", counted)
-    spectra._form_word.cache_clear()
+    # each term of the word is one log_power_table read: quadform.form_word keeps the
+    # last form's word for its draws, and a pair query (fast profile, profile with its
+    # zero count, then codeword draws) evaluates the word once
     ctx = gf.get_field(3, 8)
+    reads = []
+    real = ctx.log_power_table
+    monkeypatch.setattr(ctx, "log_power_table", lambda e: reads.append(e) or real(e))
+    quadform.form_word.cache_clear()
     spec = CodeSpec(FamilySpec(3, 1, 8, (1, 3)), "2")
     R = klapper.l3l_poly(ctx, 1, 5, 7)
     for k in range(8):
         build_codeword(ctx, spec, R, beta=k * 37 % ctx.order, b_sym=k % 3)
-    assert len(calls) == 1
+    assert reads == [4, 28]
     build_codeword(ctx, spec, klapper.l3l_poly(ctx, 1, 7, 5))
-    assert len(calls) == 2
+    assert reads == [4, 28] * 2
+    reads.clear()
+    fast = klapper.l3l_pair_profile_fast(ctx, 1, 11, 13)
+    assert reads == []
+    assert klapper.l3l_pair_profile(ctx, 1, 11, 13) == fast
+    for k in range(8):
+        build_codeword(ctx, spec, klapper.l3l_poly(ctx, 1, 11, 13), beta=k * 41 % ctx.order,
+                       b_sym=k % 3)
+    assert reads == [4, 28]
 
 
 def test_shortened_word_concatenates_to_full():
@@ -442,6 +449,21 @@ def test_variant_argument_gates():
         build_codeword(ctx, CodeSpec(fam, "1"), R, b_sym=1)
     with pytest.raises(ValueError):
         CodeSpec(fam, "1", shortened=True)
+
+
+@pytest.mark.parametrize("beta,b_sym,message", [
+    (0, 5, "b = 5 is not a symbol of F_3"),
+    (0, -1, "b = -1 is not a symbol of F_3"),
+    (-1, 0, "beta = -1 is not an element"),
+    (6561, 0, "beta = 6561 is not an element"),
+])
+def test_codeword_refuses_out_of_range_elements(beta, b_sym, message):
+    # unchecked, b = 5 and b = -1 give the non-symbols 3, 4 and -4, and beta = -1
+    # reads log[-1], all with no error
+    ctx = gf.get_field(3, 8)
+    spec = CodeSpec(FamilySpec(3, 1, 8, (1, 3)), "2")
+    with pytest.raises(gf.FieldError, match=message):
+        build_codeword(ctx, spec, klapper.l3l_poly(ctx, 1, 5, 7), beta, b_sym)
 
 
 # -- the shared row machinery ------------------------------------------------------
