@@ -17,22 +17,22 @@ never pivoted span the kernel.  Entries stay in [0, p) between steps and an
 update spans [-2(p-1)^2, p), so the working dtype is chosen from p.
 
 One matrix with no kernel asked is reduced by _reduce_one, in Python
-integers by the same pivots and updates, so it returns the rank and
-discriminant of its row in a batched call exactly: per pivot the batched
-loop makes about 20 numpy calls, which cost more than the arithmetic of one
-small matrix.  reduce_symmetric takes that route for a stack of one, and
-quadform's one-form profile at odd p calls it directly on a Gram matrix it
-has already reduced mod p.  That route keeps only the live (never
-pivoted) rows and columns and updates them in place: the batched update
-zeroes a pivot's rows and columns, and no later pivot reads them, so each
-pivot drops its own.  P and the kernel come from the batched loop alone,
-one matrix or many.
+integers on the same pivots, so it returns the rank and discriminant of its
+row in a batched call exactly: per pivot the batched loop makes about 20
+numpy calls, which cost more than the arithmetic of one small matrix.
+reduce_symmetric takes that route for a stack of one, and quadform's
+one-form profile at odd p calls it directly on a Gram matrix it has already
+reduced mod p.  That route never forms a whole Schur complement: it keeps
+each as A minus the rank-one terms of the pivots so far, with its diagonal
+up to date, and reads an entry only where a pivot needs it.  P and the
+kernel come from the batched loop alone, one matrix or many.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
@@ -136,47 +136,56 @@ def reduce_symmetric(mats: np.ndarray, p: int, kernel: bool = False) -> Reductio
 def _reduce_one(a: list, p: int) -> Reduction:
     """The rank and discriminant of one matrix in Python integers, by reduce_symmetric's pivots.
 
-    a is a list of rows with entries in [0, p), consumed in place.
-
-    a keeps only the live rows and columns, those never pivoted, in index
-    order: the batched loop zeroes a pivot's rows and columns and never
-    reads them again, so each pivot pops them here.  As A is symmetric, a
-    1x1 pivot i takes live row x to row x - A_xi r, with r = row i / piv; a
-    hyperbolic pivot (i, j) subtracts the terms of (i, row j / piv) and
-    (j, row i / piv) alike.
+    a is a list of rows with entries in [0, p); it is only read.  The pivots
+    are the batched loop's, taken on the same Schur complements, each kept
+    as S = A - sum_k u_k w_k^T over the pivots so far (one term for a 1x1
+    pivot, two for a hyperbolic pair) and read only where needed: S_xy =
+    A_xy - u[x] . w[y].  The diagonal of S is kept up to date, so a 1x1
+    pivot i (the first live one with S_ii != 0) reads column i alone, one
+    dot product per live index.  Only when the live diagonal is zero are the
+    entries read in row-major order, for the first nonzero S_ij of a
+    hyperbolic pivot, which adds the terms (S_.i, S_.j / S_ij) and
+    (S_.j, S_.i / S_ij).
     """
+    live = list(range(len(a)))
+    d = [row[x] for x, row in enumerate(a)]
+    u = [[] for _ in live]
+    w = [[] for _ in live]
     rank, disc = 0, 1
-    while a:
-        for i, row in enumerate(a):  # plain loops: a generator per pivot costs more than the scan
-            if row[i]:
-                j = i
+    while live:
+        for i in live:
+            if d[i]:
                 break
         else:  # the first nonzero entry in row-major order, as a hyperbolic pair
-            for i, row in enumerate(a):
-                if any(row):
+            for i in live:
+                ai, ui = a[i], u[i]
+                j = next((y for y in live if (ai[y] - sum(map(mul, ui, w[y]))) % p), None)
+                if j is not None:
                     break
             else:
                 break
-            j = next(k for k, v in enumerate(row) if v)  # j > i: rows before i are zero
-        piv = a[i][j]
-        c = pow(piv, -1, p)
-        if i == j:
-            ri = a.pop(i)
-            del ri[i]
-            r = [x * c % p for x in ri]
-            for row in a:
-                x = row.pop(i)
-                if x:
-                    row[:] = [(w - x * t) % p for w, t in zip(row, r)]
-            rank, disc = rank + 1, disc * piv % p
+            live.remove(i)
+            live.remove(j)
+            aj, wi, wj = a[j], w[i], w[j]
+            piv = (ai[j] - sum(map(mul, ui, wj))) % p
+            c = pow(piv, -1, p)
+            for x in live:
+                ux = u[x]
+                si = (ai[x] - sum(map(mul, ux, wi))) % p
+                sj = (aj[x] - sum(map(mul, ux, wj))) % p
+                d[x] = (d[x] - 2 * si * sj * c) % p
+                ux += (si, sj)
+                w[x] += (sj * c % p, si * c % p)
+            rank, disc = rank + 2, disc * -piv * piv % p
             continue
-        rj, ri = a.pop(j), a.pop(i)
-        del ri[j], ri[i], rj[j], rj[i]
-        r, s = [x * c % p for x in rj], [x * c % p for x in ri]
-        for row in a:
-            y, x = row.pop(j), row.pop(i)
-            if x or y:
-                row[:] = [(w - x * t - y * u) % p for w, t, u in zip(row, r, s)]
-        rank, disc = rank + 2, disc * -piv * piv % p
+        live.remove(i)
+        piv, ai, wi = d[i], a[i], w[i]
+        c = pow(piv, -1, p)
+        for x in live:
+            s = (ai[x] - sum(map(mul, u[x], wi))) % p
+            d[x] = (d[x] - s * s * c) % p
+            u[x].append(s)
+            w[x].append(s * c % p)
+        rank, disc = rank + 1, disc * piv % p
     return Reduction(p=p, rank=np.array([rank], dtype=np.int64),
                      disc=np.array([disc], dtype=np.int64))
