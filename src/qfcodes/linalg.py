@@ -16,6 +16,16 @@ the product of the d's and the (-a^2)'s, and the columns of P at indices
 never pivoted span the kernel.  Entries stay in [0, p) between steps and an
 update spans [-2(p-1)^2, p), so the working dtype is chosen from p.
 
+A stack is reduced on an active set: the working stack holds only the
+matrices whose Schur complement is nonzero.  A matrix whose complement is
+zero is done (every later pivot would be zero and change nothing), so it
+leaves the stack, its rank, discriminant and P written out, before the next
+update; the second rank-one term runs only on the matrices that take a
+hyperbolic pivot.  Each step's first rank-one term is written into one
+buffer of the stack's size, so a step costs the live matrices only and the
+pivots, and every output, are those of a loop that keeps every matrix to the
+end (the tests keep that loop as the reference).
+
 One matrix with no kernel asked is reduced by _reduce_one, in Python
 integers on the same pivots, so it returns the rank and discriminant of its
 row in a batched call exactly: per pivot the batched loop makes about 20
@@ -86,51 +96,70 @@ def _inv_table(p: int) -> np.ndarray:
 
 
 def reduce_symmetric(mats: np.ndarray, p: int, kernel: bool = False) -> Reduction:
-    """Congruence-reduce a (B, n, n) stack of symmetric integer matrices mod p."""
+    """Congruence-reduce a (B, n, n) stack of symmetric integer matrices mod p, on an active set."""
     dt = int_dtype(2 * p * p + p)
-    a = np.asarray(mats).astype(dt) % p
+    a = np.asarray(mats).astype(dt)
+    a %= p
     if len(a) == 1 and not kernel:
         return _reduce_one(a[0].tolist(), p)
     inv = _inv_table(p)
     B, n, _ = a.shape
-    bs = np.arange(B)
+    live = np.arange(B)  # the index in mats of each working matrix
     rank = np.zeros(B, dtype=np.int64)
     disc = np.ones(B, dtype=np.int64)
-    P = np.broadcast_to(np.eye(n, dtype=dt), a.shape).copy() if kernel else None
+    basis = np.broadcast_to(np.eye(n, dtype=dt), a.shape).copy() if kernel else None
+    P, work = basis, np.empty_like(a)  # work holds each rank-one term
     for _ in range(n):
+        bs = np.arange(len(a))
         nz = a.diagonal(0, 1, 2) != 0
-        i = j = nz.argmax(axis=1)
-        pair = (~nz[bs, i]).nonzero()[0]  # no nonzero diagonal entry is left
+        i = nz.argmax(axis=1)
+        j = i.copy()
+        pair = np.flatnonzero(~nz[bs, i])  # no nonzero diagonal entry is left
         if len(pair):
-            j = i.copy()
-            flat = (a[pair].reshape(len(pair), -1) != 0).argmax(axis=1)
-            i[pair], j[pair] = np.divmod(flat, n)
+            flat = np.take(a, pair, axis=0, out=work[:len(pair)], mode="clip")
+            flat = flat.reshape(len(pair), -1) != 0
+            i[pair], j[pair] = np.divmod(flat.argmax(axis=1), n)
+            done = ~flat.any(axis=1)  # a zero Schur complement
+            del flat
+            if done.any():
+                keep = np.ones(len(a), dtype=bool)
+                keep[pair[done]] = False
+                if kernel:
+                    basis[live[~keep]] = P[~keep]
+                    P = P[keep]
+                kept = np.flatnonzero(keep)  # a moves into work, whose buffer a frees
+                a, work = np.take(a, kept, axis=0, out=work[:len(kept)], mode="clip"), a
+                live, i, j = live[kept], i[kept], j[kept]
+                pair = pair[~done] - np.cumsum(~keep)[pair[~done]]  # its place in the kept stack
+                if not len(a):
+                    break
+                bs = bs[:len(a)]
         row_i, row_j = a[bs, i], a[bs, j]
         piv = row_i[bs, j].astype(np.int64)
-        if not piv.any():
-            break
         # subtract A_.i A_j. / piv, and A_.j A_i. / piv for a hyperbolic pivot
         c = inv[piv]
-        r1 = row_j * c[:, None] % p
-        a -= row_i[:, :, None] * r1[:, None, :]
+        r1 = row_j * c[:, None]
+        r1 %= p
+        a -= np.multiply(row_i[:, :, None], r1[:, None, :], out=work[:len(a)])
         if kernel:
             col_i, col_j = P[bs, :, i], P[bs, :, j]
-            P -= col_i[:, :, None] * r1[:, None, :]
-        rank += piv != 0
-        factor = piv + (piv == 0)  # 1 once a matrix is done
+            P -= np.multiply(col_i[:, :, None], r1[:, None, :], out=work[:len(a)])
+        rank[live] += 1
         if len(pair):
-            r2 = np.zeros_like(r1)
-            r2[pair] = row_i[pair] * c[pair, None] % p
-            a -= row_j[:, :, None] * r2[:, None, :]
+            r2 = row_i[pair] * c[pair, None]
+            r2 %= p
+            a[pair] -= np.multiply(row_j[pair, :, None], r2[:, None, :], out=work[:len(pair)])
             if kernel:
-                P -= col_j[:, :, None] * r2[:, None, :]
-            rank[pair] += piv[pair] != 0
-            factor[pair] *= -piv[pair] + (piv[pair] == 0)
+                P[pair] -= np.multiply(col_j[pair, :, None], r2[:, None, :], out=work[:len(pair)])
+            rank[live[pair]] += 1
+            piv[pair] *= -piv[pair]
         a %= p
         if kernel:
             P %= p
-        disc = disc * factor % p
-    return Reduction(p=p, rank=rank, disc=disc, basis=P)
+        disc[live] = disc[live] * piv % p
+    if kernel:
+        basis[live] = P
+    return Reduction(p=p, rank=rank, disc=disc, basis=basis)
 
 
 def _reduce_one(a: list, p: int) -> Reduction:

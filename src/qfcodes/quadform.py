@@ -55,7 +55,7 @@ import numpy as np
 
 from .gf import FieldCtx, FieldError, block_rows, int_dtype
 from .linalg import _reduce_one, reduce_symmetric
-from .linpoly import FamilySpec, LinearizedPoly, family_coeffs, lin_eval
+from .linpoly import FamilySpec, LinearizedPoly, lin_eval
 
 BETA_CLASSES = ("null", "major", "minor")
 # largest field on which form_profiles counts zeros (and cross-checks the discriminant)
@@ -122,10 +122,9 @@ def form_word(ctx: FieldCtx, s: int, R: LinearizedPoly) -> np.ndarray:
     trace_pow[log c:][log_power_table(q^l + 1)], the terms adding by
     SymbolSystem.plus.  FieldError if a coefficient is not a field element.
     """
+    _check_elements(ctx, R.coeffs)
     sy, q, word = ctx.symbols(s), ctx.p ** s, None
     for l, c in zip(R.q_exponents, R.coeffs):
-        if not 0 <= c < ctx.order:
-            raise FieldError(f"coefficient {c} is not an element of F_{ctx.p}^{ctx.n}")
         if c:
             term = sy.trace_pow[ctx.log[c]:][ctx.log_power_table(q ** l + 1)]
             word = term if word is None else sy.plus(word, term)
@@ -133,6 +132,17 @@ def form_word(ctx: FieldCtx, s: int, R: LinearizedPoly) -> np.ndarray:
         word = np.zeros(ctx.mult_order, dtype=sy.trace_pow.dtype)
     word.flags.writeable = False
     return word
+
+
+def _check_elements(ctx: FieldCtx, coeffs) -> None:
+    """FieldError for the first coefficient outside [0, p^n): a list by scalar
+    compares, an array by one vectorised check, before anything is gathered."""
+    if isinstance(coeffs, np.ndarray):
+        bad = (coeffs < 0) | (coeffs >= ctx.order)
+        coeffs = coeffs[bad][:1].tolist()
+    for c in coeffs:
+        if not 0 <= c < ctx.order:
+            raise FieldError(f"coefficient {c} is not an element of F_{ctx.p}^{ctx.n}")
 
 
 def form_symbols(ctx: FieldCtx, s: int, coeffs, exps: tuple[int, ...],
@@ -177,18 +187,40 @@ def form_grams(ctx: FieldCtx, s: int, coeffs, ls: tuple[int, ...]) -> np.ndarray
     coeffs is a (B, len(ls)) array of field elements, one form per row.
     Entry (a, b) is tr(t^a R(t^b)) + tr(t^b R(t^a)) in the digit basis
     t^a = p^a, and a term c x^{q^l} contributes tr(alpha^{log c + e[a, b]}),
-    e = gram_exponents(ctx, s l): one gather per term, c = 0 giving a zero term,
-    and one n x n gather for a column constant over the block (a tally's lead).
+    e = gram_exponents(ctx, s l): one n x n gather for a column constant over
+    the block (a tally's lead; a zero column adds nothing), else one gather
+    per sub-block of gf.block_rows(32 n^2) rows.  So the int64 index of a
+    gather holds at most gf.BLOCK_CELLS / 4 bytes, and its gathered int16
+    term a quarter of that; both are buffers reused by every sub-block and
+    term.  The rows of c = 0 are zeroed in the term, the terms add in place,
+    and each sub-block is symmetrised in place (its transpose copied).
+    Beside the (B, n, n) output of int_dtype(2 p len(ls)) cells, no more than
+    about 5/16 gf.BLOCK_CELLS bytes are allocated, whatever B.
     """
     p, n = ctx.p, ctx.n
     tp = ctx.symbols(1).trace_pow
     logs = ctx.log[np.asarray(coeffs, dtype=np.int64)]
     t = np.zeros((len(logs), n, n), dtype=int_dtype(2 * p * max(1, len(ls))))
+    step = block_rows(32 * n * n)
+    index = np.empty((min(step, len(logs)), n, n), dtype=np.int64)
+    term = np.empty(index.shape, dtype=tp.dtype)
     for col, l in zip(logs.T, ls):
-        if len(col) > 1 and (col == col[0]).all():
-            col = col[:1]  # one term, broadcast over the block
-        t += tp[col[:, None, None] + gram_exponents(ctx, s * l)] * (col >= 0)[:, None, None]
-    return (t + t.transpose(0, 2, 1)) % p
+        e = gram_exponents(ctx, s * l)
+        if len(col) and (col == col[0]).all():  # one term, broadcast over the block
+            if col[0] >= 0:
+                t += tp[col[0] + e]
+            continue
+        for lo in range(0, len(col), step):
+            c = col[lo: lo + step]
+            np.add(c[:, None, None], e, out=index[:len(c)])
+            np.take(tp, index[:len(c)], out=term[:len(c)], mode="clip")  # "clip": out unbuffered
+            term[:len(c)][c < 0] = 0
+            t[lo: lo + step] += term[:len(c)]
+    for lo in range(0, len(t), step):  # the transpose of a sub-block is copied, not of t
+        sub = t[lo: lo + step]
+        sub += sub.transpose(0, 2, 1)
+        sub %= p
+    return t
 
 
 def form_profiles(ctx: FieldCtx, s: int, coeffs, ls: tuple[int, ...],
@@ -206,22 +238,23 @@ def form_profiles(ctx: FieldCtx, s: int, coeffs, ls: tuple[int, ...],
     it must equal the discriminant's.  Returns int arrays; type +1 at rank 0,
     where N_Q(0) = q^m and the discriminant is 1.
     The first failing row raises RankError: odd rank, a zero count of
-    neither type, disagreeing routes, or p = 2 past COUNT_LIMIT.
+    neither type, disagreeing routes, or p = 2 past COUNT_LIMIT.  A
+    coefficient outside [0, p^n) raises FieldError before any gather.
     One row at odd p (a single form's profile) takes _profile_one, the same
     checks with no batch staging.
     """
     p, n = ctx.p, ctx.n
     m, q = n // s, p ** s
-    counting = (count or p == 2) and ctx.order <= COUNT_LIMIT
+    counting, block = _stack_block(ctx, count)
     if p != 2 and len(coeffs) == 1:
         r, e = _profile_one(ctx, s, ls, np.ravel(coeffs).tolist(), counting)
         return np.array([r]), np.array([e])
     coeffs = np.asarray(coeffs, dtype=np.int64)
-    block = block_rows(n * n + ctx.order * counting)
     rank = np.empty(len(coeffs), dtype=np.int64)
     eps = np.empty(len(coeffs), dtype=np.int64)
     for lo in range(0, len(coeffs), block):
         rows = coeffs[lo: lo + block]
+        _check_elements(ctx, rows)
         red = reduce_symmetric(form_grams(ctx, s, rows, ls), p, kernel=p == 2)
         if p == 2:
             # Q is additive on ker B and Q(c y) = c^2 Q(y), so the radical
@@ -253,6 +286,13 @@ def form_profiles(ctx: FieldCtx, s: int, coeffs, ls: tuple[int, ...],
     return rank, eps
 
 
+def _stack_block(ctx: FieldCtx, count: bool) -> tuple[bool, int]:
+    """(counting, rows): whether form_profiles counts zeros, and how many forms
+    one block of gf.BLOCK_CELLS Gram and value-table cells holds."""
+    counting = (count or ctx.p == 2) and ctx.order <= COUNT_LIMIT
+    return counting, block_rows(ctx.n ** 2 + ctx.order * counting)
+
+
 def _profile_one(ctx: FieldCtx, s: int, ls: tuple[int, ...], coeffs: list[int],
                  counting: bool) -> tuple[int, int]:
     """form_profiles of one form at odd p: (rank, type) as ints.
@@ -263,8 +303,9 @@ def _profile_one(ctx: FieldCtx, s: int, ls: tuple[int, ...], coeffs: list[int],
     read too.  The same RankError checks and messages as a stack.
     """
     p, n, m, q = ctx.p, ctx.n, ctx.n // s, ctx.p ** s
+    _check_elements(ctx, coeffs)
     n0 = None
-    if counting:  # x = 0 and the word's zero symbols; the word refuses a non-element coefficient
+    if counting:  # x = 0 and the word's zero symbols
         word = form_word(ctx, s, LinearizedPoly(ls, tuple(coeffs), s))
         n0 = 1 + ctx.mult_order - np.count_nonzero(word)
     tp = ctx.symbols(1).trace_pow
@@ -316,47 +357,79 @@ def orbit_rows(ctx: FieldCtx, fam: FamilySpec):
     (c_i -> c_i^p, as Q_{c^p}(x^p) = Q_c(x)^p), in logs a_i -> a_i p^t + u E_i mod N:
     both keep rank and type.  Per lead position j and lead orbit (_lead_orbits), a
     tail stands for its G_r-orbit when its family_coeffs index is the least of its
-    images, and weighs (lead rows) |G_r| / #{g in G_r fixing it}.  One chunk per
-    gf.BLOCK_CELLS tail coefficients, every lead orbit's rows, more leading zeros first.
+    images, and weighs (lead rows) |G_r| / #{g in G_r fixing it}.  The tails are
+    read as logs of their index digits (family_coeffs' element v is alpha^{v-1}),
+    with no table of the field.  A chunk's int64 temporaries per tail are its
+    index, its T = len(tails) logs, an image of them, the image's index, the
+    fixed count, the weight and the row of k coefficients, about 8 (4 + 2T + k)
+    bytes, so a chunk of gf.block_rows(8 (4 + 2T + k)) tails holds about
+    gf.BLOCK_CELLS bytes of them whatever the field.  Each lead orbit's rows of
+    a chunk are yielded alone, more leading zeros first.
     HypothesisError if a lead's weights do not add up to its rows.
     """
     N, k, E = ctx.mult_order, len(fam.exponents), [fam.q ** l + 1 for l in fam.exponents]
     for j in reversed(range(k)):
-        tail = FamilySpec(fam.p, fam.s, fam.m, fam.exponents[j + 1:])
-        n_tails, places = ctx.order ** (k - 1 - j), ctx.order ** np.arange(k - 1 - j)[::-1]
+        T = k - 1 - j
+        n_tails, places = ctx.order ** T, ctx.order ** np.arange(T)[::-1]
         leads = list(_lead_orbits(ctx.p, ctx.n, N, E[j:]))
-        totals, chunk = [0] * len(leads), block_rows(max(1, k - 1 - j))
+        totals, chunk = [0] * len(leads), block_rows(8 * (4 + 2 * T + k))
         for lo in range(0, n_tails, chunk):
-            tails = family_coeffs(ctx, tail, lo, min(lo + chunk, n_tails))
-            i, logs = np.arange(lo, lo + len(tails)), ctx.log[tails]  # -1 for a zero coefficient
-            rows, weights = [], []
+            i = np.arange(lo, min(lo + chunk, n_tails))
+            logs = i[:, None] // places % ctx.order - 1  # -1 for a zero coefficient
+            zero, image = logs < 0, np.empty_like(logs)
             for at, (r, lead_rows, acts) in enumerate(leads):
                 least, fixed = np.ones(len(i), dtype=bool), np.zeros(len(i), dtype=np.int64)
                 for P, U in acts:
-                    image = np.where(logs < 0, 0, (logs * P + U) % N + 1) @ places
-                    least &= image >= i
-                    fixed += image == i
+                    np.multiply(logs, P, out=image)
+                    image += U
+                    image %= N
+                    image += 1
+                    image[zero] = 0
+                    at_image = image @ places
+                    least &= at_image >= i
+                    fixed += at_image == i
                 w = lead_rows * len(acts) // fixed[least]
                 totals[at] += int(w.sum())
-                weights.append(w)
-                rows.append(np.column_stack([np.zeros((len(w), j), dtype=np.int64),
-                                             np.full(len(w), ctx.exp[r]), tails[least]]))
-            yield np.vstack(rows), np.concatenate(weights)
+                if len(w):
+                    rows = np.zeros((len(w), k), dtype=np.int64)
+                    rows[:, j] = ctx.exp[r]
+                    tail = logs[least]
+                    rows[:, j + 1:] = np.where(tail < 0, 0, ctx.exp[tail])
+                    yield rows, w
         for (r, lead_rows, _), total in zip(leads, totals):
             if total != lead_rows * n_tails:
                 raise HypothesisError(f"lead alpha^{r} at position {j}: orbit weights add up to "
                                       f"{total}, not {lead_rows * n_tails}")
 
 
+def _regroup(chunks, size: int, width: int):
+    """(rows, weights) chunks regrouped into blocks of size rows (the last one
+    shorter), each a view of one buffer that the next block overwrites."""
+    rows, weights, held = np.empty((size, width), dtype=np.int64), np.empty(size, dtype=np.int64), 0
+    for chunk, w in chunks:
+        while len(w):
+            take = min(size - held, len(w))
+            rows[held: held + take], weights[held: held + take] = chunk[:take], w[:take]
+            chunk, w, held = chunk[take:], w[take:], held + take
+            if held == size:
+                yield rows, weights
+                held = 0
+    if held:
+        yield rows[:held], weights[:held]
+
+
 def tally_profiles(ctx: FieldCtx, fam: FamilySpec, count: bool = True) -> RankDistribution:
     """The (rank, type) multiplicities over all (q^m)^k coefficient rows of a family.
 
     form_profiles (with count) profiles each orbit_rows row, which adds its int64
-    weight.  Ranks descending, type +1 before -1; the zero row is counted in (0, +1).
+    weight; the rows are regrouped into whole form_profiles blocks, so a lead
+    orbit's few rows share a stack with the next.  Ranks descending, type +1
+    before -1; the zero row is counted in (0, +1).
     """
     hist = np.zeros(2 * (fam.m + 1), dtype=np.int64)  # index 2 rank + (type == +1)
     hist[1] = 1  # the zero row
-    for rows, weights in orbit_rows(ctx, fam):
+    size = _stack_block(ctx, count)[1]
+    for rows, weights in _regroup(orbit_rows(ctx, fam), size, len(fam.exponents)):
         rank, eps = form_profiles(ctx, fam.s, rows, fam.exponents, count)
         np.add.at(hist, 2 * rank + (eps > 0), weights)
     return RankDistribution(fam.q, fam.m, tuple((k // 2, 1 if k % 2 else -1, int(hist[k]))

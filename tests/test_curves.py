@@ -300,17 +300,12 @@ def test_witness_beyond_the_old_sweep():
     assert rep.observed_betas == rep.expected_betas
 
 
-def test_witness_traced_peak():
+def test_witness_traced_peak(traced_peak):
     ctx = gf.get_field(3, 8)
     ctx.symbols(1)
-    tracemalloc.start()
-    try:
-        rep = curves.l3l_optimal_witness(ctx, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rep, peak = traced_peak(lambda: curves.l3l_optimal_witness(ctx, 1))
     assert rep.found
-    assert peak < 64 * 2 ** 20
+    assert peak < 4 * 2 ** 20
 
 
 def test_witness_rejects_negative_budget():
@@ -458,16 +453,11 @@ def test_scan_compact_counts_at_43_2(monkeypatch):
 
 
 @pytest.mark.parametrize("p,m", [(5, 4), (3, 6)])
-def test_scan_working_set_is_bounded(p, m):
+def test_scan_working_set_is_bounded(p, m, traced_peak):
     # a batch holds three compact-count buffers, not an int64 bincount and int64 counts
     ctx = gf.get_field(p, m)
     curves.scan_monomial(ctx, 1, gammas=[1])  # the field's lazy tables
-    tracemalloc.start()
-    try:
-        scan = curves.scan_monomial(ctx, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    scan, peak = traced_peak(lambda: curves.scan_monomial(ctx, 1))
     assert len(scan.scans) == ctx.mult_order
     assert peak < 8 * 2 ** 20
 

@@ -1,7 +1,6 @@
 import hashlib
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -311,16 +310,11 @@ def test_beta_coordinates_check_the_basis(monkeypatch):
         F.symbols(1).coordinates
 
 
-def test_symbol_table_peak_memory():
+def test_symbol_table_peak_memory(traced_peak):
     # q = 4093: the two int16 tables hold 32 MiB each; no q x q int64 grid is built
     F = gf.FieldCtx(4093, 1)
-    tracemalloc.start()
-    try:
-        sy = F.symbols(1)
-        mul = sy.mul
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    mul, peak = traced_peak(lambda: F.symbols(1).mul)
+    sy = F.symbols(1)
     assert peak < 100 << 20
     rng = np.random.default_rng(5)
     for i, j in rng.integers(0, 4093, size=(50, 2)).tolist():
@@ -591,14 +585,9 @@ def test_moduli_pinned():
         "489d74a180c56c273a4e33ef775dd1cc6fded4f4160bd37a9fd79cff28089188"
 
 
-def test_construction_peak_memory():
+def test_construction_peak_memory(traced_peak):
     # blocks of gf.BLOCK_CELLS cells: no order x n int64 temporary beside the kept tables
-    tracemalloc.start()
-    try:
-        F = gf.FieldCtx(2, 20)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    F, peak = traced_peak(lambda: gf.FieldCtx(2, 20))
     kept = F.exp.nbytes + F.log.nbytes + F._digmat.nbytes  # 44 MiB
     assert peak <= 1.5 * kept
 

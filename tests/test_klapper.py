@@ -1,4 +1,3 @@
-import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -189,19 +188,14 @@ def test_orbit_tally_matches_direct_nullity(p, m):
     assert klapper.tally_l3l_ranks(ctx, 1) == dict(ranks)
 
 
-def test_tally_reaches_beyond_the_old_sweep():
+def test_tally_reaches_beyond_the_old_sweep(traced_peak):
     # 3^20 pairs; checks the closed-form multiplicities and types at (3,10,1),
     # holding one block of Gram matrices at a time
     ctx = gf.get_field(3, 10)
     ctx.symbols(1)
-    tracemalloc.start()
-    try:
-        profiles = klapper.tally_l3l_profiles(ctx, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    profiles, peak = traced_peak(lambda: klapper.tally_l3l_profiles(ctx, 1))
     assert profiles == klapper.rank_distribution_l3l(3, 10, 1)
-    assert peak < 16 * 2 ** 20
+    assert peak < 4 * 2 ** 20
 
 
 @pytest.mark.slow
@@ -210,6 +204,18 @@ def test_orbit_tally_reaches_the_closed_form(p, m):
     # 5^16 and 3^24 pairs, out of reach of the x -> cx orbit classes alone
     tally = klapper.tally_l3l_profiles(gf.get_field(p, m), 1)
     assert tally == klapper.rank_distribution_l3l(p, m, 1)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p,m", [(5, 8), (3, 12)])
+def test_orbit_tally_working_set_is_bounded(p, m, traced_peak):
+    # orbit chunks sized by the bytes of their int64 temporaries, Gram terms
+    # gathered in sub-blocks: the peak does not grow with the field's 5^8 or
+    # 3^12 tails a lead
+    ctx = gf.get_field(p, m)
+    ctx.symbols(1)
+    _, peak = traced_peak(lambda: klapper.tally_l3l_profiles(ctx, 1))
+    assert peak < 8 * 2 ** 20
 
 
 @pytest.mark.parametrize("p", [3, 67, 131, pytest.param(191, marks=pytest.mark.slow)])
@@ -236,6 +242,13 @@ def test_fast_profile_matches_general():
         fast = klapper.l3l_pair_profile_fast(ctx, 1, g1, g2)
         full = klapper.l3l_pair_profile(ctx, 1, g1, g2)
         assert (fast.rank, fast.type) == (full.rank, full.type)
+
+
+@pytest.mark.parametrize("g1", [-1, 3 ** 8])
+def test_fast_profile_refuses_a_non_element(g1):
+    # log[-1] would read the last element, and log[p^n] is past the table
+    with pytest.raises(gf.FieldError, match=rf"^coefficient {g1} is not an element of F_3\^8$"):
+        klapper.l3l_pair_profile_fast(gf.get_field(3, 8), 1, g1, 5)
 
 
 def test_eps_ell():

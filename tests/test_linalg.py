@@ -6,7 +6,7 @@ from qfcodes import gf, linalg, quadform
 from qfcodes.linpoly import LinearizedPoly
 from qfcodes.linalg import reduce_symmetric
 
-from element_order import lin_eval_table
+from element_order import lin_eval_table, reduce_symmetric_batched
 
 
 def known_rank_stack(p, n, count, rng):
@@ -195,3 +195,60 @@ def test_one_form_profile_builds_no_inverse_table():
     ctx = gf.get_field(7, 2)
     assert quadform.form_profiles(ctx, 1, [[ctx.alpha]], (0,))[0].tolist() == [2]
     assert linalg._inv_table.cache_info().misses == 0
+
+
+def low_rank(p, n, kind, rng):
+    """One symmetric n x n matrix mod p: "zero", "one" (c v v^T, done after one
+    1x1 pivot), "pair" (u w^T + w u^T, zero diagonal at p = 2, done after one
+    hyperbolic pivot when it is nonzero), "sparse" (zero diagonal, a few
+    entries) or "full" (dense random)."""
+    if kind == "zero":
+        return np.zeros((n, n), dtype=np.int64)
+    if kind == "one":
+        v = rng.integers(0, p, n)
+        return int(rng.integers(1, p)) * np.outer(v, v) % p
+    if kind == "pair":
+        u, w = rng.integers(0, p, (2, n))
+        return (np.outer(u, w) + np.outer(w, u)) % p
+    u = np.triu(rng.integers(0, p, (n, n)), int(kind == "sparse"))
+    if kind == "sparse":
+        u *= rng.random((n, n)) < 0.15
+    return (u + np.triu(u, 1).T) % p
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 4093])
+def test_active_set_equals_the_batched_reference(p):
+    # stacks of 2 and 3 whose matrices finish after one step, after a few, or
+    # reach full rank, zero diagonals among them, and stacks that all finish
+    # early: the active set pivots as the loop that keeps every matrix does
+    rng = np.random.default_rng(p)
+    kinds = ["zero", "one", "pair", "sparse", "full"]
+    early = ["zero", "one", "pair"]
+    for n in range(1, 13):
+        for count in (2, 3):
+            for pool in (kinds, kinds, kinds, early):
+                mats = np.array([low_rank(p, n, rng.choice(pool), rng) for _ in range(count)])
+                for kernel in (False, True):
+                    new = reduce_symmetric(mats, p, kernel=kernel)
+                    ref = reduce_symmetric_batched(mats, p, kernel=kernel)
+                    assert new.rank.tolist() == ref.rank.tolist()
+                    assert new.disc.tolist() == ref.disc.tolist()
+                    if kernel:
+                        assert new.basis.dtype == ref.basis.dtype
+                        assert np.array_equal(new.basis, ref.basis)
+
+
+@pytest.mark.parametrize("p,m,count", [(3, 8, 6561), (5, 4, 625)])
+def test_active_set_on_witness_grams(p, m, count):
+    # the witness search's stack (column gamma_1 = 1 against every gamma_2):
+    # most matrices reach full rank, the rest leave the stack a step or more early
+    ctx = gf.get_field(p, m)
+    rows = np.column_stack([np.arange(count), np.ones(count, dtype=np.int64)])
+    grams = quadform.form_grams(ctx, 1, rows, (1, 3))
+    for kernel in (False, True):
+        new = reduce_symmetric(grams, p, kernel=kernel)
+        ref = reduce_symmetric_batched(grams, p, kernel=kernel)
+        assert len(np.unique(ref.rank)) > 2
+        assert np.array_equal(new.rank, ref.rank) and np.array_equal(new.disc, ref.disc)
+        if kernel:
+            assert np.array_equal(new.basis, ref.basis)

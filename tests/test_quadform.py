@@ -1,6 +1,5 @@
 from collections import Counter
 from fractions import Fraction
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +245,24 @@ def test_form_profiles_refuses_a_zero_count_of_neither_type(monkeypatch):
         quadform.form_profiles(gf.get_field(3, 4), 1, [[1], [1]], (1,))
 
 
+@pytest.mark.parametrize("p,n", [(3, 8), (2, 6)])
+@pytest.mark.parametrize("bad", ["low", "high"])
+@pytest.mark.parametrize("count", [False, True])
+def test_stack_refuses_a_non_element_before_any_gather(p, n, bad, count, monkeypatch):
+    # a two-row stack, counted or by the discriminant route alone: one check per
+    # block raises form_word's FieldError before a Gram or symbol row is gathered
+    ctx = gf.get_field(p, n)
+    c = -1 if bad == "low" else ctx.order
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a non-element coefficient was gathered")
+
+    monkeypatch.setattr(quadform, "form_grams", refuse)
+    monkeypatch.setattr(quadform, "form_symbols", refuse)
+    with pytest.raises(gf.FieldError, match=rf"^coefficient {c} is not an element of F_{p}\^{n}$"):
+        quadform.form_profiles(ctx, 1, [[1, 2], [3, c]], (1, 3), count=count)
+
+
 def test_form_profiles_refuses_disagreeing_routes(monkeypatch):
     real = Reduction.etas
     monkeypatch.setattr(Reduction, "etas", lambda red: -real(red))
@@ -350,8 +367,8 @@ def test_orbit_rows_refuse_weights_that_miss_the_rows(monkeypatch):
 
 
 def test_tally_profiles_profiles_one_row_per_frobenius_orbit(monkeypatch):
-    # (3,8,1): 3 336 nonzero rows, one per Frobenius x (x -> cx) orbit, in two
-    # form_profiles calls, where the x -> cx orbit classes alone took 26 248 rows
+    # (3,8,1): 3 336 nonzero rows, one per Frobenius x (x -> cx) orbit, regrouped
+    # into one form_profiles block, where the x -> cx orbit classes alone took 26 248 rows
     real, seen = quadform.form_profiles, []
 
     def spy(ctx, s, coeffs, ls, count=True):
@@ -362,7 +379,7 @@ def test_tally_profiles_profiles_one_row_per_frobenius_orbit(monkeypatch):
     tally = klapper.tally_l3l_profiles(gf.get_field(3, 8), 1)
     assert tally == klapper.rank_distribution_l3l(3, 8, 1)
     rows = [row for call in seen for row in call]
-    assert len(seen) == 2 and len(rows) == len(set(rows)) == 3336
+    assert len(seen) == 1 and len(rows) == len(set(rows)) == 3336
     assert (0, 0) not in rows
 
 
@@ -731,18 +748,13 @@ def test_value_histograms_count_dtype_edge(p, n, dtype):
     assert np.array_equal(Q.histogram, H[0])
 
 
-def test_value_histograms_m1_builds_no_cubic_shift_table():
+def test_value_histograms_m1_builds_no_cubic_shift_table(traced_peak):
     # at m = 1, q^2 = 65536 histogram cells pass the cell bound, but a q x q x q
     # shift table would hold 2^24 entries: each y gathers its own (q, q) slice
     ctx = gf.get_field(2, 8)
     Q = form(2, 8, 1, (0,), (ctx.alpha_pow(5),))  # Q(x) = alpha^5 x^2
     sy = ctx.symbols(8)
-    tracemalloc.start()
-    try:
-        H = Q.histogram
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    H, peak = traced_peak(lambda: Q.histogram)
     assert peak < 4 * 2 ** 20
     xs = np.arange(ctx.order, dtype=np.int64)
     values = sy.trace_sym[ctx.v_mul(xs, lin_eval_table(ctx, Q.R))]  # Q in element order

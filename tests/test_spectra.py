@@ -2,7 +2,6 @@ import multiprocessing
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from collections import Counter
 from functools import lru_cache
@@ -214,18 +213,13 @@ def test_block_kernel_keeps_the_non_injective_span_count(monkeypatch):
     assert res.expected_words == 256
 
 
-def test_brute_working_set_is_capped_at_large_q():
+def test_brute_working_set_is_capped_at_large_q(traced_peak):
     # (31,1,2) variant 1 fits the default budget: 961^2 words of length 960
     ctx = gf.get_field(31, 2)
     fam = fam_of(31, 1, 2, 1)
     spec = CodeSpec(fam, "1")
     build_codeword(ctx, spec, LinearizedPoly((1,), (1,), 1), beta=1)  # the field's lazy tables
-    tracemalloc.start()
-    try:
-        res = brute_spectrum(ctx, spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    res, peak = traced_peak(lambda: brute_spectrum(ctx, spec))
     assert peak < 32 * 2 ** 20
     # the beta-sweep kernel route: word (gamma, beta) has weight n - (H[gamma, beta, 0] - 1).
     # x -> cx permutes the coordinates and maps (gamma, beta) to (gamma c^32, beta c), so
@@ -265,19 +259,14 @@ def test_beta_brute_refuses_a_kernel_table_past_the_cap(monkeypatch):
         assert res.spectrum.weights == predict_monomial_long(2, 4, 1, variant).spectrum.weights
 
 
-def test_beta_brute_working_set_at_5_4():
+def test_beta_brute_working_set_at_5_4(traced_peak):
     # (5,1,4) variant 2: the beta blocks hold kernel tables in int16 counts
     ctx = gf.get_field(5, 4)
     spec = CodeSpec(fam_of(5, 1, 4, 1), "2")
     # the field's lazy tables, the kernel's among them
     build_codeword(ctx, spec, LinearizedPoly((1,), (1,), 1), beta=1)
     quadform.value_histograms(ctx, 1, np.zeros((1, ctx.mult_order), dtype=np.int8))
-    tracemalloc.start()
-    try:
-        res = brute_spectrum(ctx, spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    res, peak = traced_peak(lambda: brute_spectrum(ctx, spec))
     assert peak < 4 * 2 ** 20
     assert res.spectrum.weights == predict_monomial_long(5, 4, 1, "2").spectrum.weights
 
